@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .fields import PrimeField, SparseMatrix, rref
+from .fields import LinComb, PrimeField, SparseMatrix, rref
 
 
 class PresentationError(ValueError):
@@ -51,27 +51,18 @@ class Monomial:
         bits = tuple((self.mask >> i) & 1 for i in range(n_ext))
         return (bits, self.exps)
 
-    def is_unit(self):
-        return self.mask == 0 and not any(self.exps)
 
-
-class Polynomial:
+class Polynomial(LinComb):
     """A linear combination of monomials of one presentation."""
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
-        p = algebra.field.p
-        clean = {}
-        for m, c in (terms or {}).items():
-            c %= p
-            if c:
-                clean[m] = c
-        self.terms = clean
+        super().__init__(terms, algebra.field.p)
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return Polynomial(self.algebra, terms)
 
     def degree(self):
         """Degree of a homogeneous element (None for 0)."""
@@ -84,26 +75,6 @@ class Polynomial:
 
     def is_homogeneous(self):
         return len({self.algebra.mono_degree(m) for m in self.terms}) <= 1
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.algebra, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return Polynomial(self.algebra, out)
-
-    def __neg__(self):
-        return Polynomial(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, k):
-        return Polynomial(self.algebra, {m: c * k for m, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -384,16 +355,6 @@ class AlgebraPresentation:
         self._basis_cache[degree] = out
         return out
 
-    def is_finite_dimensional(self):
-        if self.n_poly == 0:
-            return True
-        if self._pure_power_caps is not None:
-            return len(self._pure_power_caps) == self.n_poly
-        # bounded iff every variable is nilpotent in the quotient; detect by
-        # scanning dimensions up to a safe degree via Hilbert data
-        top = self.top_degree_bound()
-        return top is not None
-
     def top_degree_bound(self):
         """Top nonzero degree for finite-dimensional algebras, else None."""
         if self.n_poly == 0:
@@ -414,13 +375,6 @@ class AlgebraPresentation:
 
     def dim_in_degree(self, degree):
         return len(self.monomial_basis(degree))
-
-    def augmentation_basis(self, degree):
-        """Basis of the augmentation ideal piece (positive degree only)."""
-        return self.monomial_basis(degree) if degree >= 1 else []
-
-    def hilbert_coefficient(self, degree):
-        return self.dim_in_degree(degree)
 
     # -- labels -------------------------------------------------------------
 
@@ -465,6 +419,12 @@ def parse_poly_expr(algebra: AlgebraPresentation, text: str) -> Polynomial:
             break
         pos = m.end()
         tokens.append(m)
+    is_op = [bool(t.group(4) or t.group(5) or t.group(6)) for t in tokens]
+    for i, op in enumerate(is_op):
+        if op and (i + 1 == len(tokens) or is_op[i + 1]
+                   or (i == 0 and tokens[i].group(4))):
+            raise PresentationError(f"operator without an operand in "
+                                    f"{text!r}")
     result = algebra.zero()
     sign = 1
     term_coeff = None
@@ -513,21 +473,37 @@ def parse_poly_expr(algebra: AlgebraPresentation, text: str) -> Polynomial:
     return result
 
 
-def parse_presentation(doc: dict) -> AlgebraPresentation:
+def json_int(value, what):
+    """A JSON integer (true/false are not integers here)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PresentationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def parse_presentation(doc) -> AlgebraPresentation:
     """Build a validated presentation from a decoded JSON document."""
-    try:
-        p = int(doc["characteristic"])
-    except (KeyError, TypeError, ValueError):
-        raise PresentationError("missing or invalid 'characteristic'")
-    field = PrimeField(p)
+    if not isinstance(doc, dict):
+        raise PresentationError("a presentation must be a JSON object")
+    field = PrimeField(json_int(doc.get("characteristic"), "characteristic"))
+    gen_docs = doc.get("generators", [])
+    if not isinstance(gen_docs, list):
+        raise PresentationError("'generators' must be a list of objects")
     gens = []
-    for g in doc.get("generators", []):
+    for g in gen_docs:
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str):
+            raise PresentationError(
+                f"generator {g!r} must be an object with a string 'name'")
         kind = g.get("kind")
         if kind not in (EXTERIOR, POLYNOMIAL):
             raise PresentationError(f"generator kind must be 'exterior' or "
                                     f"'polynomial', got {kind!r}")
-        gens.append(GradedGenerator(str(g["name"]), int(g["degree"]), kind))
-    return AlgebraPresentation(field, gens, tuple(doc.get("relations", ())))
+        degree = json_int(g.get("degree"), f"degree of generator {g['name']}")
+        gens.append(GradedGenerator(g["name"], degree, kind))
+    relations = doc.get("relations", [])
+    if not isinstance(relations, list) \
+            or not all(isinstance(r, str) for r in relations):
+        raise PresentationError("'relations' must be a list of strings")
+    return AlgebraPresentation(field, gens, tuple(relations))
 
 
 # -- calculus ---------------------------------------------------------------
@@ -556,23 +532,21 @@ def partial_derivative(poly: Polynomial, var_name: str) -> Polynomial:
     return Polynomial(A, out)
 
 
-class TensorPoly:
+class TensorPoly(LinComb):
     """An element of Lambda (x) Lambda as {(Monomial, Monomial): coeff}.
 
     Multiplication uses the Koszul rule for the tensor product of graded
     algebras: (a(x)b)(a'(x)b') = (-1)^{|b||a'|} aa' (x) bb'.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
-        p = algebra.field.p
-        self.terms = {}
-        for k, c in (terms or {}).items():
-            c %= p
-            if c:
-                self.terms[k] = c
+        super().__init__(terms, algebra.field.p)
+
+    def _like(self, terms):
+        return TensorPoly(self.algebra, terms)
 
     @classmethod
     def from_sides(cls, left: Polynomial, right: Polynomial):
@@ -582,18 +556,6 @@ class TensorPoly:
             for mr, cr in right.terms.items():
                 terms[(ml, mr)] = terms.get((ml, mr), 0) + cl * cr
         return cls(A, terms)
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return TensorPoly(self.algebra, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return TensorPoly(self.algebra, out)
 
     def __mul__(self, other):
         A = self.algebra
@@ -607,9 +569,6 @@ class TensorPoly:
                         k = (ml, mr)
                         out[k] = out.get(k, 0) + sign * c1 * c2 * cl * cr
         return TensorPoly(A, out)
-
-    def is_zero(self):
-        return not self.terms
 
     def apply_multiplication(self) -> Polynomial:
         """The multiplication map Lambda (x) Lambda -> Lambda."""

@@ -23,11 +23,12 @@ of the trivial module through the window's word lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import AlgebraPresentation, Monomial, Polynomial
+from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
+                      Polynomial)
 from .bigraded import BigradedVectorSpace, CellData, DegreeWindow, WindowError
-from .fields import LinearSystem, SparseMatrix, cohomology_cell
+from .fields import LinComb, SparseMatrix, cohomology_cell
 
 COEFF_SELF = "self"
 COEFF_DUAL = "dual"
@@ -35,10 +36,6 @@ COEFF_DUAL = "dual"
 
 def word_suspension(A, word):
     return sum(A.mono_degree(a) - 1 for a in word)
-
-
-def word_internal(A, word):
-    return sum(A.mono_degree(a) for a in word)
 
 
 # -- two-sided bar words --------------------------------------------------------
@@ -92,40 +89,17 @@ def bar_differential(w: BarWord, A: AlgebraPresentation):
 # -- Hochschild chains ---------------------------------------------------------
 
 
-class ChainElement:
+class ChainElement(LinComb):
     """Element of A (x) T(s abar): {(a0: Monomial, word): coeff}."""
 
-    __slots__ = ("A", "terms")
+    __slots__ = ("A",)
 
     def __init__(self, A, terms=None):
         self.A = A
-        p = A.field.p
-        self.terms = {}
-        for k, c in (terms or {}).items():
-            c %= p
-            if c:
-                self.terms[k] = c
+        super().__init__(terms, A.field.p)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return ChainElement(self.A, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) - c
-        return ChainElement(self.A, out)
-
-    def scale(self, k):
-        return ChainElement(self.A, {m: c * k for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, ChainElement) and self.terms == other.terms
+    def _like(self, terms):
+        return ChainElement(self.A, terms)
 
 
 def hochschild_b(c: ChainElement) -> ChainElement:
@@ -212,10 +186,6 @@ def shuffle_product(c1: ChainElement, c2: ChainElement) -> ChainElement:
                     key = (m, word)
                     out[key] = out.get(key, 0) + ca * cb * cm * base * sgn
     return ChainElement(A, out)
-
-
-def chain_total_degree(A, a0, word):
-    return A.mono_degree(a0) + word_suspension(A, word)
 
 
 # -- Hochschild cochains -------------------------------------------------------
@@ -444,7 +414,6 @@ class BarComplex:
         self._cells = {}
         self._mats = {}
         self._hom = {}
-        self._expr = {}
 
     # word enumeration ------------------------------------------------------
 
@@ -583,30 +552,9 @@ class BarComplex:
         self._hom[key] = hom
         return hom
 
-    def class_expresser(self, p, q):
-        key = (p, q)
-        if key in self._expr:
-            return self._expr[key]
-        hom = self.homology(p, q)
-        cols = [list(r) for r in hom.representatives] \
-            + [list(v) for v in hom.image_basis]
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    entries[(i, j)] = v
-        M = SparseMatrix(hom.ambient_dim, len(cols), entries, self.A.field)
-        solver = LinearSystem(M)
-        self._expr[key] = (solver, len(hom.representatives))
-        return self._expr[key]
-
     def express_class(self, f: Cochain):
         """Coordinates of a cocycle's class in the cell homology basis."""
-        solver, n_reps = self.class_expresser(f.p, f.q)
-        sol = solver.solve(self.cochain_vector(f))
-        if sol is None:
-            return None
-        return tuple(sol[:n_reps])
+        return self.homology(f.p, f.q).express(self.cochain_vector(f))
 
 
 def compute_hh_window(A: AlgebraPresentation, coeff: str,
@@ -638,7 +586,6 @@ class ChainComplexCells:
         self._cells = {}
         self._mats = {}
         self._hom = {}
-        self._expr = {}
 
     def words(self, k, S):
         key = (k, S)
@@ -709,24 +656,7 @@ class ChainComplexCells:
         return hom
 
     def express_class(self, c: ChainElement, k, t):
-        key = (k, t)
-        if key not in self._expr:
-            hom = self.homology(k, t)
-            cols = [list(r) for r in hom.representatives] \
-                + [list(v) for v in hom.image_basis]
-            entries = {}
-            for j, col in enumerate(cols):
-                for i, v in enumerate(col):
-                    if v:
-                        entries[(i, j)] = v
-            M = SparseMatrix(hom.ambient_dim, len(cols), entries,
-                             self.A.field)
-            self._expr[key] = (LinearSystem(M), len(hom.representatives))
-        solver, n_reps = self._expr[key]
-        sol = solver.solve(self.chain_vector(c, k, t))
-        if sol is None:
-            return None
-        return tuple(sol[:n_reps])
+        return self.homology(k, t).express(self.chain_vector(c, k, t))
 
     def connes_matrix_on_homology(self, k, t):
         """H(B): homology at (k, t) -> homology at (k+1, t)."""
@@ -738,15 +668,11 @@ class ChainComplexCells:
             img = connes_boundary(c)
             coords = self.express_class(img, k + 1, t)
             if coords is None:
-                raise WindowError("Connes image of a cycle is not a cycle "
-                                  "class in the window")
+                raise InternalConsistencyError(
+                    "Connes image of a cycle is not a cycle class in the "
+                    "window")
             cols.append(coords)
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    entries[(i, j)] = v
-        return SparseMatrix(hom_dst.dim, hom_src.dim, entries, self.A.field)
+        return SparseMatrix.from_columns(hom_dst.dim, cols, self.A.field)
 
 
 def compute_hochschild_homology_window(A: AlgebraPresentation,

@@ -43,17 +43,6 @@ class PoincareDualityData:
                        {(): dict(self.fundamental_dual)})
 
 
-@dataclass
-class BVClass:
-    """A cohomology class carried on the resolution side, with its bar-side
-    cochain representative attached once a context has translated it."""
-
-    label: tuple
-    bidegree: tuple
-    representative: DualRingElement
-    bar_representative: Cochain | None = None
-
-
 def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
     """Verified Poincare duality data; the pairing <a,b> = coefficient of
     the top class in ab must be nondegenerate in every degree."""
@@ -286,9 +275,7 @@ class BVContext:
             e = [0] * len(tgt_labels)
             e[j] = 1
             comp_cols.append(theta_prev.mul_vec(T_prev.mul_vec(tuple(e))))
-        comp = SparseMatrix.from_columns(
-            P_prev.rows, comp_cols, field) if tgt_labels else \
-            SparseMatrix(P_prev.rows, 0, {}, field)
+        comp = SparseMatrix.from_columns(P_prev.rows, comp_cols, field)
         comp_solver = LinearSystem(comp)
         pair_solver = LinearSystem(P_prev.transpose())
         sign_g = -1 if (p + qd) % 2 else 1
@@ -373,25 +360,13 @@ class BVContext:
         return (not residual), residual
 
 
-def bv_class(context: BVContext, label) -> BVClass:
-    p, q = context.ring.bidegree(label)
-    dual = context.ring.class_reps[label]
-    return BVClass(label, (p, q), dual,
-                   context.kt_to_bar_cochain(dual, p, q))
-
-
-def cap_theta(context: BVContext, cls, p=None, q=None) -> Cochain:
+def cap_theta(context: BVContext, dual: DualRingElement, p, q) -> Cochain:
     """The duality map on one class: cup its bar image with the dual
     fundamental class."""
-    if isinstance(cls, BVClass):
-        dual, (p, q) = cls.representative, cls.bidegree
-    else:
-        dual = cls
     f = context.kt_to_bar_cochain(dual, p, q)
     return context.theta_cochain(f)
 
 
-def bv_delta(context: BVContext, cls) -> dict:
-    """The operator applied to one ring basis class (by label or BVClass)."""
-    label = cls.label if isinstance(cls, BVClass) else cls
+def bv_delta(context: BVContext, label) -> dict:
+    """The operator applied to one ring basis class, given by its label."""
     return context.delta_of_label(label)

@@ -13,8 +13,8 @@ Presentation files are UTF-8 JSON:
      "relations": ["x1^2", ...],
      "window": {"max_filtration": 4, "q_min": -24, "q_max": 24}}
 
-Exit codes: 0 success/agreement, 1 input error, 2 oracle mismatch,
-3 internal consistency failure.
+Exit codes: 0 success/agreement, 1 input error or window limit, 2 oracle
+mismatch, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .algebra import (InternalConsistencyError, PresentationError,
+from .algebra import (InternalConsistencyError, PresentationError, json_int,
                       parse_presentation, validate_regular_sequence)
 from .bar import COEFF_SELF, CellBlowupError, compute_hh_window
 from .bigraded import DegreeWindow, WindowError
 from .bv import BVContext, NotPoincareDualityError
-from .fields import FieldError
-from .koszul_tate import KTRing, hh_via_kt
+from .fields import ComplexViolationError, FieldError
+from .koszul_tate import KTRing, UnsupportedDiagonalError, hh_via_kt
 from .spectral import (collapse_certificate, resolve_bv_extension,
                        resolve_product_extension)
 from . import verify as verify_suite
@@ -67,11 +67,17 @@ def load_job(cfg: JobConfig):
         doc = json.load(fh)
     A = parse_presentation(doc)
     win = doc.get("window", {})
-    max_p = cfg.max_p if cfg.max_p is not None else win.get(
-        "max_filtration", 4)
-    q_min = cfg.q_min if cfg.q_min is not None else win.get("q_min", -24)
-    q_max = cfg.q_max if cfg.q_max is not None else win.get("q_max", 24)
-    window = DegreeWindow(max_p, q_min, q_max)
+    if not isinstance(win, dict):
+        raise PresentationError("'window' must be an object")
+
+    def bound(flag, key, default):
+        if flag is not None:
+            return flag
+        return json_int(win.get(key, default), f"window {key}")
+
+    window = DegreeWindow(bound(cfg.max_p, "max_filtration", 4),
+                          bound(cfg.q_min, "q_min", -24),
+                          bound(cfg.q_max, "q_max", 24))
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
     return A, window, doc, digest
@@ -436,14 +442,18 @@ def main(argv=None) -> int:
             doc, code = cmd_bv(cfg)
         else:
             doc, code = cmd_verify(cfg)
-    except (PresentationError, FieldError, WindowError, FileNotFoundError,
-            NotPoincareDualityError, json.JSONDecodeError) as err:
+    except (PresentationError, FieldError, WindowError, OSError,
+            UnicodeDecodeError, NotPoincareDualityError,
+            json.JSONDecodeError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1
     except CellBlowupError as err:
         sys.stderr.write(f"window too large for the oracle: {err}\n")
         return 1
-    except InternalConsistencyError as err:
+    except UnsupportedDiagonalError as err:
+        sys.stderr.write(f"window limit: {err}\n")
+        return 1
+    except (InternalConsistencyError, ComplexViolationError) as err:
         sys.stderr.write(f"internal consistency failure: {err}\n")
         return 3
     emit(doc, cfg.fmt)

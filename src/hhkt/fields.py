@@ -2,19 +2,16 @@
 
 Everything in this module is exact modular arithmetic: no floats anywhere.
 Matrices are stored sparsely as ``{(row, col): value}`` with values in
-``[1, p)``; a dense numpy path takes over below ``DENSE_CUTOFF`` columns,
-where sparse bookkeeping costs more than it saves.  All reduced forms are
-RREF, which is unique, so pivot-selection heuristics only affect speed,
-never results.
+``[1, p)`` and reduced by one sparse elimination kernel.  All reduced forms
+are RREF, which is unique, so pivot-selection heuristics only affect speed,
+never results.  Vectors in the algebraic modules are ``LinComb`` subclasses:
+sparse ``{key: coeff}`` maps normalized mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-DENSE_CUTOFF = 64
+from functools import cached_property
 
 
 class FieldError(ValueError):
@@ -58,15 +55,6 @@ class PrimeField:
     def normalize(self, a: int) -> int:
         return a % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -74,9 +62,57 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-def field_inverse(a: int, field: PrimeField) -> int:
-    """Multiplicative inverse of a nonzero element of F_p."""
-    return field.inv(a)
+class LinComb:
+    """A sparse linear combination over F_p: ``terms`` maps keys to
+    coefficients in ``[1, p)``; zero coefficients are dropped.
+
+    A subclass holds the context its keys live in (an algebra or a
+    resolution), rebuilds itself from terms in ``_like`` and adds its own
+    product and boundary.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms, p):
+        clean = {}
+        for k, c in (terms or {}).items():
+            c %= p
+            if c:
+                clean[k] = c
+        self.terms = clean
+
+    def _like(self, terms):
+        """A combination of the same type and context with these terms."""
+        raise NotImplementedError
+
+    def _check(self, other):
+        """Hook for refusing to combine with an incompatible operand."""
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            out[k] = out.get(k, 0) - c
+        return self._like(out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, k):
+        return self._like({m: c * k for m, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
 
 
 class SparseMatrix:
@@ -108,23 +144,6 @@ class SparseMatrix:
                     entries[(r, c)] = v
         return cls(rows, len(columns), entries, field)
 
-    @classmethod
-    def from_dense(cls, array, field):
-        array = np.asarray(array)
-        rows, cols = array.shape
-        entries = {}
-        for r in range(rows):
-            for c in range(cols):
-                if array[r, c] % field.p:
-                    entries[(r, c)] = int(array[r, c])
-        return cls(rows, cols, entries, field)
-
-    def to_dense(self):
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v
-        return out
-
     def transpose(self):
         return SparseMatrix(
             self.cols, self.rows,
@@ -149,44 +168,19 @@ class SparseMatrix:
         return len(self.entries)
 
 
-def _rref_dense(M: SparseMatrix):
-    """RREF via numpy int64; returns (pivot_cols, rref rows as dicts)."""
-    p = M.field.p
-    A = M.to_dense() % p
-    nrows, ncols = A.shape
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        nz = np.nonzero(A[row:, col])[0]
-        if nz.size == 0:
-            continue
-        r = row + int(nz[0])
-        if r != row:
-            A[[row, r]] = A[[r, row]]
-        inv = pow(int(A[row, col]), p - 2, p)
-        A[row] = (A[row] * inv) % p
-        for rr in range(nrows):
-            if rr != row and A[rr, col]:
-                A[rr] = (A[rr] - A[rr, col] * A[row]) % p
-        pivots.append(col)
-        row += 1
-    rows = []
-    for i in range(len(pivots)):
-        rows.append({int(c): int(A[i, c]) for c in np.nonzero(A[i])[0]})
-    return pivots, rows
+def _rref(M: SparseMatrix, npivot_cols):
+    """RREF of M with pivots only in columns < npivot_cols.
 
-
-def _rref_sparse(M: SparseMatrix):
-    """RREF with Markowitz-style row choice (fewest fill-in candidates)."""
+    Returns (pivot_cols, rref rows as dicts).  Rows are chosen
+    Markowitz-style (fewest entries first).
+    """
     p = M.field.p
     work = [dict() for _ in range(M.rows)]
     for (r, c), v in M.entries.items():
         work[r][c] = v
     active = [r for r in range(M.rows) if work[r]]
     done = []      # list of (pivot_col, row dict), in pivot order
-    for col in range(M.cols):
+    for col in range(npivot_cols):
         candidates = [r for r in active if work[r].get(col)]
         if not candidates:
             continue
@@ -219,14 +213,11 @@ def _rref_sparse(M: SparseMatrix):
                     elif c in prow:
                         del prow[c]
         done.append((col, row))
-    pivots = [c for c, _ in done]
-    return pivots, [row for _, row in done]
+    return [c for c, _ in done], [row for _, row in done]
 
 
 def rref(M: SparseMatrix):
-    if M.cols < DENSE_CUTOFF:
-        return _rref_dense(M)
-    return _rref_sparse(M)
+    return _rref(M, M.cols)
 
 
 def kernel_basis_from_rref(pivots, rows, ncols, field):
@@ -269,15 +260,12 @@ class LinearSystem:
     def __init__(self, M: SparseMatrix):
         self.M = M
         self.field = M.field
-        p = self.field.p
-        aug_cols = M.cols + M.rows
         entries = dict(M.entries)
         for r in range(M.rows):
             entries[(r, M.cols + r)] = 1
-        aug = SparseMatrix(M.rows, aug_cols, entries, M.field)
-        # restrict pivot search to the M-columns
-        self.pivots, self.rows = _restricted_rref(aug, M.cols, p)
-        self.rank = len(self.pivots)
+        aug = SparseMatrix(M.rows, M.cols + M.rows, entries, M.field)
+        # pivots only in the M-columns; the I-block records the row ops
+        self.pivots, self.rows = _rref(aug, M.cols)
 
     def solve(self, b):
         """A particular solution of Mx = b (free vars 0), or None."""
@@ -297,48 +285,6 @@ class LinearSystem:
         if any((Mx[r] - b[r]) % p for r in range(self.M.rows)):
             return None
         return tuple(x)
-
-    def in_image(self, b):
-        return self.solve(b) is not None
-
-
-def _restricted_rref(aug: SparseMatrix, npivot_cols, p):
-    """RREF of an augmented matrix, pivoting only in the first columns."""
-    work = [dict() for _ in range(aug.rows)]
-    for (r, c), v in aug.entries.items():
-        work[r][c] = v
-    active = list(range(aug.rows))
-    done = []
-    for col in range(npivot_cols):
-        candidates = [r for r in active if work[r].get(col)]
-        if not candidates:
-            continue
-        r0 = min(candidates, key=lambda r: (len(work[r]), r))
-        active.remove(r0)
-        row = work[r0]
-        inv = pow(row[col], p - 2, p)
-        row = {c: (v * inv) % p for c, v in row.items()}
-        for r in active:
-            f = work[r].get(col)
-            if f:
-                tgt = work[r]
-                for c, v in row.items():
-                    nv = (tgt.get(c, 0) - f * v) % p
-                    if nv:
-                        tgt[c] = nv
-                    elif c in tgt:
-                        del tgt[c]
-        for _, prow in done:
-            f = prow.get(col)
-            if f:
-                for c, v in row.items():
-                    nv = (prow.get(c, 0) - f * v) % p
-                    if nv:
-                        prow[c] = nv
-                    elif c in prow:
-                        del prow[c]
-        done.append((col, row))
-    return [c for c, _ in done], [row for _, row in done]
 
 
 class SubspaceReducer:
@@ -381,10 +327,6 @@ class SubspaceReducer:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
 
 @dataclass
 class SubquotientBasis:
@@ -394,10 +336,25 @@ class SubquotientBasis:
     kernel_basis: list
     image_basis: list
     representatives: list
+    field: PrimeField
 
     @property
     def dim(self):
         return len(self.representatives)
+
+    @cached_property
+    def _class_solver(self):
+        cols = self.representatives + self.image_basis
+        return LinearSystem(
+            SparseMatrix.from_columns(self.ambient_dim, cols, self.field))
+
+    def express(self, vec):
+        """Coordinates of a cycle's class in the representative basis, or
+        None when vec is not a cycle of this cell."""
+        sol = self._class_solver.solve(vec)
+        if sol is None:
+            return None
+        return sol[:self.dim]
 
 
 def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
@@ -411,7 +368,6 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
         raise ValueError("d_in rows must match d_out cols")
     field = d_out.field
     n = d_out.cols
-    p = field.p
     for j in range(d_in.cols):
         col = d_in.column(j)
         comp = d_out.mul_vec(col)
@@ -436,4 +392,4 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
         if span.add(v):
             reps.append(v)
     assert len(reps) == len(kernel) - rank_in
-    return SubquotientBasis(n, kernel, image, reps)
+    return SubquotientBasis(n, kernel, image, reps, field)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
 from .bigraded import DegreeWindow, RingGenerator
-from .fields import LinearSystem, SparseMatrix, cohomology_cell
+from .fields import LinComb, LinearSystem, SparseMatrix, cohomology_cell
 
 
 class UnsupportedDiagonalError(RuntimeError):
@@ -57,9 +57,6 @@ class EMono:
     nu: tuple
     u: int
     w: tuple
-
-    def is_unit(self):
-        return not any(self.nu) and self.u == 0 and not any(self.w)
 
 
 KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
@@ -104,17 +101,6 @@ class KTResolution:
 
     def e_total(self, e: EMono) -> int:
         return self.e_internal(e) - self.e_level(e)
-
-    def mono_level(self, m: KTMono) -> int:
-        return self.e_level(m[2])
-
-    def mono_internal(self, m: KTMono) -> int:
-        A = self.algebra
-        return (A.mono_degree(m[0]) + A.mono_degree(m[1])
-                + self.e_internal(m[2]))
-
-    def mono_total(self, m: KTMono) -> int:
-        return self.mono_internal(m) - self.mono_level(m)
 
     def generator_roster(self):
         """(symbol, bidegree) list, for reports."""
@@ -201,19 +187,17 @@ class KTResolution:
         return out
 
 
-class KTElement:
+class KTElement(LinComb):
     """Linear combination of KT monomials over F_p."""
 
-    __slots__ = ("R", "terms")
+    __slots__ = ("R",)
 
     def __init__(self, R: KTResolution, terms=None):
         self.R = R
-        p = R.field.p
-        self.terms = {}
-        for m, c in (terms or {}).items():
-            c %= p
-            if c:
-                self.terms[m] = c
+        super().__init__(terms, R.field.p)
+
+    def _like(self, terms):
+        return KTElement(self.R, terms)
 
     @classmethod
     def from_mono(cls, R, left=None, right=None, e=None, coeff=1):
@@ -223,24 +207,6 @@ class KTElement:
                 e if e is not None else R.unit_emono())
         return cls(R, {mono: coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return KTElement(self.R, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return KTElement(self.R, out)
-
-    def scale(self, k):
-        return KTElement(self.R, {m: c * k for m, c in self.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.terms.items():
@@ -248,9 +214,6 @@ class KTElement:
                 for m, c in self.R.mul_monos(m1, m2):
                     out[m] = out.get(m, 0) + c1 * c2 * c
         return KTElement(self.R, out)
-
-    def __eq__(self, other):
-        return isinstance(other, KTElement) and self.terms == other.terms
 
     def d(self):
         out = {}
@@ -440,38 +403,18 @@ def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
 TMono = tuple  # (lamL, lamM, alpha: EMono, lamR, beta: EMono)
 
 
-class KTTensorElement:
+class KTTensorElement(LinComb):
     """Element of F (x)_Lambda F in the normal form with the right slot's
     left coordinate slid into the middle."""
 
-    __slots__ = ("R", "terms")
+    __slots__ = ("R",)
 
     def __init__(self, R, terms=None):
         self.R = R
-        p = R.field.p
-        self.terms = {}
-        for m, c in (terms or {}).items():
-            c %= p
-            if c:
-                self.terms[m] = c
+        super().__init__(terms, R.field.p)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return KTTensorElement(self.R, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return KTTensorElement(self.R, out)
-
-    def scale(self, k):
-        return KTTensorElement(self.R, {m: c * k for m, c in self.terms.items()})
+    def _like(self, terms):
+        return KTTensorElement(self.R, terms)
 
     def __mul__(self, other):
         out = {}
@@ -480,9 +423,6 @@ class KTTensorElement:
                 for m, c in _mul_tmonos(self.R, m1, m2):
                     out[m] = out.get(m, 0) + c1 * c2 * c
         return KTTensorElement(self.R, out)
-
-    def __eq__(self, other):
-        return isinstance(other, KTTensorElement) and self.terms == other.terms
 
     def boundary(self):
         out = {}
@@ -882,7 +822,7 @@ class KTRing:
             self.complete = self.generators is not None
         else:
             self.generators = None
-            self._expressers = {}
+            self._homs = {}
             for (p, q) in W.cells():
                 basis = self._cell_pairs(p, q)
                 d_out = deltas[(p, q)]
@@ -900,8 +840,7 @@ class KTRing:
                             values[e] = values[e] + poly if e in values else poly
                     self.class_reps[label] = DualRingElement(R, p + q, values)
                 self.cells[(p, q)] = labels
-                self._expressers[(p, q)] = _CellExpresser(
-                    R.field, basis, hom.representatives, hom.image_basis)
+                self._homs[(p, q)] = hom
 
     def _generator_model(self):
         """RingGenerator list when the ring is A (x) E-dual on the nose."""
@@ -1039,31 +978,10 @@ class KTRing:
         for e, poly in dual.values.items():
             for a, c in poly.terms.items():
                 vec[index[(e, a)]] = c
-        coords = self._expressers[(p, q)].express(tuple(vec))
+        coords = self._homs[(p, q)].express(tuple(vec))
         if coords is None:
             raise InternalConsistencyError("cup product not a cocycle class")
-        return {("h", p, q, k): c for k, c in coords.items() if c}
-
-
-class _CellExpresser:
-    """Expresses vectors in (homology representatives + boundary) coords."""
-
-    def __init__(self, field, basis, reps, image):
-        self.n_reps = len(reps)
-        cols = [list(r) for r in reps] + [list(v) for v in image]
-        entries = {}
-        for j, col in enumerate(cols):
-            for i, v in enumerate(col):
-                if v:
-                    entries[(i, j)] = v
-        M = SparseMatrix(len(basis), len(cols), entries, field)
-        self.solver = LinearSystem(M)
-
-    def express(self, vec):
-        sol = self.solver.solve(vec)
-        if sol is None:
-            return None
-        return {k: sol[k] for k in range(self.n_reps) if sol[k]}
+        return {("h", p, q, k): c for k, c in enumerate(coords) if c}
 
 
 def hh_via_kt(presentation: AlgebraPresentation, window: DegreeWindow,
@@ -1213,13 +1131,6 @@ class XiLift:
                         R, e=EMono(tuple(nu), 0, (0,) * R.m))
                     return target - self.value((m2, m1))
         return None
-
-
-def chain_map_xi(word, R: KTResolution, xi: XiLift | None = None,
-                 depth: int = 4) -> KTElement:
-    """Value of the comparison chain map on one normalized bar word."""
-    lift = xi if xi is not None else XiLift(R, depth)
-    return lift.value(tuple(word))
 
 
 class NotACycleError(ValueError):

@@ -1,6 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from hhkt.cli import main
+from hhkt.fields import ComplexViolationError
+from hhkt.koszul_tate import UnsupportedDiagonalError
 
 PRESENTATIONS = {
     "ext2_deg5": {
@@ -21,6 +29,13 @@ PRESENTATIONS = {
         "generators": [{"name": "x1", "degree": 2, "kind": "polynomial"}],
         "relations": [],
         "window": {"max_filtration": 3, "q_min": -8, "q_max": 8},
+    },
+    "mixed_f3": {
+        "characteristic": 3,
+        "generators": [{"name": "y1", "degree": 3, "kind": "exterior"},
+                       {"name": "x1", "degree": 2, "kind": "polynomial"}],
+        "relations": ["x1^3"],
+        "window": {"max_filtration": 3, "q_min": -14, "q_max": 14},
     },
     "not_regular": {
         "characteristic": 2,
@@ -162,3 +177,86 @@ def test_text_format(tmp_path, capsys):
                              "--format", "text"])
     assert code == 0
     assert "HH cells" in out and "collapse" in out
+
+
+def _with(base, **changes):
+    doc = json.loads(json.dumps(PRESENTATIONS[base]))
+    doc.update(changes)
+    return doc
+
+
+MALFORMED = {
+    "generator_without_degree": _with(
+        "ext2_deg5", generators=[{"name": "y1", "kind": "exterior"}]),
+    "generators_not_a_list": _with("ext2_deg5", generators="y1"),
+    "characteristic_not_an_integer": _with("ext2_deg5", characteristic=2.5),
+    "window_bound_not_an_integer": _with(
+        "ext2_deg5", window={"max_filtration": 2, "q_min": "a", "q_max": 4}),
+    "window_bound_boolean": _with(
+        "ext2_deg5", window={"max_filtration": True, "q_min": -4,
+                             "q_max": 4}),
+    "relation_with_trailing_operator": _with("poly_f2", relations=["x1^2 +"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_presentation_is_an_input_error(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code = main(["compute", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not_utf8":
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+    assert main(["compute", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error, code", [
+    (ComplexViolationError("composite differential is nonzero", 0, (1,)), 3),
+    (UnsupportedDiagonalError("no diagonal correction within the window"),
+     1),
+])
+def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
+                                          error, code):
+    import hhkt.cli as cli_mod
+
+    def failing(A, window, resolution=None):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "hh_via_kt", failing)
+    assert main(["compute", "--input", write(tmp_path, "ext2_deg5")]) == code
+    err = capsys.readouterr().err
+    assert str(error) in err
+    assert err.count("\n") == 1
+
+
+def test_connes_failure_is_internal(tmp_path, capsys):
+    # odd-characteristic Connes sign defect on two generators: the image of
+    # a cycle class is not a cycle, which is a bug, not bad input
+    code = main(["bv", "--input", write(tmp_path, "mixed_f3")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("internal consistency failure: Connes image of a cycle "
+                   "is not a cycle class in the window\n")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    import hhkt
+    src = str(pathlib.Path(hhkt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hhkt.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"

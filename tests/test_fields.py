@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhkt.fields import (ComplexViolationError, FieldError, LinearSystem,
-                         PrimeField, SparseMatrix, SubspaceReducer,
-                         cohomology_cell, field_inverse, rank_kernel_image)
+                         PrimeField, SparseMatrix, SubspaceReducer, _rref,
+                         cohomology_cell, rank_kernel_image, rref)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -21,11 +21,11 @@ def test_prime_check():
 
 
 def test_field_inverse_examples():
-    assert field_inverse(1, F2) == 1
-    assert field_inverse(2, F5) == 3
-    assert field_inverse(4, F7) == 2
+    assert F2.inv(1) == 1
+    assert F5.inv(2) == 3
+    assert F7.inv(4) == 2
     with pytest.raises(ZeroDivisionError):
-        field_inverse(0, F5)
+        F5.inv(0)
 
 
 def test_rank_identity():
@@ -50,6 +50,37 @@ def test_rank_ones_f2():
     rank, kernel, image = rank_kernel_image(M)
     assert rank == 1
     assert kernel == [(1, 1)]
+
+
+def _dense_rref(M):
+    """Reference RREF by plain Gauss-Jordan elimination on a dense int64
+    copy; returns (pivot_cols, rref rows as dicts)."""
+    p = M.field.p
+    A = np.zeros((M.rows, M.cols), dtype=np.int64)
+    for (r, c), v in M.entries.items():
+        A[r, c] = v
+    nrows, ncols = A.shape
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        nz = np.nonzero(A[row:, col])[0]
+        if nz.size == 0:
+            continue
+        r = row + int(nz[0])
+        if r != row:
+            A[[row, r]] = A[[r, row]]
+        inv = pow(int(A[row, col]), p - 2, p)
+        A[row] = (A[row] * inv) % p
+        for rr in range(nrows):
+            if rr != row and A[rr, col]:
+                A[rr] = (A[rr] - A[rr, col] * A[row]) % p
+        pivots.append(col)
+        row += 1
+    rows = [{int(c): int(A[i, c]) for c in np.nonzero(A[i])[0]}
+            for i in range(len(pivots))]
+    return pivots, rows
 
 
 def _random_sparse(rng, rows, cols, p):
@@ -83,27 +114,8 @@ def test_rank_transpose_and_kernel(rows, cols, p, rng):
 def test_sparse_matches_dense_rank(rows, cols, p, rng):
     M = _random_sparse(rng, rows, cols, p)
     rank, _, _ = rank_kernel_image(M)
-    dense = M.to_dense()
-    # independent dense rank via fraction-free elimination in sympy-style,
-    # here simply by pivoted elimination on a float-free integer copy
-    A = dense % p
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = (A[r] * inv) % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        r += 1
-    assert rank == r
+    pivots, _ = _dense_rref(M)
+    assert rank == len(pivots)
 
 
 def test_solve_system():
@@ -165,13 +177,27 @@ def test_cohomology_cell_dims_shuffle_invariant():
 @given(st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_sparse_and_dense_rref_agree(p, rng):
-    from hhkt.fields import _rref_dense, _rref_sparse
     rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
     M = _random_sparse(rng, rows, cols, p)
-    piv_d, rows_d = _rref_dense(M)
-    piv_s, rows_s = _rref_sparse(M)
+    piv_d, rows_d = _dense_rref(M)
+    piv_s, rows_s = rref(M)
     assert piv_d == piv_s
     assert rows_d == rows_s  # RREF is unique
+
+
+@given(st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_restricted_pivots_match_full_rref(p, rng):
+    rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
+    M = _random_sparse(rng, rows, cols, p)
+    # every column pivot-eligible: the full RREF of the reference
+    assert _rref(M, M.cols) == _dense_rref(M)
+    # LinearSystem pivots only in the M-block of [M | I]; that block of its
+    # pivot rows is the RREF of M
+    solver = LinearSystem(M)
+    block = [{c: v for c, v in row.items() if c < M.cols}
+             for row in solver.rows]
+    assert (solver.pivots, block) == _dense_rref(M)
 
 
 def test_subspace_reducer():
