@@ -404,7 +404,8 @@ class AlgebraPresentation:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(" + _NAME.pattern + r")|(\^)|(\*)|(\+)|(-))")
 
 
 def parse_poly_expr(algebra: AlgebraPresentation, text: str) -> Polynomial:
@@ -493,6 +494,10 @@ def parse_presentation(doc) -> AlgebraPresentation:
         if not isinstance(g, dict) or not isinstance(g.get("name"), str):
             raise PresentationError(
                 f"generator {g!r} must be an object with a string 'name'")
+        if not _NAME.fullmatch(g["name"]):
+            raise PresentationError(
+                f"generator name {g['name']!r} must be a letter or '_' "
+                f"followed by letters, digits or '_'")
         kind = g.get("kind")
         if kind not in (EXTERIOR, POLYNOMIAL):
             raise PresentationError(f"generator kind must be 'exterior' or "

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraPresentation, InternalConsistencyError, Monomial
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, cochain_cup, word_suspension)
-from .bigraded import DegreeWindow
+from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rank_kernel_image
 from .koszul_tate import (DualRingElement, KTRing, XiLift,
                           build_resolution)
@@ -304,7 +304,11 @@ class BVContext:
         p, q = self.ring.bidegree(lbl)
         if p == 0:
             return {}
-        return self.delta_matrix(p, q)[lbl]
+        row = self.delta_matrix(p, q).get(lbl)
+        if row is None:
+            raise WindowError(f"class {self.ring.label_str(lbl)} lies "
+                              f"outside the window")
+        return row
 
     def delta_of_combination(self, combo: dict) -> dict:
         field = self.A.field

@@ -17,6 +17,12 @@ path serves every characteristic (signs are trivially +1 mod 2).
 Filtration convention: "level" counts resolution steps (>= 0); the
 homological degree is -level, the bidegree of a level-p internal-degree-t
 element is (-p, t) and its total degree t - p.
+
+Per-E-monomial data is computed once per resolution and reused: the
+diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
+and its internal degree.  Every cup product reads D(alpha) from that cache,
+and every cell of the Hom complex reads d(alpha) from it; diagonal_mono
+itself stays uncached, so checks that call it see a fresh computation.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
-from .bigraded import DegreeWindow, RingGenerator
+from .bigraded import DegreeWindow, RingGenerator, WindowError
 from .fields import LinComb, LinearSystem, SparseMatrix, cohomology_cell
 
 
@@ -76,11 +82,13 @@ class KTResolution:
         self.w_degrees = tuple(r.degree() for r in presentation.relations)
         self.zeta = [zeta_coefficients(rho) for rho in presentation.relations]
         self._emono_cache = {}
+        self._internal_cache = {}
         self._cell_cache = {}
         self._dmat_cache = {}
         self._solver_cache = {}
         self._diag_cache = {}
-        self._w_correction = {}
+        self._alpha_diag_cache = {}
+        self._alpha_d_cache = {}
         self._tcell_cache = {}
         self._tmat_cache = {}
         self._tsolver_cache = {}
@@ -94,9 +102,13 @@ class KTResolution:
         return sum(e.nu) + bin(e.u).count("1") + 2 * sum(e.w)
 
     def e_internal(self, e: EMono) -> int:
-        t = sum(k * d for k, d in zip(e.nu, self.nu_degrees))
-        t += sum(self.u_degrees[j] for j in range(self.n) if (e.u >> j) & 1)
-        t += sum(k * d for k, d in zip(e.w, self.w_degrees))
+        t = self._internal_cache.get(e)
+        if t is None:
+            t = sum(k * d for k, d in zip(e.nu, self.nu_degrees))
+            t += sum(self.u_degrees[j] for j in range(self.n)
+                     if (e.u >> j) & 1)
+            t += sum(k * d for k, d in zip(e.w, self.w_degrees))
+            self._internal_cache[e] = t
         return t
 
     def e_total(self, e: EMono) -> int:
@@ -277,6 +289,23 @@ def kt_d_mono(R: KTResolution, m: KTMono):
         prefix_deg += deg
     p = R.field.p
     return [(mm, cc % p) for mm, cc in out.items() if cc % p]
+
+
+def _boundary_by_emono(R: KTResolution, alpha: EMono):
+    """d(1 (x) 1 . alpha), computed once per alpha, as
+    {beta: ((l r as a Polynomial, |l| + |r| odd, coeff), ...)} in the
+    order kt_d_mono produces the terms."""
+    grouped = R._alpha_d_cache.get(alpha)
+    if grouped is None:
+        A = R.algebra
+        one = A.unit_monomial()
+        grouped = {}
+        for (l, r, beta), c in kt_d_mono(R, (one, one, alpha)):
+            odd = (A.mono_degree(l) + A.mono_degree(r)) % 2
+            lr = Polynomial(A, dict(A.mul_monomials(l, r)))
+            grouped[beta] = grouped.get(beta, ()) + ((lr, odd, c),)
+        R._alpha_d_cache[alpha] = grouped
+    return grouped
 
 
 def _emono_from_symbols(R, syms):
@@ -645,6 +674,23 @@ def diagonal_mono(R: KTResolution, m: KTMono) -> KTTensorElement:
     return _act_tensor(R, m[0], m[1], acc)
 
 
+def _diagonal_terms(R: KTResolution, alpha: EMono):
+    """D(1 (x) 1 . alpha), computed once per alpha, as a flat tuple of
+    (lamL, lamM, a_e, lamR, b_e, coeff, left slot's total degree odd) in
+    the order diagonal_mono produces the terms."""
+    terms = R._alpha_diag_cache.get(alpha)
+    if terms is None:
+        A = R.algebra
+        one = A.unit_monomial()
+        terms = tuple(
+            (lamL, lamM, a_e, lamR, b_e, c,
+             (A.mono_degree(lamL) + A.mono_degree(lamM) + R.e_total(a_e)) % 2)
+            for (lamL, lamM, a_e, lamR, b_e), c in
+            diagonal_mono(R, (one, one, alpha)).terms.items())
+        R._alpha_diag_cache[alpha] = terms
+    return terms
+
+
 def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
     out = KTTensorElement(R)
     for m, c in x.terms.items():
@@ -713,24 +759,25 @@ class DualRingElement:
 def cup_via_diagonal(f: DualRingElement, g: DualRingElement,
                      target_emonos) -> DualRingElement:
     """(f cup g)(alpha) = (f (x) g)(D alpha); reproduces the dual-basis
-    product rules as computed output."""
+    product rules as computed output.  D alpha comes from the per-alpha
+    cache, and terms on which f or g has no value are skipped unevaluated."""
     R = f.R
     A = R.algebra
+    one = A.unit_monomial()
+    g_odd = g.degree % 2
     values = {}
     for alpha in target_emonos:
-        one = A.unit_monomial()
-        diag = diagonal_mono(R, (one, one, alpha))
         total = A.zero()
-        for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
-            p_total = (A.mono_degree(lamL) + A.mono_degree(lamM)
-                       + R.e_total(a_e))
-            sign = -1 if (g.degree * p_total) % 2 else 1
+        for lamL, lamM, a_e, lamR, b_e, c, odd in _diagonal_terms(R, alpha):
+            if a_e not in f.values or b_e not in g.values:
+                continue
             f_val = f.eval_term(lamL, lamM, a_e)
             if f_val.is_zero():
                 continue
             g_val = g.eval_term(one, lamR, b_e)
             if g_val.is_zero():
                 continue
+            sign = -1 if g_odd and odd else 1
             total = total + (f_val * g_val).scale(sign * c)
         if not total.is_zero():
             values[alpha] = total
@@ -773,26 +820,20 @@ class KTRing:
         R, A = self.R, self.algebra
         src = self._cell_pairs(p, q)
         dst = self._cell_pairs(p + 1, q)
-        dst_index = {}
-        for i, (e, a) in enumerate(dst):
-            dst_index[(e, a)] = i
-        h_deg = p + q
-        sign_h = -1 if h_deg % 2 else 1
+        dst_index = {ea: i for i, ea in enumerate(dst)}
+        h_odd = (p + q) % 2
+        sign_h = -1 if h_odd else 1
+        boundaries = [(alpha, _boundary_by_emono(R, alpha))
+                      for alpha in emonos_at_level(R, p + 1)
+                      if R.e_internal(alpha) + q >= 0]
         entries = {}
-        one = A.unit_monomial()
         for j, (e, a) in enumerate(src):
-            for alpha in emonos_at_level(R, p + 1):
-                if R.e_internal(alpha) + q < 0:
-                    continue
+            a_poly = Polynomial(A, {a: 1})
+            for alpha, d_alpha in boundaries:
                 acc = {}
-                for (l, r, beta), c in kt_d_mono(R, (one, one, alpha)):
-                    if beta != e:
-                        continue
-                    cdeg = A.mono_degree(l) + A.mono_degree(r)
-                    sgn = -1 if (cdeg * h_deg) % 2 else 1
-                    lr = Polynomial(A, dict(A.mul_monomials(l, r)))
-                    prod = lr * Polynomial(A, {a: 1})
-                    for mono, cc in prod.terms.items():
+                for lr, odd, c in d_alpha.get(e, ()):
+                    sgn = -1 if odd and h_odd else 1
+                    for mono, cc in (lr * a_poly).terms.items():
                         acc[mono] = acc.get(mono, 0) - sign_h * sgn * c * cc
                 for mono, cc in acc.items():
                     if cc % R.field.p:
@@ -951,6 +992,10 @@ class KTRing:
         key = (la, lb)
         if key in self._product_cache:
             return self._product_cache[key]
+        for lbl in (la, lb):
+            if lbl not in self.class_reps:
+                raise WindowError(f"class {self.label_str(lbl)} lies outside "
+                                  f"the window")
         pa, qa = self.bidegree(la)
         pb, qb = self.bidegree(lb)
         p, q = pa + pb, qa + qb
@@ -971,7 +1016,7 @@ class KTRing:
                     out[("m", e, a)] = c
             return out
         if not self.window.contains(p, q):
-            raise ValueError(f"cell ({p},{q}) outside window")
+            raise WindowError(f"cell ({p},{q}) outside window")
         basis = self._cell_pairs(p, q)
         vec = [0] * len(basis)
         index = {ea: i for i, ea in enumerate(basis)}

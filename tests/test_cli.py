@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import pathlib
@@ -6,9 +7,12 @@ import sys
 
 import pytest
 
-from hhkt.cli import main
+from hhkt.bigraded import DegreeWindow
+from hhkt.cli import main, product_table_from_ring
 from hhkt.fields import ComplexViolationError
-from hhkt.koszul_tate import UnsupportedDiagonalError
+from hhkt.koszul_tate import UnsupportedDiagonalError, hh_via_kt
+
+from .helpers import polynomial
 
 PRESENTATIONS = {
     "ext2_deg5": {
@@ -260,3 +264,32 @@ def test_cli_import_leaves_numpy_unloaded():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.strip() == "False"
+
+
+def test_product_table_is_uncapped():
+    """Every in-window pair of basis classes gets a row, also past the
+    20 000 rows the table used to stop at."""
+    ring = hh_via_kt(polynomial(2, [2, 2]), DegreeWindow(4, -24, 24))
+    labels = [lbl for _, lbls in sorted(ring.cells.items()) for lbl in lbls]
+    in_window = 0
+    for la, lb in itertools.combinations_with_replacement(labels, 2):
+        (pa, qa), (pb, qb) = ring.bidegree(la), ring.bidegree(lb)
+        in_window += ring.window.contains(pa + pb, qa + qb)
+    assert len(product_table_from_ring(ring)) == in_window > 20000
+
+
+def test_bv_sweep_skips_triples_that_leave_the_window(capsys):
+    # y1 . y2 is a nonzero class at q = 6, above q_max = 4: the triples
+    # with both used to end in a KeyError traceback; y_i . y_i = 0 is fine
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "presentations" / "ext2_deg3_char2.json"
+    code = main(["bv", "--input", str(path), "--max-p", "2",
+                 "--q-min", "-8", "--q-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    sweep = json.loads(captured.out)["bv_identity_sweep"]
+    assert sweep["failures"] == []
+    assert sweep["checked"] == 10
+    assert sweep["skipped_outside_window"] == [["y1", "y2", "nu_y1*"],
+                                              ["y1", "y2", "nu_y2*"]]

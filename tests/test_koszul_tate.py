@@ -383,3 +383,83 @@ def test_phi_rejects_non_cycles():
     unit = A.unit_monomial()
     with pytest.raises(NotACycleError):
         phi({(unit, (y1, y2)): 1}, R, xi)
+
+
+def _direct_cup(fresh, f, g, alphas):
+    """(f (x) g)(D alpha) evaluated on every term of diagonal_mono, called
+    uncached on a resolution of its own."""
+    A = fresh.algebra
+    one = A.unit_monomial()
+    values = {}
+    for alpha in alphas:
+        total = A.zero()
+        diag = diagonal_mono(fresh, (one, one, alpha))
+        for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
+            left_total = (A.mono_degree(lamL) + A.mono_degree(lamM)
+                          + fresh.e_total(a_e))
+            sign = -1 if (g.degree * left_total) % 2 else 1
+            total = total + (f.eval_term(lamL, lamM, a_e)
+                             * g.eval_term(one, lamR, b_e)).scale(sign * c)
+        if not total.is_zero():
+            values[alpha] = total
+    return values
+
+
+def _mixed_f3():
+    """/\\(y1) (x) F_3[x1]/(x1^3), |y1| = 3, |x1| = 2."""
+    from hhkt.algebra import AlgebraPresentation, GradedGenerator
+    from hhkt.fields import PrimeField
+    return AlgebraPresentation(
+        PrimeField(3), [GradedGenerator("y1", 3, "exterior"),
+                        GradedGenerator("x1", 2, "polynomial")], ["x1^3"])
+
+
+CUP_CASES = {
+    "exterior_monomial_model": (lambda: exterior(2, [3, 3]),
+                                DegreeWindow(3, -12, 6)),
+    "relation_homology_path": (
+        lambda: polynomial(2, [2, 2], ["x1^2 + x1*x2"]),
+        DegreeWindow(2, -6, 6)),
+    "odd_characteristic": (_mixed_f3, DegreeWindow(2, -10, 10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUP_CASES))
+def test_cached_cup_matches_direct_evaluation(case):
+    build, window = CUP_CASES[case]
+    A = build()
+    ring = hh_via_kt(A, window)
+    fresh = build_resolution(A)
+    labels = [lbl for _, lbls in sorted(ring.cells.items()) for lbl in lbls]
+    nonzero = 0
+    for la, lb in itertools.product(labels, repeat=2):
+        p = ring.bidegree(la)[0] + ring.bidegree(lb)[0]
+        if p > window.max_p:
+            continue
+        f, g = ring.class_reps[la], ring.class_reps[lb]
+        alphas = emonos_at_level(ring.R, p)
+        cup = cup_via_diagonal(f, g, alphas)
+        assert cup.values == _direct_cup(fresh, f, g, alphas), (la, lb)
+        nonzero += not cup.is_zero()
+    assert nonzero >= 10
+
+
+def test_product_table_computes_each_alpha_once(monkeypatch):
+    """Building the /\\(y1,y2,y3) ring and its product table evaluates the
+    diagonal and the differential at most once per E-monomial alpha."""
+    import hhkt.koszul_tate as kt
+    from hhkt.cli import product_table_from_ring
+    calls = {"diagonal_mono": [], "kt_d_mono": []}
+    for name in calls:
+        real = getattr(kt, name)
+
+        def counting(R, m, real=real, seen=calls[name]):
+            seen.append(m)
+            return real(R, m)
+        monkeypatch.setattr(kt, name, counting)
+    ring = hh_via_kt(exterior(2, [5, 5, 5]), DegreeWindow(3, -15, 15))
+    rows = product_table_from_ring(ring)
+    assert len(rows) > 100
+    for name, seen in calls.items():
+        assert seen, name
+        assert len(seen) == len(set(seen)), name
