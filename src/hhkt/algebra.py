@@ -94,6 +94,9 @@ class Polynomial(LinComb):
         return hash(frozenset(self.terms.items()))
 
     def _check(self, other):
+        if not isinstance(other, Polynomial):
+            raise TypeError(f"cannot combine a Polynomial with "
+                            f"{type(other).__name__}")
         if other.algebra is not self.algebra:
             raise ValueError("mixed presentations")
 

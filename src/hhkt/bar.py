@@ -9,10 +9,20 @@ interior differential follows the printed convention
                           + sum_i (-1)^{eps_i} a[..|a_{i-1}a_i|..]b
                           - (-1)^{eps_k} a[..|a_{k-1}]a_k b
 
-with eps_i = |a| + sum_{j<i} |s a_j|; the cochain differential is
+with eps_i = |a| + sum_{j<i} |s a_j|.  Its faces on 1[a_1|..|a_k]1 are
+enumerated in one place, `bar_faces`, and every use of d_2 is built on that
+enumeration: d_2 of a two-sided word, the Hochschild boundary b (whose last
+face wraps round to a_k a_0 with its Koszul sign), the cochain differential
 del(f) = -(-1)^{|f|} f d_2 (the coefficient differential vanishes here),
-and the Connes boundary is the printed cyclic-rotation sum with terms
-containing a unit entry dropped.
+the coboundary matrices, and the right-hand side of the comparison map in
+koszul_tate.  A coboundary matrix is assembled row by row: the faces of
+each target word are walked once and scattered onto the source basis
+cochains that live on the face words.  The Connes boundary is the printed
+cyclic-rotation sum with terms containing a unit entry dropped.
+
+A cochain maps words to values in its coefficients: Polynomials for
+coefficients in the algebra itself, DualValues (sums of dual basis
+elements, a bimodule without a product) for dual coefficients.
 
 Cochain cells with coefficients in the algebra itself are finite either
 because the algebra is finite-dimensional or, for free polynomial parts,
@@ -38,6 +48,23 @@ def word_suspension(A, word):
     return sum(A.mono_degree(a) - 1 for a in word)
 
 
+def bar_faces(A: AlgebraPresentation, word):
+    """The faces of d_2(1[a_1|..|a_k]1), in order: (left, word', right,
+    coeff) for the term coeff . left[word']right, where left and right are
+    basis monomials and at least one of them is the unit."""
+    if not word:
+        return
+    one = A.unit_monomial()
+    yield word[0], word[1:], one, 1
+    eps = 0
+    for i in range(1, len(word)):
+        eps += A.mono_degree(word[i - 1]) - 1
+        sgn = -1 if eps % 2 else 1
+        for m, c in A.mul_monomials(word[i - 1], word[i]):
+            yield one, word[:i - 1] + (m,) + word[i + 1:], one, sgn * c
+    yield one, word[:-1], word[-1], 1 if eps % 2 else -1
+
+
 # -- two-sided bar words --------------------------------------------------------
 
 
@@ -51,37 +78,20 @@ class BarWord:
 
 
 def bar_differential(w: BarWord, A: AlgebraPresentation):
-    """d_2 of a two-sided word: list of (BarWord, coeff).
+    """d_2 of a two-sided word, (-1)^{|a|} a . d_2(1[..]1) . b: list of
+    (BarWord, coeff).
 
     Entries stay in the augmentation ideal automatically (products of
     positive-degree elements have positive degree), so normalization only
     drops vanishing products.
     """
     out = {}
-    k = len(w.entries)
-    if k == 0:
-        return []
-    da = A.mono_degree(w.left)
-    # first term
-    sgn = -1 if da % 2 else 1
-    for m, c in A.mul_monomials(w.left, w.entries[0]):
-        key = BarWord(m, w.entries[1:], w.right)
-        out[key] = out.get(key, 0) + sgn * c
-    # contractions
-    eps = da
-    for i in range(2, k + 1):
-        eps += A.mono_degree(w.entries[i - 2]) - 1
-        sgn = -1 if eps % 2 else 1
-        for m, c in A.mul_monomials(w.entries[i - 2], w.entries[i - 1]):
-            key = BarWord(w.left, w.entries[:i - 2] + (m,) + w.entries[i:],
-                          w.right)
-            out[key] = out.get(key, 0) + sgn * c
-    # last term
-    eps_k = da + word_suspension(A, w.entries[:-1])
-    sgn = 1 if eps_k % 2 else -1
-    for m, c in A.mul_monomials(w.entries[-1], w.right):
-        key = BarWord(w.left, w.entries[:-1], m)
-        out[key] = out.get(key, 0) + sgn * c
+    sgn = -1 if A.mono_degree(w.left) % 2 else 1
+    for left, word, right, c in bar_faces(A, w.entries):
+        for lm, lc in A.mul_monomials(w.left, left):
+            for rm, rc in A.mul_monomials(right, w.right):
+                key = BarWord(lm, word, rm)
+                out[key] = out.get(key, 0) + sgn * c * lc * rc
     p = A.field.p
     return [(bw, c % p) for bw, c in out.items() if c % p]
 
@@ -103,30 +113,22 @@ class ChainElement(LinComb):
 
 
 def hochschild_b(c: ChainElement) -> ChainElement:
+    """b(a_0[w]) = (-1)^{|a_0|} a_0 . d_2(1[w]1) with the right end wrapped
+    round to the front: a face left[w']right contributes
+    (-1)^{|right|(|a_0| + |s w'|)} (right a_0 left)[w']."""
     A = c.A
     out = {}
     for (a0, word), coeff in c.terms.items():
-        k = len(word)
-        if k == 0:
-            continue
         d0 = A.mono_degree(a0)
-        sgn = -1 if d0 % 2 else 1
-        for m, cc in A.mul_monomials(a0, word[0]):
-            key = (m, word[1:])
-            out[key] = out.get(key, 0) + coeff * sgn * cc
-        eps = d0
-        for i in range(2, k + 1):
-            eps += A.mono_degree(word[i - 2]) - 1
-            sgn = -1 if eps % 2 else 1
-            for m, cc in A.mul_monomials(word[i - 2], word[i - 1]):
-                key = (a0, word[:i - 2] + (m,) + word[i:])
-                out[key] = out.get(key, 0) + coeff * sgn * cc
-        eps_k = d0 + word_suspension(A, word[:-1])
-        s_last = A.mono_degree(word[-1]) - 1
-        sgn = 1 if (s_last * eps_k) % 2 else -1
-        for m, cc in A.mul_monomials(word[-1], a0):
-            key = (m, word[:-1])
-            out[key] = out.get(key, 0) + coeff * sgn * cc
+        for left, sub, right, s in bar_faces(A, word):
+            sgn = -s if d0 % 2 else s
+            if A.mono_degree(right) % 2 \
+                    and (d0 + word_suspension(A, sub)) % 2:
+                sgn = -sgn
+            for m, cm in A.mul_monomials(right, a0):
+                for m2, c2 in A.mul_monomials(m, left):
+                    key = (m2, sub)
+                    out[key] = out.get(key, 0) + coeff * sgn * cm * c2
     return ChainElement(A, out)
 
 
@@ -191,13 +193,43 @@ def shuffle_product(c1: ChainElement, c2: ChainElement) -> ChainElement:
 # -- Hochschild cochains -------------------------------------------------------
 
 
+class DualValue(LinComb):
+    """A sum of dual basis elements of A, {Monomial: coeff}; the dual of a
+    degree-k monomial sits in degree -k.  A bimodule over A through
+    dual_left_action and dual_right_action, with no product, and it does
+    not combine with a Polynomial."""
+
+    __slots__ = ("algebra",)
+
+    def __init__(self, algebra, terms=None):
+        self.algebra = algebra
+        super().__init__(terms, algebra.field.p)
+
+    def _like(self, terms):
+        return DualValue(self.algebra, terms)
+
+    def _check(self, other):
+        if not isinstance(other, DualValue):
+            raise TypeError(f"cannot combine a DualValue with "
+                            f"{type(other).__name__}")
+        if other.algebra is not self.algebra:
+            raise ValueError("mixed presentations")
+
+
+def cochain_value(A, coeff, terms=None):
+    """A cochain value with these terms: a Polynomial for coefficients in
+    A, a DualValue for dual coefficients."""
+    if coeff == COEFF_SELF:
+        return Polynomial(A, terms)
+    return DualValue(A, terms)
+
+
 class Cochain:
     """Bar-length-homogeneous cochain given by its value map on words.
 
     coeff is "self" (values are Polynomials in A) or "dual" (values are
-    {Monomial: coeff} dicts standing for sums of dual basis elements; the
-    dual of a degree-k monomial sits in degree -k, with the twisted
-    bimodule structure <g.alpha.h ; x> = (-1)^{|g|} <alpha; h x g>).
+    DualValues, with the twisted bimodule structure
+    <g.alpha.h ; x> = (-1)^{|g|} <alpha; h x g>).
     """
 
     __slots__ = ("A", "coeff", "p", "q", "values")
@@ -207,25 +239,17 @@ class Cochain:
         self.coeff = coeff
         self.p = p
         self.q = q
-        self.values = {}
-        for w, v in (values or {}).items():
-            if not _value_is_zero(v):
-                self.values[w] = v
+        self.values = {w: v for w, v in (values or {}).items()
+                       if not v.is_zero()}
 
     @property
     def total_degree(self):
         return self.p + self.q
 
-    def value(self, word):
-        v = self.values.get(word)
-        if v is not None:
-            return v
-        return self.A.zero() if self.coeff == COEFF_SELF else {}
-
     def __add__(self, other):
         out = dict(self.values)
         for w, v in other.values.items():
-            out[w] = _value_add(self.A, out[w], v) if w in out else v
+            out[w] = out[w] + v if w in out else v
         return Cochain(self.A, self.coeff, self.p, self.q, out)
 
     def __sub__(self, other):
@@ -233,113 +257,83 @@ class Cochain:
 
     def scale(self, k):
         return Cochain(self.A, self.coeff, self.p, self.q,
-                       {w: _value_scale(self.A, v, k)
-                        for w, v in self.values.items()})
+                       {w: v.scale(k) for w, v in self.values.items()})
 
     def is_zero(self):
         return not self.values
 
 
-def _value_is_zero(v):
-    if isinstance(v, Polynomial):
-        return v.is_zero()
-    return not any(v.values())
-
-
-def _value_add(A, v1, v2):
-    if isinstance(v1, Polynomial):
-        return v1 + v2
-    p = A.field.p
-    out = dict(v1)
-    for m, c in v2.items():
-        out[m] = (out.get(m, 0) + c) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def _value_scale(A, v, k):
-    if isinstance(v, Polynomial):
-        return v.scale(k)
-    p = A.field.p
-    return {m: (c * k) % p for m, c in v.items() if (c * k) % p}
-
-
-def dual_left_action(A, g: Monomial, alpha: dict) -> dict:
+def dual_left_action(A, g: Monomial, alpha: DualValue) -> DualValue:
     """g . alpha with <g.alpha; h> = (-1)^{|g|} <alpha; h g>."""
-    p = A.field.p
     dg = A.mono_degree(g)
     sgn = -1 if dg % 2 else 1
     out = {}
-    for m, c in alpha.items():
+    for m, c in alpha.terms.items():
         target = A.mono_degree(m) - dg
         if target < 0:
             continue
         for m2 in A.monomial_basis(target):
             for mm, cc in A.mul_monomials(m2, g):
                 if mm == m:
-                    out[m2] = (out.get(m2, 0) + sgn * c * cc) % p
-    return {m: c for m, c in out.items() if c}
+                    out[m2] = out.get(m2, 0) + sgn * c * cc
+    return DualValue(A, out)
 
 
-def dual_right_action(A, alpha: dict, g: Monomial) -> dict:
+def dual_right_action(A, alpha: DualValue, g: Monomial) -> DualValue:
     """alpha . g with <alpha.g; h> = <alpha; g h>."""
-    p = A.field.p
     dg = A.mono_degree(g)
     out = {}
-    for m, c in alpha.items():
+    for m, c in alpha.terms.items():
         target = A.mono_degree(m) - dg
         if target < 0:
             continue
         for m2 in A.monomial_basis(target):
             for mm, cc in A.mul_monomials(g, m2):
                 if mm == m:
-                    out[m2] = (out.get(m2, 0) + c * cc) % p
-    return {m: c for m, c in out.items() if c}
+                    out[m2] = out.get(m2, 0) + c * cc
+    return DualValue(A, out)
 
 
-def _left_act(A, coeff, g: Monomial, value):
+def _act(A, coeff, left: Monomial, value, right: Monomial):
+    """left . value . right for a cochain value; unit sides cost nothing."""
+    one = A.unit_monomial()
     if coeff == COEFF_SELF:
-        return Polynomial(A, {g: 1}) * value
-    return dual_left_action(A, g, value)
+        if left != one:
+            value = Polynomial(A, {left: 1}) * value
+        if right != one:
+            value = value * Polynomial(A, {right: 1})
+        return value
+    if left != one:
+        value = dual_left_action(A, left, value)
+    if right != one:
+        value = dual_right_action(A, value, right)
+    return value
 
 
-def _right_act(A, coeff, value, g: Monomial):
-    if coeff == COEFF_SELF:
-        return value * Polynomial(A, {g: 1})
-    return dual_right_action(A, value, g)
+def _coboundary_faces(A, deg, word):
+    """The faces of d_2(1[word]1) signed for del f = -(-1)^{|f|} f . d_2
+    on cochains f of total degree deg: (left, word', right, sign) with
+    (del f)(word) = sum sign . left . f(word') . right, since f is a
+    bimodule map, f(l [w] r) = (-1)^{|l||f|} l . f(w) . r."""
+    outer = 1 if deg % 2 else -1
+    for left, sub, right, s in bar_faces(A, word):
+        if (A.mono_degree(left) * deg) % 2:
+            s = -s
+        yield left, sub, right, outer * s
 
 
 def cochain_differential(f: Cochain, target_words) -> Cochain:
-    """del f = -(-1)^{|f|} f . d_2, evaluated on the given words."""
+    """del f, evaluated on the given words."""
     A = f.A
-    sign_f = -1 if f.total_degree % 2 else 1
     values = {}
     for word in target_words:
-        acc = A.zero() if f.coeff == COEFF_SELF else {}
-        k = len(word)
-        # leading term: f is a bimodule map, f(a.w) = (-1)^{|a||f|} a.f(w)
-        a1 = word[0]
-        v = f.value(word[1:])
-        if not _value_is_zero(v):
-            s = -1 if (A.mono_degree(a1) * f.total_degree) % 2 else 1
-            acc = _value_add(A, acc, _value_scale(
-                A, _left_act(A, f.coeff, a1, v), s))
-        eps = 0
-        for i in range(2, k + 1):
-            eps += A.mono_degree(word[i - 2]) - 1
-            s = -1 if eps % 2 else 1
-            for m, c in A.mul_monomials(word[i - 2], word[i - 1]):
-                v = f.value(word[:i - 2] + (m,) + word[i:])
-                if not _value_is_zero(v):
-                    acc = _value_add(A, acc, _value_scale(A, v, s * c))
-        eps_k = word_suspension(A, word[:-1])
-        v = f.value(word[:-1])
-        if not _value_is_zero(v):
-            s = 1 if eps_k % 2 else -1
-            acc = _value_add(A, acc, _value_scale(
-                A, _right_act(A, f.coeff, v, word[-1]), s))
-        acc = _value_scale(A, acc, -sign_f)
-        if not _value_is_zero(acc):
-            values[word] = acc
+        acc = cochain_value(A, f.coeff)
+        for left, sub, right, s in _coboundary_faces(A, f.total_degree,
+                                                     word):
+            v = f.values.get(sub)
+            if v is not None:
+                acc = acc + _act(A, f.coeff, left, v, right).scale(s)
+        values[word] = acc
     return Cochain(A, f.coeff, f.p + 1, f.q, values)
 
 
@@ -359,27 +353,22 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
         if len(word) != f.p + g.p:
             continue
         w1, w2 = word[:f.p], word[f.p:]
-        v1 = f.value(w1)
-        if _value_is_zero(v1):
+        v1 = f.values.get(w1)
+        v2 = g.values.get(w2)
+        if v1 is None or v2 is None:
             continue
-        v2 = g.value(w2)
-        if _value_is_zero(v2):
-            continue
-        sgn = -1 if (g.total_degree * word_suspension(A, w1)) % 2 else 1
         if f.coeff == COEFF_SELF and g.coeff == COEFF_SELF:
-            val = (v1 * v2).scale(sgn)
+            val = v1 * v2
         elif f.coeff == COEFF_SELF:
-            val = {}
+            val = DualValue(A)
             for m, c in v1.terms.items():
-                val = _value_add(A, val, _value_scale(
-                    A, dual_left_action(A, m, v2), c * sgn))
+                val = val + dual_left_action(A, m, v2).scale(c)
         else:
-            val = {}
+            val = DualValue(A)
             for m, c in v2.terms.items():
-                val = _value_add(A, val, _value_scale(
-                    A, dual_right_action(A, v1, m), c * sgn))
-        if not _value_is_zero(val):
-            values[word] = val
+                val = val + dual_right_action(A, v1, m).scale(c)
+        sgn = -1 if (g.total_degree * word_suspension(A, w1)) % 2 else 1
+        values[word] = val.scale(sgn)
     return Cochain(A, out_coeff, f.p + g.p, f.q + g.q, values)
 
 
@@ -396,13 +385,42 @@ class CellBlowupError(RuntimeError):
         self.estimate = estimate
 
 
-class BarComplex:
+class _WordCells:
+    """The caches of one bar-side cell complex: words of the augmentation
+    ideal by (length, internal degree), and per-cell bases, matrices and
+    homology."""
+
+    def __init__(self, A: AlgebraPresentation):
+        self.A = A
+        self._words = {}
+        self._cells = {}
+        self._mats = {}
+        self._hom = {}
+
+    def words(self, k, S):
+        """Words of length k and internal degree S, in a fixed order."""
+        key = (k, S)
+        if key in self._words:
+            return self._words[key]
+        if k == 0:
+            out = [()] if S == 0 else []
+        else:
+            out = []
+            for d in range(1, S - (k - 1) + 1):
+                for m in self.A.monomial_basis(d):
+                    for rest in self.words(k - 1, S - d):
+                        out.append((m,) + rest)
+        self._words[key] = out
+        return out
+
+
+class BarComplex(_WordCells):
     """Lazy (p, q)-cell bases and differential matrices for one coefficient
     side of the Hochschild cochain complex."""
 
     def __init__(self, A: AlgebraPresentation, coeff: str,
                  window: DegreeWindow, cell_limit=200000):
-        self.A = A
+        super().__init__(A)
         self.coeff = coeff
         self.window = window
         self.cell_limit = cell_limit
@@ -410,27 +428,6 @@ class BarComplex:
         gen_degs = [g.degree for g in A.generators]
         rel_degs = [r.degree() for r in A.relations]
         self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
-        self._words = {}
-        self._cells = {}
-        self._mats = {}
-        self._hom = {}
-
-    # word enumeration ------------------------------------------------------
-
-    def words(self, p, S):
-        key = (p, S)
-        if key in self._words:
-            return self._words[key]
-        if p == 0:
-            out = [()] if S == 0 else []
-        else:
-            out = []
-            for d in range(1, S - (p - 1) + 1):
-                for m in self.A.monomial_basis(d):
-                    for rest in self.words(p - 1, S - d):
-                        out.append((m,) + rest)
-        self._words[key] = out
-        return out
 
     def degree_range(self, p, q):
         """Word internal degrees S contributing to the (p, q) cell."""
@@ -473,10 +470,8 @@ class BarComplex:
 
     def basis_cochain(self, p, q, idx) -> Cochain:
         w, n = self.cell_basis(p, q)[idx]
-        if self.coeff == COEFF_SELF:
-            return Cochain(self.A, self.coeff, p, q,
-                           {w: Polynomial(self.A, {n: 1})})
-        return Cochain(self.A, self.coeff, p, q, {w: {n: 1}})
+        return Cochain(self.A, self.coeff, p, q,
+                       {w: cochain_value(self.A, self.coeff, {n: 1})})
 
     def cochain_vector(self, f: Cochain):
         """Coordinates of a (p, q)-homogeneous cochain in the cell basis."""
@@ -484,52 +479,52 @@ class BarComplex:
         index = {b: i for i, b in enumerate(basis)}
         vec = [0] * len(basis)
         for w, v in f.values.items():
-            items = v.terms.items() if isinstance(v, Polynomial) else v.items()
-            for n, c in items:
-                if (w, n) in index:
-                    vec[index[(w, n)]] = c % self.A.field.p
-                elif c % self.A.field.p:
+            for n, c in v.terms.items():
+                i = index.get((w, n))
+                if i is None:
                     raise WindowError(
                         "cochain leaves the truncated window cell")
+                vec[i] = c
         return tuple(vec)
 
     def vector_cochain(self, p, q, vec) -> Cochain:
         basis = self.cell_basis(p, q)
-        values = {}
+        terms = {}
         for i, c in enumerate(vec):
-            if not c:
-                continue
-            w, n = basis[i]
-            if self.coeff == COEFF_SELF:
-                add = Polynomial(self.A, {n: c})
-            else:
-                add = {n: c}
-            values[w] = _value_add(self.A, values[w], add) if w in values \
-                else add
-        return Cochain(self.A, self.coeff, p, q, values)
+            if c:
+                w, n = basis[i]
+                terms.setdefault(w, {})[n] = c
+        return Cochain(self.A, self.coeff, p, q,
+                       {w: cochain_value(self.A, self.coeff, t)
+                        for w, t in terms.items()})
 
     # matrices and homology ---------------------------------------------------
 
     def matrix(self, p, q) -> SparseMatrix:
-        """The differential from the (p, q) cell to (p+1, q)."""
+        """The differential from the (p, q) cell to (p+1, q), row by row:
+        each target word's faces are walked once and every face word's
+        basis cochains are scattered into that word's rows."""
         key = (p, q)
         if key in self._mats:
             return self._mats[key]
+        A = self.A
         src = self.cell_basis(p, q)
         dst = self.cell_basis(p + 1, q)
-        dst_words = list(dict.fromkeys(w for (w, _) in dst))
+        by_word = {}
+        for j, (w, n) in enumerate(src):
+            by_word.setdefault(w, []).append((j, cochain_value(
+                A, self.coeff, {n: 1})))
         index = {b: i for i, b in enumerate(dst)}
         entries = {}
-        for j in range(len(src)):
-            f = self.basis_cochain(p, q, j)
-            df = cochain_differential(f, dst_words)
-            for w, v in df.values.items():
-                items = v.terms.items() if isinstance(v, Polynomial) \
-                    else v.items()
-                for n, c in items:
-                    if (w, n) in index:
-                        entries[(index[(w, n)], j)] = c
-        M = SparseMatrix(len(dst), len(src), entries, self.A.field)
+        for word in dict.fromkeys(w for (w, _) in dst):
+            for left, sub, right, s in _coboundary_faces(A, p + q, word):
+                for j, v in by_word.get(sub, ()):
+                    img = _act(A, self.coeff, left, v, right)
+                    for n, c in img.terms.items():
+                        i = index.get((word, n))
+                        if i is not None:
+                            entries[(i, j)] = entries.get((i, j), 0) + s * c
+        M = SparseMatrix(len(dst), len(src), entries, A.field)
         self._mats[key] = M
         return M
 
@@ -577,30 +572,8 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
 # -- chain cells ---------------------------------------------------------------
 
 
-class ChainComplexCells:
+class ChainComplexCells(_WordCells):
     """Hochschild chain cells (word length k, internal degree t)."""
-
-    def __init__(self, A: AlgebraPresentation):
-        self.A = A
-        self._words = {}
-        self._cells = {}
-        self._mats = {}
-        self._hom = {}
-
-    def words(self, k, S):
-        key = (k, S)
-        if key in self._words:
-            return self._words[key]
-        if k == 0:
-            out = [()] if S == 0 else []
-        else:
-            out = []
-            for d in range(1, S - (k - 1) + 1):
-                for m in self.A.monomial_basis(d):
-                    for rest in self.words(k - 1, S - d):
-                        out.append((m,) + rest)
-        self._words[key] = out
-        return out
 
     def cell_basis(self, k, t):
         key = (k, t)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, InternalConsistencyError, Monomial
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
-                  Cochain, cochain_cup, word_suspension)
+                  Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rank_kernel_image
 from .koszul_tate import (DualRingElement, KTRing, XiLift,
@@ -36,11 +36,11 @@ class PoincareDualityData:
     algebra: AlgebraPresentation
     formal_dimension: int
     fundamental_class: Monomial
-    fundamental_dual: dict  # {Monomial: 1}, an element of the dual
+    fundamental_dual: DualValue  # the dual of the fundamental class
 
     def dual_cochain(self):
         return Cochain(self.algebra, COEFF_DUAL, 0, -self.formal_dimension,
-                       {(): dict(self.fundamental_dual)})
+                       {(): self.fundamental_dual})
 
 
 def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
@@ -73,7 +73,7 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
         if rank != len(rows):
             raise NotPoincareDualityError(
                 f"degenerate duality pairing in degree {k}", k)
-    return PoincareDualityData(A, d, omega, {omega: 1})
+    return PoincareDualityData(A, d, omega, DualValue(A, {omega: 1}))
 
 
 # -- the chain/cochain duality -------------------------------------------------
@@ -82,14 +82,13 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
 def iota(functional, A: AlgebraPresentation, k: int, t: int) -> Cochain:
     """Functional on chains -> dual-coefficient cochain,
     iota(f)(word)(a) = (-1)^{|a||word|} f(a[word])."""
-    values = {}
+    terms = {}
     for (a0, word), c in functional.items():
         sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        v = values.setdefault(word, {})
-        v[a0] = (v.get(a0, 0) + sgn * c) % A.field.p
-    values = {w: {m: c for m, c in v.items() if c}
-              for w, v in values.items()}
-    return Cochain(A, COEFF_DUAL, k, -t, values)
+        v = terms.setdefault(word, {})
+        v[a0] = v.get(a0, 0) + sgn * c
+    return Cochain(A, COEFF_DUAL, k, -t,
+                   {w: DualValue(A, v) for w, v in terms.items()})
 
 
 def iota_inverse(g: Cochain) -> dict:
@@ -97,11 +96,11 @@ def iota_inverse(g: Cochain) -> dict:
     A = g.A
     out = {}
     for word, v in g.values.items():
-        for a0, c in v.items():
+        for a0, c in v.terms.items():
             sgn = -1 if (A.mono_degree(a0)
                          * word_suspension(A, word)) % 2 else 1
             out[(a0, word)] = (sgn * c) % A.field.p
-    return {k: v for k, v in out.items() if v}
+    return out
 
 
 def pair_class(g: Cochain, chain_terms, A) -> int:
@@ -109,10 +108,10 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
     total = 0
     for (a0, word), c in chain_terms.items():
         v = g.values.get(word)
-        if not v:
+        if v is None:
             continue
         sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        total += sgn * c * v.get(a0, 0)
+        total += sgn * c * v.terms.get(a0, 0)
     return total % A.field.p
 
 
@@ -124,15 +123,16 @@ class BVContext:
     presentation, within one window."""
 
     def __init__(self, A: AlgebraPresentation, window: DegreeWindow,
-                 depth: int = 4, ring: KTRing | None = None):
+                 ring: KTRing | None = None):
         self.A = A
         self.window = window
         self.pd = build_pd(A)
         self.d = self.pd.formal_dimension
         self.R = ring.R if ring is not None else build_resolution(A)
         self.ring = ring if ring is not None else KTRing(self.R, window)
-        self.depth = max(depth, window.max_p)
-        self.xi = XiLift(self.R, self.depth)
+        # no word is longer than the window's bar length; the depth is
+        # only a bound, and never below XiLift's default
+        self.xi = XiLift(self.R, max(4, window.max_p))
         self.bar_self = BarComplex(A, COEFF_SELF, window)
         self.bar_dual = BarComplex(A, COEFF_DUAL, window)
         self.chains = ChainComplexCells(A)
@@ -363,14 +363,3 @@ class BVContext:
         residual = {k: v for k, v in residual.items() if v}
         return (not residual), residual
 
-
-def cap_theta(context: BVContext, dual: DualRingElement, p, q) -> Cochain:
-    """The duality map on one class: cup its bar image with the dual
-    fundamental class."""
-    f = context.kt_to_bar_cochain(dual, p, q)
-    return context.theta_cochain(f)
-
-
-def bv_delta(context: BVContext, label) -> dict:
-    """The operator applied to one ring basis class, given by its label."""
-    return context.delta_of_label(label)

@@ -13,8 +13,9 @@ Presentation files are UTF-8 JSON:
      "relations": ["x1^2", ...],
      "window": {"max_filtration": 4, "q_min": -24, "q_max": 24}}
 
-Exit codes: 0 success/agreement, 1 input error or window limit, 2 oracle
-mismatch, 3 internal consistency failure.
+Exit codes: 0 success/agreement, 1 input error (including a malformed
+command line) or window limit, 2 oracle mismatch, 3 internal consistency
+failure.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -228,15 +229,14 @@ def _generator_monomial_labels(ring: KTRing):
 def cmd_bv(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
     extra = regularity_gate(A, window) or {}
-    depth = cfg.max_bar_length if cfg.max_bar_length is not None else 4
-    ctx = BVContext(A, window, depth=depth)
+    ctx = BVContext(A, window)
     ring = ctx.ring
     if A.field.p != 2:
         extra["odd_characteristic_bv"] = \
             "computed, but outside the validated scope"
     extra["formal_dimension"] = ctx.d
     extra["fundamental_class"] = A.label_monomial(ctx.pd.fundamental_class)
-    extra["xi_lifting_depth"] = depth
+    extra["xi_lifting_depth"] = ctx.xi.depth
     labels = _generator_monomial_labels(ring)
     delta_gr = {}
     for lbl in labels:
@@ -406,8 +406,19 @@ def emit(doc, fmt):
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+class UsageError(Exception):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting with 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hhkt",
         description=("Hochschild cohomology of graded complete "
                      "intersections over prime fields"))
@@ -420,10 +431,10 @@ def build_parser():
         p.add_argument("--q-max", type=int, default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-bar-length", type=int, default=None)
-        p.add_argument("--cell-limit", type=int, default=200000)
+        if name == "oracle":
+            p.add_argument("--max-bar-length", type=int, default=None)
+            p.add_argument("--cell-limit", type=int, default=200000)
     v = sub.add_parser("verify")
-    v.add_argument("--input", default=None)
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--inject-zeta-fault", action="store_true")
@@ -431,7 +442,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as err:
+        sys.stderr.write(f"input error: {err}\n")
+        return 1
     cfg = JobConfig(
         command=args.command,
         input_path=getattr(args, "input", None),

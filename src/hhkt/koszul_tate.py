@@ -33,8 +33,10 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
+from .bar import ChainElement, bar_faces, hochschild_b
 from .bigraded import DegreeWindow, RingGenerator, WindowError
-from .fields import LinComb, LinearSystem, SparseMatrix, cohomology_cell
+from .fields import (LinComb, LinearSystem, SparseMatrix, cohomology_cell,
+                     rank_kernel_image)
 
 
 class UnsupportedDiagonalError(RuntimeError):
@@ -175,23 +177,10 @@ class KTResolution:
     def mul_monos(self, m1: KTMono, m2: KTMono):
         """Product of KT monomials: list of (KTMono, coeff)."""
         A = self.algebra
-        p = self.field.p
-        e1, e2 = m1[2], m2[2]
-        if e1.u & e2.u:
-            return []
-        coeff = 1
-        for a, b in zip(e1.nu, e2.nu):
-            if a and b:
-                coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-        for a, b in zip(e1.w, e2.w):
-            if a and b:
-                coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-        if coeff == 0:
+        e, coeff = _merge_emono(m1[2], m2[2], self.field.p)
+        if e is None:
             return []
         sign = self.merge_sign(self.mono_symbols(m1), self.mono_symbols(m2))
-        e = EMono(tuple(a + b for a, b in zip(e1.nu, e2.nu)),
-                  e1.u | e2.u,
-                  tuple(a + b for a, b in zip(e1.w, e2.w)))
         out = []
         for lm, lc in A.mul_monomials(m1[0], m2[0]):
             for rm, rc in A.mul_monomials(m1[1], m2[1]):
@@ -380,21 +369,46 @@ def kt_cell_basis(R: KTResolution, level: int, internal: int):
     return out
 
 
-def kt_d_matrix(R: KTResolution, level: int, internal: int) -> SparseMatrix:
-    """Matrix of d from the (level, internal) cell to (level-1, internal)."""
+def _d_matrix(R, level, internal, cell_basis, boundary, cache):
+    """Matrix of d from the (level, internal) cell to (level-1, internal),
+    for a cell basis and a per-monomial boundary; cached in cache."""
     key = (level, internal)
-    if key in R._dmat_cache:
-        return R._dmat_cache[key]
-    src = kt_cell_basis(R, level, internal)
-    dst = kt_cell_basis(R, level - 1, internal)
+    if key in cache:
+        return cache[key]
+    src = cell_basis(R, level, internal)
+    dst = cell_basis(R, level - 1, internal)
     index = {m: i for i, m in enumerate(dst)}
     entries = {}
     for j, m in enumerate(src):
-        for dm, dc in kt_d_mono(R, m):
+        for dm, dc in boundary(R, m):
             entries[(index[dm], j)] = dc
     M = SparseMatrix(len(dst), len(src), entries, R.field)
-    R._dmat_cache[key] = M
+    cache[key] = M
     return M
+
+
+def _solve_in_cell(rhs, level, internal, cell_basis, d_matrix, solvers):
+    """Some x in the (level, internal) cell with d x = rhs, or None; one
+    LinearSystem per cell, cached in solvers."""
+    R = rhs.R
+    index = {m: i for i, m in enumerate(cell_basis(R, level - 1, internal))}
+    vec = [0] * len(index)
+    for m, c in rhs.terms.items():
+        vec[index[m]] = c
+    key = (level, internal)
+    if key not in solvers:
+        solvers[key] = LinearSystem(d_matrix(R, level, internal))
+    sol = solvers[key].solve(tuple(vec))
+    if sol is None:
+        return None
+    cols = cell_basis(R, level, internal)
+    return rhs._like({cols[i]: v for i, v in enumerate(sol) if v})
+
+
+def kt_d_matrix(R: KTResolution, level: int, internal: int) -> SparseMatrix:
+    """Matrix of d from the (level, internal) cell to (level-1, internal)."""
+    return _d_matrix(R, level, internal, kt_cell_basis, kt_d_mono,
+                     R._dmat_cache)
 
 
 @dataclass
@@ -412,7 +426,6 @@ def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
     for t in range(internal_bound + 1):
         dim_f0 = len(kt_cell_basis(R, 0, t))
         d1 = kt_d_matrix(R, 1, t)
-        from .fields import rank_kernel_image
         rank1, _, _ = rank_kernel_image(d1)
         h0 = dim_f0 - rank1
         expected = A.dim_in_degree(t)
@@ -474,7 +487,8 @@ def _tmono_symbols(R, m: TMono):
     return syms
 
 
-def _merge_emono(R, e1: EMono, e2: EMono, p):
+def _merge_emono(e1: EMono, e2: EMono, p):
+    """The product of two E-monomials as (EMono, coeff), or (None, 0)."""
     if e1.u & e2.u:
         return None, 0
     coeff = 1
@@ -493,10 +507,10 @@ def _merge_emono(R, e1: EMono, e2: EMono, p):
 def _mul_tmonos(R, m1: TMono, m2: TMono):
     A = R.algebra
     p = R.field.p
-    alpha, coeff_a = _merge_emono(R, m1[2], m2[2], p)
+    alpha, coeff_a = _merge_emono(m1[2], m2[2], p)
     if alpha is None:
         return []
-    beta, coeff_b = _merge_emono(R, m1[4], m2[4], p)
+    beta, coeff_b = _merge_emono(m1[4], m2[4], p)
     if beta is None:
         return []
     sign = KTResolution.merge_sign(_tmono_symbols(R, m1), _tmono_symbols(R, m2))
@@ -575,19 +589,8 @@ def tensor_cell_basis(R: KTResolution, level: int, internal: int):
 
 
 def tensor_d_matrix(R, level, internal):
-    key = (level, internal)
-    if key in R._tmat_cache:
-        return R._tmat_cache[key]
-    src = tensor_cell_basis(R, level, internal)
-    dst = tensor_cell_basis(R, level - 1, internal)
-    index = {m: i for i, m in enumerate(dst)}
-    entries = {}
-    for j, m in enumerate(src):
-        for dm, dc in _tmono_boundary(R, m):
-            entries[(index[dm], j)] = dc
-    M = SparseMatrix(len(dst), len(src), entries, R.field)
-    R._tmat_cache[key] = M
-    return M
+    return _d_matrix(R, level, internal, tensor_cell_basis, _tmono_boundary,
+                     R._tmat_cache)
 
 
 # -- the diagonal ---------------------------------------------------------------
@@ -640,25 +643,13 @@ def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
     if rhs.is_zero():
         R._diag_cache[key] = naive
         return naive
-    level = 2 * exp
-    internal = exp * R.w_degrees[idx]
-    row_basis = tensor_cell_basis(R, level - 1, internal)
-    col_basis = tensor_cell_basis(R, level, internal)
-    index = {m: i for i, m in enumerate(row_basis)}
-    vec = [0] * len(row_basis)
-    for m, c in rhs.terms.items():
-        vec[index[m]] = c % R.field.p
-    solver = R._tsolver_cache.get((level, internal))
-    if solver is None:
-        solver = LinearSystem(tensor_d_matrix(R, level, internal))
-        R._tsolver_cache[(level, internal)] = solver
-    sol = solver.solve(tuple(vec))
-    if sol is None:
+    correction = _solve_in_cell(rhs, 2 * exp, exp * R.w_degrees[idx],
+                                tensor_cell_basis, tensor_d_matrix,
+                                R._tsolver_cache)
+    if correction is None:
         raise UnsupportedDiagonalError(
             f"no diagonal correction for relation {idx} divided power {exp} "
             f"within the window")
-    correction = KTTensorElement(
-        R, {col_basis[i]: v for i, v in enumerate(sol) if v})
     result = naive + correction
     R._diag_cache[key] = result
     return result
@@ -1077,54 +1068,28 @@ class XiLift:
                 raise InternalConsistencyError(
                     "pinned xi value fails the chain-map equation")
             return pinned
-        level = len(word)
-        internal = sum(A.mono_degree(a) for a in word)
-        row_basis = kt_cell_basis(R, level - 1, internal)
-        col_basis = kt_cell_basis(R, level, internal)
-        index = {m: i for i, m in enumerate(row_basis)}
-        vec = [0] * len(row_basis)
-        for m, c in rhs.terms.items():
-            vec[index[m]] = c % R.field.p
-        solver = R._solver_cache.get((level, internal))
-        if solver is None:
-            solver = LinearSystem(kt_d_matrix(R, level, internal))
-            R._solver_cache[(level, internal)] = solver
-        sol = solver.solve(tuple(vec))
+        sol = _solve_in_cell(rhs, len(word),
+                             sum(A.mono_degree(a) for a in word),
+                             kt_cell_basis, kt_d_matrix, R._solver_cache)
         if sol is None:
             raise InternalConsistencyError(
                 "xi lift infeasible although F is acyclic")
-        return KTElement(R, {col_basis[i]: v for i, v in enumerate(sol) if v})
+        return sol
 
     def _rhs(self, word):
-        """xi_{k-1} applied to the interior bar differential of 1[word]1."""
-        from .bar import word_suspension  # local to avoid an import cycle
-        R, A = self.R, self.A
-        k = len(word)
-        one = A.unit_monomial()
+        """xi_{k-1} applied to the interior bar differential of 1[word]1:
+        the sum over its faces left[word']right of
+        coeff . (left (x) 1) . xi(word') . (1 (x) right)."""
+        R = self.R
+        one = self.A.unit_monomial()
         rhs = KTElement(R)
-        if k == 1:
-            # d_2(1[a]1) = a[]1 - 1[]a with the printed epsilon_1 = |1| = 0
-            a = word[0]
-            return KTElement(R, {(a, one, R.unit_emono()): 1,
-                                 (one, a, R.unit_emono()): -1})
-        # leading term a_1 . [a_2..]
-        head = KTElement(R, {(word[0], one, R.unit_emono()): 1})
-        rhs = rhs + head * self.value(word[1:])
-        # contractions
-        eps = 0
-        for i in range(2, k + 1):
-            eps += A.mono_degree(word[i - 2]) - 1
-            sgn = -1 if eps % 2 else 1
-            for m, c in A.mul_monomials(word[i - 2], word[i - 1]):
-                sub = word[:i - 2] + (m,) + word[i:]
-                rhs = rhs + self.value(sub).scale(sgn * c)
-        # trailing term [a_1..a_{k-1}] . a_k
-        eps_k = word_suspension(A, word[:-1])
-        ak = word[-1]
-        da = A.mono_degree(ak)
-        sgn = -1 if (eps_k * (da + 1) + 1) % 2 else 1
-        tail = KTElement(R, {(one, ak, R.unit_emono()): 1})
-        rhs = rhs + (tail * self.value(word[:-1])).scale(sgn)
+        for left, sub, right, c in bar_faces(self.A, word):
+            term = self.value(sub).scale(c)
+            if left != one:
+                term = KTElement.from_mono(R, left=left) * term
+            if right != one:
+                term = term * KTElement.from_mono(R, right=right)
+            rhs = rhs + term
         return rhs
 
     def _pinned(self, word, rhs):
@@ -1188,7 +1153,6 @@ def phi(chain_terms, R: KTResolution, xi: XiLift):
     chain_terms: {(a0: Monomial, word): coeff}.  Returns
     {(a_monomial, EMono): coeff}.  Checks the cycle condition first.
     """
-    from .bar import ChainElement, hochschild_b
     A = R.algebra
     chain = ChainElement(A, dict(chain_terms))
     if not hochschild_b(chain).is_zero():

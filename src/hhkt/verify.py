@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import zlib
 
 from .algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
                       TensorPoly, partial_derivative,
@@ -20,7 +21,7 @@ from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
                   compute_hh_window, connes_boundary, hochschild_b)
 from .bigraded import DegreeWindow
 from .bv import BVContext, iota, iota_inverse
-from .fields import PrimeField, SparseMatrix, rank_kernel_image
+from .fields import LinearSystem, PrimeField, SparseMatrix, rank_kernel_image
 from .koszul_tate import (DualRingElement, KTElement, XiLift,
                           build_resolution, cup_via_diagonal,
                           diagonal_element, diagonal_mono, emonos_at_level,
@@ -168,7 +169,6 @@ def check_cup_strictly_associative(corpus, rng):
 
 
 def check_cup_commutative_mod_coboundary(corpus, rng):
-    from .fields import LinearSystem
     A = corpus["ext2_deg5"]
     window = DegreeWindow(4, -22, 2)
     cx = BarComplex(A, COEFF_SELF, window)
@@ -393,7 +393,6 @@ CHECKS = [
 
 
 def run_suite(seed=0, inject_zeta_fault=False):
-    import zlib
     corpus = _corpus()
     report = []
     for name, fn in CHECKS:

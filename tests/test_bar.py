@@ -1,10 +1,12 @@
 import itertools
+import json
+import pathlib
 
 import pytest
 
-from hhkt.algebra import Polynomial
+from hhkt.algebra import Polynomial, parse_presentation
 from hhkt.bigraded import DegreeWindow
-from hhkt.bar import (BarComplex, BarWord, ChainElement, Cochain,
+from hhkt.bar import (BarComplex, BarWord, ChainElement, Cochain, DualValue,
                       bar_differential, cochain_cup, cochain_differential,
                       compute_hh_window, compute_hochschild_homology_window,
                       connes_boundary, hochschild_b, shuffle_product,
@@ -364,3 +366,50 @@ def test_blowup_guard():
     cx = BarComplex(A, COEFF_SELF, window, cell_limit=3)
     with pytest.raises(CellBlowupError):
         cx.homology(1, 2)
+
+
+CORPUS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts"
+                 / "presentations").glob("*.json"))
+
+
+@pytest.mark.parametrize("coeff", [COEFF_SELF, COEFF_DUAL])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_matrix_columns_are_cochain_differentials(path, coeff):
+    """The row-by-row coboundary matrix agrees, column by column, with the
+    cochain differential of each basis cochain."""
+    doc = json.loads(path.read_text())
+    A = parse_presentation(doc)
+    window = DegreeWindow(3, doc["window"]["q_min"], doc["window"]["q_max"])
+    cx = BarComplex(A, coeff, window)
+    checked = 0
+    for (p, q) in window.cells():
+        if cx.estimate_cell(p, q) * cx.estimate_cell(p + 1, q) > 40000:
+            continue
+        M = cx.matrix(p, q)
+        words = list(dict.fromkeys(w for (w, _) in cx.cell_basis(p + 1, q)))
+        for j in range(M.cols):
+            df = cochain_differential(cx.basis_cochain(p, q, j), words)
+            assert M.column(j) == cx.cochain_vector(df), (p, q, j)
+        checked += M.cols
+    assert checked
+
+
+def test_dual_values_have_no_product():
+    A = two_spheres_deg5()
+    y = A.generator_monomial("y1")
+    dual = DualValue(A, {y: 1})
+    poly = Polynomial(A, {y: 1})
+    # a LinComb over F_2: the sum and the scalar multiples still work
+    assert (dual + dual).is_zero() and dual.scale(3) == dual
+    with pytest.raises(TypeError):
+        dual * dual
+    with pytest.raises(TypeError):
+        dual * poly
+    with pytest.raises(TypeError):
+        poly * dual
+    with pytest.raises(TypeError):
+        poly + dual
+    with pytest.raises(TypeError):
+        dual - poly
+    with pytest.raises(ValueError):
+        dual + DualValue(two_spheres_deg5(), {y: 1})

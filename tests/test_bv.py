@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from hhkt.bar import (COEFF_DUAL, Cochain, cochain_differential,
+from hhkt.bar import (COEFF_DUAL, Cochain, DualValue, cochain_differential,
                       dual_left_action, hochschild_b, ChainElement)
 from hhkt.bigraded import DegreeWindow
-from hhkt.bv import (BVContext, NotPoincareDualityError, build_pd, bv_delta,
-                     cap_theta, iota, iota_inverse, pair_class)
+from hhkt.bv import (BVContext, NotPoincareDualityError, build_pd, iota,
+                     iota_inverse, pair_class)
 from hhkt.koszul_tate import EMono
 
 from .helpers import exterior, polynomial, truncated_poly_char2, \
@@ -17,6 +17,8 @@ def test_build_pd_examples():
     pd = build_pd(two_spheres_deg5())
     assert pd.formal_dimension == 10
     assert pd.algebra.label_monomial(pd.fundamental_class) == "y1*y2"
+    assert pd.fundamental_dual == DualValue(pd.algebra,
+                                            {pd.fundamental_class: 1})
 
     pd2 = build_pd(truncated_poly_char2())
     assert pd2.formal_dimension == 4
@@ -96,7 +98,7 @@ def test_delta_table_two_spheres_deg5():
     for j, i in itertools.product((0, 1), repeat=2):
         lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)],
                              mask=1 << j)
-        val = bv_delta(ctx, lbl)
+        val = ctx.delta_of_label(lbl)
         if i == j:
             assert val == {one: 1}, (i, j, val)
         else:
@@ -104,12 +106,12 @@ def test_delta_table_two_spheres_deg5():
     # Delta(nu_i*) = 0 and Delta(nu_i* nu_j*) = 0
     for i in (0, 1):
         lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)])
-        assert bv_delta(ctx, lbl) == {}
+        assert ctx.delta_of_label(lbl) == {}
     for nu in [(2, 0), (1, 1), (0, 2)]:
-        assert bv_delta(ctx, label_by_parts(ring, nu=nu)) == {}
+        assert ctx.delta_of_label(label_by_parts(ring, nu=nu)) == {}
     # Delta vanishes on filtration 0 (the algebra itself)
     for mask in (1, 2, 3):
-        assert bv_delta(ctx, label_by_parts(ring, mask=mask)) == {}
+        assert ctx.delta_of_label(label_by_parts(ring, mask=mask)) == {}
 
 
 def test_delta_single_sphere_any_char2():
@@ -119,9 +121,9 @@ def test_delta_single_sphere_any_char2():
     ring = ctx.ring
     one = unit_label(ring)
     y_nu = label_by_parts(ring, nu=(1,), mask=1)
-    assert bv_delta(ctx, y_nu) == {one: 1}
-    assert bv_delta(ctx, label_by_parts(ring, nu=(1,))) == {}
-    assert bv_delta(ctx, label_by_parts(ring, mask=1)) == {}
+    assert ctx.delta_of_label(y_nu) == {one: 1}
+    assert ctx.delta_of_label(label_by_parts(ring, nu=(1,))) == {}
+    assert ctx.delta_of_label(label_by_parts(ring, mask=1)) == {}
 
 
 def test_delta_squared_zero_window():
@@ -142,8 +144,9 @@ def test_theta_unit_is_fundamental_dual():
     window = DegreeWindow(2, -22, 12)
     ctx = BVContext(A, window)
     one = unit_label(ctx.ring)
-    g = cap_theta(ctx, ctx.ring.class_reps[one], 0, 0)
-    assert g.values == {(): {ctx.pd.fundamental_class: 1}}
+    g = ctx.theta_cochain(
+        ctx.kt_to_bar_cochain(ctx.ring.class_reps[one], 0, 0))
+    assert g.values == {(): DualValue(A, {ctx.pd.fundamental_class: 1})}
 
 
 def test_theta_equals_postcomposition_with_duality():
@@ -159,11 +162,11 @@ def test_theta_equals_postcomposition_with_duality():
             lhs = ctx.bar_dual.express_class(ctx.theta_cochain(f))
             values = {}
             for w, poly in f.values.items():
-                acc = {}
+                acc = DualValue(A)
                 for m, c in poly.terms.items():
-                    for m2, c2 in dual_left_action(
-                            A, m, {ctx.pd.fundamental_class: 1}).items():
-                        acc[m2] = (acc.get(m2, 0) + c * c2) % 2
+                    acc = acc + dual_left_action(
+                        A, m, DualValue(A, {ctx.pd.fundamental_class: 1})
+                    ).scale(c)
                 values[w] = acc
             g2 = Cochain(A, COEFF_DUAL, p, q - ctx.d, values)
             rhs = ctx.bar_dual.express_class(g2)
@@ -279,5 +282,16 @@ def test_delta_deg3_gr_level_table():
     for j, i in itertools.product((0, 1), repeat=2):
         lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)],
                              mask=1 << j)
-        val = bv_delta(ctx, lbl)
+        val = ctx.delta_of_label(lbl)
         assert val == ({one: 1} if i == j else {}), (i, j, val)
+
+
+def test_no_lifted_word_is_longer_than_the_window():
+    A = two_spheres_deg5()
+    window = DegreeWindow(3, -22, 12)
+    ctx = BVContext(A, window)
+    for labels in ctx.ring.cells.values():
+        for lbl in labels:
+            ctx.delta_of_label(lbl)
+    assert ctx.xi.table
+    assert max(len(word) for word in ctx.xi.table) <= window.max_p

@@ -293,3 +293,54 @@ def test_bv_sweep_skips_triples_that_leave_the_window(capsys):
     assert sweep["checked"] == 10
     assert sweep["skipped_outside_window"] == [["y1", "y2", "nu_y1*"],
                                               ["y1", "y2", "nu_y2*"]]
+
+
+USAGE_ERRORS = {
+    "bad_int": ["compute", "--input", "pres.json", "--max-p", "foo"],
+    "unknown_command": ["frobnicate"],
+    "no_command": [],
+    "missing_input": ["compute"],
+    "compute_max_bar_length": ["compute", "--input", "pres.json",
+                               "--max-bar-length", "3"],
+    "compute_cell_limit": ["compute", "--input", "pres.json",
+                           "--cell-limit", "3"],
+    "bv_max_bar_length": ["bv", "--input", "pres.json",
+                          "--max-bar-length", "3"],
+    "bv_cell_limit": ["bv", "--input", "pres.json", "--cell-limit", "3"],
+    "verify_input": ["verify", "--input", "pres.json"],
+    "bad_format": ["verify", "--format", "xml"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_is_an_input_error(capsys, name):
+    assert main(USAGE_ERRORS[name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "-h"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
+
+
+def test_oracle_keeps_its_bar_flags(tmp_path, capsys):
+    code, out = run(capsys, ["oracle", "--input",
+                             write(tmp_path, "ext2_deg5"), "--max-p", "2",
+                             "--max-bar-length", "1",
+                             "--cell-limit", "100000"])
+    assert code == 0
+    assert json.loads(out)["metadata"]["window"]["max_filtration"] == 1
+
+
+def test_bv_reports_the_lifting_depth_it_uses(capsys):
+    # max_filtration 5: words of length 5 are lifted, past the default 4
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "presentations" / "trunc_x2_deg4_char2.json"
+    assert main(["bv", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["metadata"]["xi_lifting_depth"] == 5

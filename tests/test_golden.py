@@ -1,8 +1,9 @@
 """Result documents are byte-identical to the recorded ones.
 
-Pins the sha256 of the `compute` document of every presentation in
-scripts/presentations/ and of `verify --seed 0`.  A change that is meant to
-alter results must re-record these hashes and say why.
+Pins the sha256 of the `compute` and `oracle` documents of every
+presentation in scripts/presentations/, of the `bv` documents of those that
+scripts/run_corpus.py runs it on, and of `verify --seed 0`.  A change that
+is meant to alter results must re-record these hashes and say why.
 """
 
 import hashlib
@@ -30,6 +31,35 @@ COMPUTE_SHA256 = {
         "e40e922a0ff3d122d1b9ae37690e5ade4099a251af0a1e41cb83374b8dfc2610",
 }
 
+ORACLE_SHA256 = {
+    "ext1_deg3_char3":
+        "e02ff0543086725e4381779eaf84101899a7a88fee0e47404085fe2d4325a06d",
+    "ext2_deg3_char2":
+        "7cd6abf0ad206961c7b4ecf6b349c121c2a62635e6a4cbd35009eefd814ae8fe",
+    "ext2_deg5_char2":
+        "f136df34d46ad51a12966080a53259d8e4b5106613b6c6134d8e59ffa3377103",
+    "mixed_ext5_trunc4_char2":
+        "c3d385a9e731464a0644a06ae240552d5d6254dbb010e8d16ed1f895295ecea0",
+    "poly1_deg2_char3":
+        "4dc0f845e0acb5bb590f03f088676ca524e54670568e0857504b1682d3f7b03c",
+    "trunc_x2_deg4_char2":
+        "961accbaaeaddee38addb5ea325a8b6e2bf42d6ee46f019da58c82a822ec5153",
+}
+
+# poly1_deg2_char3 has no Poincare duality, so it has no bv document
+BV_SHA256 = {
+    "ext1_deg3_char3":
+        "c76a4ec6ba5e37c48826d4c28446d5299c173ccd25155f78cc6b3d828d16b08b",
+    "ext2_deg3_char2":
+        "4e807c6a3c8fe6275878a22130c8a73d77744075574f380f65ed600466f8effc",
+    "ext2_deg5_char2":
+        "ee6a579fa5fa70a39868c1a1316df2f0223b340deadc343f11949a75b712e32e",
+    "mixed_ext5_trunc4_char2":
+        "e28be699bc7af9e91185989feecb730b76995bbf548387e64a4a00d63a61cc24",
+    "trunc_x2_deg4_char2":
+        "a05772869ecfb947496a74092069909bb94c46f071d322cf47ddffe9f1ef3bff",
+}
+
 VERIFY_SEED0_SHA256 = \
     "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86"
 
@@ -40,8 +70,9 @@ def _stdout_sha256(capsys, argv):
 
 
 def test_every_presentation_is_pinned():
-    assert sorted(p.stem for p in PRESENTATIONS.glob("*.json")) \
-        == sorted(COMPUTE_SHA256)
+    names = sorted(p.stem for p in PRESENTATIONS.glob("*.json"))
+    assert names == sorted(COMPUTE_SHA256) == sorted(ORACLE_SHA256)
+    assert set(BV_SHA256) == set(names) - {"poly1_deg2_char3"}
 
 
 @pytest.mark.parametrize("name", sorted(COMPUTE_SHA256))
@@ -49,6 +80,20 @@ def test_compute_document_is_unchanged(capsys, name):
     path = PRESENTATIONS / f"{name}.json"
     assert _stdout_sha256(capsys, ["compute", "--input", str(path)]) \
         == COMPUTE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SHA256))
+def test_oracle_document_is_unchanged(capsys, name):
+    path = PRESENTATIONS / f"{name}.json"
+    assert _stdout_sha256(capsys, ["oracle", "--input", str(path)]) \
+        == ORACLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BV_SHA256))
+def test_bv_document_is_unchanged(capsys, name):
+    path = PRESENTATIONS / f"{name}.json"
+    assert _stdout_sha256(capsys, ["bv", "--input", str(path)]) \
+        == BV_SHA256[name]
 
 
 def test_verify_document_is_unchanged(capsys):
