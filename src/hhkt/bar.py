@@ -20,9 +20,12 @@ each target word are walked once and scattered onto the source basis
 cochains that live on the face words.  The Connes boundary is the printed
 cyclic-rotation sum with terms containing a unit entry dropped.
 
-A cochain maps words to values in its coefficients: Polynomials for
-coefficients in the algebra itself, DualValues (sums of dual basis
-elements, a bimodule without a product) for dual coefficients.
+A cochain is a LinComb keyed (word, n), exactly like the entries of its
+cell basis, so converting between a cochain and its cell vector copies
+keys.  Its value on a word is a Polynomial (sum of the n) for
+coefficients in the algebra itself, or a DualValue (sum of the duals of
+the n, a bimodule without a product) for dual coefficients; these values
+are built only where a differential or a cup product needs them.
 
 Cochain cells with coefficients in the algebra itself are finite either
 because the algebra is finite-dimensional or, for free polynomial parts,
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial)
-from .bigraded import BigradedVectorSpace, CellData, DegreeWindow, WindowError
+from .bigraded import DegreeWindow, WindowError
 from .fields import LinComb, SparseMatrix, cohomology_cell
 
 COEFF_SELF = "self"
@@ -224,43 +227,38 @@ def cochain_value(A, coeff, terms=None):
     return DualValue(A, terms)
 
 
-class Cochain:
-    """Bar-length-homogeneous cochain given by its value map on words.
-
-    coeff is "self" (values are Polynomials in A) or "dual" (values are
-    DualValues, with the twisted bimodule structure
-    <g.alpha.h ; x> = (-1)^{|g|} <alpha; h x g>).
+class Cochain(LinComb):
+    """A bar-length-homogeneous cochain of bidegree (p, q): terms keyed
+    (word, n), exactly the entries of BarComplex.cell_basis.  The term
+    c . (word, n) sends word to c.n for coefficients in A itself, and to c
+    times the dual of n for dual coefficients (with the twisted bimodule
+    structure <g.alpha.h ; x> = (-1)^{|g|} <alpha; h x g>).
     """
 
-    __slots__ = ("A", "coeff", "p", "q", "values")
+    __slots__ = ("A", "coeff", "p", "q")
 
-    def __init__(self, A, coeff, p, q, values=None):
+    def __init__(self, A, coeff, p, q, terms=None):
         self.A = A
         self.coeff = coeff
         self.p = p
         self.q = q
-        self.values = {w: v for w, v in (values or {}).items()
-                       if not v.is_zero()}
+        super().__init__(terms, A.field.p)
+
+    def _like(self, terms):
+        return Cochain(self.A, self.coeff, self.p, self.q, terms)
 
     @property
     def total_degree(self):
         return self.p + self.q
 
-    def __add__(self, other):
-        out = dict(self.values)
-        for w, v in other.values.items():
-            out[w] = out[w] + v if w in out else v
-        return Cochain(self.A, self.coeff, self.p, self.q, out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, k):
-        return Cochain(self.A, self.coeff, self.p, self.q,
-                       {w: v.scale(k) for w, v in self.values.items()})
-
-    def is_zero(self):
-        return not self.values
+def _word_values(f: Cochain):
+    """{word: f(word)} over the words f is nonzero on, each value a
+    Polynomial or a DualValue."""
+    grouped = {}
+    for (w, n), c in f.terms.items():
+        grouped.setdefault(w, {})[n] = c
+    return {w: cochain_value(f.A, f.coeff, t) for w, t in grouped.items()}
 
 
 def dual_left_action(A, g: Monomial, alpha: DualValue) -> DualValue:
@@ -325,16 +323,18 @@ def _coboundary_faces(A, deg, word):
 def cochain_differential(f: Cochain, target_words) -> Cochain:
     """del f, evaluated on the given words."""
     A = f.A
-    values = {}
+    values = _word_values(f)
+    terms = {}
     for word in target_words:
         acc = cochain_value(A, f.coeff)
         for left, sub, right, s in _coboundary_faces(A, f.total_degree,
                                                      word):
-            v = f.values.get(sub)
+            v = values.get(sub)
             if v is not None:
                 acc = acc + _act(A, f.coeff, left, v, right).scale(s)
-        values[word] = acc
-    return Cochain(A, f.coeff, f.p + 1, f.q, values)
+        for n, c in acc.terms.items():
+            terms[(word, n)] = c
+    return Cochain(A, f.coeff, f.p + 1, f.q, terms)
 
 
 def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
@@ -348,13 +348,15 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
     if f.coeff == COEFF_DUAL and g.coeff == COEFF_DUAL:
         raise ValueError("no product structure on dual (x) dual coefficients")
     out_coeff = COEFF_DUAL if COEFF_DUAL in (f.coeff, g.coeff) else COEFF_SELF
-    values = {}
+    f_values = _word_values(f)
+    g_values = _word_values(g)
+    terms = {}
     for word in target_words:
         if len(word) != f.p + g.p:
             continue
         w1, w2 = word[:f.p], word[f.p:]
-        v1 = f.values.get(w1)
-        v2 = g.values.get(w2)
+        v1 = f_values.get(w1)
+        v2 = g_values.get(w2)
         if v1 is None or v2 is None:
             continue
         if f.coeff == COEFF_SELF and g.coeff == COEFF_SELF:
@@ -368,12 +370,13 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
             for m, c in v2.terms.items():
                 val = val + dual_right_action(A, v1, m).scale(c)
         sgn = -1 if (g.total_degree * word_suspension(A, w1)) % 2 else 1
-        values[word] = val.scale(sgn)
-    return Cochain(A, out_coeff, f.p + g.p, f.q + g.q, values)
+        for n, c in val.terms.items():
+            terms[(word, n)] = sgn * c
+    return Cochain(A, out_coeff, f.p + g.p, f.q + g.q, terms)
 
 
 def unit_cochain(A):
-    return Cochain(A, COEFF_SELF, 0, 0, {(): A.one()})
+    return Cochain(A, COEFF_SELF, 0, 0, {((), A.unit_monomial()): 1})
 
 
 # -- cochain cells and window homology ----------------------------------------
@@ -469,34 +472,25 @@ class BarComplex(_WordCells):
         return total
 
     def basis_cochain(self, p, q, idx) -> Cochain:
-        w, n = self.cell_basis(p, q)[idx]
         return Cochain(self.A, self.coeff, p, q,
-                       {w: cochain_value(self.A, self.coeff, {n: 1})})
+                       {self.cell_basis(p, q)[idx]: 1})
 
     def cochain_vector(self, f: Cochain):
         """Coordinates of a (p, q)-homogeneous cochain in the cell basis."""
         basis = self.cell_basis(f.p, f.q)
         index = {b: i for i, b in enumerate(basis)}
         vec = [0] * len(basis)
-        for w, v in f.values.items():
-            for n, c in v.terms.items():
-                i = index.get((w, n))
-                if i is None:
-                    raise WindowError(
-                        "cochain leaves the truncated window cell")
-                vec[i] = c
+        for key, c in f.terms.items():
+            i = index.get(key)
+            if i is None:
+                raise WindowError("cochain leaves the truncated window cell")
+            vec[i] = c
         return tuple(vec)
 
     def vector_cochain(self, p, q, vec) -> Cochain:
         basis = self.cell_basis(p, q)
-        terms = {}
-        for i, c in enumerate(vec):
-            if c:
-                w, n = basis[i]
-                terms.setdefault(w, {})[n] = c
         return Cochain(self.A, self.coeff, p, q,
-                       {w: cochain_value(self.A, self.coeff, t)
-                        for w, t in terms.items()})
+                       {basis[i]: c for i, c in enumerate(vec) if c})
 
     # matrices and homology ---------------------------------------------------
 
@@ -553,20 +547,11 @@ class BarComplex(_WordCells):
 
 
 def compute_hh_window(A: AlgebraPresentation, coeff: str,
-                      window: DegreeWindow,
-                      cell_limit=200000) -> BigradedVectorSpace:
-    """Brute-force HH cells over the bar complex, one (p, q) at a time."""
+                      window: DegreeWindow, cell_limit=200000) -> dict:
+    """Brute-force HH cell dimensions over the bar complex, {(p, q): dim}
+    for every cell of the window."""
     cx = BarComplex(A, coeff, window, cell_limit)
-    cells = {}
-    for (p, q) in window.cells():
-        hom = cx.homology(p, q)
-        reps = [cx.vector_cochain(p, q, v) for v in hom.representatives]
-        cells[(p, q)] = CellData(hom.dim, [f"c[{p},{q}]#{i}"
-                                           for i in range(hom.dim)],
-                                 reps, window.is_edge(p, q))
-    meta = {"coefficients": coeff, "entry_degree_cap": cx.tor_cap
-            if cx.top is None and coeff == COEFF_SELF else None}
-    return BigradedVectorSpace(cells, window, meta)
+    return {(p, q): cx.homology(p, q).dim for (p, q) in window.cells()}
 
 
 # -- chain cells ---------------------------------------------------------------
@@ -649,19 +634,13 @@ class ChainComplexCells(_WordCells):
 
 
 def compute_hochschild_homology_window(A: AlgebraPresentation,
-                                       window: DegreeWindow
-                                       ) -> BigradedVectorSpace:
-    """Homology of (A (x) T(s abar), b), cells keyed (length, internal t);
-    dual to the dual-coefficient cochain cells under (p, q) -> (p, -q)."""
+                                       window: DegreeWindow) -> dict:
+    """Homology dimensions of (A (x) T(s abar), b), {(length, internal t):
+    dim}; dual to the dual-coefficient cochain cells under
+    (p, q) -> (p, -q)."""
     cx = ChainComplexCells(A)
     t_lo = max(0, -window.q_max)
     t_hi = max(0, -window.q_min)
-    cells = {}
-    for k in range(window.max_p + 1):
-        for t in range(t_lo, t_hi + 1):
-            hom = cx.homology(k, t)
-            reps = [cx.vector_chain(k, t, v) for v in hom.representatives]
-            cells[(k, t)] = CellData(
-                hom.dim, [f"z[{k},{t}]#{i}" for i in range(hom.dim)], reps,
-                window.is_edge(k, -t))
-    return BigradedVectorSpace(cells, window, {"side": "chains"})
+    return {(k, t): cx.homology(k, t).dim
+            for k in range(window.max_p + 1)
+            for t in range(t_lo, t_hi + 1)}

@@ -1,4 +1,4 @@
-"""Shared bigraded bookkeeping: degree windows, cell tables, ring generators.
+"""Shared bigraded bookkeeping: degree windows and ring generators.
 
 Cells are indexed by (p, q): p >= 0 is the filtration (resolution or bar
 length) degree, q the internal degree; total degree is p + q.
@@ -6,7 +6,7 @@ length) degree, q the internal degree; total degree is p + q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class WindowError(ValueError):
@@ -37,30 +37,6 @@ class DegreeWindow:
 
     def is_edge(self, p, q):
         return p == self.max_p or q in (self.q_min, self.q_max)
-
-
-@dataclass
-class CellData:
-    dim: int
-    labels: list
-    representatives: list
-    edge: bool = False
-
-
-@dataclass
-class BigradedVectorSpace:
-    """Window worth of homology cells, with representatives."""
-
-    cells: dict
-    window: DegreeWindow
-    metadata: dict = field(default_factory=dict)
-
-    def dim(self, p, q):
-        cell = self.cells.get((p, q))
-        return cell.dim if cell else 0
-
-    def dims_table(self):
-        return {pq: cd.dim for pq, cd in sorted(self.cells.items()) if cd.dim}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ class PoincareDualityData:
 
     def dual_cochain(self):
         return Cochain(self.algebra, COEFF_DUAL, 0, -self.formal_dimension,
-                       {(): self.fundamental_dual})
+                       {((), n): c
+                        for n, c in self.fundamental_dual.terms.items()})
 
 
 def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
@@ -85,21 +86,17 @@ def iota(functional, A: AlgebraPresentation, k: int, t: int) -> Cochain:
     terms = {}
     for (a0, word), c in functional.items():
         sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        v = terms.setdefault(word, {})
-        v[a0] = v.get(a0, 0) + sgn * c
-    return Cochain(A, COEFF_DUAL, k, -t,
-                   {w: DualValue(A, v) for w, v in terms.items()})
+        terms[(word, a0)] = terms.get((word, a0), 0) + sgn * c
+    return Cochain(A, COEFF_DUAL, k, -t, terms)
 
 
 def iota_inverse(g: Cochain) -> dict:
     """Dual-coefficient cochain -> functional on chains (same sign rule)."""
     A = g.A
     out = {}
-    for word, v in g.values.items():
-        for a0, c in v.terms.items():
-            sgn = -1 if (A.mono_degree(a0)
-                         * word_suspension(A, word)) % 2 else 1
-            out[(a0, word)] = (sgn * c) % A.field.p
+    for (word, a0), c in g.terms.items():
+        sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
+        out[(a0, word)] = (sgn * c) % A.field.p
     return out
 
 
@@ -107,11 +104,11 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
     """<iota^{-1}(g), c> evaluated term by term."""
     total = 0
     for (a0, word), c in chain_terms.items():
-        v = g.values.get(word)
-        if v is None:
-            continue
-        sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        total += sgn * c * v.terms.get(a0, 0)
+        v = g.terms.get((word, a0))
+        if v:
+            sgn = -1 if (A.mono_degree(a0)
+                         * word_suspension(A, word)) % 2 else 1
+            total += sgn * c * v
     return total % A.field.p
 
 
@@ -145,14 +142,13 @@ class BVContext:
 
     def kt_to_bar_cochain(self, dual: DualRingElement, p, q) -> Cochain:
         """Pull a resolution-side class back along the comparison map."""
-        values = {}
-        for (word, _n) in self.bar_self.cell_basis(p, q):
-            if word in values:
-                continue
+        terms = {}
+        for word in dict.fromkeys(w for (w, _) in
+                                  self.bar_self.cell_basis(p, q)):
             val = dual.eval_element(self.xi.value(word))
-            if not val.is_zero():
-                values[word] = val
-        return Cochain(self.A, COEFF_SELF, p, q, values)
+            for n, c in val.terms.items():
+                terms[(word, n)] = c
+        return Cochain(self.A, COEFF_SELF, p, q, terms)
 
     def translate_matrix(self, p, q):
         """Columns: bar homology coordinates of each ring basis class."""

@@ -173,14 +173,15 @@ def cmd_oracle(cfg: JobConfig):
                               window.q_min, window.q_max)
     ring = hh_via_kt(A, window)
     kt_dims = {pq: len(lbls) for pq, lbls in ring.cells.items()}
-    bar = compute_hh_window(A, COEFF_SELF, window, cell_limit=cfg.cell_limit)
+    bar_dims = compute_hh_window(A, COEFF_SELF, window,
+                                 cell_limit=cfg.cell_limit)
     mismatches = []
     edge_cells = []
     table = []
     for (p, q) in window.cells():
-        bar_dim = bar.dim(p, q)
+        bar_dim = bar_dims[(p, q)]
         kt_dim = kt_dims.get((p, q), 0)
-        if bar.cells[(p, q)].edge and (bar_dim or kt_dim):
+        if window.is_edge(p, q) and (bar_dim or kt_dim):
             edge_cells.append([p, q])
         if bar_dim or kt_dim:
             table.append({"p": p, "q": q, "bar_dim": bar_dim,
@@ -214,10 +215,7 @@ def _generator_monomial_labels(ring: KTRing):
         exps[g2.label] = exps.get(g2.label, 0) + 1
         items.append(exps)
     for exps in items:
-        try:
-            lbl = ring.label_from_exponents(exps)
-        except KeyError:
-            continue
+        lbl = ring.label_from_exponents(exps)
         p, q = ring.bidegree(lbl)
         if not ring.window.contains(p, q):
             continue
@@ -255,11 +253,8 @@ def cmd_bv(cfg: JobConfig):
     ext_table = []
     gens = ring.generators or []
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        try:
-            l1 = ring.label_from_exponents({g1.label: 1})
-            l2 = ring.label_from_exponents({g2.label: 1})
-        except KeyError:
-            continue
+        l1 = ring.label_from_exponents({g1.label: 1})
+        l2 = ring.label_from_exponents({g2.label: 1})
         p, q = (ring.bidegree(l1)[0] + ring.bidegree(l2)[0],
                 ring.bidegree(l1)[1] + ring.bidegree(l2)[1])
         if not ring.window.contains(p, q):
@@ -275,10 +270,7 @@ def cmd_bv(cfg: JobConfig):
     # seven-term identity sweep over generator triples
     gen_labels = []
     for g in gens:
-        try:
-            lbl = ring.label_from_exponents({g.label: 1})
-        except KeyError:
-            continue
+        lbl = ring.label_from_exponents({g.label: 1})
         if ring.window.contains(*ring.bidegree(lbl)):
             gen_labels.append(lbl)
     sweep = {"checked": 0, "failures": []}

@@ -2,10 +2,15 @@
 
 Everything in this module is exact modular arithmetic: no floats anywhere.
 Matrices are stored sparsely as ``{(row, col): value}`` with values in
-``[1, p)`` and reduced by one sparse elimination kernel.  All reduced forms
-are RREF, which is unique, so pivot-selection heuristics only affect speed,
-never results.  Vectors in the algebraic modules are ``LinComb`` subclasses:
-sparse ``{key: coeff}`` maps normalized mod p.
+``[1, p)`` and reduced by one sparse elimination kernel, ``_rref``; rank,
+kernel, solving and homology all go through it.  All reduced forms are
+RREF, which is unique, so pivot-selection heuristics only affect speed,
+never results.  A homology cell ker(d_out)/im(d_in) takes its kernel basis
+from rref(d_out), one vector per free column, and its representatives from
+the rref of [d_in | kernel vectors]: a kernel vector is kept exactly when
+its column is a pivot, that is when it lies outside the span of the image
+and of the kernel vectors before it.  Vectors in the algebraic modules are
+``LinComb`` subclasses: sparse ``{key: coeff}`` maps normalized mod p.
 """
 
 from __future__ import annotations
@@ -104,9 +109,6 @@ class LinComb:
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) - c
         return self._like(out)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, k):
         return self._like({m: c * k for m, c in self.terms.items()})
@@ -287,47 +289,6 @@ class LinearSystem:
         return tuple(x)
 
 
-class SubspaceReducer:
-    """Incremental row space over F_p, for membership tests and quotients."""
-
-    def __init__(self, dim, field):
-        self.dim = dim
-        self.field = field
-        self.rows = {}  # pivot col -> normalized row dict
-
-    def reduce(self, vec):
-        """Remainder of vec after reduction against the current row space."""
-        p = self.field.p
-        v = {i: x % p for i, x in enumerate(vec) if x % p}
-        while v:
-            lead = min(v)
-            row = self.rows.get(lead)
-            if row is None:
-                return v
-            f = v[lead]
-            for c, x in row.items():
-                nv = (v.get(c, 0) - f * x) % p
-                if nv:
-                    v[c] = nv
-                elif c in v:
-                    del v[c]
-        return v
-
-    def add(self, vec):
-        """Insert vec; returns True if it enlarged the space."""
-        p = self.field.p
-        rem = self.reduce(vec)
-        if not rem:
-            return False
-        lead = min(rem)
-        inv = pow(rem[lead], p - 2, p)
-        self.rows[lead] = {c: (v * inv) % p for c, v in rem.items()}
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
 @dataclass
 class SubquotientBasis:
     """ker(d_out)/im(d_in) with explicit representative vectors."""
@@ -363,33 +324,56 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
     d_in maps into the cell (its rows index the cell basis), d_out maps out
     of it (its columns index the cell basis).  The composite d_out . d_in
     must vanish; a violation raises ComplexViolationError with a witness.
+
+    The kernel is the canonical basis of rref(d_out).  One rref of
+    [d_in | kernel vectors] then gives both the image basis (the d_in
+    columns at its pivots) and the representatives (the kernel vectors at
+    its pivots: those outside the span of the image and of the kernel
+    vectors before them).
     """
     if d_in.rows != d_out.cols:
         raise ValueError("d_in rows must match d_out cols")
     field = d_out.field
+    p = field.p
     n = d_out.cols
-    for j in range(d_in.cols):
-        col = d_in.column(j)
-        comp = d_out.mul_vec(col)
-        if any(comp):
+    out_cols = {}
+    for (r, c), v in d_out.entries.items():
+        out_cols.setdefault(c, []).append((r, v))
+    in_cols = [[] for _ in range(d_in.cols)]
+    for (r, c), v in d_in.entries.items():
+        in_cols[c].append((r, v))
+    for j, col in enumerate(in_cols):
+        comp = {}
+        for k, x in col:
+            for r, v in out_cols.get(k, ()):
+                comp[r] = (comp.get(r, 0) + v * x) % p
+        if any(comp.values()):
+            witness = [0] * d_out.rows
+            for r, v in comp.items():
+                witness[r] = v
             raise ComplexViolationError(
-                "composite differential is nonzero: d^2 != 0", j, comp)
-    _, kernel, _ = rank_kernel_image(d_out)
-    rank_in, _, image = rank_kernel_image(d_in)
-    # image must sit inside the kernel: membership solve against kernel span
-    kernel_span = SubspaceReducer(n, field)
-    for v in kernel:
-        kernel_span.add(v)
-    for v in image:
-        if not kernel_span.contains(v):
-            raise ComplexViolationError(
-                "image vector not contained in kernel", -1, v)
-    span = SubspaceReducer(n, field)
-    for v in image:
-        span.add(v)
-    reps = []
-    for v in kernel:
-        if span.add(v):
-            reps.append(v)
-    assert len(reps) == len(kernel) - rank_in
+                "composite differential is nonzero: d^2 != 0", j,
+                tuple(witness))
+    pivots, rows = rref(d_out)
+    kernel = kernel_basis_from_rref(pivots, rows, n, field)
+    entries = dict(d_in.entries)
+    for k, v in enumerate(kernel):
+        for r, x in enumerate(v):
+            if x:
+                entries[(r, d_in.cols + k)] = x
+    pivots, _ = rref(SparseMatrix(n, d_in.cols + len(kernel), entries, field))
+    image, reps = [], []
+    for c in pivots:
+        if c < d_in.cols:
+            col = [0] * n
+            for r, v in in_cols[c]:
+                col[r] = v
+            image.append(tuple(col))
+        else:
+            reps.append(kernel[c - d_in.cols])
+    # the count holds iff im(d_in) lies in the span of the kernel
+    if len(reps) != len(kernel) - len(image):
+        raise ComplexViolationError(
+            "image not contained in kernel", -1,
+            (len(kernel), len(image), len(reps)))
     return SubquotientBasis(n, kernel, image, reps, field)

@@ -718,17 +718,6 @@ class DualRingElement:
     def is_zero(self):
         return not self.values
 
-    def __add__(self, other):
-        out = dict(self.values)
-        for e, poly in other.values.items():
-            out[e] = out[e] + poly if e in out else poly
-        return DualRingElement(self.R, self.degree, out)
-
-    def scale(self, k):
-        return DualRingElement(self.R, self.degree,
-                               {e: poly.scale(k) for e, poly in
-                                self.values.items()})
-
     def eval_term(self, left: Monomial, right: Monomial, e: EMono):
         """Value on the monomial (left (x) right) . e, as an element of A."""
         A = self.R.algebra

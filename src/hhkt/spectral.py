@@ -10,7 +10,7 @@ to (p + r, q + 1 - r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class UnboundedSearchError(ValueError):
@@ -23,28 +23,10 @@ class ExplicitBigradedRing:
     and tests); no generator monomial model."""
 
     cells: dict
-    products: dict = field(default_factory=dict)
-    generators = None
     complete = True
-
-    def bidegree(self, label):
-        for (p, q), labels in self.cells.items():
-            if label in labels:
-                return (p, q)
-        raise KeyError(label)
-
-    def total_degree(self, label):
-        p, q = self.bidegree(label)
-        return p + q
 
     def cell_dim(self, p, q):
         return len(self.cells.get((p, q), []))
-
-    def label_str(self, label):
-        return str(label)
-
-    def product(self, a, b):
-        return self.products.get((a, b), {})
 
 
 @dataclass
@@ -63,71 +45,26 @@ class CollapseCertificate:
     detail: str
 
 
-def _model_bounds(R):
-    """(max_filtration, top_internal, min_negative_step) of the monomial
-    model, entries None when unbounded/unavailable."""
-    gens = R.generators
-    if gens is None:
-        return None
-    max_filt = 0
-    for g in gens:
-        if g.p > 0:
-            if g.order is None:
-                max_filt = None
-                break
-            max_filt += (g.order - 1) * g.p
-    top = R.algebra.top_degree_bound() if hasattr(R, "algebra") else None
-    neg_steps = [-g.q for g in gens if g.p > 0]
-    min_step = min(neg_steps) if neg_steps else None
-    return max_filt, top, min_step
-
-
 def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
     """Check, for every populated cell and every page number up to a sound
     cutoff, that the differential target cell is empty."""
     populated = sorted(pq for pq, labels in R.cells.items() if labels)
     if not populated:
         return CollapseCertificate("collapse", [], 2, "no populated cells")
-    if getattr(R, "complete", False):
-        max_p = max(p for p, _ in R.cells)
-        min_q = min(q for _, q in R.cells)
-        max_q = max(q for _, q in R.cells)
-        r_bound = max(max_p - min(p for p, _ in populated),
-                      max_q - min_q + 1, 2)
-        bounds_known = True
-    else:
-        model = _model_bounds(R)
-        if model is None:
-            return CollapseCertificate(
-                "unknown", [], None,
-                "no monomial model: cells beyond the window are not "
-                "enumerable")
-        max_filt, top, min_step = model
-        bounds_known = True
-        r_bound = None
-        if max_filt is not None:
-            r_bound = max(2, max_filt - min(p for p, _ in populated))
-        elif top is not None and min_step is not None and min_step >= 2:
-            # targets (p+r, q+1-r) need q+1-r <= top - (p+r) min_step
-            best = 2
-            for (p, q) in populated:
-                best = max(best, (top - q - 1 - p * min_step)
-                           // (min_step - 1))
-            r_bound = max(2, best)
-        if r_bound is None:
-            return CollapseCertificate(
-                "unknown", [], None,
-                "page range is unbounded for this generator pattern")
-    r_bound = min(r_bound, r_limit)
+    if not R.complete:
+        return CollapseCertificate(
+            "unknown", [], None,
+            "no monomial model: cells beyond the window are not enumerable")
+    max_p = max(p for p, _ in R.cells)
+    min_q = min(q for _, q in R.cells)
+    max_q = max(q for _, q in R.cells)
+    r_bound = min(max(max_p - min(p for p, _ in populated),
+                      max_q - min_q + 1, 2), r_limit)
     hits = []
     for r in range(2, r_bound + 1):
         for (p, q) in populated:
             tgt = (p + r, q + 1 - r)
             dim = R.cell_dim(*tgt)
-            if dim is None:
-                return CollapseCertificate(
-                    "unknown", hits, r_bound,
-                    f"cell {tgt} is outside the window and not enumerable")
             if dim:
                 hits.append(Differential(r, (p, q), tgt, dim))
     if hits:
@@ -200,14 +137,6 @@ def _monomial_exponents(R, total_degree, min_filtration):
 def ambiguity_basis(R, total_degree: int, min_filtration: int):
     """Basis monomials with the stated total degree and filtration at or
     above the threshold; complete within the computed exponent cutoffs."""
-    if R.generators is None:
-        if not getattr(R, "complete", False):
-            raise UnboundedSearchError("no monomial model available")
-        out = []
-        for (p, q), labels in sorted(R.cells.items()):
-            if p >= min_filtration and p + q == total_degree:
-                out.extend(labels)
-        return out
     found = []
     seen = set()
     for exps in _monomial_exponents(R, total_degree, min_filtration):

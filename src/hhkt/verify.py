@@ -163,7 +163,7 @@ def check_cup_strictly_associative(corpus, rng):
             w for (w, _) in cx.cell_basis(g.p + h.p, g.q + h.q)))
         lhs = cochain_cup(cochain_cup(f, g, mid_fg), h, words)
         rhs = cochain_cup(f, cochain_cup(g, h, mid_gh), words)
-        if lhs.values != rhs.values:
+        if lhs != rhs:
             return "fail", "cup is not strictly associative"
     return "pass", None
 
@@ -275,13 +275,14 @@ def check_oracle_vs_resolution(corpus, rng):
     }
     for name, A in corpus.items():
         window = windows[name]
-        bar = compute_hh_window(A, COEFF_SELF, window)
+        bar = {pq: dim for pq, dim in
+               compute_hh_window(A, COEFF_SELF, window).items() if dim}
         ring = hh_via_kt(A, window)
         kt = {pq: len(lbls) for pq, lbls in ring.cells.items() if lbls}
-        if bar.dims_table() != kt:
-            diff = {pq: (bar.dims_table().get(pq), kt.get(pq))
-                    for pq in set(bar.dims_table()) | set(kt)
-                    if bar.dims_table().get(pq) != kt.get(pq)}
+        if bar != kt:
+            diff = {pq: (bar.get(pq), kt.get(pq))
+                    for pq in set(bar) | set(kt)
+                    if bar.get(pq) != kt.get(pq)}
             return "fail", f"{name}: {diff}"
     return "pass", None
 

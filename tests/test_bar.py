@@ -3,6 +3,7 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhkt.algebra import Polynomial, parse_presentation
 from hhkt.bigraded import DegreeWindow
@@ -176,18 +177,27 @@ def test_cup_unit_and_associativity():
     cx = BarComplex(A, COEFF_SELF, window)
     one_cochain = unit_cochain(A)
     y1 = A.generator_monomial("y1")
-    f = Cochain(A, COEFF_SELF, 1, -5, {(y1,): A.one()})
+    f = Cochain(A, COEFF_SELF, 1, -5, {((y1,), A.unit_monomial()): 1})
     words1 = list(dict.fromkeys(w for (w, _) in cx.cell_basis(1, -5)))
-    assert cochain_cup(one_cochain, f, words1).values == f.values
-    assert cochain_cup(f, one_cochain, words1).values == f.values
+    assert cochain_cup(one_cochain, f, words1) == f
+    assert cochain_cup(f, one_cochain, words1) == f
 
-    g = Cochain(A, COEFF_SELF, 1, 0, {(y1,): Polynomial(A, {y1: 1})})
+    g = Cochain(A, COEFF_SELF, 1, 0, {((y1,), y1): 1})
     words3 = list(dict.fromkeys(w for (w, _) in cx.cell_basis(3, -10)))
     lhs = cochain_cup(cochain_cup(f, f, list(dict.fromkeys(
         w for (w, _) in cx.cell_basis(2, -10)))), g, words3)
     rhs = cochain_cup(f, cochain_cup(f, g, list(dict.fromkeys(
         w for (w, _) in cx.cell_basis(2, -5)))), words3)
-    assert lhs.values == rhs.values
+    assert (lhs.p, lhs.q) == (rhs.p, rhs.q) == (3, -10)
+    assert lhs == rhs
+
+
+def nonzero_dims(dims, window=None):
+    """The nonzero cells of a {cell: dim} table; with a window, also check
+    that the table has exactly the window's cells."""
+    if window is not None:
+        assert set(dims) == set(window.cells())
+    return {pq: d for pq, d in dims.items() if d}
 
 
 def expected_exterior_dims(degs, window):
@@ -209,7 +219,7 @@ def test_hh_window_exterior_char2():
     A = exterior(2, [5, 5])
     window = DegreeWindow(3, -16, 10)
     hh = compute_hh_window(A, COEFF_SELF, window)
-    assert hh.dims_table() == expected_exterior_dims([5, 5], window)
+    assert nonzero_dims(hh, window) == expected_exterior_dims([5, 5], window)
 
 
 def test_hh_window_center_is_algebra():
@@ -217,7 +227,7 @@ def test_hh_window_center_is_algebra():
     window = DegreeWindow(1, -6, 10)
     hh = compute_hh_window(A, COEFF_SELF, window)
     for q in range(-6, 11):
-        assert hh.dim(0, q) == A.dim_in_degree(q)
+        assert hh[(0, q)] == A.dim_in_degree(q)
 
 
 def test_hh_window_polynomial_infinite_dimensional():
@@ -230,7 +240,7 @@ def test_hh_window_polynomial_infinite_dimensional():
             p, q = eps, 2 * a - 2 * eps
             if window.contains(p, q):
                 expected[(p, q)] = expected.get((p, q), 0) + 1
-    assert hh.dims_table() == expected
+    assert nonzero_dims(hh, window) == expected
 
 
 def test_nu_dual_square_nonzero_on_bar_side():
@@ -313,7 +323,7 @@ def test_oracle_matches_koszul_tate(A, maxp, qmin, qmax):
     bar_side = compute_hh_window(A, COEFF_SELF, window)
     kt_side = hh_via_kt(A, window)
     kt_dims = {pq: len(lbls) for pq, lbls in kt_side.cells.items() if lbls}
-    assert bar_side.dims_table() == kt_dims
+    assert nonzero_dims(bar_side, window) == kt_dims
 
 
 def test_homology_window_exterior():
@@ -333,7 +343,8 @@ def test_homology_window_exterior():
                 t = base + 5 * k
                 if k <= 3 and t <= 16:
                     expected[(k, t)] = expected.get((k, t), 0) + 1
-    assert hom.dims_table() == expected
+    assert set(hom) == {(k, t) for k in range(4) for t in range(17)}
+    assert nonzero_dims(hom) == expected
 
 
 def test_homology_duality_with_dual_cochains():
@@ -341,9 +352,12 @@ def test_homology_duality_with_dual_cochains():
     window = DegreeWindow(2, -14, 0)
     hom = compute_hochschild_homology_window(A, window)
     coh = compute_hh_window(A, COEFF_DUAL, window)
-    for (k, t), cd in hom.cells.items():
+    compared = 0
+    for (k, t), dim in hom.items():
         if window.contains(k, -t):
-            assert coh.dim(k, -t) == cd.dim, (k, t)
+            assert coh[(k, -t)] == dim, (k, t)
+            compared += 1
+    assert compared == len(coh)
 
 
 def test_dual_cochain_differential_squares_zero():
@@ -392,6 +406,26 @@ def test_matrix_columns_are_cochain_differentials(path, coeff):
             assert M.column(j) == cx.cochain_vector(df), (p, q, j)
         checked += M.cols
     assert checked
+
+
+@given(st.sampled_from([COEFF_SELF, COEFF_DUAL]),
+       st.sampled_from([0, 1, 2]), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_cochain_vector_round_trip(coeff, which, rng):
+    """A cell vector survives the trip through a cochain, for both
+    coefficient kinds; its terms are keyed by the cell basis entries."""
+    A = [two_spheres_deg5(), exterior(3, [3]), truncated_poly_char2()][which]
+    window = DegreeWindow(3, -12, 8)
+    cx = BarComplex(A, coeff, window)
+    cells = [pq for pq in window.cells() if 0 < cx.estimate_cell(*pq) < 500]
+    p, q = cells[rng.randrange(len(cells))]
+    basis = cx.cell_basis(p, q)
+    assert basis
+    vec = tuple(rng.randrange(A.field.p) for _ in basis)
+    f = cx.vector_cochain(p, q, vec)
+    assert (f.coeff, f.p, f.q) == (coeff, p, q)
+    assert f.terms == {b: c for b, c in zip(basis, vec) if c}
+    assert cx.cochain_vector(f) == vec
 
 
 def test_dual_values_have_no_product():

@@ -51,7 +51,7 @@ def test_iota_round_trip_and_intertwining():
             words = list(dict.fromkeys(w for (_, w)
                                        in cx.cell_basis(k + 1, t)))
             rhs = cochain_differential(g, words)
-            assert lhs.values == rhs.values, (k, t, key)
+            assert lhs == rhs, (k, t, key)
 
 
 def test_pairing_descends():
@@ -146,7 +146,8 @@ def test_theta_unit_is_fundamental_dual():
     one = unit_label(ctx.ring)
     g = ctx.theta_cochain(
         ctx.kt_to_bar_cochain(ctx.ring.class_reps[one], 0, 0))
-    assert g.values == {(): DualValue(A, {ctx.pd.fundamental_class: 1})}
+    assert g.coeff == COEFF_DUAL and (g.p, g.q) == (0, -ctx.d)
+    assert g.terms == {((), ctx.pd.fundamental_class): 1}
 
 
 def test_theta_equals_postcomposition_with_duality():
@@ -161,14 +162,13 @@ def test_theta_equals_postcomposition_with_duality():
             f = ctx.bar_self.vector_cochain(p, q, rep)
             lhs = ctx.bar_dual.express_class(ctx.theta_cochain(f))
             values = {}
-            for w, poly in f.values.items():
-                acc = DualValue(A)
-                for m, c in poly.terms.items():
-                    acc = acc + dual_left_action(
-                        A, m, DualValue(A, {ctx.pd.fundamental_class: 1})
-                    ).scale(c)
-                values[w] = acc
-            g2 = Cochain(A, COEFF_DUAL, p, q - ctx.d, values)
+            for (w, m), c in f.terms.items():
+                values[w] = values.get(w, DualValue(A)) + dual_left_action(
+                    A, m, DualValue(A, {ctx.pd.fundamental_class: 1})
+                ).scale(c)
+            g2 = Cochain(A, COEFF_DUAL, p, q - ctx.d,
+                         {(w, n): c for w, v in values.items()
+                          for n, c in v.terms.items()})
             rhs = ctx.bar_dual.express_class(g2)
             assert lhs == rhs, (p, q)
 

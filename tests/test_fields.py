@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhkt.fields import (ComplexViolationError, FieldError, LinearSystem,
-                         PrimeField, SparseMatrix, SubspaceReducer, _rref,
-                         cohomology_cell, rank_kernel_image, rref)
+                         PrimeField, SparseMatrix, _rref, cohomology_cell,
+                         kernel_basis_from_rref, rank_kernel_image, rref)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -149,6 +149,14 @@ def test_cohomology_cell_violation_witness():
     with pytest.raises(ComplexViolationError) as err:
         cohomology_cell(d_in, d_out)
     assert any(err.value.witness)
+    # column 0 of d_in is a cycle, column 1 is not: the first failing
+    # column is reported with its dense image under d_out
+    d_out = SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 2}, F5)
+    d_in = SparseMatrix(3, 2, {(2, 0): 3, (0, 1): 1, (1, 1): 1}, F5)
+    with pytest.raises(ComplexViolationError) as err:
+        cohomology_cell(d_in, d_out)
+    assert err.value.source_index == 1
+    assert err.value.witness == (1, 2)
 
 
 def test_cohomology_cell_dims_shuffle_invariant():
@@ -200,10 +208,42 @@ def test_restricted_pivots_match_full_rref(p, rng):
     assert (solver.pivots, block) == _dense_rref(M)
 
 
-def test_subspace_reducer():
-    red = SubspaceReducer(3, F2)
-    assert red.add((1, 0, 1))
-    assert red.add((0, 1, 0))
-    assert not red.add((1, 1, 1))
-    assert red.contains((1, 1, 1))
-    assert not red.contains((0, 0, 1))
+def _dense_rank(columns, nrows, field):
+    return len(_dense_rref(
+        SparseMatrix.from_columns(nrows, columns, field))[0])
+
+
+@given(st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_cohomology_cell_on_random_complexes(p, rng):
+    """dim = dim ker - rank d_in, and the representatives are exactly the
+    kernel vectors that raise the rank of [image | earlier kernel vectors],
+    both against the dense reference elimination."""
+    field = PrimeField(p)
+    n = rng.randrange(0, 7)
+    d_out = _random_sparse(rng, rng.randrange(0, 5), n, p)
+    piv, rows = _dense_rref(d_out)
+    ker = kernel_basis_from_rref(piv, rows, n, field)
+    # d_in: random combinations of kernel vectors, so d_out . d_in = 0
+    in_cols = []
+    for _ in range(rng.randrange(0, 5)):
+        col = [0] * n
+        for v in ker:
+            c = rng.randrange(p)
+            col = [(x + c * y) % p for x, y in zip(col, v)]
+        in_cols.append(tuple(col))
+    d_in = SparseMatrix.from_columns(n, in_cols, field)
+    hom = cohomology_cell(d_in, d_out)
+    rank_in = _dense_rank(in_cols, n, field)
+    assert len(hom.kernel_basis) == n - len(piv)
+    for v in hom.kernel_basis:
+        assert not any(d_out.mul_vec(v))
+    assert hom.dim == len(hom.kernel_basis) - rank_in
+    assert len(hom.image_basis) == rank_in
+    assert all(v in in_cols for v in hom.image_basis)
+    expected = []
+    for i, v in enumerate(hom.kernel_basis):
+        before = in_cols + hom.kernel_basis[:i]
+        if _dense_rank(before + [v], n, field) > _dense_rank(before, n, field):
+            expected.append(v)
+    assert hom.representatives == expected
