@@ -174,36 +174,47 @@ def _rref(M: SparseMatrix, npivot_cols):
     """RREF of M with pivots only in columns < npivot_cols.
 
     Returns (pivot_cols, rref rows as dicts).  Rows are chosen
-    Markowitz-style (fewest entries first).
+    Markowitz-style (fewest entries first); a column -> rows index, kept up
+    to date during the elimination, lists each pivot column's candidates.
     """
     p = M.field.p
     work = [dict() for _ in range(M.rows)]
+    holders = {}   # pivot column -> the unpivoted rows with an entry there
     for (r, c), v in M.entries.items():
         work[r][c] = v
-    active = [r for r in range(M.rows) if work[r]]
+        if c < npivot_cols:
+            holders.setdefault(c, set()).add(r)
     done = []      # list of (pivot_col, row dict), in pivot order
     for col in range(npivot_cols):
-        candidates = [r for r in active if work[r].get(col)]
+        candidates = holders.pop(col, None)
         if not candidates:
             continue
         # cheapest row first: exact result is pivot-independent (RREF is
         # unique), this only limits fill-in
         r0 = min(candidates, key=lambda r: (len(work[r]), r))
+        candidates.discard(r0)
         row = work[r0]
-        active.remove(r0)
+        for c in row:
+            if col < c < npivot_cols:
+                holders[c].discard(r0)
         inv = pow(row[col], p - 2, p)
         row = {c: (v * inv) % p for c, v in row.items()}
-        for r in active:
-            f = work[r].get(col)
-            if f:
-                tgt = work[r]
-                for c, v in row.items():
-                    nv = (tgt.get(c, 0) - f * v) % p
-                    if nv:
-                        tgt[c] = nv
-                    elif c in tgt:
-                        del tgt[c]
-        active = [r for r in active if work[r]]
+        # every unpivoted row is zero left of col, so only later columns
+        # of the index change
+        for r in candidates:
+            tgt = work[r]
+            f = tgt[col]
+            for c, v in row.items():
+                old = tgt.get(c)
+                nv = ((old or 0) - f * v) % p
+                if nv:
+                    if old is None and c < npivot_cols:
+                        holders.setdefault(c, set()).add(r)
+                    tgt[c] = nv
+                elif old is not None:
+                    del tgt[c]
+                    if col < c < npivot_cols:
+                        holders[c].discard(r)
         # back-eliminate into earlier pivot rows for full RREF
         for _, prow in done:
             f = prow.get(col)

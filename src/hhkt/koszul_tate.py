@@ -20,9 +20,13 @@ element is (-p, t) and its total degree t - p.
 
 Per-E-monomial data is computed once per resolution and reused: the
 diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
-and its internal degree.  Every cup product reads D(alpha) from that cache,
-and every cell of the Hom complex reads d(alpha) from it; diagonal_mono
-itself stays uncached, so checks that call it see a fresh computation.
+and its internal degree; diagonal_mono itself stays uncached, so checks
+that call it see a fresh computation.  The terms of D(alpha) over a level
+are grouped once by their (a_e, b_e) slots, so the cup product
+(a . e1*) cup (b . e2*) of basis cochains walks only the entries of
+(e1, e2) (cup_on_basis).  Beyond the window, cell dimensions of the
+monomial model are counted, sum_t N(p, t) dim A_{t+q}, from the number
+N(p, t) of E-monomials per level and internal degree (emono_counts).
 """
 
 from __future__ import annotations
@@ -89,11 +93,17 @@ class KTResolution:
         self._dmat_cache = {}
         self._solver_cache = {}
         self._diag_cache = {}
-        self._alpha_diag_cache = {}
+        self._cup_tables = {}
         self._alpha_d_cache = {}
         self._tcell_cache = {}
         self._tmat_cache = {}
         self._tsolver_cache = {}
+        self._count_cache = {}
+        # (level step, internal degree, unbounded power) per generator
+        self.count_generators = (
+            tuple((1, d, True) for d in self.nu_degrees)
+            + tuple((1, d, False) for d in self.u_degrees)
+            + tuple((2, d, True) for d in self.w_degrees))
 
     # -- degrees ------------------------------------------------------------
 
@@ -337,6 +347,26 @@ def emonos_at_level(R: KTResolution, level: int):
     out.sort(key=lambda e: (e.nu, e.u, e.w))
     R._emono_cache[level] = out
     return out
+
+
+def emono_counts(R: KTResolution, level: int, k: int | None = None):
+    """{internal degree: number of E-monomials} at one level, counted over
+    the first k generators (all by default) without enumerating them: a
+    monomial either omits generator k or is generator k times a monomial
+    one step lower that may still use it (unless it is a u)."""
+    k = len(R.count_generators) if k is None else k
+    counts = R._count_cache.get((k, level))
+    if counts is None:
+        if level < 0 or k == 0:
+            counts = {0: 1} if level == 0 else {}
+        else:
+            step, deg, unbounded = R.count_generators[k - 1]
+            counts = dict(emono_counts(R, level, k - 1))
+            lower = emono_counts(R, level - step, k if unbounded else k - 1)
+            for t, n in lower.items():
+                counts[t + deg] = counts.get(t + deg, 0) + n
+        R._count_cache[(k, level)] = counts
+    return counts
 
 
 def _compositions(total, parts):
@@ -665,21 +695,27 @@ def diagonal_mono(R: KTResolution, m: KTMono) -> KTTensorElement:
     return _act_tensor(R, m[0], m[1], acc)
 
 
-def _diagonal_terms(R: KTResolution, alpha: EMono):
-    """D(1 (x) 1 . alpha), computed once per alpha, as a flat tuple of
-    (lamL, lamM, a_e, lamR, b_e, coeff, left slot's total degree odd) in
-    the order diagonal_mono produces the terms."""
-    terms = R._alpha_diag_cache.get(alpha)
-    if terms is None:
+def _cup_table(R: KTResolution, level: int):
+    """The terms of D(1 (x) 1 . alpha) over every alpha of one level, built
+    once per level from one diagonal_mono call per alpha and grouped by
+    their (a_e, b_e) slots, in level order.  An entry is (alpha, lamL lamM
+    as (monomial, coeff) pairs, lamR, coeff, |lamL lamM| odd, |lamR| plus
+    the left slot's total degree odd)."""
+    table = R._cup_tables.get(level)
+    if table is None:
         A = R.algebra
         one = A.unit_monomial()
-        terms = tuple(
-            (lamL, lamM, a_e, lamR, b_e, c,
-             (A.mono_degree(lamL) + A.mono_degree(lamM) + R.e_total(a_e)) % 2)
-            for (lamL, lamM, a_e, lamR, b_e), c in
-            diagonal_mono(R, (one, one, alpha)).terms.items())
-        R._alpha_diag_cache[alpha] = terms
-    return terms
+        table = {}
+        for alpha in emonos_at_level(R, level):
+            diag = diagonal_mono(R, (one, one, alpha))
+            for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
+                lam_deg = A.mono_degree(lamL) + A.mono_degree(lamM)
+                right_deg = A.mono_degree(lamR) + lam_deg + R.e_total(a_e)
+                table.setdefault((a_e, b_e), []).append(
+                    (alpha, tuple(A.mul_monomials(lamL, lamM)), lamR, c,
+                     lam_deg % 2, right_deg % 2))
+        R._cup_tables[level] = table
+    return table
 
 
 def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
@@ -736,32 +772,47 @@ class DualRingElement:
         return out
 
 
-def cup_via_diagonal(f: DualRingElement, g: DualRingElement,
-                     target_emonos) -> DualRingElement:
-    """(f cup g)(alpha) = (f (x) g)(D alpha); reproduces the dual-basis
-    product rules as computed output.  D alpha comes from the per-alpha
-    cache, and terms on which f or g has no value are skipped unevaluated."""
-    R = f.R
+def cup_on_basis(R: KTResolution, e1: EMono, a: Monomial, f_odd,
+                 e2: EMono, b: Monomial, g_odd):
+    """(a . e1*) cup (b . e2*) for cochains of total degree parities f_odd
+    and g_odd, as {(alpha, monomial): coeff}.  Walks only the table entries
+    of (e1, e2); each term of D(alpha) is evaluated as eval_term does:
+    (lamL lamM) a times lamR b, with sign
+    (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
     A = R.algebra
+    p = R.field.p
     one = A.unit_monomial()
-    g_odd = g.degree % 2
-    values = {}
-    for alpha in target_emonos:
-        total = A.zero()
-        for lamL, lamM, a_e, lamR, b_e, c, odd in _diagonal_terms(R, alpha):
-            if a_e not in f.values or b_e not in g.values:
-                continue
-            f_val = f.eval_term(lamL, lamM, a_e)
-            if f_val.is_zero():
-                continue
-            g_val = g.eval_term(one, lamR, b_e)
-            if g_val.is_zero():
-                continue
-            sign = -1 if g_odd and odd else 1
-            total = total + (f_val * g_val).scale(sign * c)
-        if not total.is_zero():
-            values[alpha] = total
-    return DualRingElement(R, f.degree + g.degree, values)
+    table = _cup_table(R, R.e_level(e1) + R.e_level(e2))
+    out = {}
+    for alpha, lam, lamR, c, lam_odd, right_odd in table.get((e1, e2), ()):
+        if (lam_odd * f_odd + right_odd * g_odd) % 2:
+            c = -c
+        rights = A.mul_monomials(lamR, b) if lamR != one else ((b, 1),)
+        for lm, lc in lam:
+            lefts = A.mul_monomials(lm, a) if lm != one else ((a, 1),)
+            for (fm, fc), (gm, gc) in itertools.product(lefts, rights):
+                for m, mc in A.mul_monomials(fm, gm):
+                    key = (alpha, m)
+                    out[key] = (out.get(key, 0) + c * lc * fc * gc * mc) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def cup_via_diagonal(f: DualRingElement, g: DualRingElement):
+    """(f cup g)(alpha) = (f (x) g)(D alpha): the bilinear extension of
+    cup_on_basis over the values of f and g."""
+    R = f.R
+    f_odd, g_odd = f.degree % 2, g.degree % 2
+    acc = {}
+    for (e1, f_poly), (e2, g_poly) in itertools.product(f.values.items(),
+                                                        g.values.items()):
+        for (a, ca), (b, cb) in itertools.product(f_poly.terms.items(),
+                                                  g_poly.terms.items()):
+            cup = cup_on_basis(R, e1, a, f_odd, e2, b, g_odd)
+            for (alpha, m), c in cup.items():
+                terms = acc.setdefault(alpha, {})
+                terms[m] = terms.get(m, 0) + ca * cb * c
+    return DualRingElement(R, f.degree + g.degree, {
+        alpha: Polynomial(R.algebra, terms) for alpha, terms in acc.items()})
 
 
 # -- HH via the resolution -----------------------------------------------------
@@ -782,6 +833,7 @@ class KTRing:
         self.window = window
         self.complete = False
         self._product_cache = {}
+        self._bidegrees = {}
         self._build()
 
     # each cell: list of labels; label = (a: Monomial, e: EMono) in the
@@ -923,23 +975,31 @@ class KTRing:
     # -- queries ---------------------------------------------------------
 
     def bidegree(self, label):
-        if label[0] == "m":
-            _, e, a = label
-            return (self.R.e_level(e),
-                    self.algebra.mono_degree(a) - self.R.e_internal(e))
-        _, p, q, _ = label
-        return (p, q)
+        bideg = self._bidegrees.get(label)
+        if bideg is None:
+            if label[0] == "m":
+                _, e, a = label
+                bideg = (self.R.e_level(e),
+                         self.algebra.mono_degree(a) - self.R.e_internal(e))
+            else:
+                bideg = label[1:3]
+            self._bidegrees[label] = bideg
+        return bideg
 
     def total_degree(self, label):
         p, q = self.bidegree(label)
         return p + q
 
     def cell_dim(self, p, q):
-        """Dimension of a cell, beyond the window if a model exists."""
+        """Dimension of a cell; beyond the window, when the model is
+        A (x) E-dual, sum_t N(p, t) dim A_{t+q} over the E-monomial counts
+        N of level p."""
         if (p, q) in self.cells:
             return len(self.cells[(p, q)])
         if self.differential_vanishes:
-            return len(self._cell_pairs(p, q)) if p >= 0 else 0
+            A = self.algebra
+            return sum(n * A.dim_in_degree(t + q)
+                       for t, n in emono_counts(self.R, p).items())
         return None
 
     def label_str(self, label):
@@ -978,23 +1038,20 @@ class KTRing:
                                   f"the window")
         pa, qa = self.bidegree(la)
         pb, qb = self.bidegree(lb)
-        p, q = pa + pb, qa + qb
-        f = self.class_reps[la]
-        g = self.class_reps[lb]
-        cup = cup_via_diagonal(f, g, emonos_at_level(self.R, p))
-        out = self._express(cup, p, q)
+        if self.differential_vanishes:
+            # the monomial model extends beyond the window
+            (_, e1, a), (_, e2, b) = la, lb
+            cup = cup_on_basis(self.R, e1, a, (pa + qa) % 2,
+                               e2, b, (pb + qb) % 2)
+            out = {("m", e, m): c for (e, m), c in cup.items()}
+        else:
+            cup = cup_via_diagonal(self.class_reps[la], self.class_reps[lb])
+            out = self._express(cup, pa + pb, qa + qb)
         self._product_cache[key] = out
         return out
 
     def _express(self, dual: DualRingElement, p, q):
-        """Coordinates of a cocycle's class in the cell basis."""
-        if self.differential_vanishes:
-            # the monomial model extends beyond the window
-            out = {}
-            for e, poly in dual.values.items():
-                for a, c in poly.terms.items():
-                    out[("m", e, a)] = c
-            return out
+        """Coordinates of a cocycle's class in the homology cell basis."""
         if not self.window.contains(p, q):
             raise WindowError(f"cell ({p},{q}) outside window")
         basis = self._cell_pairs(p, q)

@@ -2,8 +2,10 @@
 
 Pins the sha256 of the `compute` and `oracle` documents of every
 presentation in scripts/presentations/, of the `bv` documents of those that
-scripts/run_corpus.py runs it on, and of `verify --seed 0`.  A change that
-is meant to alter results must re-record these hashes and say why.
+scripts/run_corpus.py runs it on, of `verify --seed 0`, and of the `compute`
+documents of three benchmark inputs whose product tables and collapse
+certificates are large.  A change that is meant to alter results must
+re-record these hashes and say why.
 """
 
 import hashlib
@@ -13,8 +15,9 @@ import pytest
 
 from hhkt.cli import main
 
-PRESENTATIONS = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
-    / "presentations"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PRESENTATIONS = ROOT / "scripts" / "presentations"
+BENCH_INPUTS = ROOT / "perfbench" / "inputs"
 
 COMPUTE_SHA256 = {
     "ext1_deg3_char3":
@@ -60,6 +63,18 @@ BV_SHA256 = {
         "a05772869ecfb947496a74092069909bb94c46f071d322cf47ddffe9f1ef3bff",
 }
 
+# ext3_deg5_char2: 2 697 product rows; poly2_deg2_char2: 14 721 product
+# rows; mixed_ext3_trunc3_char3: an "obstructed" certificate with 22
+# potential differentials into cells beyond the window
+BENCH_COMPUTE_SHA256 = {
+    "ext3_deg5_char2":
+        "58f4db88888336b5b07369644f0b7c0446e5be1d03db1c9ebd947b602953c60e",
+    "poly2_deg2_char2":
+        "933a0125de797d9c0c96a32deecaed511d6bad8bc53e45a9c841d557e7b61b24",
+    "mixed_ext3_trunc3_char3":
+        "77fcc73822908b79bdabc76bae02a35ebcdc81bbfde789a68e234b929ba101f5",
+}
+
 VERIFY_SEED0_SHA256 = \
     "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86"
 
@@ -80,6 +95,13 @@ def test_compute_document_is_unchanged(capsys, name):
     path = PRESENTATIONS / f"{name}.json"
     assert _stdout_sha256(capsys, ["compute", "--input", str(path)]) \
         == COMPUTE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_COMPUTE_SHA256))
+def test_benchmark_compute_document_is_unchanged(capsys, name):
+    path = BENCH_INPUTS / f"{name}.json"
+    assert _stdout_sha256(capsys, ["compute", "--input", str(path)]) \
+        == BENCH_COMPUTE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SHA256))

@@ -154,12 +154,8 @@ def test_diagonal_coassociative_nu_u():
     y1 = DualRingElement.basis_element(R, R.unit_emono(),
                                        A.generator_monomial("y1"))
     for f, g, h in itertools.product([nu1, nu2, y1], repeat=3):
-        lvl = sum(R.e_level(next(iter(x.values))) for x in (f, g, h))
-        alphas = emonos_at_level(R, lvl)
-        fg_h = cup_via_diagonal(cup_via_diagonal(f, g, emonos_at_level(
-            R, lvl - R.e_level(next(iter(h.values))))), h, alphas)
-        f_gh = cup_via_diagonal(f, cup_via_diagonal(g, h, emonos_at_level(
-            R, lvl - R.e_level(next(iter(f.values))))), alphas)
+        fg_h = cup_via_diagonal(cup_via_diagonal(f, g), h)
+        f_gh = cup_via_diagonal(f, cup_via_diagonal(g, h))
         assert fg_h.values == f_gh.values
 
 
@@ -169,25 +165,25 @@ def test_dual_basis_product_rules():
     A = R.algebra
     one = A.unit_monomial()
     nu1 = DualRingElement.basis_element(R, EMono((1, 0), 0, ()), one)
-    sq = cup_via_diagonal(nu1, nu1, emonos_at_level(R, 2))
+    sq = cup_via_diagonal(nu1, nu1)
     assert set(sq.values) == {EMono((2, 0), 0, ())}
     assert sq.values[EMono((2, 0), 0, ())] == A.one()
 
     g2 = DualRingElement.basis_element(R, EMono((2, 0), 0, ()), one)
-    cube = cup_via_diagonal(sq, nu1, emonos_at_level(R, 3))
+    cube = cup_via_diagonal(sq, nu1)
     assert set(cube.values) == {EMono((3, 0), 0, ())}
 
     # u* . u* = 0 in the relation-free polynomial case
     Rp = build_resolution(polynomial(3, [2, 2]))
     onep = Rp.algebra.unit_monomial()
     u1 = DualRingElement.basis_element(Rp, EMono((), 1, ()), onep)
-    sq_u = cup_via_diagonal(u1, u1, emonos_at_level(Rp, 2))
+    sq_u = cup_via_diagonal(u1, u1)
     assert sq_u.is_zero()
 
     # unit coefficients pass through: (y1 (x) 1) . (1 (x) nu1*) = y1 (x) nu1*
     y1 = DualRingElement.basis_element(R, R.unit_emono(),
                                        A.generator_monomial("y1"))
-    prod = cup_via_diagonal(y1, nu1, emonos_at_level(R, 1))
+    prod = cup_via_diagonal(y1, nu1)
     assert set(prod.values) == {EMono((1, 0), 0, ())}
     assert prod.values[EMono((1, 0), 0, ())] == Polynomial(
         A, {A.generator_monomial("y1"): 1})
@@ -317,7 +313,7 @@ def test_truncated_cup_u_square_is_w():
     R = build_resolution(truncated_poly_char2())
     one = R.algebra.unit_monomial()
     u = DualRingElement.basis_element(R, EMono((), 1, (0,)), one)
-    sq = cup_via_diagonal(u, u, emonos_at_level(R, 2))
+    sq = cup_via_diagonal(u, u)
     assert set(sq.values) == {EMono((), 0, (1,))}
     assert sq.values[EMono((), 0, (1,))] == R.algebra.one()
 
@@ -385,16 +381,18 @@ def test_phi_rejects_non_cycles():
         phi({(unit, (y1, y2)): 1}, R, xi)
 
 
-def _direct_cup(fresh, f, g, alphas):
+def _direct_cup(fresh, diagonals, f, g, alphas):
     """(f (x) g)(D alpha) evaluated on every term of diagonal_mono, called
-    uncached on a resolution of its own."""
+    uncached on a resolution of its own (once per alpha: diagonals keeps
+    the results)."""
     A = fresh.algebra
     one = A.unit_monomial()
     values = {}
     for alpha in alphas:
+        if alpha not in diagonals:
+            diagonals[alpha] = diagonal_mono(fresh, (one, one, alpha))
         total = A.zero()
-        diag = diagonal_mono(fresh, (one, one, alpha))
-        for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
+        for (lamL, lamM, a_e, lamR, b_e), c in diagonals[alpha].terms.items():
             left_total = (A.mono_degree(lamL) + A.mono_degree(lamM)
                           + fresh.e_total(a_e))
             sign = -1 if (g.degree * left_total) % 2 else 1
@@ -414,34 +412,56 @@ def _mixed_f3():
                         GradedGenerator("x1", 2, "polynomial")], ["x1^3"])
 
 
+# name: (presentation, window, whether some diagonal term has a lambda != 1)
 CUP_CASES = {
     "exterior_monomial_model": (lambda: exterior(2, [3, 3]),
-                                DegreeWindow(3, -12, 6)),
+                                DegreeWindow(3, -12, 6), False),
     "relation_homology_path": (
         lambda: polynomial(2, [2, 2], ["x1^2 + x1*x2"]),
-        DegreeWindow(2, -6, 6)),
-    "odd_characteristic": (_mixed_f3, DegreeWindow(2, -10, 10)),
+        DegreeWindow(2, -6, 6), False),
+    "odd_characteristic": (_mixed_f3, DegreeWindow(2, -10, 10), True),
+    # trunc_x2_deg4_char2: w generators, but the x^2 diagonal correction
+    # is u (x) u, so every lambda is 1
+    "truncated_w_generators": (truncated_poly_char2,
+                               DegreeWindow(5, -24, 6), False),
+    "quartic_w_generators": (lambda: polynomial(2, [2], ["x1^4"]),
+                             DegreeWindow(4, -12, 6), True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CUP_CASES))
 def test_cached_cup_matches_direct_evaluation(case):
-    build, window = CUP_CASES[case]
+    """On every ordered pair of basis classes, the table-driven product
+    equals (f (x) g)(D alpha) computed from an uncached diagonal."""
+    build, window, lambdas = CUP_CASES[case]
     A = build()
     ring = hh_via_kt(A, window)
     fresh = build_resolution(A)
+    diagonals = {}
     labels = [lbl for _, lbls in sorted(ring.cells.items()) for lbl in lbls]
     nonzero = 0
     for la, lb in itertools.product(labels, repeat=2):
-        p = ring.bidegree(la)[0] + ring.bidegree(lb)[0]
-        if p > window.max_p:
-            continue
+        (pa, qa), (pb, qb) = ring.bidegree(la), ring.bidegree(lb)
+        p, q = pa + pb, qa + qb
         f, g = ring.class_reps[la], ring.class_reps[lb]
-        alphas = emonos_at_level(ring.R, p)
-        cup = cup_via_diagonal(f, g, alphas)
-        assert cup.values == _direct_cup(fresh, f, g, alphas), (la, lb)
-        nonzero += not cup.is_zero()
+        ref = _direct_cup(fresh, diagonals, f, g, emonos_at_level(fresh, p))
+        assert cup_via_diagonal(f, g).values == ref, (la, lb)
+        if ring.differential_vanishes:
+            expected = {("m", alpha, m): c for alpha, poly in ref.items()
+                        for m, c in poly.terms.items()}
+        elif window.contains(p, q):
+            expected = ring._express(
+                DualRingElement(ring.R, f.degree + g.degree, ref), p, q)
+        else:
+            continue
+        assert ring.product(la, lb) == expected, (la, lb)
+        nonzero += bool(expected)
     assert nonzero >= 10
+    one = A.unit_monomial()
+    assert lambdas == any(
+        (lamL, lamM, lamR) != (one, one, one)
+        for diag in diagonals.values()
+        for lamL, lamM, _, lamR, _ in diag.terms)
 
 
 def test_product_table_computes_each_alpha_once(monkeypatch):

@@ -1,7 +1,13 @@
+import json
+import pathlib
+
 import pytest
 
+import hhkt.koszul_tate as kt
+from hhkt.algebra import parse_presentation
 from hhkt.bigraded import DegreeWindow, RingGenerator
 from hhkt.bv import BVContext
+from hhkt.cli import main
 from hhkt.koszul_tate import hh_via_kt
 from hhkt.spectral import (ExplicitBigradedRing, UnboundedSearchError,
                            ambiguity_basis, collapse_certificate,
@@ -29,6 +35,58 @@ def test_collapse_certificate_polynomial():
     ring = hh_via_kt(polynomial(2, [2, 2]), DegreeWindow(2, -10, 10))
     cert = collapse_certificate(ring)
     assert cert.status == "collapse"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# every presentation with a monomial model A (x) E-dual, one of them with an
+# "obstructed" certificate whose targets lie beyond the window
+MONOMIAL_MODEL_INPUTS = sorted(
+    (ROOT / "scripts" / "presentations").glob("*.json")) + [
+    ROOT / "perfbench" / "inputs" / "mixed_ext3_trunc3_char3.json"]
+
+
+def _ring_from_file(path):
+    doc = json.loads(path.read_text())
+    win = doc["window"]
+    return hh_via_kt(parse_presentation(doc), DegreeWindow(
+        win["max_filtration"], win["q_min"], win["q_max"]))
+
+
+@pytest.mark.parametrize("path", MONOMIAL_MODEL_INPUTS, ids=lambda p: p.stem)
+def test_counted_cell_dims_match_enumeration(path, monkeypatch):
+    """The counted dimension of every cell the certificate visits equals
+    the length of its enumerated basis."""
+    ring = _ring_from_file(path)
+    assert ring.differential_vanishes
+    counted = ring.cell_dim
+    visited = []
+
+    def spy(p, q):
+        visited.append((p, q))
+        return counted(p, q)
+    monkeypatch.setattr(ring, "cell_dim", spy)
+    collapse_certificate(ring)
+    assert any(not ring.window.contains(p, q) for p, q in visited)
+    for p, q in visited:
+        assert counted(p, q) == len(ring._cell_pairs(p, q)), (p, q)
+
+
+@pytest.mark.parametrize("path", MONOMIAL_MODEL_INPUTS, ids=lambda p: p.stem)
+def test_compute_enumerates_no_level_beyond_the_window(path, monkeypatch,
+                                                       capsys):
+    """`compute` lists E-monomials only up to level max_p + 2: the target
+    of the last differential whose vanishing decides the monomial model."""
+    real = kt.emonos_at_level
+    levels = []
+
+    def counting(R, level):
+        levels.append(level)
+        return real(R, level)
+    monkeypatch.setattr(kt, "emonos_at_level", counting)
+    assert main(["compute", "--input", str(path)]) == 0
+    capsys.readouterr()
+    max_p = json.loads(path.read_text())["window"]["max_filtration"]
+    assert levels and max(levels) <= max_p + 2
 
 
 def test_collapse_single_cell():
