@@ -362,14 +362,8 @@ class AlgebraPresentation:
         """Top nonzero degree for finite-dimensional algebras, else None."""
         if self.n_poly == 0:
             return sum(self.ext_degrees)
-        if self._pure_power_caps is not None:
-            if len(self._pure_power_caps) != self.n_poly:
-                return None
-            top_poly = sum((cap - 1) * self.poly_degrees[j]
-                           for j, cap in self._pure_power_caps.items())
-            return top_poly + sum(self.ext_degrees)
-        # general case: the quotient by a regular sequence of length m in n
-        # variables is finite-dimensional iff m = n; its socle degree is
+        # the quotient by a regular sequence of length m in n variables is
+        # finite-dimensional iff m = n; its socle degree is
         # sum(deg rho_i) - sum(deg x_j)
         if len(self.relations) != self.n_poly:
             return None

@@ -18,7 +18,9 @@ the coboundary matrices, and the right-hand side of the comparison map in
 koszul_tate.  A coboundary matrix is assembled row by row: the faces of
 each target word are walked once and scattered onto the source basis
 cochains that live on the face words.  The Connes boundary is the printed
-cyclic-rotation sum with terms containing a unit entry dropped.
+cyclic-rotation sum with terms containing a unit entry dropped; each
+rotation carries the Koszul sign of moving the suspended entries before it
+past the rest.
 
 A cochain is a LinComb keyed (word, n), exactly like the entries of its
 cell basis, so converting between a cochain and its cell vector copies
@@ -26,6 +28,11 @@ keys.  Its value on a word is a Polynomial (sum of the n) for
 coefficients in the algebra itself, or a DualValue (sum of the duals of
 the n, a bimodule without a product) for dual coefficients; these values
 are built only where a differential or a cup product needs them.
+
+BarComplex (cochain cells (p, q)) and ChainComplexCells (chain cells
+(k, t)) are fields.CellComplex subclasses: cell vectors, solves and
+homology classes are reached through the base, on the terms of a Cochain
+or a ChainElement.
 
 Cochain cells with coefficients in the algebra itself are finite either
 because the algebra is finite-dimensional or, for free polynomial parts,
@@ -40,8 +47,8 @@ from dataclasses import dataclass
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial)
-from .bigraded import DegreeWindow, WindowError
-from .fields import LinComb, SparseMatrix, cohomology_cell
+from .bigraded import DegreeWindow
+from .fields import CellComplex, LinComb, SparseMatrix
 
 COEFF_SELF = "self"
 COEFF_DUAL = "dual"
@@ -137,25 +144,27 @@ def hochschild_b(c: ChainElement) -> ChainElement:
 
 def connes_boundary(c: ChainElement) -> ChainElement:
     """B(a_0[a_1|..|a_k]) as the printed cyclic-rotation sum; rotations
-    whose bracket would contain the unit are dropped (normalization)."""
+    whose bracket would contain the unit are dropped (normalization).
+
+    The rotation starting at a_i has the Koszul sign (-1)^{F_i B_i} of
+    moving the suspended entries before it past those from it on:
+    F_i = sum_{j<i} |s a_j| and B_i = sum_{j>=i} |s a_j|, with
+    |s a_0| = |a_0| - 1."""
     A = c.A
     out = {}
     unit = A.unit_monomial()
     for (a0, word), coeff in c.terms.items():
         if a0 == unit:
             continue
-        k = len(word)
-        d0 = A.mono_degree(a0)
-        eps_top = d0 + word_suspension(A, word)
         entries = (a0,) + word
-        eps = d0
-        for i in range(k + 1):
-            if i > 0:
-                eps += A.mono_degree(word[i - 1]) - 1
-            sgn = -1 if ((eps + 1) * (eps_top - eps)) % 2 else 1
-            rotated = entries[i:] + entries[:i]
-            key = (unit, rotated)
+        front, back = 0, A.mono_degree(a0) - 1 + word_suspension(A, word)
+        for i, a in enumerate(entries):
+            sgn = -1 if (front * back) % 2 else 1
+            key = (unit, entries[i:] + entries[:i])
             out[key] = out.get(key, 0) + coeff * sgn
+            s = A.mono_degree(a) - 1
+            front += s
+            back -= s
     return ChainElement(A, out)
 
 
@@ -388,17 +397,14 @@ class CellBlowupError(RuntimeError):
         self.estimate = estimate
 
 
-class _WordCells:
-    """The caches of one bar-side cell complex: words of the augmentation
-    ideal by (length, internal degree), and per-cell bases, matrices and
-    homology."""
+class _WordCells(CellComplex):
+    """A bar-side cell complex: its cells are built from the words of the
+    augmentation ideal, cached by (length, internal degree)."""
 
     def __init__(self, A: AlgebraPresentation):
+        super().__init__(A.field)
         self.A = A
         self._words = {}
-        self._cells = {}
-        self._mats = {}
-        self._hom = {}
 
     def words(self, k, S):
         """Words of length k and internal degree S, in a fixed order."""
@@ -418,8 +424,8 @@ class _WordCells:
 
 
 class BarComplex(_WordCells):
-    """Lazy (p, q)-cell bases and differential matrices for one coefficient
-    side of the Hochschild cochain complex."""
+    """The (p, q) cochain cells of one coefficient side of the Hochschild
+    cochain complex: basis entries (word, n), the keys of a Cochain."""
 
     def __init__(self, A: AlgebraPresentation, coeff: str,
                  window: DegreeWindow, cell_limit=200000):
@@ -447,10 +453,7 @@ class BarComplex(_WordCells):
                 lo = max(lo, -q - self.top)
         return range(lo, hi + 1) if hi >= lo else range(0)
 
-    def cell_basis(self, p, q):
-        key = (p, q)
-        if key in self._cells:
-            return self._cells[key]
+    def _basis(self, p, q):
         out = []
         for S in self.degree_range(p, q):
             for w in self.words(p, S):
@@ -460,7 +463,6 @@ class BarComplex(_WordCells):
                 else:
                     for n in self.A.monomial_basis(-(S + q)):
                         out.append((w, n))
-        self._cells[key] = out
         return out
 
     def estimate_cell(self, p, q):
@@ -471,36 +473,10 @@ class BarComplex(_WordCells):
             total += nw * self.A.dim_in_degree(tgt)
         return total
 
-    def basis_cochain(self, p, q, idx) -> Cochain:
-        return Cochain(self.A, self.coeff, p, q,
-                       {self.cell_basis(p, q)[idx]: 1})
-
-    def cochain_vector(self, f: Cochain):
-        """Coordinates of a (p, q)-homogeneous cochain in the cell basis."""
-        basis = self.cell_basis(f.p, f.q)
-        index = {b: i for i, b in enumerate(basis)}
-        vec = [0] * len(basis)
-        for key, c in f.terms.items():
-            i = index.get(key)
-            if i is None:
-                raise WindowError("cochain leaves the truncated window cell")
-            vec[i] = c
-        return tuple(vec)
-
-    def vector_cochain(self, p, q, vec) -> Cochain:
-        basis = self.cell_basis(p, q)
-        return Cochain(self.A, self.coeff, p, q,
-                       {basis[i]: c for i, c in enumerate(vec) if c})
-
-    # matrices and homology ---------------------------------------------------
-
-    def matrix(self, p, q) -> SparseMatrix:
+    def _matrix(self, p, q) -> SparseMatrix:
         """The differential from the (p, q) cell to (p+1, q), row by row:
         each target word's faces are walked once and every face word's
         basis cochains are scattered into that word's rows."""
-        key = (p, q)
-        if key in self._mats:
-            return self._mats[key]
         A = self.A
         src = self.cell_basis(p, q)
         dst = self.cell_basis(p + 1, q)
@@ -508,7 +484,7 @@ class BarComplex(_WordCells):
         for j, (w, n) in enumerate(src):
             by_word.setdefault(w, []).append((j, cochain_value(
                 A, self.coeff, {n: 1})))
-        index = {b: i for i, b in enumerate(dst)}
+        index = self.index(p + 1, q)
         entries = {}
         for word in dict.fromkeys(w for (w, _) in dst):
             for left, sub, right, s in _coboundary_faces(A, p + q, word):
@@ -518,32 +494,16 @@ class BarComplex(_WordCells):
                         i = index.get((word, n))
                         if i is not None:
                             entries[(i, j)] = entries.get((i, j), 0) + s * c
-        M = SparseMatrix(len(dst), len(src), entries, A.field)
-        self._mats[key] = M
-        return M
+        return SparseMatrix(len(dst), len(src), entries, A.field)
 
     def homology(self, p, q):
-        key = (p, q)
-        if key in self._hom:
-            return self._hom[key]
-        est = self.estimate_cell(p, q) + self.estimate_cell(p + 1, q)
-        if est > self.cell_limit:
-            raise CellBlowupError(
-                f"cell ({p},{q}) estimated at {est} columns exceeds the "
-                f"limit {self.cell_limit}", est)
-        d_out = self.matrix(p, q)
-        if p == 0:
-            d_in = SparseMatrix(len(self.cell_basis(0, q)), 0, {},
-                                self.A.field)
-        else:
-            d_in = self.matrix(p - 1, q)
-        hom = cohomology_cell(d_in, d_out)
-        self._hom[key] = hom
-        return hom
-
-    def express_class(self, f: Cochain):
-        """Coordinates of a cocycle's class in the cell homology basis."""
-        return self.homology(f.p, f.q).express(self.cochain_vector(f))
+        if (p, q) not in self._hom:
+            est = self.estimate_cell(p, q) + self.estimate_cell(p + 1, q)
+            if est > self.cell_limit:
+                raise CellBlowupError(
+                    f"cell ({p},{q}) estimated at {est} columns exceeds the "
+                    f"limit {self.cell_limit}", est)
+        return super().homology(p, q)
 
 
 def compute_hh_window(A: AlgebraPresentation, coeff: str,
@@ -558,63 +518,21 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
 
 
 class ChainComplexCells(_WordCells):
-    """Hochschild chain cells (word length k, internal degree t)."""
+    """Hochschild chain cells (word length k, internal degree t), with basis
+    entries (a0, word), the keys of a ChainElement; b lowers k."""
 
-    def cell_basis(self, k, t):
-        key = (k, t)
-        if key in self._cells:
-            return self._cells[key]
+    step = -1
+
+    def _basis(self, k, t):
         out = []
         for S in range(k, t + 1) if k else range(0, t + 1):
             for w in self.words(k, S):
                 for a0 in self.A.monomial_basis(t - S):
                     out.append((a0, w))
-        self._cells[key] = out
         return out
 
-    def chain_vector(self, c: ChainElement, k, t):
-        basis = self.cell_basis(k, t)
-        index = {b: i for i, b in enumerate(basis)}
-        vec = [0] * len(basis)
-        for key, coeff in c.terms.items():
-            vec[index[key]] = coeff
-        return tuple(vec)
-
-    def vector_chain(self, k, t, vec) -> ChainElement:
-        basis = self.cell_basis(k, t)
-        return ChainElement(self.A, {basis[i]: c for i, c in enumerate(vec)
-                                     if c})
-
-    def b_matrix(self, k, t) -> SparseMatrix:
-        """The Hochschild boundary from (k, t) to (k-1, t)."""
-        key = (k, t)
-        if key in self._mats:
-            return self._mats[key]
-        src = self.cell_basis(k, t)
-        dst = self.cell_basis(k - 1, t)
-        index = {b: i for i, b in enumerate(dst)}
-        entries = {}
-        for j, (a0, w) in enumerate(src):
-            img = hochschild_b(ChainElement(self.A, {(a0, w): 1}))
-            for kk, c in img.terms.items():
-                entries[(index[kk], j)] = c
-        M = SparseMatrix(len(dst), len(src), entries, self.A.field)
-        self._mats[key] = M
-        return M
-
-    def homology(self, k, t):
-        key = (k, t)
-        if key in self._hom:
-            return self._hom[key]
-        d_out = self.b_matrix(k, t) if k >= 1 else SparseMatrix(
-            0, len(self.cell_basis(0, t)), {}, self.A.field)
-        d_in = self.b_matrix(k + 1, t)
-        hom = cohomology_cell(d_in, d_out)
-        self._hom[key] = hom
-        return hom
-
-    def express_class(self, c: ChainElement, k, t):
-        return self.homology(k, t).express(self.chain_vector(c, k, t))
+    def _boundary(self, b):
+        return hochschild_b(ChainElement(self.A, {b: 1})).terms.items()
 
     def connes_matrix_on_homology(self, k, t):
         """H(B): homology at (k, t) -> homology at (k+1, t)."""
@@ -622,9 +540,8 @@ class ChainComplexCells(_WordCells):
         hom_dst = self.homology(k + 1, t)
         cols = []
         for rep in hom_src.representatives:
-            c = self.vector_chain(k, t, rep)
-            img = connes_boundary(c)
-            coords = self.express_class(img, k + 1, t)
+            c = ChainElement(self.A, self.combination(k, t, rep))
+            coords = self.express(k + 1, t, connes_boundary(c).terms)
             if coords is None:
                 raise InternalConsistencyError(
                     "Connes image of a cycle is not a cycle class in the "

@@ -20,7 +20,7 @@ from .algebra import AlgebraPresentation, InternalConsistencyError, Monomial
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
-from .fields import LinearSystem, SparseMatrix, rank_kernel_image
+from .fields import LinearSystem, SparseMatrix, rref
 from .koszul_tate import (DualRingElement, KTRing, XiLift,
                           build_resolution)
 
@@ -70,8 +70,7 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
                     if m == omega:
                         entries[(i, j)] = c
         M = SparseMatrix(len(rows), len(cols), entries, field)
-        rank, _, _ = rank_kernel_image(M)
-        if rank != len(rows):
+        if len(rref(M)[0]) != len(rows):
             raise NotPoincareDualityError(
                 f"degenerate duality pairing in degree {k}", k)
     return PoincareDualityData(A, d, omega, DualValue(A, {omega: 1}))
@@ -164,17 +163,16 @@ class BVContext:
         cols = []
         for lbl in labels:
             f = self.kt_to_bar_cochain(self.ring.class_reps[lbl], p, q)
-            coords = self.bar_self.express_class(f)
+            coords = self.bar_self.express(p, q, f.terms)
             if coords is None:
                 raise InternalConsistencyError(
                     "comparison image is not a cocycle class")
             cols.append(coords)
         M = SparseMatrix.from_columns(hom.dim, cols, self.A.field)
-        rank, _, _ = rank_kernel_image(M)
-        if rank != len(labels):
+        if len(rref(M)[0]) != len(labels):
             raise InternalConsistencyError(
                 f"cell ({p},{q}): comparison map is not injective")
-        out = (labels, M, LinearSystem(M))
+        out = (labels, M)
         self._translate[key] = out
         return out
 
@@ -198,19 +196,19 @@ class BVContext:
                 f"duality cell mismatch at ({p},{q})")
         cols = []
         for rep in hom.representatives:
-            f = self.bar_self.vector_cochain(p, q, rep)
-            coords = self.bar_dual.express_class(self.theta_cochain(f))
+            f = Cochain(self.A, COEFF_SELF, p, q,
+                        self.bar_self.combination(p, q, rep))
+            coords = self.bar_dual.express(p, q - self.d,
+                                           self.theta_cochain(f).terms)
             if coords is None:
                 raise InternalConsistencyError("theta image not a class")
             cols.append(coords)
         M = SparseMatrix.from_columns(hom_dual.dim, cols, self.A.field)
-        rank, _, _ = rank_kernel_image(M)
-        if rank != hom.dim:
+        if len(rref(M)[0]) != hom.dim:
             raise InternalConsistencyError(
                 f"theta is not bijective on cell ({p},{q})")
-        out = (M, LinearSystem(M))
-        self._theta[key] = out
-        return out
+        self._theta[key] = M
+        return M
 
     # -- pairing with chain homology ------------------------------------------
 
@@ -228,15 +226,14 @@ class BVContext:
                 f"pairing cell mismatch at ({p},{q_dual})")
         entries = {}
         for k, grep in enumerate(hom_dual.representatives):
-            g = self.bar_dual.vector_cochain(p, q_dual, grep)
+            g = Cochain(self.A, COEFF_DUAL, p, q_dual,
+                        self.bar_dual.combination(p, q_dual, grep))
             for i, crep in enumerate(hom_chain.representatives):
-                c = self.chains.vector_chain(p, t, crep)
-                v = pair_class(g, c.terms, self.A)
+                v = pair_class(g, self.chains.combination(p, t, crep), self.A)
                 if v:
                     entries[(k, i)] = v
         M = SparseMatrix(hom_dual.dim, hom_chain.dim, entries, self.A.field)
-        rank, _, _ = rank_kernel_image(M)
-        if rank != hom_dual.dim:
+        if len(rref(M)[0]) != hom_dual.dim:
             raise InternalConsistencyError(
                 f"degenerate class pairing at ({p},{q_dual})")
         self._pairing[key] = M
@@ -258,13 +255,13 @@ class BVContext:
         field = self.A.field
         qd = q - self.d
         t = -qd
-        src_labels, T, _ = self.translate_matrix(p, q)
-        theta_M, _ = self.theta_matrix(p, q)
+        src_labels, T = self.translate_matrix(p, q)
+        theta_M = self.theta_matrix(p, q)
         P_here = self.pairing_matrix(p, qd)
         P_prev = self.pairing_matrix(p - 1, qd)
         Bmat = self.chains.connes_matrix_on_homology(p - 1, t)
-        tgt_labels, T_prev, _ = self.translate_matrix(p - 1, q)
-        theta_prev, _ = self.theta_matrix(p - 1, q)
+        tgt_labels, T_prev = self.translate_matrix(p - 1, q)
+        theta_prev = self.theta_matrix(p - 1, q)
         # composite (theta_prev . T_prev): KT coords -> dual-class coords
         comp_cols = []
         for j, lbl in enumerate(tgt_labels):

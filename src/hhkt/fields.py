@@ -11,6 +11,11 @@ the rref of [d_in | kernel vectors]: a kernel vector is kept exactly when
 its column is a pivot, that is when it lies outside the span of the image
 and of the kernel vectors before it.  Vectors in the algebraic modules are
 ``LinComb`` subclasses: sparse ``{key: coeff}`` maps normalized mod p.
+
+Every complex in the package (the resolution F, its tensor square, the Hom
+complex, the bar cochains and the Hochschild chains) is a ``CellComplex``,
+which caches per (degree, weight) cell its basis and index, differential
+matrix, solver, and homology with its class-expresser.
 """
 
 from __future__ import annotations
@@ -388,3 +393,82 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
             "image not contained in kernel", -1,
             (len(kernel), len(image), len(reps)))
     return SubquotientBasis(n, kernel, image, reps, field)
+
+
+class CellComplex:
+    """A complex split into finite cells (d, w): a degree d and a weight w
+    that the differential keeps.  The differential maps the cell (d, w) to
+    (d + step, w); step is +1 for cochains and -1 for chains.  Cells of
+    degree < 0 are empty, so homology at degree 0 needs no special case.
+
+    A subclass lists each cell's ordered basis in _basis(d, w) and gives
+    either the (key, coeff) image of one basis element, _boundary(b), or
+    the whole matrix, _matrix(d, w).  Terms are {basis element: coeff}.
+    """
+
+    step = 1
+
+    def __init__(self, field: PrimeField):
+        self.field = field
+        self._cells = {}
+        self._index = {}
+        self._mats = {}
+        self._solvers = {}
+        self._hom = {}
+
+    def cell_basis(self, d, w):
+        if (d, w) not in self._cells:
+            self._cells[(d, w)] = self._basis(d, w) if d >= 0 else []
+        return self._cells[(d, w)]
+
+    def index(self, d, w):
+        """{basis element: its position} for one cell."""
+        if (d, w) not in self._index:
+            self._index[(d, w)] = {
+                b: i for i, b in enumerate(self.cell_basis(d, w))}
+        return self._index[(d, w)]
+
+    def vector(self, d, w, terms):
+        index = self.index(d, w)
+        vec = [0] * len(index)
+        for b, c in terms.items():
+            vec[index[b]] = c
+        return tuple(vec)
+
+    def combination(self, d, w, vec):
+        basis = self.cell_basis(d, w)
+        return {basis[i]: c for i, c in enumerate(vec) if c}
+
+    def matrix(self, d, w) -> SparseMatrix:
+        """The differential from the cell (d, w) to (d + step, w)."""
+        if (d, w) not in self._mats:
+            self._mats[(d, w)] = self._matrix(d, w)
+        return self._mats[(d, w)]
+
+    def _matrix(self, d, w):
+        src = self.cell_basis(d, w)
+        index = self.index(d + self.step, w)
+        entries = {}
+        for j, b in enumerate(src):
+            for k, c in self._boundary(b):
+                entries[(index[k], j)] = c
+        return SparseMatrix(len(index), len(src), entries, self.field)
+
+    def solve(self, d, w, terms):
+        """The terms of some x in the cell (d, w) with differential terms,
+        or None."""
+        if (d, w) not in self._solvers:
+            self._solvers[(d, w)] = LinearSystem(self.matrix(d, w))
+        sol = self._solvers[(d, w)].solve(self.vector(d + self.step, w, terms))
+        return None if sol is None else self.combination(d, w, sol)
+
+    def homology(self, d, w) -> SubquotientBasis:
+        if (d, w) not in self._hom:
+            self._hom[(d, w)] = cohomology_cell(
+                self.matrix(d - self.step, w), self.matrix(d, w))
+        return self._hom[(d, w)]
+
+    def express(self, d, w, terms):
+        """Coordinates of a cycle's class in its cell's homology basis, or
+        None when the terms are not a cycle."""
+        return self.homology(d, w).express(self.vector(d, w, terms))

@@ -27,6 +27,11 @@ are grouped once by their (a_e, b_e) slots, so the cup product
 (e1, e2) (cup_on_basis).  Beyond the window, cell dimensions of the
 monomial model are counted, sum_t N(p, t) dim A_{t+q}, from the number
 N(p, t) of E-monomials per level and internal degree (emono_counts).
+
+Three fields.CellComplex subclasses hold the cells: KTResolution is F by
+(level, internal degree), its tensor_square is F (x)_Lambda F, and KTRing
+is the Hom complex A (x) E-dual by (p, q).  The diagonal correction and
+the comparison map xi are solves in their cells.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
 from .bar import ChainElement, bar_faces, hochschild_b
 from .bigraded import DegreeWindow, RingGenerator, WindowError
-from .fields import (LinComb, LinearSystem, SparseMatrix, cohomology_cell,
-                     rank_kernel_image)
+from .fields import CellComplex, LinComb, SparseMatrix
 
 
 class UnsupportedDiagonalError(RuntimeError):
@@ -74,12 +78,16 @@ class EMono:
 KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
 
 
-class KTResolution:
-    """Generator roster, bidegrees and the pre-verified zeta matrix."""
+class KTResolution(CellComplex):
+    """The resolution F as a chain complex of (level, internal degree)
+    cells, with its generator roster, bidegrees and the pre-verified zeta
+    matrix; its tensor square over Lambda is tensor_square."""
+
+    step = -1
 
     def __init__(self, presentation: AlgebraPresentation):
+        super().__init__(presentation.field)
         self.algebra = presentation
-        self.field = presentation.field
         self.l = presentation.n_ext
         self.n = presentation.n_poly
         self.m = len(presentation.relations)
@@ -89,21 +97,35 @@ class KTResolution:
         self.zeta = [zeta_coefficients(rho) for rho in presentation.relations]
         self._emono_cache = {}
         self._internal_cache = {}
-        self._cell_cache = {}
-        self._dmat_cache = {}
-        self._solver_cache = {}
         self._diag_cache = {}
         self._cup_tables = {}
         self._alpha_d_cache = {}
-        self._tcell_cache = {}
-        self._tmat_cache = {}
-        self._tsolver_cache = {}
         self._count_cache = {}
+        self.tensor_square = TensorSquare(self)
         # (level step, internal degree, unbounded power) per generator
         self.count_generators = (
             tuple((1, d, True) for d in self.nu_degrees)
             + tuple((1, d, False) for d in self.u_degrees)
             + tuple((2, d, True) for d in self.w_degrees))
+
+    # -- cells --------------------------------------------------------------
+
+    def _basis(self, level, internal):
+        """Ordered basis monomials (left, right, e) of F at one bidegree."""
+        A = self.algebra
+        out = []
+        for e in emonos_at_level(self, level):
+            rem = internal - self.e_internal(e)
+            if rem < 0:
+                continue
+            for dl in range(rem + 1):
+                for left in A.monomial_basis(dl):
+                    for right in A.monomial_basis(rem - dl):
+                        out.append((left, right, e))
+        return out
+
+    def _boundary(self, m):
+        return kt_d_mono(self, m)
 
     # -- degrees ------------------------------------------------------------
 
@@ -379,68 +401,6 @@ def _compositions(total, parts):
     return out
 
 
-def kt_cell_basis(R: KTResolution, level: int, internal: int):
-    """Ordered basis monomials of F at one bidegree."""
-    key = (level, internal)
-    if key in R._cell_cache:
-        return R._cell_cache[key]
-    A = R.algebra
-    out = []
-    for e in emonos_at_level(R, level):
-        te = R.e_internal(e)
-        rem = internal - te
-        if rem < 0:
-            continue
-        for dl in range(rem + 1):
-            for left in A.monomial_basis(dl):
-                for right in A.monomial_basis(rem - dl):
-                    out.append((left, right, e))
-    R._cell_cache[key] = out
-    return out
-
-
-def _d_matrix(R, level, internal, cell_basis, boundary, cache):
-    """Matrix of d from the (level, internal) cell to (level-1, internal),
-    for a cell basis and a per-monomial boundary; cached in cache."""
-    key = (level, internal)
-    if key in cache:
-        return cache[key]
-    src = cell_basis(R, level, internal)
-    dst = cell_basis(R, level - 1, internal)
-    index = {m: i for i, m in enumerate(dst)}
-    entries = {}
-    for j, m in enumerate(src):
-        for dm, dc in boundary(R, m):
-            entries[(index[dm], j)] = dc
-    M = SparseMatrix(len(dst), len(src), entries, R.field)
-    cache[key] = M
-    return M
-
-
-def _solve_in_cell(rhs, level, internal, cell_basis, d_matrix, solvers):
-    """Some x in the (level, internal) cell with d x = rhs, or None; one
-    LinearSystem per cell, cached in solvers."""
-    R = rhs.R
-    index = {m: i for i, m in enumerate(cell_basis(R, level - 1, internal))}
-    vec = [0] * len(index)
-    for m, c in rhs.terms.items():
-        vec[index[m]] = c
-    key = (level, internal)
-    if key not in solvers:
-        solvers[key] = LinearSystem(d_matrix(R, level, internal))
-    sol = solvers[key].solve(tuple(vec))
-    if sol is None:
-        return None
-    cols = cell_basis(R, level, internal)
-    return rhs._like({cols[i]: v for i, v in enumerate(sol) if v})
-
-
-def kt_d_matrix(R: KTResolution, level: int, internal: int) -> SparseMatrix:
-    """Matrix of d from the (level, internal) cell to (level-1, internal)."""
-    return _d_matrix(R, level, internal, kt_cell_basis, kt_d_mono,
-                     R._dmat_cache)
-
-
 @dataclass
 class ExactnessReport:
     ok: bool
@@ -454,19 +414,11 @@ def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
     A = R.algebra
     failures = []
     for t in range(internal_bound + 1):
-        dim_f0 = len(kt_cell_basis(R, 0, t))
-        d1 = kt_d_matrix(R, 1, t)
-        rank1, _, _ = rank_kernel_image(d1)
-        h0 = dim_f0 - rank1
-        expected = A.dim_in_degree(t)
-        if h0 != expected:
-            failures.append((0, t, h0, expected))
-        for level in range(1, max_level + 1):
-            d_out = kt_d_matrix(R, level, t)
-            d_in = kt_d_matrix(R, level + 1, t)
-            hom = cohomology_cell(d_in, d_out)
-            if hom.dim != 0:
-                failures.append((level, t, hom.dim, 0))
+        for level in range(max_level + 1):
+            dim = R.homology(level, t).dim
+            expected = A.dim_in_degree(t) if level == 0 else 0
+            if dim != expected:
+                failures.append((level, t, dim, expected))
     return ExactnessReport(not failures, max_level, internal_bound, failures)
 
 
@@ -592,35 +544,41 @@ def _act_tensor(R, cl: Monomial, cr: Monomial, elem: KTTensorElement):
     return KTTensorElement(R, out)
 
 
-def tensor_cell_basis(R: KTResolution, level: int, internal: int):
-    key = (level, internal)
-    if key in R._tcell_cache:
-        return R._tcell_cache[key]
-    A = R.algebra
-    out = []
-    for la in range(level + 1):
-        lb = level - la
-        for alpha in emonos_at_level(R, la):
-            ta = R.e_internal(alpha)
-            for beta in emonos_at_level(R, lb):
-                tb = R.e_internal(beta)
-                rem = internal - ta - tb
-                if rem < 0:
-                    continue
-                for dL in range(rem + 1):
-                    for dM in range(rem - dL + 1):
-                        dR = rem - dL - dM
-                        for mL in A.monomial_basis(dL):
-                            for mM in A.monomial_basis(dM):
-                                for mR in A.monomial_basis(dR):
-                                    out.append((mL, mM, alpha, mR, beta))
-    R._tcell_cache[key] = out
-    return out
+class TensorSquare(CellComplex):
+    """F (x)_Lambda F as a chain complex of (level, internal degree) cells
+    of TMonos."""
 
+    step = -1
 
-def tensor_d_matrix(R, level, internal):
-    return _d_matrix(R, level, internal, tensor_cell_basis, _tmono_boundary,
-                     R._tmat_cache)
+    def __init__(self, R: KTResolution):
+        super().__init__(R.field)
+        self.R = R
+
+    def _basis(self, level, internal):
+        R = self.R
+        A = R.algebra
+        out = []
+        for la in range(level + 1):
+            lb = level - la
+            for alpha in emonos_at_level(R, la):
+                ta = R.e_internal(alpha)
+                for beta in emonos_at_level(R, lb):
+                    tb = R.e_internal(beta)
+                    rem = internal - ta - tb
+                    if rem < 0:
+                        continue
+                    for dL in range(rem + 1):
+                        for dM in range(rem - dL + 1):
+                            dR = rem - dL - dM
+                            for mL in A.monomial_basis(dL):
+                                for mM in A.monomial_basis(dM):
+                                    for mR in A.monomial_basis(dR):
+                                        out.append(
+                                            (mL, mM, alpha, mR, beta))
+        return out
+
+    def _boundary(self, m):
+        return _tmono_boundary(self.R, m)
 
 
 # -- the diagonal ---------------------------------------------------------------
@@ -673,14 +631,13 @@ def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
     if rhs.is_zero():
         R._diag_cache[key] = naive
         return naive
-    correction = _solve_in_cell(rhs, 2 * exp, exp * R.w_degrees[idx],
-                                tensor_cell_basis, tensor_d_matrix,
-                                R._tsolver_cache)
+    correction = R.tensor_square.solve(2 * exp, exp * R.w_degrees[idx],
+                                       rhs.terms)
     if correction is None:
         raise UnsupportedDiagonalError(
             f"no diagonal correction for relation {idx} divided power {exp} "
             f"within the window")
-    result = naive + correction
+    result = naive + KTTensorElement(R, correction)
     R._diag_cache[key] = result
     return result
 
@@ -818,27 +775,29 @@ def cup_via_diagonal(f: DualRingElement, g: DualRingElement):
 # -- HH via the resolution -----------------------------------------------------
 
 
-class KTRing:
+class KTRing(CellComplex):
     """The bigraded ring HH(Lambda; Lambda) computed from the resolution.
 
-    When the induced differential on A (x) E-dual vanishes identically in
-    the window (no relations, or all relation derivatives vanish mod p) the
+    The Hom complex A (x) E-dual is a cochain complex of (p, q) cells with
+    basis entries (e, a), the dual of the E-monomial e of level p times the
+    monomial a of A.  When its differential vanishes identically in the
+    window (no relations, or all relation derivatives vanish mod p) the
     cells are read off directly and a monomial generator model is attached;
-    otherwise cells are homology classes of the Hom complex.
+    otherwise cells are its homology classes.
     """
 
     def __init__(self, R: KTResolution, window: DegreeWindow):
+        super().__init__(R.field)
         self.R = R
         self.algebra = R.algebra
         self.window = window
         self.complete = False
-        self._product_cache = {}
         self._bidegrees = {}
         self._build()
 
-    # each cell: list of labels; label = (a: Monomial, e: EMono) in the
-    # monomial model, or ("h", p, q, k) for homology classes
-    def _cell_pairs(self, p, q):
+    # each cell: list of labels; label = ("m", e, a) in the monomial
+    # model, or ("h", p, q, k) for homology classes
+    def _basis(self, p, q):
         A = self.algebra
         out = []
         for e in emonos_at_level(self.R, p):
@@ -847,12 +806,11 @@ class KTRing:
                 out.append((e, a))
         return out
 
-    def _delta_matrix(self, p, q):
+    def _matrix(self, p, q):
         """Induced differential on A (x) E-dual from cell (p,q) to (p+1,q)."""
         R, A = self.R, self.algebra
-        src = self._cell_pairs(p, q)
-        dst = self._cell_pairs(p + 1, q)
-        dst_index = {ea: i for i, ea in enumerate(dst)}
+        src = self.cell_basis(p, q)
+        dst_index = self.index(p + 1, q)
         h_odd = (p + q) % 2
         sign_h = -1 if h_odd else 1
         boundaries = [(alpha, _boundary_by_emono(R, alpha))
@@ -870,23 +828,18 @@ class KTRing:
                 for mono, cc in acc.items():
                     if cc % R.field.p:
                         entries[(dst_index[(alpha, mono)], j)] = cc
-        return SparseMatrix(len(dst), len(src), entries, R.field)
+        return SparseMatrix(len(dst_index), len(src), entries, R.field)
 
     def _build(self):
         R, A, W = self.R, self.algebra, self.window
         self.cells = {}
         self.class_reps = {}
-        deltas = {}
-        all_zero = True
-        for p in range(W.max_p + 2):
-            for q in range(W.q_min, W.q_max + 1):
-                deltas[(p, q)] = self._delta_matrix(p, q)
-                if deltas[(p, q)].nnz():
-                    all_zero = False
-        self.differential_vanishes = all_zero
-        if all_zero:
+        self.differential_vanishes = not any(
+            self.matrix(p, q).nnz() for p in range(W.max_p + 2)
+            for q in range(W.q_min, W.q_max + 1))
+        if self.differential_vanishes:
             for (p, q) in W.cells():
-                pairs = self._cell_pairs(p, q)
+                pairs = self.cell_basis(p, q)
                 self.cells[(p, q)] = [("m", e, a) for (e, a) in pairs]
                 for e, a in pairs:
                     self.class_reps[("m", e, a)] = \
@@ -895,25 +848,17 @@ class KTRing:
             self.complete = self.generators is not None
         else:
             self.generators = None
-            self._homs = {}
             for (p, q) in W.cells():
-                basis = self._cell_pairs(p, q)
-                d_out = deltas[(p, q)]
-                d_in = (deltas[(p - 1, q)] if p >= 1 else
-                        SparseMatrix(len(basis), 0, {}, R.field))
-                hom = cohomology_cell(d_in, d_out)
                 labels = []
-                for k, rep in enumerate(hom.representatives):
+                for k, rep in enumerate(self.homology(p, q).representatives):
                     label = ("h", p, q, k)
                     labels.append(label)
                     values = {}
-                    for i, (e, a) in enumerate(basis):
-                        if rep[i]:
-                            poly = Polynomial(A, {a: rep[i]})
-                            values[e] = values[e] + poly if e in values else poly
-                    self.class_reps[label] = DualRingElement(R, p + q, values)
+                    for (e, a), c in self.combination(p, q, rep).items():
+                        values.setdefault(e, {})[a] = c
+                    self.class_reps[label] = DualRingElement(R, p + q, {
+                        e: Polynomial(A, t) for e, t in values.items()})
                 self.cells[(p, q)] = labels
-                self._homs[(p, q)] = hom
 
     def _generator_model(self):
         """RingGenerator list when the ring is A (x) E-dual on the nose."""
@@ -1029,9 +974,6 @@ class KTRing:
 
     def product(self, la, lb):
         """Structure constants of the cup product in the class basis."""
-        key = (la, lb)
-        if key in self._product_cache:
-            return self._product_cache[key]
         for lbl in (la, lb):
             if lbl not in self.class_reps:
                 raise WindowError(f"class {self.label_str(lbl)} lies outside "
@@ -1043,24 +985,17 @@ class KTRing:
             (_, e1, a), (_, e2, b) = la, lb
             cup = cup_on_basis(self.R, e1, a, (pa + qa) % 2,
                                e2, b, (pb + qb) % 2)
-            out = {("m", e, m): c for (e, m), c in cup.items()}
-        else:
-            cup = cup_via_diagonal(self.class_reps[la], self.class_reps[lb])
-            out = self._express(cup, pa + pb, qa + qb)
-        self._product_cache[key] = out
-        return out
+            return {("m", e, m): c for (e, m), c in cup.items()}
+        cup = cup_via_diagonal(self.class_reps[la], self.class_reps[lb])
+        return self._express(cup, pa + pb, qa + qb)
 
     def _express(self, dual: DualRingElement, p, q):
         """Coordinates of a cocycle's class in the homology cell basis."""
         if not self.window.contains(p, q):
             raise WindowError(f"cell ({p},{q}) outside window")
-        basis = self._cell_pairs(p, q)
-        vec = [0] * len(basis)
-        index = {ea: i for i, ea in enumerate(basis)}
-        for e, poly in dual.values.items():
-            for a, c in poly.terms.items():
-                vec[index[(e, a)]] = c
-        coords = self._homs[(p, q)].express(tuple(vec))
+        coords = self.express(p, q, {(e, a): c
+                                     for e, poly in dual.values.items()
+                                     for a, c in poly.terms.items()})
         if coords is None:
             raise InternalConsistencyError("cup product not a cocycle class")
         return {("h", p, q, k): c for k, c in enumerate(coords) if c}
@@ -1114,13 +1049,12 @@ class XiLift:
                 raise InternalConsistencyError(
                     "pinned xi value fails the chain-map equation")
             return pinned
-        sol = _solve_in_cell(rhs, len(word),
-                             sum(A.mono_degree(a) for a in word),
-                             kt_cell_basis, kt_d_matrix, R._solver_cache)
+        sol = R.solve(len(word), sum(A.mono_degree(a) for a in word),
+                      rhs.terms)
         if sol is None:
             raise InternalConsistencyError(
                 "xi lift infeasible although F is acyclic")
-        return sol
+        return KTElement(R, sol)
 
     def _rhs(self, word):
         """xi_{k-1} applied to the interior bar differential of 1[word]1:

@@ -17,15 +17,15 @@ from .algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
                       TensorPoly, partial_derivative,
                       validate_regular_sequence, zeta_coefficients)
 from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
-                  ChainElement, bar_differential, cochain_cup,
+                  ChainElement, Cochain, bar_differential, cochain_cup,
                   compute_hh_window, connes_boundary, hochschild_b)
 from .bigraded import DegreeWindow
 from .bv import BVContext, iota, iota_inverse
-from .fields import LinearSystem, PrimeField, SparseMatrix, rank_kernel_image
+from .fields import PrimeField, SparseMatrix, rank_kernel_image
 from .koszul_tate import (DualRingElement, KTElement, XiLift,
                           build_resolution, cup_via_diagonal,
                           diagonal_element, diagonal_mono, exactness_check,
-                          hh_via_kt, kt_cell_basis, lucas_binomial, EMono)
+                          hh_via_kt, lucas_binomial, EMono)
 
 
 def _corpus():
@@ -91,7 +91,7 @@ def check_kt_d_squared(corpus, rng):
         R = build_resolution(A)
         for level in range(1, 5):
             for t in range(0, 15):
-                for m in kt_cell_basis(R, level, t):
+                for m in R.cell_basis(level, t):
                     if not KTElement(R, {m: 1}).d().d().is_zero():
                         return "fail", f"{name}: d^2 != 0 on {m}"
     return "pass", None
@@ -113,7 +113,7 @@ def check_diagonal_chain_map(corpus, rng):
         pool = []
         for level in range(1, 4):
             for t in range(0, 15):
-                pool.extend(kt_cell_basis(R, level, t))
+                pool.extend(R.cell_basis(level, t))
         sample = pool if len(pool) <= 200 else rng.sample(pool, 200)
         for m in sample:
             lhs = diagonal_mono(R, m).boundary()
@@ -148,7 +148,7 @@ def check_cup_strictly_associative(corpus, rng):
     reps = []
     for (p, q) in [(1, -5), (1, 0)]:
         hom = cx.homology(p, q)
-        reps.extend(cx.vector_cochain(p, q, v)
+        reps.extend(Cochain(A, COEFF_SELF, p, q, cx.combination(p, q, v))
                     for v in hom.representatives)
     for f, g, h in itertools.product(reps, repeat=3):
         p = f.p + g.p + h.p
@@ -175,7 +175,8 @@ def check_cup_commutative_mod_coboundary(corpus, rng):
     reps = {}
     for (p, q) in cells:
         hom = cx.homology(p, q)
-        reps[(p, q)] = [cx.vector_cochain(p, q, v)
+        reps[(p, q)] = [Cochain(A, COEFF_SELF, p, q,
+                                cx.combination(p, q, v))
                         for v in hom.representatives]
     pool = [(pq1, pq2) for pq1 in cells for pq2 in cells
             if pq1[0] + pq2[0] <= window.max_p]
@@ -193,9 +194,7 @@ def check_cup_commutative_mod_coboundary(corpus, rng):
         count += 1
         if diff.is_zero():
             continue
-        sol = LinearSystem(cx.matrix(p1 + p2 - 1, q1 + q2)).solve(
-            cx.cochain_vector(diff))
-        if sol is None:
+        if cx.solve(p1 + p2 - 1, q1 + q2, diff.terms) is None:
             return "fail", f"not commutative mod coboundary at " \
                 f"({p1},{q1})x({p2},{q2})"
     return "pass", None

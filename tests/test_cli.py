@@ -245,14 +245,37 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1
 
 
-def test_connes_failure_is_internal(tmp_path, capsys):
-    # odd-characteristic Connes sign defect on two generators: the image of
-    # a cycle class is not a cycle, which is a bug, not bad input
+def test_connes_failure_is_internal(tmp_path, capsys, monkeypatch):
+    # a Connes boundary with every rotation signed +1 sends a cycle class
+    # of this odd-characteristic input to a non-cycle, which is a bug, not
+    # bad input
+    import hhkt.bar as bar_mod
+
+    def unsigned(c):
+        unit = c.A.unit_monomial()
+        out = {}
+        for (a0, word), coeff in c.terms.items():
+            if a0 != unit:
+                entries = (a0,) + word
+                for i in range(len(entries)):
+                    key = (unit, entries[i:] + entries[:i])
+                    out[key] = out.get(key, 0) + coeff
+        return bar_mod.ChainElement(c.A, out)
+    monkeypatch.setattr(bar_mod, "connes_boundary", unsigned)
     code = main(["bv", "--input", write(tmp_path, "mixed_f3")])
     err = capsys.readouterr().err
     assert code == 3
     assert err == ("internal consistency failure: Connes image of a cycle "
                    "is not a cycle class in the window\n")
+
+
+def test_bv_odd_characteristic_two_generators(tmp_path, capsys):
+    """/\\(y1) (x) F_3[x1]/(x1^3) passes the seven-term sweep: the Connes
+    signs hold when an entry has even degree."""
+    code, out = run(capsys, ["bv", "--input", write(tmp_path, "mixed_f3")])
+    assert code == 0
+    sweep = json.loads(out)["bv_identity_sweep"]
+    assert (sweep["checked"], sweep["failures"]) == (23, [])
 
 
 def test_cli_import_leaves_numpy_unloaded():

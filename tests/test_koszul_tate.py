@@ -8,7 +8,7 @@ from hhkt.koszul_tate import (DualRingElement, EMono, KTElement,
                               KTTensorElement, XiLift, build_resolution,
                               cup_via_diagonal, diagonal_element,
                               diagonal_mono, emonos_at_level, exactness_check,
-                              hh_via_kt, kt_cell_basis, kt_d_mono,
+                              hh_via_kt, kt_d_mono,
                               lucas_binomial, phi)
 
 from .helpers import exterior, polynomial, truncated_poly_char2, two_spheres_deg5
@@ -81,7 +81,7 @@ def test_d_squared_zero_window(presentation):
     R = build_resolution(presentation)
     for level in range(1, 5):
         for t in range(0, 17):
-            for m in kt_cell_basis(R, level, t):
+            for m in R.cell_basis(level, t):
                 d = KTElement(R, {m: 1}).d()
                 assert d.d().is_zero()
 
@@ -131,7 +131,7 @@ def test_diagonal_chain_map(presentation):
     count = 0
     for level in range(1, 4):
         for t in range(0, 17):
-            for m in kt_cell_basis(R, level, t):
+            for m in R.cell_basis(level, t):
                 x = KTElement(R, {m: 1})
                 lhs = diagonal_mono(R, m).boundary()
                 rhs = diagonal_element(R, x.d())

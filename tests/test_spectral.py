@@ -68,7 +68,7 @@ def test_counted_cell_dims_match_enumeration(path, monkeypatch):
     collapse_certificate(ring)
     assert any(not ring.window.contains(p, q) for p, q in visited)
     for p, q in visited:
-        assert counted(p, q) == len(ring._cell_pairs(p, q)), (p, q)
+        assert counted(p, q) == len(ring.cell_basis(p, q)), (p, q)
 
 
 @pytest.mark.parametrize("path", MONOMIAL_MODEL_INPUTS, ids=lambda p: p.stem)
