@@ -2,10 +2,14 @@
 
 A presentation is  /\\(y_1..y_l) (x) K[x_1..x_n]/(rho_1..rho_m)  with the
 rho_i a regular sequence of decomposable homogeneous polynomials in the
-polynomial generators.  Monomials carry an exterior bit mask plus an
-exponent vector; normal forms modulo the relations are computed degree by
-degree with exact linear algebra (exponent truncation when every relation
-is a pure power).
+polynomial generators.  Monomials are named tuples of an exterior bit mask
+and an exponent vector, so they hash and compare as plain tuples; normal
+forms modulo the relations are computed degree by degree with exact linear
+algebra (exponent truncation when every relation is a pure power).  Each
+presentation memoizes the product of every ordered monomial pair and the
+degree of every monomial it is asked for; the product table is emptied
+once the relations attach, since parsing them multiplies in the free
+algebra.
 
 Sign convention: graded commutativity with the Koszul rule throughout,
 a*b = (-1)^{|a||b|} b*a.  In characteristic 2 "exterior" means square-zero
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import LinComb, PrimeField, SparseMatrix, rref
 
@@ -40,8 +45,7 @@ class GradedGenerator:
     kind: str
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """mask: bit set over exterior generators; exps: polynomial exponents."""
 
     mask: int
@@ -135,6 +139,9 @@ class AlgebraPresentation:
         self.n_poly = len(self.poly_index)
         self.ext_degrees = tuple(self.generators[i].degree for i in self.ext_index)
         self.poly_degrees = tuple(self.generators[i].degree for i in self.poly_index)
+        self._unit = Monomial(0, (0,) * self.n_poly)
+        self._degrees = {}
+        self._products = {}
         self._nf_tables = {}
         self._basis_cache = {}
         self._poly_nf_basis_cache = {}
@@ -145,6 +152,7 @@ class AlgebraPresentation:
         self.relations = tuple(
             self._validate_relation(r) for r in relation_exprs)
         self._pure_power_caps = self._detect_pure_powers()
+        self._products.clear()
         self._nf_tables.clear()
         self._basis_cache.clear()
         self._poly_nf_basis_cache.clear()
@@ -195,7 +203,7 @@ class AlgebraPresentation:
         return self._free_cover
 
     def unit_monomial(self):
-        return Monomial(0, (0,) * self.n_poly)
+        return self._unit
 
     def one(self):
         return Polynomial(self, {self.unit_monomial(): 1})
@@ -204,9 +212,12 @@ class AlgebraPresentation:
         return Polynomial(self, {})
 
     def mono_degree(self, m: Monomial) -> int:
-        d = sum(self.ext_degrees[i] for i in range(self.n_ext)
-                if (m.mask >> i) & 1)
-        d += sum(e * self.poly_degrees[j] for j, e in enumerate(m.exps))
+        d = self._degrees.get(m)
+        if d is None:
+            d = sum(self.ext_degrees[i] for i in range(self.n_ext)
+                    if (m.mask >> i) & 1)
+            d += sum(e * self.poly_degrees[j] for j, e in enumerate(m.exps))
+            self._degrees[m] = d
         return d
 
     def generator_monomial(self, name):
@@ -226,14 +237,21 @@ class AlgebraPresentation:
     # -- multiplication ---------------------------------------------------
 
     def mul_monomials(self, m1: Monomial, m2: Monomial):
-        """Product of two monomials as a list of (Monomial, coeff).
+        """Product of two monomials as a tuple of (Monomial, coeff),
+        computed once per ordered pair.
 
         Koszul sign from interleaving exterior symbols; exterior squares
         vanish; the polynomial part is reduced to normal form modulo the
         relations (which may split one monomial into several).
         """
+        out = self._products.get((m1, m2))
+        if out is None:
+            out = self._products[(m1, m2)] = self._multiply(m1, m2)
+        return out
+
+    def _multiply(self, m1, m2):
         if m1.mask & m2.mask:
-            return []
+            return ()
         sign = 1
         if self.field.p != 2:
             for i in range(self.n_ext):
@@ -246,10 +264,9 @@ class AlgebraPresentation:
                 if crossings % 2:
                     sign = -sign
         exps = tuple(a + b for a, b in zip(m1.exps, m2.exps))
-        out = []
-        for mono, c in self._poly_normal_form(exps):
-            out.append((Monomial(m1.mask | m2.mask, mono.exps), sign * c))
-        return out
+        mask = m1.mask | m2.mask
+        return tuple((Monomial(mask, mono.exps), sign * c)
+                     for mono, c in self._poly_normal_form(exps))
 
     def _poly_normal_form(self, exps):
         """Normal form of a free polynomial-part monomial."""

@@ -17,10 +17,12 @@ del(f) = -(-1)^{|f|} f d_2 (the coefficient differential vanishes here),
 the coboundary matrices, and the right-hand side of the comparison map in
 koszul_tate.  A coboundary matrix is assembled row by row: the faces of
 each target word are walked once and scattered onto the source basis
-cochains that live on the face words.  The Connes boundary is the printed
-cyclic-rotation sum with terms containing a unit entry dropped; each
-rotation carries the Koszul sign of moving the suspended entries before it
-past the rest.
+cochains that live on the face words.  The value left.n.right of a basis
+cochain (sub, n) on a face left[sub]right is read from an action table
+that the complex fills once per (left, n, right).  The Connes boundary is
+the printed cyclic-rotation sum with terms containing a unit entry
+dropped; each rotation carries the Koszul sign of moving the suspended
+entries before it past the rest.
 
 A cochain is a LinComb keyed (word, n), exactly like the entries of its
 cell basis, so converting between a cochain and its cell vector copies
@@ -437,6 +439,7 @@ class BarComplex(_WordCells):
         gen_degs = [g.degree for g in A.generators]
         rel_degs = [r.degree() for r in A.relations]
         self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
+        self._actions = {}  # (left, n, right) -> terms of left.n.right
 
     def degree_range(self, p, q):
         """Word internal degrees S contributing to the (p, q) cell."""
@@ -476,22 +479,29 @@ class BarComplex(_WordCells):
     def _matrix(self, p, q) -> SparseMatrix:
         """The differential from the (p, q) cell to (p+1, q), row by row:
         each target word's faces are walked once and every face word's
-        basis cochains are scattered into that word's rows."""
+        basis cochains are scattered into that word's rows.  A basis
+        cochain (sub, n) sends the face left[sub]right to left.n.right,
+        read from the complex's action table."""
         A = self.A
         src = self.cell_basis(p, q)
         dst = self.cell_basis(p + 1, q)
         by_word = {}
         for j, (w, n) in enumerate(src):
-            by_word.setdefault(w, []).append((j, cochain_value(
-                A, self.coeff, {n: 1})))
+            by_word.setdefault(w, []).append((j, n))
         index = self.index(p + 1, q)
+        actions = self._actions
         entries = {}
         for word in dict.fromkeys(w for (w, _) in dst):
             for left, sub, right, s in _coboundary_faces(A, p + q, word):
-                for j, v in by_word.get(sub, ()):
-                    img = _act(A, self.coeff, left, v, right)
-                    for n, c in img.terms.items():
-                        i = index.get((word, n))
+                for j, n in by_word.get(sub, ()):
+                    img = actions.get((left, n, right))
+                    if img is None:
+                        img = actions[(left, n, right)] = tuple(_act(
+                            A, self.coeff, left,
+                            cochain_value(A, self.coeff, {n: 1}),
+                            right).terms.items())
+                    for m, c in img:
+                        i = index.get((word, m))
                         if i is not None:
                             entries[(i, j)] = entries.get((i, j), 0) + s * c
         return SparseMatrix(len(dst), len(src), entries, A.field)

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
@@ -66,8 +67,7 @@ def lucas_binomial(n, k, p):
     return result
 
 
-@dataclass(frozen=True)
-class EMono:
+class EMono(NamedTuple):
     """Monomial of the generator part E: divided nu and w powers, u mask."""
 
     nu: tuple

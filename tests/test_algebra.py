@@ -235,3 +235,65 @@ def test_parse_poly_expr_forms():
     assert q.degree() == 4
     assert len(q.terms) == 3
     assert parse_poly_expr(A, "x1 - x1").is_zero()
+
+
+def _memo_cases():
+    """∧(y1,y2), |y|=3, over F_3 (Koszul signs); F_2[x1,x2]/(x1^2+x1x2)
+    (a relation that is not a pure power); ∧(y1) (x) F_3[x1]/(x1^3)."""
+    return {
+        "ext2_deg3_p3": lambda: ext(3, [3, 3]),
+        "poly2_rel_p2": lambda: poly(2, [2, 2], ["x1^2 + x1*x2"]),
+        "ext1_trunc3_p3": lambda: AlgebraPresentation(
+            PrimeField(3),
+            [GradedGenerator("y1", 3, "exterior"),
+             GradedGenerator("x1", 2, "polynomial")], ["x1^3"]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_memo_cases()))
+def test_memoized_products_and_degrees_match_a_fresh_presentation(name):
+    make = _memo_cases()[name]
+    warm, fresh = make(), make()
+    basis = [m for d in range(9) for m in warm.monomial_basis(d)]
+    for m1 in basis:
+        for m2 in basis:
+            warm.mul_monomials(m1, m2)
+        warm.mono_degree(m1)
+    for m1 in basis:
+        assert warm.mono_degree(m1) == fresh.mono_degree(m1)
+        for m2 in basis:
+            assert warm.mul_monomials(m1, m2) == fresh.mul_monomials(m1, m2)
+
+
+def test_products_reduce_after_relations_parsed_from_strings():
+    # parsing a relation multiplies its factors in the free algebra first
+    A = poly(2, [2], ["x1^2"])
+    x1 = A.generator_monomial("x1")
+    assert A.mul_monomials(x1, x1) == ()
+    B = poly(2, [2, 2], ["x1^2 + x1*x2"])
+    x1, x2 = B.generator_monomial("x1"), B.generator_monomial("x2")
+    # x1*x2 reduces to x1^2 in characteristic 2
+    assert B.mul_monomials(x1, x2) == B.mul_monomials(x1, x1) \
+        == ((Monomial(0, (2, 0)), 1),)
+
+
+def test_monomial_value_semantics():
+    a, b = Monomial(1, (0, 2)), Monomial(1, (0, 2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != Monomial(2, (0, 2))
+    assert repr(Monomial(1, (0,))) == "Monomial(mask=1, exps=(0,))"
+    with pytest.raises(AttributeError):
+        a.mask = 0
+    A = ext(2, [3])
+    assert A.unit_monomial() is A.unit_monomial()
+
+
+def test_sort_key_orders_basis_by_exterior_bits_then_exponents():
+    A = AlgebraPresentation(
+        PrimeField(2),
+        [GradedGenerator("y1", 3, "exterior"),
+         GradedGenerator("y2", 3, "exterior"),
+         GradedGenerator("x1", 2, "polynomial"),
+         GradedGenerator("x2", 2, "polynomial")])
+    assert [A.label_monomial(m) for m in A.monomial_basis(7)] == [
+        "y2*x2^2", "y2*x1*x2", "y2*x1^2", "y1*x2^2", "y1*x1*x2", "y1*x1^2"]

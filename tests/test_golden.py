@@ -2,9 +2,10 @@
 
 Pins the sha256 of the `compute` and `oracle` documents of every
 presentation in scripts/presentations/, of the `bv` documents of those that
-scripts/run_corpus.py runs it on, of `verify --seed 0`, and of the `compute`
+scripts/run_corpus.py runs it on, of `verify --seed 0`, of the `compute`
 documents of three benchmark inputs whose product tables and collapse
-certificates are large.  A change that is meant to alter results must
+certificates are large, and of the `oracle` documents of the benchmark's
+oracle workload.  A change that is meant to alter results must
 re-record these hashes and say why.
 """
 
@@ -75,6 +76,15 @@ BENCH_COMPUTE_SHA256 = {
         "77fcc73822908b79bdabc76bae02a35ebcdc81bbfde789a68e234b929ba101f5",
 }
 
+# the two commands of the benchmark's oracle workload: a relation that is
+# not a pure power over F_2, and a mixed presentation over F_3
+BENCH_ORACLE_SHA256 = {
+    "poly2_rel_deg2_char2":
+        "edcba227f770285945c9fec90e1f2ddc1f607d5a9cd363859eaec7a9e21c05c7",
+    "mixed_ext3_trunc3_char3":
+        "d5f139b9a5a6dbc3133c8bdcb54ada7928f382222f39a17affb5348e369d37f1",
+}
+
 VERIFY_SEED0_SHA256 = \
     "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86"
 
@@ -102,6 +112,13 @@ def test_benchmark_compute_document_is_unchanged(capsys, name):
     path = BENCH_INPUTS / f"{name}.json"
     assert _stdout_sha256(capsys, ["compute", "--input", str(path)]) \
         == BENCH_COMPUTE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_ORACLE_SHA256))
+def test_benchmark_oracle_document_is_unchanged(capsys, name):
+    path = BENCH_INPUTS / f"{name}.json"
+    assert _stdout_sha256(capsys, ["oracle", "--input", str(path)]) \
+        == BENCH_ORACLE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SHA256))

@@ -26,6 +26,15 @@ def elem(R, left=None, right=None, nu=None, u=0, w=None, coeff=1):
                           right or A.unit_monomial(), e): coeff})
 
 
+def test_emono_value_semantics():
+    a, b = EMono((1, 0), 1, (2,)), EMono((1, 0), 1, (2,))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != EMono((1, 0), 0, (2,))
+    assert repr(EMono((1,), 0, ())) == "EMono(nu=(1,), u=0, w=())"
+    with pytest.raises(AttributeError):
+        a.u = 0
+
+
 def test_lucas():
     import math
     for p in (2, 3, 5):
