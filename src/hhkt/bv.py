@@ -21,8 +21,7 @@ from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rref
-from .koszul_tate import (DualRingElement, KTRing, XiLift,
-                          build_resolution)
+from .koszul_tate import KTRing, XiLift, build_resolution
 
 
 class NotPoincareDualityError(ValueError):
@@ -118,14 +117,13 @@ class BVContext:
     """Caches every cell-level matrix needed for the operator on one
     presentation, within one window."""
 
-    def __init__(self, A: AlgebraPresentation, window: DegreeWindow,
-                 ring: KTRing | None = None):
+    def __init__(self, A: AlgebraPresentation, window: DegreeWindow):
         self.A = A
         self.window = window
         self.pd = build_pd(A)
         self.d = self.pd.formal_dimension
-        self.R = ring.R if ring is not None else build_resolution(A)
-        self.ring = ring if ring is not None else KTRing(self.R, window)
+        self.R = build_resolution(A)
+        self.ring = KTRing(self.R, window)
         # no word is longer than the window's bar length; the depth is
         # only a bound, and never below XiLift's default
         self.xi = XiLift(self.R, max(4, window.max_p))
@@ -139,15 +137,29 @@ class BVContext:
 
     # -- translations ------------------------------------------------------
 
-    def kt_to_bar_cochain(self, dual: DualRingElement, p, q) -> Cochain:
-        """Pull a resolution-side class back along the comparison map."""
+    def kt_to_bar_cochain(self, f, p, q) -> Cochain:
+        """Pull a resolution-side cochain f, terms {(e, a): coeff} of the
+        (p, q) cell, back along the comparison map: the bar cochain
+        word -> f(xi(word)), where
+        f((l (x) r) . e) = (-1)^((|l| + |r|)(p + q)) (l r) f(e)."""
+        A = self.A
+        values = {}
+        for (e, a), c in f.items():
+            values.setdefault(e, []).append((a, c))
         terms = {}
         for word in dict.fromkeys(w for (w, _) in
                                   self.bar_self.cell_basis(p, q)):
-            val = dual.eval_element(self.xi.value(word))
-            for n, c in val.terms.items():
-                terms[(word, n)] = c
-        return Cochain(self.A, COEFF_SELF, p, q, terms)
+            for (l, r, e), c in self.xi.value(word).terms.items():
+                if e not in values:
+                    continue
+                if (A.mono_degree(l) + A.mono_degree(r)) * (p + q) % 2:
+                    c = -c
+                for lr, lrc in A.mul_monomials(l, r):
+                    for a, ca in values[e]:
+                        for n, nc in A.mul_monomials(lr, a):
+                            key = (word, n)
+                            terms[key] = terms.get(key, 0) + c * lrc * ca * nc
+        return Cochain(A, COEFF_SELF, p, q, terms)
 
     def translate_matrix(self, p, q):
         """Columns: bar homology coordinates of each ring basis class."""

@@ -129,7 +129,7 @@ def product_table_from_ring(ring: KTRing):
     return out
 
 
-def regularity_gate(A, window):
+def regularity_gate(A):
     if not A.relations:
         return None
     bound = max(r.degree() for r in A.relations) * 2 + 4
@@ -142,7 +142,7 @@ def regularity_gate(A, window):
 
 def cmd_compute(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
-    extra = regularity_gate(A, window) or {}
+    extra = regularity_gate(A) or {}
     ring = hh_via_kt(A, window)
     extra["differential_vanishes"] = ring.differential_vanishes
     doc = {
@@ -167,7 +167,7 @@ def cmd_compute(cfg: JobConfig):
 
 def cmd_oracle(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
-    extra = regularity_gate(A, window) or {}
+    extra = regularity_gate(A) or {}
     if cfg.max_bar_length is not None:
         window = DegreeWindow(min(window.max_p, cfg.max_bar_length),
                               window.q_min, window.q_max)
@@ -208,7 +208,7 @@ def _generator_monomial_labels(ring: KTRing):
     """Basis classes that are products of one or two model generators (the
     unit is omitted: the operator kills it by the algebra axioms)."""
     labels = []
-    gens = ring.generators or []
+    gens = ring.generators
     items = [{g.label: 1} for g in gens]
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
         exps = {g1.label: 1}
@@ -226,9 +226,16 @@ def _generator_monomial_labels(ring: KTRing):
 
 def cmd_bv(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
-    extra = regularity_gate(A, window) or {}
+    extra = regularity_gate(A) or {}
     ctx = BVContext(A, window)
     ring = ctx.ring
+    if ring.generators is None:
+        why = ("the relations are not pure powers"
+               if ring.differential_vanishes else
+               "the Hom-complex differential does not vanish in the window")
+        raise PresentationError(
+            f"bv needs a monomial generator model of HH, and there is "
+            f"none: {why}")
     if A.field.p != 2:
         extra["odd_characteristic_bv"] = \
             "computed, but outside the validated scope"
@@ -251,7 +258,7 @@ def cmd_bv(cfg: JobConfig):
             "ambiguity_basis": [ring.label_str(t) for t in res.ambiguity],
         })
     ext_table = []
-    gens = ring.generators or []
+    gens = ring.generators
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
         l1 = ring.label_from_exponents({g1.label: 1})
         l2 = ring.label_from_exponents({g2.label: 1})

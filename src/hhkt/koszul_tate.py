@@ -31,7 +31,10 @@ N(p, t) of E-monomials per level and internal degree (emono_counts).
 Three fields.CellComplex subclasses hold the cells: KTResolution is F by
 (level, internal degree), its tensor_square is F (x)_Lambda F, and KTRing
 is the Hom complex A (x) E-dual by (p, q).  The diagonal correction and
-the comparison map xi are solves in their cells.
+the comparison map xi are solves in their cells.  A cochain of the Hom
+complex is a dict of terms {(e, a): coeff} keyed like KTRing.cell_basis:
+the map sending the E-monomial e to the sum of its coefficients a; the
+cup product (cup_via_diagonal) takes and returns such terms.
 """
 
 from __future__ import annotations
@@ -529,21 +532,6 @@ def _tmono_boundary(R, m: TMono):
     return [(k, v % p) for k, v in out.items() if v % p]
 
 
-def _act_tensor(R, cl: Monomial, cr: Monomial, elem: KTTensorElement):
-    """Module action of cl (x) cr on F (x)_Lambda F."""
-    A = R.algebra
-    out = {}
-    dr = A.mono_degree(cr)
-    for (lamL, lamM, alpha, lamR, beta), c in elem.terms.items():
-        cross = A.mono_degree(lamL) + A.mono_degree(lamM) + R.e_total(alpha)
-        sign = -1 if (dr * cross) % 2 else 1
-        for mL, cL in A.mul_monomials(cl, lamL):
-            for mR, cR in A.mul_monomials(cr, lamR):
-                key = (mL, lamM, alpha, mR, beta)
-                out[key] = out.get(key, 0) + sign * c * cL * cR
-    return KTTensorElement(R, out)
-
-
 class TensorSquare(CellComplex):
     """F (x)_Lambda F as a chain complex of (level, internal degree) cells
     of TMonos."""
@@ -643,13 +631,14 @@ def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
 
 
 def diagonal_mono(R: KTResolution, m: KTMono) -> KTTensorElement:
-    """The diagonal of one KT monomial, extended multiplicatively."""
-    one = R.algebra.unit_monomial()
-    acc = KTTensorElement(R, {(one, one, R.unit_emono(), one,
-                               R.unit_emono()): 1})
+    """The diagonal of the KT monomial (l (x) r) . e: l (x) 1 (x) r times
+    the diagonals of the symbols of e, in order."""
+    unit = R.unit_emono()
+    acc = KTTensorElement(R, {(m[0], R.algebra.unit_monomial(), unit, m[1],
+                               unit): 1})
     for _, _, payload in R.e_symbols(m[2]):
         acc = acc * _diag_symbol(R, payload)
-    return _act_tensor(R, m[0], m[1], acc)
+    return acc
 
 
 def _cup_table(R: KTResolution, level: int):
@@ -685,57 +674,12 @@ def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
 # -- the dual ring over a coefficient algebra --------------------------------
 
 
-class DualRingElement:
-    """Element of A (x) E-dual: a finitely supported map E-monomial -> A.
-
-    Corresponds to the Lambda (x) Lambda-module map
-    H(c . alpha) = (-1)^{|c| |h|} mult(c) . h(alpha).
-    """
-
-    __slots__ = ("R", "degree", "values")
-
-    def __init__(self, R: KTResolution, degree: int, values=None):
-        self.R = R
-        self.degree = degree
-        self.values = {}
-        for e, poly in (values or {}).items():
-            if not poly.is_zero():
-                self.values[e] = poly
-
-    @classmethod
-    def basis_element(cls, R, e: EMono, a: Monomial):
-        A = R.algebra
-        degree = A.mono_degree(a) - R.e_total(e)
-        return cls(R, degree, {e: Polynomial(A, {a: 1})})
-
-    def is_zero(self):
-        return not self.values
-
-    def eval_term(self, left: Monomial, right: Monomial, e: EMono):
-        """Value on the monomial (left (x) right) . e, as an element of A."""
-        A = self.R.algebra
-        val = self.values.get(e)
-        if val is None:
-            return A.zero()
-        cdeg = A.mono_degree(left) + A.mono_degree(right)
-        sign = -1 if (cdeg * self.degree) % 2 else 1
-        lr = Polynomial(A, dict(A.mul_monomials(left, right)))
-        return (lr * val).scale(sign)
-
-    def eval_element(self, x: KTElement):
-        out = self.R.algebra.zero()
-        for (l, r, e), c in x.terms.items():
-            out = out + self.eval_term(l, r, e).scale(c)
-        return out
-
-
 def cup_on_basis(R: KTResolution, e1: EMono, a: Monomial, f_odd,
                  e2: EMono, b: Monomial, g_odd):
     """(a . e1*) cup (b . e2*) for cochains of total degree parities f_odd
     and g_odd, as {(alpha, monomial): coeff}.  Walks only the table entries
-    of (e1, e2); each term of D(alpha) is evaluated as eval_term does:
-    (lamL lamM) a times lamR b, with sign
-    (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
+    of (e1, e2); each term of D(alpha) is evaluated as (lamL lamM) a times
+    lamR b, with sign (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
     A = R.algebra
     p = R.field.p
     one = A.unit_monomial()
@@ -754,22 +698,23 @@ def cup_on_basis(R: KTResolution, e1: EMono, a: Monomial, f_odd,
     return {key: c for key, c in out.items() if c}
 
 
-def cup_via_diagonal(f: DualRingElement, g: DualRingElement):
-    """(f cup g)(alpha) = (f (x) g)(D alpha): the bilinear extension of
-    cup_on_basis over the values of f and g."""
-    R = f.R
-    f_odd, g_odd = f.degree % 2, g.degree % 2
-    acc = {}
-    for (e1, f_poly), (e2, g_poly) in itertools.product(f.values.items(),
-                                                        g.values.items()):
-        for (a, ca), (b, cb) in itertools.product(f_poly.terms.items(),
-                                                  g_poly.terms.items()):
-            cup = cup_on_basis(R, e1, a, f_odd, e2, b, g_odd)
-            for (alpha, m), c in cup.items():
-                terms = acc.setdefault(alpha, {})
-                terms[m] = terms.get(m, 0) + ca * cb * c
-    return DualRingElement(R, f.degree + g.degree, {
-        alpha: Polynomial(R.algebra, terms) for alpha, terms in acc.items()})
+def cup_via_diagonal(R: KTResolution, f, g):
+    """(f cup g)(alpha) = (f (x) g)(D alpha) for cochains given as terms
+    {(e, a): coeff}: the bilinear extension of cup_on_basis, as terms
+    {(alpha, monomial): coeff}.  A cochain's degree parity is read from
+    any of its keys."""
+    if not f or not g:
+        return {}
+    A = R.algebra
+    p = R.field.p
+    f_odd, g_odd = ((A.mono_degree(a) - R.e_total(e)) % 2
+                    for e, a in (next(iter(f)), next(iter(g))))
+    out = {}
+    for ((e1, a), ca), ((e2, b), cb) in itertools.product(f.items(),
+                                                          g.items()):
+        for key, c in cup_on_basis(R, e1, a, f_odd, e2, b, g_odd).items():
+            out[key] = (out.get(key, 0) + ca * cb * c) % p
+    return {key: c for key, c in out.items() if c}
 
 
 # -- HH via the resolution -----------------------------------------------------
@@ -783,7 +728,9 @@ class KTRing(CellComplex):
     monomial a of A.  When its differential vanishes identically in the
     window (no relations, or all relation derivatives vanish mod p) the
     cells are read off directly and a monomial generator model is attached;
-    otherwise cells are its homology classes.
+    otherwise cells are its homology classes.  class_reps maps each class
+    label to a representative cochain, as terms {(e, a): coeff} of its
+    cell basis: {(e, a): 1} for the label ("m", e, a).
     """
 
     def __init__(self, R: KTResolution, window: DegreeWindow):
@@ -831,7 +778,7 @@ class KTRing(CellComplex):
         return SparseMatrix(len(dst_index), len(src), entries, R.field)
 
     def _build(self):
-        R, A, W = self.R, self.algebra, self.window
+        W = self.window
         self.cells = {}
         self.class_reps = {}
         self.differential_vanishes = not any(
@@ -842,8 +789,7 @@ class KTRing(CellComplex):
                 pairs = self.cell_basis(p, q)
                 self.cells[(p, q)] = [("m", e, a) for (e, a) in pairs]
                 for e, a in pairs:
-                    self.class_reps[("m", e, a)] = \
-                        DualRingElement.basis_element(R, e, a)
+                    self.class_reps[("m", e, a)] = {(e, a): 1}
             self.generators = self._generator_model()
             self.complete = self.generators is not None
         else:
@@ -853,11 +799,7 @@ class KTRing(CellComplex):
                 for k, rep in enumerate(self.homology(p, q).representatives):
                     label = ("h", p, q, k)
                     labels.append(label)
-                    values = {}
-                    for (e, a), c in self.combination(p, q, rep).items():
-                        values.setdefault(e, {})[a] = c
-                    self.class_reps[label] = DualRingElement(R, p + q, {
-                        e: Polynomial(A, t) for e, t in values.items()})
+                    self.class_reps[label] = self.combination(p, q, rep)
                 self.cells[(p, q)] = labels
 
     def _generator_model(self):
@@ -986,26 +928,24 @@ class KTRing(CellComplex):
             cup = cup_on_basis(self.R, e1, a, (pa + qa) % 2,
                                e2, b, (pb + qb) % 2)
             return {("m", e, m): c for (e, m), c in cup.items()}
-        cup = cup_via_diagonal(self.class_reps[la], self.class_reps[lb])
+        cup = cup_via_diagonal(self.R, self.class_reps[la],
+                               self.class_reps[lb])
         return self._express(cup, pa + pb, qa + qb)
 
-    def _express(self, dual: DualRingElement, p, q):
+    def _express(self, terms, p, q):
         """Coordinates of a cocycle's class in the homology cell basis."""
         if not self.window.contains(p, q):
             raise WindowError(f"cell ({p},{q}) outside window")
-        coords = self.express(p, q, {(e, a): c
-                                     for e, poly in dual.values.items()
-                                     for a, c in poly.terms.items()})
+        coords = self.express(p, q, terms)
         if coords is None:
             raise InternalConsistencyError("cup product not a cocycle class")
         return {("h", p, q, k): c for k, c in enumerate(coords) if c}
 
 
-def hh_via_kt(presentation: AlgebraPresentation, window: DegreeWindow,
-              resolution: KTResolution | None = None) -> KTRing:
+def hh_via_kt(presentation: AlgebraPresentation,
+              window: DegreeWindow) -> KTRing:
     """HH(Lambda; Lambda) cells and products from the Koszul-Tate side."""
-    R = resolution if resolution is not None else build_resolution(presentation)
-    return KTRing(R, window)
+    return KTRing(build_resolution(presentation), window)
 
 
 # -- comparison with the bar resolution ----------------------------------------

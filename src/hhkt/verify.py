@@ -22,10 +22,9 @@ from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
 from .bigraded import DegreeWindow
 from .bv import BVContext, iota, iota_inverse
 from .fields import PrimeField, SparseMatrix, rank_kernel_image
-from .koszul_tate import (DualRingElement, KTElement, XiLift,
-                          build_resolution, cup_via_diagonal,
-                          diagonal_element, diagonal_mono, exactness_check,
-                          hh_via_kt, lucas_binomial, EMono)
+from .koszul_tate import (KTElement, XiLift, build_resolution,
+                          cup_via_diagonal, diagonal_element, diagonal_mono,
+                          exactness_check, hh_via_kt, lucas_binomial, EMono)
 
 
 def _make(p, gens, rels=()):
@@ -45,15 +44,10 @@ def _corpus():
 
 
 def _words(A, max_len, cap):
-    abar = []
-    for d in range(1, cap + 1):
-        abar.extend(A.monomial_basis(d))
-    out = []
-    for k in range(1, max_len + 1):
-        for w in itertools.product(abar, repeat=k):
-            if sum(A.mono_degree(m) for m in w) <= cap:
-                out.append(w)
-    return out
+    """Bar words of length 1..max_len and internal degree <= cap."""
+    cells = ChainComplexCells(A)
+    return [w for k in range(1, max_len + 1) for S in range(k, cap + 1)
+            for w in cells.words(k, S)]
 
 
 def check_bar_d_squared(corpus, rng):
@@ -131,16 +125,14 @@ def check_diagonal_chain_map(corpus, rng):
 def check_dual_basis_rules(corpus, rng):
     A = corpus["ext2_deg5"]
     R = build_resolution(A)
-    one = A.unit_monomial()
-    nu1 = DualRingElement.basis_element(R, EMono((1, 0), 0, ()), one)
-    sq = cup_via_diagonal(nu1, nu1)
-    if set(sq.values) != {EMono((2, 0), 0, ())}:
+    nu1 = {(EMono((1, 0), 0, ()), A.unit_monomial()): 1}
+    sq = cup_via_diagonal(R, nu1, nu1)
+    if {e for e, _ in sq} != {EMono((2, 0), 0, ())}:
         return "fail", "nu* . nu* is not the dual divided square"
     P = corpus["poly1_deg2"]
     Rp = build_resolution(P)
-    u = DualRingElement.basis_element(Rp, EMono((), 1, ()),
-                                      P.unit_monomial())
-    if not cup_via_diagonal(u, u).is_zero():
+    u = {(EMono((), 1, ()), P.unit_monomial()): 1}
+    if cup_via_diagonal(Rp, u, u):
         return "fail", "u* . u* != 0 without relations"
     return "pass", None
 

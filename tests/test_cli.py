@@ -48,6 +48,22 @@ PRESENTATIONS = {
         "relations": ["x1*x2", "x1^2*x2"],
         "window": {"max_filtration": 2, "q_min": -6, "q_max": 6},
     },
+    # Poincare duality algebras whose HH has no monomial generator model:
+    # the Hom differential does not vanish, or the relations are not pure
+    # powers
+    "square_zero_f3": {
+        "characteristic": 3,
+        "generators": [{"name": "x1", "degree": 2, "kind": "polynomial"}],
+        "relations": ["x1^2"],
+        "window": {"max_filtration": 4, "q_min": -12, "q_max": 2},
+    },
+    "sum_of_squares_f2": {
+        "characteristic": 2,
+        "generators": [{"name": "x1", "degree": 2, "kind": "polynomial"},
+                       {"name": "x2", "degree": 2, "kind": "polynomial"}],
+        "relations": ["x1^2 + x2^2", "x2^2"],
+        "window": {"max_filtration": 2, "q_min": -8, "q_max": 4},
+    },
 }
 
 
@@ -115,7 +131,7 @@ def test_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
 
     real = cli_mod.hh_via_kt
 
-    def lying(A, window, resolution=None):
+    def lying(A, window):
         ring = real(A, window)
         ring.cells[(0, 0)] = []
         return ring
@@ -131,6 +147,22 @@ def test_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
 def test_bv_requires_poincare_duality(tmp_path, capsys):
     code = main(["bv", "--input", write(tmp_path, "poly_f2")])
     assert code == 1
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("square_zero_f3", "differential does not vanish"),
+    ("sum_of_squares_f2", "not pure powers"),
+])
+def test_bv_without_generator_model_is_an_input_error(tmp_path, capsys,
+                                                      name, reason):
+    # an empty BV table would be a silently empty result
+    code = main(["bv", "--input", write(tmp_path, name)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_bv_deg5_table(tmp_path, capsys):
@@ -235,7 +267,7 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
                                           error, code):
     import hhkt.cli as cli_mod
 
-    def failing(A, window, resolution=None):
+    def failing(A, window):
         raise error
 
     monkeypatch.setattr(cli_mod, "hh_via_kt", failing)

@@ -3,10 +3,11 @@
 Pins the sha256 of the `compute` and `oracle` documents of every
 presentation in scripts/presentations/, of the `bv` documents of those that
 scripts/run_corpus.py runs it on, of `verify --seed 0`, of the `compute`
-documents of three benchmark inputs whose product tables and collapse
-certificates are large, and of the `oracle` documents of the benchmark's
-oracle workload.  A change that is meant to alter results must
-re-record these hashes and say why.
+documents of four benchmark inputs (three whose product tables and
+collapse certificates are large, one whose products take the homology
+path), and of the `oracle` documents of the benchmark's oracle workload.
+A change that is meant to alter results must re-record these hashes and
+say why.
 """
 
 import hashlib
@@ -66,7 +67,8 @@ BV_SHA256 = {
 
 # ext3_deg5_char2: 2 697 product rows; poly2_deg2_char2: 14 721 product
 # rows; mixed_ext3_trunc3_char3: an "obstructed" certificate with 22
-# potential differentials into cells beyond the window
+# potential differentials into cells beyond the window; poly2_rel_deg2_char2:
+# 75 product rows on the homology path (cup_via_diagonal, then _express)
 BENCH_COMPUTE_SHA256 = {
     "ext3_deg5_char2":
         "58f4db88888336b5b07369644f0b7c0446e5be1d03db1c9ebd947b602953c60e",
@@ -74,6 +76,8 @@ BENCH_COMPUTE_SHA256 = {
         "933a0125de797d9c0c96a32deecaed511d6bad8bc53e45a9c841d557e7b61b24",
     "mixed_ext3_trunc3_char3":
         "77fcc73822908b79bdabc76bae02a35ebcdc81bbfde789a68e234b929ba101f5",
+    "poly2_rel_deg2_char2":
+        "9be6ed53305d74cd59d12e9bf7b16c49e2d21257979425c4fadbded3a594bc78",
 }
 
 # the two commands of the benchmark's oracle workload: a relation that is
