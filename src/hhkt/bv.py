@@ -21,7 +21,7 @@ from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rref
-from .koszul_tate import KTRing, XiLift, build_resolution
+from .koszul_tate import KTResolution, KTRing, XiLift
 
 
 class NotPoincareDualityError(ValueError):
@@ -122,7 +122,7 @@ class BVContext:
         self.window = window
         self.pd = build_pd(A)
         self.d = self.pd.formal_dimension
-        self.R = build_resolution(A)
+        self.R = KTResolution(A)
         self.ring = KTRing(self.R, window)
         # no word is longer than the window's bar length; the depth is
         # only a bound, and never below XiLift's default

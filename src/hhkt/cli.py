@@ -24,8 +24,10 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (InternalConsistencyError, PresentationError, json_int,
                       parse_presentation, validate_regular_sequence)
@@ -113,19 +115,25 @@ def hh_table_from_ring(ring: KTRing):
 
 
 def product_table_from_ring(ring: KTRing):
-    """Every product of two basis classes whose bidegree is in the window."""
-    labels = [lbl for (_pq, lbls) in sorted(ring.cells.items())
-              for lbl in lbls]
-    bidegree = {lbl: ring.bidegree(lbl) for lbl in labels}
-    name = {lbl: ring.label_str(lbl) for lbl in labels}
+    """Every product of two basis classes whose bidegree is in the window,
+    in the order of combinations_with_replacement over the labels listed
+    cell by cell.  Only the cell pairs whose summed bidegree lies in the
+    window are walked."""
+    cells = [(pq, lbls) for pq, lbls in sorted(ring.cells.items()) if lbls]
+    name = {lbl: ring.label_str(lbl)
+            for _pq, lbls in cells for lbl in lbls}
     out = []
-    for la, lb in itertools.combinations_with_replacement(labels, 2):
-        (pa, qa), (pb, qb) = bidegree[la], bidegree[lb]
-        if not ring.window.contains(pa + pb, qa + qb):
-            continue
-        prod = ring.product(la, lb)
-        out.append({"a": name[la], "b": name[lb],
-                    "value": sorted([name[lc], c] for lc, c in prod.items())})
+    for i, ((pa, qa), lbls_a) in enumerate(cells):
+        partners = [(j, lbls_b) for j, ((pb, qb), lbls_b)
+                    in enumerate(cells[i:], i)
+                    if ring.window.contains(pa + pb, qa + qb)]
+        for k, la in enumerate(lbls_a):
+            for j, lbls_b in partners:
+                for lb in (lbls_b[k:] if j == i else lbls_b):
+                    prod = ring.product(la, lb)
+                    out.append({"a": name[la], "b": name[lb],
+                                "value": sorted([name[lc], c]
+                                                for lc, c in prod.items())})
     return out
 
 
@@ -398,11 +406,67 @@ def render_text(doc) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_text(x: float) -> str:
+    """A float as json writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the JSON text of a scalar, by its exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def json_text(obj, indent=""):
+    """The text json.dumps(obj, sort_keys=True, indent=2) gives, built as
+    one str.join per container instead of json's pure-Python chunk
+    iterator (json uses its C encoder only without indent).  Dict keys must
+    be str; any other key or value type raises TypeError.  Scalars in a
+    container are written inline, without a call per scalar."""
+    scalar = _SCALAR_TEXT.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    # the list of children's texts is gone before the brackets are added,
+    # so at most two copies of a container's text are alive at once
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not str
+        items = f",\n{inner}".join([
+            encode_basestring_ascii(k) + ": "
+            + (scalar(v) if (scalar := _SCALAR_TEXT.get(type(v)))
+               else json_text(v, inner))
+            for k, v in sorted(obj.items())])
+        return "".join(("{\n", inner, items, "\n", indent, "}"))
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = f",\n{inner}".join([
+            scalar(v) if (scalar := _SCALAR_TEXT.get(type(v)))
+            else json_text(v, inner) for v in obj])
+        return "".join(("[\n", inner, items, "\n", indent, "]"))
+    for kind in (str, int, float):
+        if isinstance(obj, kind):
+            return _SCALAR_TEXT[kind](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
 def emit(doc, fmt):
     if fmt == "text":
         sys.stdout.write(render_text(doc))
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json_text(doc))
+        sys.stdout.write("\n")
 
 
 class UsageError(Exception):

@@ -346,11 +346,6 @@ def _emono_from_symbols(R, syms):
     return EMono(tuple(nu), u, tuple(w))
 
 
-def build_resolution(presentation: AlgebraPresentation) -> KTResolution:
-    """Koszul-Tate resolution with pre-verified zeta coefficients."""
-    return KTResolution(presentation)
-
-
 # -- cell enumeration and matrices --------------------------------------------
 
 
@@ -674,16 +669,17 @@ def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
 # -- the dual ring over a coefficient algebra --------------------------------
 
 
-def cup_on_basis(R: KTResolution, e1: EMono, a: Monomial, f_odd,
+def cup_on_basis(R: KTResolution, level, e1: EMono, a: Monomial, f_odd,
                  e2: EMono, b: Monomial, g_odd):
     """(a . e1*) cup (b . e2*) for cochains of total degree parities f_odd
-    and g_odd, as {(alpha, monomial): coeff}.  Walks only the table entries
-    of (e1, e2); each term of D(alpha) is evaluated as (lamL lamM) a times
-    lamR b, with sign (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
+    and g_odd, as {(alpha, monomial): coeff}, where level is the level of
+    e1 e2.  Walks only the table entries of (e1, e2); each term of D(alpha)
+    is evaluated as (lamL lamM) a times lamR b, with sign
+    (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
     A = R.algebra
     p = R.field.p
     one = A.unit_monomial()
-    table = _cup_table(R, R.e_level(e1) + R.e_level(e2))
+    table = _cup_table(R, level)
     out = {}
     for alpha, lam, lamR, c, lam_odd, right_odd in table.get((e1, e2), ()):
         if (lam_odd * f_odd + right_odd * g_odd) % 2:
@@ -701,18 +697,21 @@ def cup_on_basis(R: KTResolution, e1: EMono, a: Monomial, f_odd,
 def cup_via_diagonal(R: KTResolution, f, g):
     """(f cup g)(alpha) = (f (x) g)(D alpha) for cochains given as terms
     {(e, a): coeff}: the bilinear extension of cup_on_basis, as terms
-    {(alpha, monomial): coeff}.  A cochain's degree parity is read from
-    any of its keys."""
+    {(alpha, monomial): coeff}.  A cochain's level and degree parity are
+    read from any of its keys."""
     if not f or not g:
         return {}
     A = R.algebra
     p = R.field.p
-    f_odd, g_odd = ((A.mono_degree(a) - R.e_total(e)) % 2
-                    for e, a in (next(iter(f)), next(iter(g))))
+    (e1, a), (e2, b) = next(iter(f)), next(iter(g))
+    level = R.e_level(e1) + R.e_level(e2)
+    f_odd = (A.mono_degree(a) - R.e_total(e1)) % 2
+    g_odd = (A.mono_degree(b) - R.e_total(e2)) % 2
     out = {}
     for ((e1, a), ca), ((e2, b), cb) in itertools.product(f.items(),
                                                           g.items()):
-        for key, c in cup_on_basis(R, e1, a, f_odd, e2, b, g_odd).items():
+        for key, c in cup_on_basis(R, level, e1, a, f_odd,
+                                   e2, b, g_odd).items():
             out[key] = (out.get(key, 0) + ca * cb * c) % p
     return {key: c for key, c in out.items() if c}
 
@@ -925,7 +924,7 @@ class KTRing(CellComplex):
         if self.differential_vanishes:
             # the monomial model extends beyond the window
             (_, e1, a), (_, e2, b) = la, lb
-            cup = cup_on_basis(self.R, e1, a, (pa + qa) % 2,
+            cup = cup_on_basis(self.R, pa + pb, e1, a, (pa + qa) % 2,
                                e2, b, (pb + qb) % 2)
             return {("m", e, m): c for (e, m), c in cup.items()}
         cup = cup_via_diagonal(self.R, self.class_reps[la],
@@ -945,7 +944,7 @@ class KTRing(CellComplex):
 def hh_via_kt(presentation: AlgebraPresentation,
               window: DegreeWindow) -> KTRing:
     """HH(Lambda; Lambda) cells and products from the Koszul-Tate side."""
-    return KTRing(build_resolution(presentation), window)
+    return KTRing(KTResolution(presentation), window)
 
 
 # -- comparison with the bar resolution ----------------------------------------

@@ -22,7 +22,7 @@ from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
 from .bigraded import DegreeWindow
 from .bv import BVContext, iota, iota_inverse
 from .fields import PrimeField, SparseMatrix, rank_kernel_image
-from .koszul_tate import (KTElement, XiLift, build_resolution,
+from .koszul_tate import (KTElement, KTResolution, XiLift,
                           cup_via_diagonal, diagonal_element, diagonal_mono,
                           exactness_check, hh_via_kt, lucas_binomial, EMono)
 
@@ -86,7 +86,7 @@ def check_chain_operators(corpus, rng):
 
 def check_kt_d_squared(corpus, rng):
     for name, A in corpus.items():
-        R = build_resolution(A)
+        R = KTResolution(A)
         for level in range(1, 5):
             for t in range(0, 15):
                 for m in R.cell_basis(level, t):
@@ -97,7 +97,7 @@ def check_kt_d_squared(corpus, rng):
 
 def check_kt_exactness(corpus, rng):
     for name, A in corpus.items():
-        R = build_resolution(A)
+        R = KTResolution(A)
         report = exactness_check(R, max_level=3, internal_bound=12)
         if not report.ok:
             return "fail", f"{name}: {report.failures[:3]}"
@@ -106,7 +106,7 @@ def check_kt_exactness(corpus, rng):
 
 def check_diagonal_chain_map(corpus, rng):
     for name, A in corpus.items():
-        R = build_resolution(A)
+        R = KTResolution(A)
         seen = 0
         pool = []
         for level in range(1, 4):
@@ -124,13 +124,13 @@ def check_diagonal_chain_map(corpus, rng):
 
 def check_dual_basis_rules(corpus, rng):
     A = corpus["ext2_deg5"]
-    R = build_resolution(A)
+    R = KTResolution(A)
     nu1 = {(EMono((1, 0), 0, ()), A.unit_monomial()): 1}
     sq = cup_via_diagonal(R, nu1, nu1)
     if {e for e, _ in sq} != {EMono((2, 0), 0, ())}:
         return "fail", "nu* . nu* is not the dual divided square"
     P = corpus["poly1_deg2"]
-    Rp = build_resolution(P)
+    Rp = KTResolution(P)
     u = {(EMono((), 1, ()), P.unit_monomial()): 1}
     if cup_via_diagonal(Rp, u, u):
         return "fail", "u* . u* != 0 without relations"
@@ -249,7 +249,7 @@ def check_zeta_conditions(corpus, rng, inject_fault=False):
 def check_xi_chain_map(corpus, rng):
     for name in ("ext2_deg5", "ext1_deg3_p3"):
         A = corpus[name]
-        R = build_resolution(A)
+        R = KTResolution(A)
         xi = XiLift(R, depth=4)
         cap = 4 * max(g.degree for g in A.generators)
         for w in _words(A, 4, cap):

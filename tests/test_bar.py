@@ -14,8 +14,8 @@ from hhkt.bar import (BarComplex, BarWord, ChainComplexCells, ChainElement,
                       compute_hh_window, compute_hochschild_homology_window,
                       connes_boundary, hochschild_b, shuffle_product,
                       unit_cochain, CellBlowupError, COEFF_DUAL, COEFF_SELF)
-from hhkt.koszul_tate import (KTElement, KTRing, KTTensorElement,
-                              build_resolution, hh_via_kt)
+from hhkt.koszul_tate import (KTElement, KTResolution, KTRing,
+                              KTTensorElement, hh_via_kt)
 
 from .helpers import exterior, polynomial, truncated_poly_char2, \
     two_spheres_deg5
@@ -414,7 +414,7 @@ def _cell_complexes(which):
     resolution F, its tensor square and the Hom complex of one algebra."""
     A = [two_spheres_deg5(), exterior(3, [3]), truncated_poly_char2()][which]
     window = DegreeWindow(3, -12, 8)
-    R = build_resolution(A)
+    R = KTResolution(A)
     bigraded = list(window.cells())
     graded = [(d, w) for d in range(4) for w in range(13)]
 

@@ -2,10 +2,12 @@
 
 Pins the sha256 of the `compute` and `oracle` documents of every
 presentation in scripts/presentations/, of the `bv` documents of those that
-scripts/run_corpus.py runs it on, of `verify --seed 0`, of the `compute`
-documents of four benchmark inputs (three whose product tables and
-collapse certificates are large, one whose products take the homology
-path), and of the `oracle` documents of the benchmark's oracle workload.
+scripts/run_corpus.py runs it on, of `verify --seed 0`, `1` and `2`, of
+the `compute` documents of four benchmark inputs (three whose product
+tables and collapse certificates are large, one whose products take the
+homology path), of the `oracle` documents of the benchmark's oracle
+workload, and of the `bv` document of the three-generator exterior input
+at max filtration 3.
 A change that is meant to alter results must re-record these hashes and
 say why.
 """
@@ -89,8 +91,16 @@ BENCH_ORACLE_SHA256 = {
         "d5f139b9a5a6dbc3133c8bdcb54ada7928f382222f39a17affb5348e369d37f1",
 }
 
-VERIFY_SEED0_SHA256 = \
-    "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86"
+# /\(y1,y2,y3), |y| = 5, F_2: the BV composite with three exterior
+# generators, cut at max filtration 3
+BENCH_BV_EXT3_SHA256 = \
+    "d6f506fc25615279ced555225ebe8fa3e1d49dd9ad88aba34e422d122114ce7d"
+
+VERIFY_SHA256 = {
+    0: "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86",
+    1: "6a706390efa2a26ad7e2281d969f326a9b6adcd541423185e5f6a040663a9e6b",
+    2: "d826e7a90352d1f7ddde46ab0ebe674cca2553c1d7737937c953b27f986e14b9",
+}
 
 
 def _stdout_sha256(capsys, argv):
@@ -139,6 +149,13 @@ def test_bv_document_is_unchanged(capsys, name):
         == BV_SHA256[name]
 
 
+def test_benchmark_bv_document_is_unchanged(capsys):
+    path = BENCH_INPUTS / "ext3_deg5_char2.json"
+    assert _stdout_sha256(capsys, ["bv", "--input", str(path),
+                                   "--max-p", "3"]) == BENCH_BV_EXT3_SHA256
+
+
 def test_verify_document_is_unchanged(capsys):
-    assert _stdout_sha256(capsys, ["verify", "--seed", "0"]) \
-        == VERIFY_SEED0_SHA256
+    for seed, digest in VERIFY_SHA256.items():
+        assert _stdout_sha256(capsys, ["verify", "--seed", str(seed)]) \
+            == digest, f"verify --seed {seed}"

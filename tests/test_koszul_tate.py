@@ -4,8 +4,8 @@ import pytest
 
 from hhkt.algebra import Polynomial
 from hhkt.bigraded import DegreeWindow
-from hhkt.koszul_tate import (EMono, KTElement,
-                              KTTensorElement, XiLift, build_resolution,
+from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
+                              KTTensorElement, XiLift,
                               cup_via_diagonal, diagonal_element,
                               diagonal_mono, emonos_at_level, exactness_check,
                               hh_via_kt, kt_d_mono,
@@ -44,19 +44,19 @@ def test_lucas():
 
 
 def test_generator_rosters():
-    R = build_resolution(two_spheres_deg5())
+    R = KTResolution(two_spheres_deg5())
     assert R.generator_roster() == [("nu_y1", (-1, 5)), ("nu_y2", (-1, 5))]
 
-    Rp = build_resolution(polynomial(3, [2]))
+    Rp = KTResolution(polynomial(3, [2]))
     assert Rp.generator_roster() == [("u_x1", (-1, 2))]
 
-    Rt = build_resolution(truncated_poly_char2())
+    Rt = KTResolution(truncated_poly_char2())
     assert Rt.generator_roster() == [("u_x1", (-1, 4)), ("w_0", (-2, 8))]
 
 
 def test_kt_differential_nu():
     A = exterior(3, [5])
-    R = build_resolution(A)
+    R = KTResolution(A)
     y = A.generator_monomial("y1")
     one = A.unit_monomial()
     d_nu = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((1,), 0, ())))))
@@ -70,7 +70,7 @@ def test_kt_differential_nu():
 
 def test_kt_differential_w_truncated():
     A = truncated_poly_char2()
-    R = build_resolution(A)
+    R = KTResolution(A)
     one = A.unit_monomial()
     x = A.generator_monomial("x1")
     d_w = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((), 0, (1,))))))
@@ -87,7 +87,7 @@ def test_kt_differential_w_truncated():
     truncated_poly_char2(),
 ])
 def test_d_squared_zero_window(presentation):
-    R = build_resolution(presentation)
+    R = KTResolution(presentation)
     for level in range(1, 5):
         for t in range(0, 17):
             for m in R.cell_basis(level, t):
@@ -96,21 +96,21 @@ def test_d_squared_zero_window(presentation):
 
 
 def test_exactness():
-    R = build_resolution(exterior(2, [5, 5]))
+    R = KTResolution(exterior(2, [5, 5]))
     report = exactness_check(R, max_level=3, internal_bound=14)
     assert report.ok, report.failures
 
-    Rt = build_resolution(truncated_poly_char2())
+    Rt = KTResolution(truncated_poly_char2())
     report = exactness_check(Rt, max_level=3, internal_bound=14)
     assert report.ok, report.failures
 
-    Rp = build_resolution(polynomial(3, [2], ["x1^3"]))
+    Rp = KTResolution(polynomial(3, [2], ["x1^3"]))
     report = exactness_check(Rp, max_level=3, internal_bound=12)
     assert report.ok, report.failures
 
 
 def test_diagonal_generators():
-    R = build_resolution(polynomial(2, [2, 2]))
+    R = KTResolution(polynomial(2, [2, 2]))
     one = R.algebra.unit_monomial()
     D_u = diagonal_mono(R, (one, one, EMono((), 1, ())))
     e_u = EMono((), 1, ())
@@ -118,7 +118,7 @@ def test_diagonal_generators():
     assert D_u == KTTensorElement(R, {
         (one, one, e_u, one, e_1): 1, (one, one, e_1, one, e_u): 1})
 
-    Re = build_resolution(exterior(2, [5, 5]))
+    Re = KTResolution(exterior(2, [5, 5]))
     onee = Re.algebra.unit_monomial()
     D_g2 = diagonal_mono(Re, (onee, onee, EMono((2, 0), 0, ())))
     g = lambda k: EMono((k, 0), 0, ())
@@ -136,7 +136,7 @@ def test_diagonal_generators():
 ])
 def test_diagonal_chain_map(presentation):
     """boundary(D m) = D(d m) on generators and window monomials."""
-    R = build_resolution(presentation)
+    R = KTResolution(presentation)
     count = 0
     for level in range(1, 4):
         for t in range(0, 17):
@@ -154,7 +154,7 @@ def test_diagonal_coassociative_nu_u():
     the induced triple products instead of materializing F^(x)3."""
     # strict associativity of the induced cup is the consumable consequence;
     # check it on dual ring elements
-    R = build_resolution(exterior(2, [5, 5]))
+    R = KTResolution(exterior(2, [5, 5]))
     A = R.algebra
     one = A.unit_monomial()
     nu1 = {(EMono((1, 0), 0, ()), one): 1}
@@ -168,7 +168,7 @@ def test_diagonal_coassociative_nu_u():
 
 def test_dual_basis_product_rules():
     # gamma_k*(nu) products form a polynomial algebra: nu* . nu* = gamma_2*
-    R = build_resolution(exterior(2, [5, 5]))
+    R = KTResolution(exterior(2, [5, 5]))
     A = R.algebra
     one = A.unit_monomial()
     nu1 = {(EMono((1, 0), 0, ()), one): 1}
@@ -179,7 +179,7 @@ def test_dual_basis_product_rules():
     assert {e for e, _ in cube} == {EMono((3, 0), 0, ())}
 
     # u* . u* = 0 in the relation-free polynomial case
-    Rp = build_resolution(polynomial(3, [2, 2]))
+    Rp = KTResolution(polynomial(3, [2, 2]))
     u1 = {(EMono((), 1, ()), Rp.algebra.unit_monomial()): 1}
     assert cup_via_diagonal(Rp, u1, u1) == {}
 
@@ -310,7 +310,7 @@ def test_truncated_odd_ring_products():
 
 def test_truncated_cup_u_square_is_w():
     # with the relation x^2 the corrected diagonal gives u* . u* = w*
-    R = build_resolution(truncated_poly_char2())
+    R = KTResolution(truncated_poly_char2())
     one = R.algebra.unit_monomial()
     u = {(EMono((), 1, (0,)), one): 1}
     assert cup_via_diagonal(R, u, u) == {(EMono((), 0, (1,)), one): 1}
@@ -318,7 +318,7 @@ def test_truncated_cup_u_square_is_w():
 
 def test_xi_pins_and_chain_map():
     A = two_spheres_deg5()
-    R = build_resolution(A)
+    R = KTResolution(A)
     xi = XiLift(R, depth=4)
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
@@ -339,7 +339,7 @@ def test_xi_pins_and_chain_map():
 
 def test_xi_chain_map_odd_char():
     A = exterior(3, [3])
-    R = build_resolution(A)
+    R = KTResolution(A)
     xi = XiLift(R, depth=4)
     y = A.generator_monomial("y1")
     assert xi.value((y,)) == elem(R, nu=(1,))
@@ -350,7 +350,7 @@ def test_xi_chain_map_odd_char():
 
 def test_phi_values():
     A = two_spheres_deg5()
-    R = build_resolution(A)
+    R = KTResolution(A)
     xi = XiLift(R, depth=4)
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
@@ -370,7 +370,7 @@ def test_phi_values():
 def test_phi_rejects_non_cycles():
     from hhkt.koszul_tate import NotACycleError
     A = two_spheres_deg5()
-    R = build_resolution(A)
+    R = KTResolution(A)
     xi = XiLift(R, depth=4)
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
@@ -445,7 +445,7 @@ def test_cached_cup_matches_direct_evaluation(case):
     build, window, lambdas = CUP_CASES[case]
     A = build()
     ring = hh_via_kt(A, window)
-    fresh = build_resolution(A)
+    fresh = KTResolution(A)
     diagonals = {}
     labels = [lbl for _, lbls in sorted(ring.cells.items()) for lbl in lbls]
     nonzero = 0
