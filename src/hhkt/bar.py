@@ -440,6 +440,7 @@ class BarComplex(_WordCells):
         rel_degs = [r.degree() for r in A.relations]
         self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
         self._actions = {}  # (left, n, right) -> terms of left.n.right
+        self._faces = {}    # (word, deg % 2) -> its _coboundary_faces
 
     def degree_range(self, p, q):
         """Word internal degrees S contributing to the (p, q) cell."""
@@ -492,7 +493,10 @@ class BarComplex(_WordCells):
         actions = self._actions
         entries = {}
         for word in dict.fromkeys(w for (w, _) in dst):
-            for left, sub, right, s in _coboundary_faces(A, p + q, word):
+            key = (word, (p + q) % 2)
+            if key not in self._faces:
+                self._faces[key] = tuple(_coboundary_faces(A, p + q, word))
+            for left, sub, right, s in self._faces[key]:
                 for j, n in by_word.get(sub, ()):
                     img = actions.get((left, n, right))
                     if img is None:
@@ -506,14 +510,12 @@ class BarComplex(_WordCells):
                             entries[(i, j)] = entries.get((i, j), 0) + s * c
         return SparseMatrix(len(dst), len(src), entries, A.field)
 
-    def homology(self, p, q):
-        if (p, q) not in self._hom:
-            est = self.estimate_cell(p, q) + self.estimate_cell(p + 1, q)
-            if est > self.cell_limit:
-                raise CellBlowupError(
-                    f"cell ({p},{q}) estimated at {est} columns exceeds the "
-                    f"limit {self.cell_limit}", est)
-        return super().homology(p, q)
+    def _check_size(self, p, q):
+        est = self.estimate_cell(p, q) + self.estimate_cell(p + 1, q)
+        if est > self.cell_limit:
+            raise CellBlowupError(
+                f"cell ({p},{q}) estimated at {est} columns exceeds the "
+                f"limit {self.cell_limit}", est)
 
 
 def compute_hh_window(A: AlgebraPresentation, coeff: str,
@@ -521,7 +523,7 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
     """Brute-force HH cell dimensions over the bar complex, {(p, q): dim}
     for every cell of the window."""
     cx = BarComplex(A, coeff, window, cell_limit)
-    return {(p, q): cx.homology(p, q).dim for (p, q) in window.cells()}
+    return {(p, q): cx.homology_dim(p, q) for (p, q) in window.cells()}
 
 
 # -- chain cells ---------------------------------------------------------------
@@ -568,6 +570,6 @@ def compute_hochschild_homology_window(A: AlgebraPresentation,
     cx = ChainComplexCells(A)
     t_lo = max(0, -window.q_max)
     t_hi = max(0, -window.q_min)
-    return {(k, t): cx.homology(k, t).dim
+    return {(k, t): cx.homology_dim(k, t)
             for k in range(window.max_p + 1)
             for t in range(t_lo, t_hi + 1)}

@@ -21,13 +21,17 @@ failure.  Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+
+try:  # CPython's built-in module; hashlib would map OpenSSL for one digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .algebra import (InternalConsistencyError, PresentationError, json_int,
                       parse_presentation, validate_regular_sequence)
@@ -81,7 +85,7 @@ def load_job(cfg: JobConfig):
     window = DegreeWindow(bound(cfg.max_p, "max_filtration", 4),
                           bound(cfg.q_min, "q_min", -24),
                           bound(cfg.q_max, "q_max", 24))
-    digest = hashlib.sha256(
+    digest = sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
     return A, window, doc, digest
 

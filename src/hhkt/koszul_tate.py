@@ -413,7 +413,7 @@ def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
     failures = []
     for t in range(internal_bound + 1):
         for level in range(max_level + 1):
-            dim = R.homology(level, t).dim
+            dim = R.homology_dim(level, t)
             expected = A.dim_in_degree(t) if level == 0 else 0
             if dim != expected:
                 failures.append((level, t, dim, expected))

@@ -381,6 +381,14 @@ def test_blowup_guard():
         cx.homology(1, 2)
 
 
+def test_blowup_guard_on_dimensions():
+    A = polynomial(2, [2])
+    window = DegreeWindow(3, -12, 12)
+    cx = BarComplex(A, COEFF_SELF, window, cell_limit=3)
+    with pytest.raises(CellBlowupError):
+        cx.homology_dim(1, 2)
+
+
 CORPUS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts"
                  / "presentations").glob("*.json"))
 
@@ -405,6 +413,35 @@ def test_matrix_columns_are_cochain_differentials(path, coeff):
             assert M.column(j) == cx.vector(p + 1, q, df.terms), (p, q, j)
         checked += M.cols
     assert checked
+
+
+BENCH_INPUTS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                / "inputs")
+
+
+@pytest.mark.parametrize("path", CORPUS + [
+    BENCH_INPUTS / "poly2_rel_deg2_char2.json",
+    BENCH_INPUTS / "mixed_ext3_trunc3_char3.json"],
+    ids=lambda path: path.stem)
+def test_homology_dim_matches_homology(path):
+    """The rank-only dimension equals the dimension of the full homology
+    basis on every window cell of the bar cochains (both coefficient
+    sides), the Hochschild chains and the resolution F."""
+    doc = json.loads(path.read_text())
+    A = parse_presentation(doc)
+    win = doc["window"]
+    window = DegreeWindow(win["max_filtration"], win["q_min"], win["q_max"])
+    chain_t = range(max(0, -window.q_max), max(0, -window.q_min) + 1)
+    graded = [(d, t) for d in range(window.max_p + 1) for t in chain_t]
+    complexes = [(BarComplex(A, COEFF_SELF, window), list(window.cells())),
+                 (BarComplex(A, COEFF_DUAL, window), list(window.cells())),
+                 (ChainComplexCells(A), graded),
+                 (KTResolution(A), graded)]
+    for cx, cells in complexes:
+        dims = [cx.homology_dim(d, w) for d, w in cells]
+        assert dims == [cx.homology(d, w).dim for d, w in cells], \
+            type(cx).__name__
+        assert any(dims)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,6 @@
 import enum
+import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hhkt.bigraded import DegreeWindow
-from hhkt.cli import json_text, main, product_table_from_ring
-from hhkt.fields import ComplexViolationError
+from hhkt.cli import (JobConfig, json_text, load_job, main,
+                      product_table_from_ring)
+from hhkt.fields import ComplexViolationError, SparseMatrix
 from hhkt.koszul_tate import UnsupportedDiagonalError, hh_via_kt
 
 from .helpers import polynomial, two_spheres_deg3
@@ -144,6 +147,69 @@ def test_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 2
     doc = json.loads(out)
     assert doc["oracle_report"]["mismatches"]
+
+
+def test_oracle_needs_no_bar_homology_basis(tmp_path, capsys, monkeypatch):
+    """The oracle reads bar-side dimensions from ranks alone: with the
+    full homology basis unavailable it writes the same document."""
+    import hhkt.bar as bar_mod
+
+    argv = ["oracle", "--input", write(tmp_path, "mixed_f3"), "--max-p", "2"]
+    code, expected = run(capsys, argv)
+
+    def refused(self, p, q):
+        raise AssertionError("bar homology basis built")
+
+    monkeypatch.setattr(bar_mod.BarComplex, "homology", refused)
+    assert run(capsys, argv) == (code, expected)
+    assert code == 0
+
+
+def test_oracle_corrupted_bar_matrix_exit_code(tmp_path, capsys,
+                                               monkeypatch):
+    """One wrong entry in a bar coboundary matrix breaks d^2 = 0, and the
+    rank-only oracle still refuses it."""
+    import hhkt.bar as bar_mod
+
+    real = bar_mod.BarComplex._matrix
+
+    def corrupted(self, p, q):
+        M = real(self, p, q)
+        if (p, q) != (1, -5):
+            return M
+        entries = dict(M.entries)
+        entries[(0, 0)] = entries.get((0, 0), 0) + 1
+        return SparseMatrix(M.rows, M.cols, entries, M.field)
+
+    monkeypatch.setattr(bar_mod.BarComplex, "_matrix", corrupted)
+    code = main(["oracle", "--input", write(tmp_path, "ext2_deg5"),
+                 "--max-p", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal consistency failure: composite "
+                            "differential is nonzero: d^2 != 0\n")
+
+
+def test_input_hash_is_sha256_of_the_document(tmp_path):
+    path = write(tmp_path, "ext2_deg5")
+    cfg = JobConfig("compute", path, None, None, None, "json", 0, None)
+    doc = PRESENTATIONS["ext2_deg5"]
+    assert load_job(cfg)[3] == hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="no built-in _sha256 module")
+def test_cli_import_leaves_openssl_unloaded():
+    import hhkt
+    src = str(pathlib.Path(hhkt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hhkt.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "False"
 
 
 def test_bv_requires_poincare_duality(tmp_path, capsys):

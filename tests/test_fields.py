@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhkt.fields import (ComplexViolationError, FieldError, LinearSystem,
-                         PrimeField, SparseMatrix, _rref, cohomology_cell,
-                         kernel_basis_from_rref, rank_kernel_image, rref)
+from hhkt.fields import (CellComplex, ComplexViolationError, FieldError,
+                         LinearSystem, PrimeField, SparseMatrix, _rref,
+                         cohomology_cell, kernel_basis_from_rref,
+                         rank_kernel_image, rref)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -157,6 +158,24 @@ def test_cohomology_cell_violation_witness():
         cohomology_cell(d_in, d_out)
     assert err.value.source_index == 1
     assert err.value.witness == (1, 2)
+
+
+@pytest.mark.parametrize("d_in, d_out", [
+    (SparseMatrix(1, 1, {(0, 0): 1}, F2), SparseMatrix(1, 1, {(0, 0): 1}, F2)),
+    (SparseMatrix(3, 2, {(2, 0): 3, (0, 1): 1, (1, 1): 1}, F5),
+     SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 2}, F5)),
+])
+def test_homology_dim_violation_witness(d_in, d_out):
+    """The rank-only dimension refuses d^2 != 0 with the same first
+    failing column and witness as the full homology cell."""
+    with pytest.raises(ComplexViolationError) as full:
+        cohomology_cell(d_in, d_out)
+    cx = CellComplex(d_out.field)
+    cx._mats.update({(0, 0): d_in, (1, 0): d_out})
+    with pytest.raises(ComplexViolationError) as dim_only:
+        cx.homology_dim(1, 0)
+    assert dim_only.value.source_index == full.value.source_index
+    assert dim_only.value.witness == full.value.witness
 
 
 def test_cohomology_cell_dims_shuffle_invariant():
