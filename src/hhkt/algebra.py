@@ -20,8 +20,7 @@ polynomial generators even degree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .fields import LinComb, PrimeField, SparseMatrix, rref
 
@@ -38,18 +37,13 @@ EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 
 
-@dataclass(frozen=True)
-class GradedGenerator:
-    name: str
-    degree: int
-    kind: str
+GradedGenerator = namedtuple("GradedGenerator", "name degree kind")
 
 
-class Monomial(NamedTuple):
+class Monomial(namedtuple("Monomial", "mask exps")):
     """mask: bit set over exterior generators; exps: polynomial exponents."""
 
-    mask: int
-    exps: tuple
+    __slots__ = ()
 
     def sort_key(self, n_ext):
         bits = tuple((self.mask >> i) & 1 for i in range(n_ext))
@@ -678,12 +672,8 @@ def _verify_zeta(rho, zetas):
 # -- regular sequence validation ---------------------------------------------
 
 
-@dataclass
-class RegularSequenceReport:
-    ok: bool
-    bound: int
-    first_failing_degree: int | None
-    detail: str
+RegularSequenceReport = namedtuple(
+    "RegularSequenceReport", "ok bound first_failing_degree detail")
 
 
 def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):

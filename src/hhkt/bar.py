@@ -45,7 +45,7 @@ of the trivial module through the window's word lengths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial)
@@ -80,13 +80,8 @@ def bar_faces(A: AlgebraPresentation, word):
 # -- two-sided bar words --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarWord:
-    """a[a_1|..|a_k]b with basis-monomial coefficients and entries."""
-
-    left: Monomial
-    entries: tuple
-    right: Monomial
+# a[a_1|..|a_k]b with basis-monomial coefficients and entries
+BarWord = namedtuple("BarWord", "left entries right")
 
 
 def bar_differential(w: BarWord, A: AlgebraPresentation):
@@ -167,40 +162,6 @@ def connes_boundary(c: ChainElement) -> ChainElement:
             s = A.mono_degree(a) - 1
             front += s
             back -= s
-    return ChainElement(A, out)
-
-
-def _shuffles(A, wa, wb, susp_a):
-    """(interleaved word, Koszul sign) pairs for all (len a, len b) shuffles.
-
-    susp_a is the suspended degree of the remaining part of wa.
-    """
-    if not wa:
-        yield wb, 1
-        return
-    if not wb:
-        yield wa, 1
-        return
-    for rest, sgn in _shuffles(A, wa[1:], wb,
-                               susp_a - (A.mono_degree(wa[0]) - 1)):
-        yield (wa[0],) + rest, sgn
-    cross = (A.mono_degree(wb[0]) - 1) * susp_a
-    flip = -1 if cross % 2 else 1
-    for rest, sgn in _shuffles(A, wa, wb[1:], susp_a):
-        yield (wb[0],) + rest, sgn * flip
-
-
-def shuffle_product(c1: ChainElement, c2: ChainElement) -> ChainElement:
-    A = c1.A
-    out = {}
-    for (a0, wa), ca in c1.terms.items():
-        susp_a = word_suspension(A, wa)
-        for (b0, wb), cb in c2.terms.items():
-            base = -1 if (A.mono_degree(b0) * susp_a) % 2 else 1
-            for m, cm in A.mul_monomials(a0, b0):
-                for word, sgn in _shuffles(A, wa, wb, susp_a):
-                    key = (m, word)
-                    out[key] = out.get(key, 0) + ca * cb * cm * base * sgn
     return ChainElement(A, out)
 
 
@@ -386,10 +347,6 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
     return Cochain(A, out_coeff, f.p + g.p, f.q + g.q, terms)
 
 
-def unit_cochain(A):
-    return Cochain(A, COEFF_SELF, 0, 0, {((), A.unit_monomial()): 1})
-
-
 # -- cochain cells and window homology ----------------------------------------
 
 
@@ -560,16 +517,3 @@ class ChainComplexCells(_WordCells):
                     "window")
             cols.append(coords)
         return SparseMatrix.from_columns(hom_dst.dim, cols, self.A.field)
-
-
-def compute_hochschild_homology_window(A: AlgebraPresentation,
-                                       window: DegreeWindow) -> dict:
-    """Homology dimensions of (A (x) T(s abar), b), {(length, internal t):
-    dim}; dual to the dual-coefficient cochain cells under
-    (p, q) -> (p, -q)."""
-    cx = ChainComplexCells(A)
-    t_lo = max(0, -window.q_max)
-    t_hi = max(0, -window.q_min)
-    return {(k, t): cx.homology_dim(k, t)
-            for k in range(window.max_p + 1)
-            for t in range(t_lo, t_hi + 1)}

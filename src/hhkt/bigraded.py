@@ -6,26 +6,24 @@ length) degree, q the internal degree; total degree is p + q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class WindowError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DegreeWindow:
+class DegreeWindow(namedtuple("DegreeWindow", "max_p q_min q_max")):
     """Truncation making every computation finite: p <= max_p, q in bounds."""
 
-    max_p: int
-    q_min: int
-    q_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_p < 0:
+    def __new__(cls, max_p, q_min, q_max):
+        if max_p < 0:
             raise WindowError("max filtration must be >= 0")
-        if self.q_min > self.q_max:
+        if q_min > q_max:
             raise WindowError("empty internal degree range")
+        return super().__new__(cls, max_p, q_min, q_max)
 
     def cells(self):
         for p in range(self.max_p + 1):
@@ -39,18 +37,14 @@ class DegreeWindow:
         return p == self.max_p or q in (self.q_min, self.q_max)
 
 
-@dataclass(frozen=True)
-class RingGenerator:
+class RingGenerator(namedtuple("RingGenerator", "label p q order")):
     """A multiplicative generator of a bigraded monomial model.
 
     order bounds exponents (2 for square-zero symbols, k for truncated
     powers, None for free polynomial symbols).
     """
 
-    label: str
-    p: int
-    q: int
-    order: int | None
+    __slots__ = ()
 
     @property
     def total_degree(self):

@@ -14,9 +14,9 @@ modeling decision recorded in every result document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import AlgebraPresentation, InternalConsistencyError, Monomial
+from .algebra import AlgebraPresentation, InternalConsistencyError
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
@@ -30,12 +30,12 @@ class NotPoincareDualityError(ValueError):
         self.degree = degree
 
 
-@dataclass
-class PoincareDualityData:
-    algebra: AlgebraPresentation
-    formal_dimension: int
-    fundamental_class: Monomial
-    fundamental_dual: DualValue  # the dual of the fundamental class
+class PoincareDualityData(namedtuple(
+        "PoincareDualityData",
+        "algebra formal_dimension fundamental_class fundamental_dual")):
+    """fundamental_dual is the dual of the fundamental class."""
+
+    __slots__ = ()
 
     def dual_cochain(self):
         return Cochain(self.algebra, COEFF_DUAL, 0, -self.formal_dimension,

@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 try:  # CPython's built-in module; hashlib would map OpenSSL for one digest
@@ -45,18 +45,9 @@ from .spectral import (collapse_certificate, resolve_bv_extension,
 from . import verify as verify_suite
 
 
-@dataclass
-class JobConfig:
-    command: str
-    input_path: str | None
-    max_p: int | None
-    q_min: int | None
-    q_max: int | None
-    fmt: str
-    seed: int
-    max_bar_length: int | None
-    inject_zeta_fault: bool = False
-    cell_limit: int = 200000
+JobConfig = namedtuple(
+    "JobConfig", "command input_path max_p q_min q_max fmt seed "
+    "max_bar_length inject_zeta_fault cell_limit", defaults=(False, 200000))
 
 
 SOLVER_CHOICES = {

@@ -5,12 +5,14 @@ Matrices are stored sparsely as ``{(row, col): value}`` with values in
 ``[1, p)`` and reduced by one sparse elimination kernel, ``_rref``; rank,
 kernel, solving and homology all go through it.  All reduced forms are
 RREF, which is unique, so pivot-selection heuristics only affect speed,
-never results.  A homology cell ker(d_out)/im(d_in) takes its kernel basis
-from rref(d_out), one vector per free column, and its representatives from
-the rref of [d_in | kernel vectors]: a kernel vector is kept exactly when
-its column is a pivot, that is when it lies outside the span of the image
-and of the kernel vectors before it.  Vectors in the algebraic modules are
-``LinComb`` subclasses: sparse ``{key: coeff}`` maps normalized mod p.
+never results; a rank alone skips the back-elimination, since the pivot
+columns are the same without it.  A homology cell ker(d_out)/im(d_in)
+takes its kernel basis from rref(d_out), one vector per free column, and
+its representatives from the rref of [d_in | kernel vectors]: a kernel
+vector is kept exactly when its column is a pivot, that is when it lies
+outside the span of the image and of the kernel vectors before it.
+Vectors in the algebraic modules are ``LinComb`` subclasses: sparse
+``{key: coeff}`` maps normalized mod p.
 
 Every complex in the package (the resolution F, its tensor square, the Hom
 complex, the bar cochains and the Hochschild chains) is a ``CellComplex``,
@@ -22,7 +24,7 @@ representatives are built only where a class is expressed or read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -54,15 +56,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """The field F_p; elements are canonical int representatives in [0, p)."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise FieldError(f"characteristic {self.p} is not prime")
+    def __new__(cls, p):
+        if not _is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
+        return super().__new__(cls, p)
 
     def normalize(self, a: int) -> int:
         return a % self.p
@@ -177,12 +179,14 @@ class SparseMatrix:
         return len(self.entries)
 
 
-def _rref(M: SparseMatrix, npivot_cols):
+def _rref(M: SparseMatrix, npivot_cols, back=True):
     """RREF of M with pivots only in columns < npivot_cols.
 
     Returns (pivot_cols, rref rows as dicts).  Rows are chosen
     Markowitz-style (fewest entries first); a column -> rows index, kept up
     to date during the elimination, lists each pivot column's candidates.
+    With back false the earlier pivot rows are not reduced: the pivot
+    columns are the same, the rows only an echelon form.
     """
     p = M.field.p
     work = [dict() for _ in range(M.rows)]
@@ -223,15 +227,16 @@ def _rref(M: SparseMatrix, npivot_cols):
                     if col < c < npivot_cols:
                         holders[c].discard(r)
         # back-eliminate into earlier pivot rows for full RREF
-        for _, prow in done:
-            f = prow.get(col)
-            if f:
-                for c, v in row.items():
-                    nv = (prow.get(c, 0) - f * v) % p
-                    if nv:
-                        prow[c] = nv
-                    elif c in prow:
-                        del prow[c]
+        if back:
+            for _, prow in done:
+                f = prow.get(col)
+                if f:
+                    for c, v in row.items():
+                        nv = (prow.get(c, 0) - f * v) % p
+                        if nv:
+                            prow[c] = nv
+                        elif c in prow:
+                            del prow[c]
         done.append((col, row))
     return [c for c, _ in done], [row for _, row in done]
 
@@ -307,15 +312,16 @@ class LinearSystem:
         return tuple(x)
 
 
-@dataclass
 class SubquotientBasis:
     """ker(d_out)/im(d_in) with explicit representative vectors."""
 
-    ambient_dim: int
-    kernel_basis: list
-    image_basis: list
-    representatives: list
-    field: PrimeField
+    def __init__(self, ambient_dim, kernel_basis, image_basis,
+                 representatives, field):
+        self.ambient_dim = ambient_dim
+        self.kernel_basis = kernel_basis
+        self.image_basis = image_basis
+        self.representatives = representatives
+        self.field = field
 
     @property
     def dim(self):
@@ -470,7 +476,8 @@ class CellComplex:
     def rank(self, d, w):
         """The rank of the differential out of the cell (d, w)."""
         if (d, w) not in self._ranks:
-            self._ranks[(d, w)] = len(rref(self.matrix(d, w))[0])
+            M = self.matrix(d, w)
+            self._ranks[(d, w)] = len(_rref(M, M.cols, back=False)[0])
         return self._ranks[(d, w)]
 
     def _check_size(self, d, w):

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, zeta_coefficients)
-from .bar import ChainElement, bar_faces, hochschild_b
+from .bar import bar_faces
 from .bigraded import DegreeWindow, RingGenerator, WindowError
 from .fields import CellComplex, LinComb, SparseMatrix
 
@@ -70,13 +69,8 @@ def lucas_binomial(n, k, p):
     return result
 
 
-class EMono(NamedTuple):
-    """Monomial of the generator part E: divided nu and w powers, u mask."""
-
-    nu: tuple
-    u: int
-    w: tuple
-
+# monomial of the generator part E: divided nu and w powers, u mask
+EMono = namedtuple("EMono", "nu u w")
 
 KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
 
@@ -399,12 +393,8 @@ def _compositions(total, parts):
     return out
 
 
-@dataclass
-class ExactnessReport:
-    ok: bool
-    max_level: int
-    internal_bound: int
-    failures: list
+ExactnessReport = namedtuple(
+    "ExactnessReport", "ok max_level internal_bound failures")
 
 
 def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
@@ -1060,29 +1050,3 @@ class XiLift:
                         R, e=EMono(tuple(nu), 0, (0,) * R.m))
                     return target - self.value((m2, m1))
         return None
-
-
-class NotACycleError(ValueError):
-    pass
-
-
-def phi(chain_terms, R: KTResolution, xi: XiLift):
-    """Image of a Hochschild cycle in A (x) Gamma[nu] (exterior case).
-
-    chain_terms: {(a0: Monomial, word): coeff}.  Returns
-    {(a_monomial, EMono): coeff}.  Checks the cycle condition first.
-    """
-    A = R.algebra
-    chain = ChainElement(A, dict(chain_terms))
-    if not hochschild_b(chain).is_zero():
-        raise NotACycleError("phi is only defined on cycles")
-    out = {}
-    for (a0, word), coeff in chain_terms.items():
-        xw = xi.value(tuple(word))
-        for (l, r, e), c in xw.terms.items():
-            lr = Polynomial(A, dict(A.mul_monomials(l, r)))
-            prod = lr * Polynomial(A, {a0: 1})
-            for mono, cc in prod.terms.items():
-                key = (mono, e)
-                out[key] = (out.get(key, 0) + coeff * c * cc) % A.field.p
-    return {k: v for k, v in out.items() if v}

@@ -10,39 +10,17 @@ to (p + r, q + 1 - r).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class UnboundedSearchError(ValueError):
     pass
 
 
-@dataclass
-class ExplicitBigradedRing:
-    """A ring given by an exhaustive cell table (used for counterexamples
-    and tests); no generator monomial model."""
-
-    cells: dict
-    complete = True
-
-    def cell_dim(self, p, q):
-        return len(self.cells.get((p, q), []))
-
-
-@dataclass
-class Differential:
-    r: int
-    source: tuple
-    target: tuple
-    target_dim: int
-
-
-@dataclass
-class CollapseCertificate:
-    status: str  # "collapse" | "obstructed" | "unknown"
-    potential_differentials: list
-    r_bound: int | None
-    detail: str
+Differential = namedtuple("Differential", "r source target target_dim")
+# status is "collapse", "obstructed" or "unknown"
+CollapseCertificate = namedtuple(
+    "CollapseCertificate", "status potential_differentials r_bound detail")
 
 
 def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
@@ -149,11 +127,9 @@ def ambiguity_basis(R, total_degree: int, min_filtration: int):
                                           R.label_str(lbl)))
 
 
-@dataclass
-class ExtensionResolution:
-    status: str  # "determined" | "ambiguous"
-    value: dict | None
-    ambiguity: list
+# status is "determined" or "ambiguous"
+ExtensionResolution = namedtuple("ExtensionResolution",
+                                 "status value ambiguity")
 
 
 def resolve_product_extension(R, a, b) -> ExtensionResolution:

@@ -10,15 +10,16 @@ from hhkt.algebra import Polynomial, parse_presentation
 from hhkt.bigraded import DegreeWindow
 from hhkt.bar import (BarComplex, BarWord, ChainComplexCells, ChainElement,
                       Cochain, DualValue, bar_differential, cochain_cup,
-                      cochain_differential,
-                      compute_hh_window, compute_hochschild_homology_window,
-                      connes_boundary, hochschild_b, shuffle_product,
-                      unit_cochain, CellBlowupError, COEFF_DUAL, COEFF_SELF)
+                      cochain_differential, compute_hh_window,
+                      connes_boundary, hochschild_b, CellBlowupError,
+                      COEFF_DUAL, COEFF_SELF)
 from hhkt.koszul_tate import (KTElement, KTResolution, KTRing,
                               KTTensorElement, hh_via_kt)
 
 from .helpers import exterior, polynomial, truncated_poly_char2, \
     two_spheres_deg5
+from .reference import (compute_hochschild_homology_window, shuffle_product,
+                        unit_cochain)
 
 
 def all_words(A, max_len, degree_cap):

@@ -1,6 +1,8 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hhkt.fields import (CellComplex, ComplexViolationError, FieldError,
                          LinearSystem, PrimeField, SparseMatrix, _rref,
@@ -117,6 +119,27 @@ def test_sparse_matches_dense_rank(rows, cols, p, rng):
     rank, _, _ = rank_kernel_image(M)
     pivots, _ = _dense_rref(M)
     assert rank == len(pivots)
+
+
+@given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([2, 3, 5]),
+       st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+@example(0, 0, 2, 0.5, random.Random(0))
+@example(0, 4, 3, 0.5, random.Random(0))
+@example(3, 0, 5, 0.5, random.Random(0))
+@example(3, 4, 2, 0.0, random.Random(0))
+@example(4, 3, 5, 0.0, random.Random(0))
+def test_cell_rank_is_full_rref_rank(rows, cols, p, density, rng):
+    """CellComplex.rank eliminates forward only; its pivot count is that
+    of the full RREF, on empty and all-zero matrices too."""
+    field = PrimeField(p)
+    M = SparseMatrix(rows, cols,
+                     {(r, c): rng.randrange(1, p) for r in range(rows)
+                      for c in range(cols) if rng.random() < density},
+                     field)
+    cx = CellComplex(field)
+    cx._mats[(0, 0)] = M
+    assert cx.rank(0, 0) == len(rref(M)[0])
 
 
 def test_solve_system():

@@ -9,11 +9,12 @@ from hhkt.bigraded import DegreeWindow, RingGenerator
 from hhkt.bv import BVContext
 from hhkt.cli import main
 from hhkt.koszul_tate import hh_via_kt
-from hhkt.spectral import (ExplicitBigradedRing, UnboundedSearchError,
-                           ambiguity_basis, collapse_certificate,
-                           resolve_bv_extension, resolve_product_extension)
+from hhkt.spectral import (UnboundedSearchError, ambiguity_basis,
+                           collapse_certificate, resolve_bv_extension,
+                           resolve_product_extension)
 
 from .helpers import polynomial, two_spheres_deg3, two_spheres_deg5
+from .reference import ExplicitBigradedRing
 
 
 def ring_deg5():
