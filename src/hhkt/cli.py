@@ -109,26 +109,35 @@ def hh_table_from_ring(ring: KTRing):
     return table
 
 
+class ProductRows(list):
+    """Product-table rows {"a": str, "b": str, "value": [[str, int], ...]},
+    which json_text writes from one row template."""
+
+
 def product_table_from_ring(ring: KTRing):
     """Every product of two basis classes whose bidegree is in the window,
     in the order of combinations_with_replacement over the labels listed
     cell by cell.  Only the cell pairs whose summed bidegree lies in the
-    window are walked."""
+    window are walked, each class against the run of its partners in one
+    cell at a time."""
     cells = [(pq, lbls) for pq, lbls in sorted(ring.cells.items()) if lbls]
     name = {lbl: ring.label_str(lbl)
             for _pq, lbls in cells for lbl in lbls}
-    out = []
+    out = ProductRows()
     for i, ((pa, qa), lbls_a) in enumerate(cells):
         partners = [(j, lbls_b) for j, ((pb, qb), lbls_b)
                     in enumerate(cells[i:], i)
                     if ring.window.contains(pa + pb, qa + qb)]
         for k, la in enumerate(lbls_a):
+            a = name[la]
             for j, lbls_b in partners:
-                for lb in (lbls_b[k:] if j == i else lbls_b):
-                    prod = ring.product(la, lb)
-                    out.append({"a": name[la], "b": name[lb],
-                                "value": sorted([name[lc], c]
-                                                for lc, c in prod.items())})
+                run = lbls_b[k:] if j == i else lbls_b
+                for lb, prod in zip(run, ring.products(la, run)):
+                    value = []
+                    if prod:
+                        value = [[name[lc], c] for lc, c in prod.items()]
+                        value.sort()
+                    out.append({"a": a, "b": name[lb], "value": value})
     return out
 
 
@@ -429,6 +438,8 @@ def json_text(obj, indent=""):
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is ProductRows:
+        return _product_rows_text(obj, indent)
     inner = indent + "  "
     # the list of children's texts is gone before the brackets are added,
     # so at most two copies of a container's text are alive at once
@@ -454,6 +465,50 @@ def json_text(obj, indent=""):
             return _SCALAR_TEXT[kind](obj)
     raise TypeError(f"Object of type {type(obj).__name__} "
                     f"is not JSON serializable")
+
+
+class _JSONStrings(dict):
+    """str -> its JSON text, encoded on first use."""
+
+    def __missing__(self, s):
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _product_rows_text(rows, indent):
+    """json_text of a ProductRows list: one f-string per row, with each
+    label's JSON text encoded once.  A row of any other shape or type goes
+    through the generic recursion, so the text is still json.dumps's."""
+    if not rows:
+        return "[]"
+    inner = indent + "  "
+    field = inner + "  "
+    pair = field + "  "
+    entry = pair + "  "
+    pair_sep = f",\n{pair}"
+    names = _JSONStrings()
+    texts = []
+    for row in rows:
+        a = b = value = None
+        if type(row) is dict and len(row) == 3:
+            a, b, value = row.get("a"), row.get("b"), row.get("value")
+        if type(a) is str and type(b) is str and type(value) is list:
+            pairs = []
+            for v in value:
+                if (type(v) is not list or len(v) != 2
+                        or type(v[0]) is not str or type(v[1]) is not int):
+                    break
+                pairs.append(f"[\n{entry}{names[v[0]]},\n{entry}{v[1]}"
+                             f"\n{pair}]")
+            else:
+                tv = (f"[\n{pair}{pair_sep.join(pairs)}\n{field}]" if pairs
+                      else "[]")
+                texts.append(f'{{\n{field}"a": {names[a]},\n{field}"b": '
+                             f'{names[b]},\n{field}"value": {tv}\n{inner}}}')
+                continue
+        texts.append(json_text(row, inner))
+    return "".join(("[\n", inner, f",\n{inner}".join(texts), "\n", indent,
+                    "]"))
 
 
 def emit(doc, fmt):

@@ -905,21 +905,47 @@ class KTRing(CellComplex):
 
     def product(self, la, lb):
         """Structure constants of the cup product in the class basis."""
-        for lbl in (la, lb):
-            if lbl not in self.class_reps:
+        return self.products(la, (lb,))[0]
+
+    def products(self, la, run):
+        """[product(la, lb) for lb in run], with every label checked first.
+        The level, both parities and the cup table are read again only
+        where the bidegree along the run changes, so a run from one cell
+        reads them once; a pair with no cup-table entry is zero."""
+        reps = self.class_reps
+        for lbl in (la, *run):
+            if lbl not in reps:
                 raise WindowError(f"class {self.label_str(lbl)} lies outside "
                                   f"the window")
         pa, qa = self.bidegree(la)
-        pb, qb = self.bidegree(lb)
-        if self.differential_vanishes:
-            # the monomial model extends beyond the window
-            (_, e1, a), (_, e2, b) = la, lb
-            cup = cup_on_basis(self.R, pa + pb, e1, a, (pa + qa) % 2,
-                               e2, b, (pb + qb) % 2)
-            return {("m", e, m): c for (e, m), c in cup.items()}
-        cup = cup_via_diagonal(self.R, self.class_reps[la],
-                               self.class_reps[lb])
-        return self._express(cup, pa + pb, qa + qb)
+        if not self.differential_vanishes:
+            f = reps[la]
+            out = []
+            for lb in run:
+                pb, qb = self.bidegree(lb)
+                cup = cup_via_diagonal(self.R, f, reps[lb])
+                out.append(self._express(cup, pa + pb, qa + qb))
+            return out
+        # the monomial model extends beyond the window
+        R = self.R
+        _, e1, a = la
+        f_odd = (pa + qa) % 2
+        cell = table = None
+        out = []
+        for lb in run:
+            pq = self.bidegree(lb)
+            if pq != cell:
+                cell = pq
+                level = pa + pq[0]
+                g_odd = (pq[0] + pq[1]) % 2
+                table = _cup_table(R, level)
+            _, e2, b = lb
+            if (e1, e2) not in table:
+                out.append({})
+                continue
+            cup = cup_on_basis(R, level, e1, a, f_odd, e2, b, g_odd)
+            out.append({("m", e, m): c for (e, m), c in cup.items()})
+        return out
 
     def _express(self, terms, p, q):
         """Coordinates of a cocycle's class in the homology cell basis."""

@@ -1,0 +1,55 @@
+"""The summary of scripts/bench_pairs.py on fixed numbers."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "success_rate": "higher", "setup_s": "lower"}
+PAIRS = [({"wall_s": p, "success_rate": sp}, {"wall_s": c, "success_rate": sc})
+         for p, c, sp, sc in [(0.60, 0.50, 1.0, 1.0), (0.55, 0.55, 1.0, 1.0),
+                              (0.65, 0.52, 1.0, 1.0), (0.60, 0.61, 0.9, 1.0)]]
+
+
+def test_summary_counts_wins_without_ties():
+    summary = bench_pairs.summarize(PAIRS, BETTER)
+    wall, rate = summary["wall_s"], summary["success_rate"]
+    assert (wall["pairs"], wall["change_wins"], wall["parent_wins"]) \
+        == (4, 2, 1)
+    # higher is better: only the last pair differs, and the change wins it
+    assert (rate["change_wins"], rate["parent_wins"]) == (1, 0)
+    # a metric neither side reported is left out
+    assert "setup_s" not in summary
+
+
+def test_summary_quartiles():
+    summary = bench_pairs.summarize(PAIRS, BETTER)
+    assert summary["wall_s"]["parent"] == pytest.approx((0.5625, 0.60,
+                                                        0.6375))
+    assert summary["wall_s"]["change"] == pytest.approx((0.505, 0.535,
+                                                        0.5950))
+    assert bench_pairs.quartiles([0.7]) == (0.7, 0.7, 0.7)
+
+
+def test_summary_lines():
+    lines = bench_pairs.format_summary(
+        bench_pairs.summarize(PAIRS, {"wall_s": "lower"}))
+    assert lines == ["wall_s: parent 0.6 (0.5625-0.6375) -> change 0.535 "
+                     "(0.505-0.595); change better in 2/4, parent better "
+                     "in 1/4"]
+
+
+def test_path_length_warning(tmp_path):
+    for name in ("parent", "change", "changed"):
+        (tmp_path / name).mkdir()
+    assert bench_pairs.path_length_warning(tmp_path / "parent",
+                                           tmp_path / "change") is None
+    warning = bench_pairs.path_length_warning(tmp_path / "parent",
+                                              tmp_path / "changed")
+    assert "differ in length" in warning and "peak_rss_mb" in warning

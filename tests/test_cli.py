@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hhkt.bigraded import DegreeWindow
-from hhkt.cli import (JobConfig, json_text, load_job, main,
+from hhkt.cli import (JobConfig, ProductRows, json_text, load_job, main,
                       product_table_from_ring)
 from hhkt.fields import ComplexViolationError, SparseMatrix
 from hhkt.koszul_tate import UnsupportedDiagonalError, hh_via_kt
@@ -489,6 +489,56 @@ def test_json_text_writes_scalar_subclasses_as_json_does():
 def test_json_text_rejects_what_documents_never_hold(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+COEFFICIENTS = (st.integers()
+                | st.integers(min_value=-2**200, max_value=2**200))
+PRODUCT_ROWS = st.lists(st.fixed_dictionaries({
+    "a": JSON_STRINGS, "b": JSON_STRINGS,
+    "value": st.lists(st.tuples(JSON_STRINGS, COEFFICIENTS).map(list),
+                      max_size=3)}), max_size=6).map(ProductRows)
+
+
+@given(st.dictionaries(JSON_STRINGS, PRODUCT_ROWS, min_size=1, max_size=3))
+def test_product_row_template_matches_json_dumps(doc):
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("row", [
+    {"a": 1, "b": "x", "value": []},
+    {"a": _Name("y1"), "b": "x", "value": [["x", 1]]},
+    {"a": "y1", "b": "x", "value": [["x", True]]},
+    {"a": "y1", "b": "x", "value": [["x", _Level.LOW]]},
+    {"a": "y1", "b": "x", "value": [["x", 1.5]]},
+    {"a": "y1", "b": "x", "value": [("x", 1)]},
+    {"a": "y1", "b": "x", "value": (["x", 1],)},
+    {"a": "y1", "b": "x", "value": [["x", 1, 2]]},
+    {"a": "y1", "b": "x", "value": None},
+    {"a": "y1", "b": "x"},
+    {"a": "y1", "b": "x", "c": []},
+    {"a": "y1", "b": "x", "value": [], "c": 0},
+    ["y1", "x", []],
+])
+def test_product_rows_off_the_template_are_written_as_json_does(row):
+    doc = {"product_table": ProductRows([{"a": "1", "b": "1", "value": []},
+                                         row])}
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def test_empty_product_table_is_written_as_json_does():
+    doc = {"product_table": ProductRows()}
+    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert json_text(doc) == '{\n  "product_table": []\n}'
+
+
+@pytest.mark.parametrize("row", [
+    {"a": b"y1", "b": "x", "value": []},
+    {"a": "y1", "b": "x", "value": [[b"x", 1]]},
+    {"a": "y1", "b": "x", "value": [["x", {1}]]},
+])
+def test_product_row_with_a_label_json_cannot_write_raises(row):
+    with pytest.raises(TypeError):
+        json_text({"product_table": ProductRows([row])})
 
 
 def test_product_table_is_uncapped():

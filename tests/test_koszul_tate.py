@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from hhkt.algebra import Polynomial
-from hhkt.bigraded import DegreeWindow
+from hhkt.bigraded import DegreeWindow, WindowError
 from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               KTTensorElement, XiLift,
                               cup_via_diagonal, diagonal_element,
@@ -490,3 +490,85 @@ def test_product_table_computes_each_alpha_once(monkeypatch):
     for name, seen in calls.items():
         assert seen, name
         assert len(seen) == len(set(seen)), name
+
+
+# name: (presentation, window); the first two take the monomial model, the
+# last the homology path
+BATCH_CASES = {
+    "exterior_deg3_char2": (lambda: exterior(2, [3, 3]),
+                            DegreeWindow(2, -6, 6)),
+    "odd_characteristic": (_mixed_f3, DegreeWindow(2, -10, 10)),
+    "relation_homology_path": (
+        lambda: polynomial(2, [2, 2], ["x1^2 + x1*x2"]),
+        DegreeWindow(2, -6, 6)),
+}
+
+
+def _in_window_runs(ring):
+    """(la, run) for every label la and every cell whose summed bidegree
+    with la's lies in the window: the whole cell, each of its suffixes as
+    the product table takes them, and the cells of la's partners joined
+    into one run."""
+    cells = [(pq, lbls) for pq, lbls in sorted(ring.cells.items()) if lbls]
+    for _pq, lbls_a in cells:
+        for la in lbls_a:
+            pa, qa = ring.bidegree(la)
+            joined = []
+            for (pb, qb), lbls_b in cells:
+                if ring.window.contains(pa + pb, qa + qb):
+                    joined += lbls_b
+                    for k in range(len(lbls_b)):
+                        yield la, lbls_b[k:]
+            yield la, joined
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_products_equal_products_pair_by_pair(case):
+    build, window = BATCH_CASES[case]
+    ring = hh_via_kt(build(), window)
+    assert ring.differential_vanishes == (case != "relation_homology_path")
+    runs = nonzero = 0
+    for la, run in _in_window_runs(ring):
+        batch = ring.products(la, run)
+        assert batch == [ring.product(la, lb) for lb in run], (la, run)
+        runs += 1
+        nonzero += sum(map(bool, batch))
+    assert runs > 10 and nonzero > 10
+
+
+def _outside_label(ring):
+    """A class label whose bidegree lies beyond the window's filtration."""
+    p = ring.window.max_p + 1
+    if not ring.differential_vanishes:
+        return ("h", p, 0, 0)
+    R = ring.R
+    assert R.l, "the monomial-model cases here have an exterior generator"
+    e = EMono((p,) + (0,) * (R.l - 1), 0, (0,) * R.m)
+    return ("m", e, ring.algebra.unit_monomial())
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+@pytest.mark.parametrize("where", ["first", "middle", "last", "class"])
+def test_batched_products_check_every_label(case, where):
+    """A label outside the window anywhere in the run, or as the class
+    itself, raises the WindowError product raises for that label."""
+    build, window = BATCH_CASES[case]
+    ring = hh_via_kt(build(), window)
+    bad = _outside_label(ring)
+    assert bad not in ring.class_reps
+    la, run = max(_in_window_runs(ring), key=lambda lr: len(lr[1]))
+    assert len(run) >= 2
+    run = list(run)
+    if where == "class":
+        with pytest.raises(WindowError) as single:
+            ring.product(bad, run[0])
+        la = bad
+    else:
+        with pytest.raises(WindowError) as single:
+            ring.product(la, bad)
+        run.insert({"first": 0, "middle": len(run) // 2,
+                    "last": len(run)}[where], bad)
+    with pytest.raises(WindowError) as batch:
+        ring.products(la, run)
+    assert str(batch.value) == str(single.value)
+    assert "lies outside the window" in str(batch.value)
