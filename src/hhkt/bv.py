@@ -20,7 +20,7 @@ from .algebra import AlgebraPresentation, InternalConsistencyError
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                   Cochain, DualValue, cochain_cup, word_suspension)
 from .bigraded import DegreeWindow, WindowError
-from .fields import LinearSystem, SparseMatrix, rref
+from .fields import LinearSystem, SparseMatrix, rank
 from .koszul_tate import KTResolution, KTRing, XiLift
 
 
@@ -69,7 +69,7 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
                     if m == omega:
                         entries[(i, j)] = c
         M = SparseMatrix(len(rows), len(cols), entries, field)
-        if len(rref(M)[0]) != len(rows):
+        if rank(M) != len(rows):
             raise NotPoincareDualityError(
                 f"degenerate duality pairing in degree {k}", k)
     return PoincareDualityData(A, d, omega, DualValue(A, {omega: 1}))
@@ -181,7 +181,7 @@ class BVContext:
                     "comparison image is not a cocycle class")
             cols.append(coords)
         M = SparseMatrix.from_columns(hom.dim, cols, self.A.field)
-        if len(rref(M)[0]) != len(labels):
+        if rank(M) != len(labels):
             raise InternalConsistencyError(
                 f"cell ({p},{q}): comparison map is not injective")
         out = (labels, M)
@@ -216,7 +216,7 @@ class BVContext:
                 raise InternalConsistencyError("theta image not a class")
             cols.append(coords)
         M = SparseMatrix.from_columns(hom_dual.dim, cols, self.A.field)
-        if len(rref(M)[0]) != hom.dim:
+        if rank(M) != hom.dim:
             raise InternalConsistencyError(
                 f"theta is not bijective on cell ({p},{q})")
         self._theta[key] = M
@@ -245,7 +245,7 @@ class BVContext:
                 if v:
                     entries[(k, i)] = v
         M = SparseMatrix(hom_dual.dim, hom_chain.dim, entries, self.A.field)
-        if len(rref(M)[0]) != hom_dual.dim:
+        if rank(M) != hom_dual.dim:
             raise InternalConsistencyError(
                 f"degenerate class pairing at ({p},{q_dual})")
         self._pairing[key] = M
@@ -275,19 +275,14 @@ class BVContext:
         tgt_labels, T_prev = self.translate_matrix(p - 1, q)
         theta_prev = self.theta_matrix(p - 1, q)
         # composite (theta_prev . T_prev): KT coords -> dual-class coords
-        comp_cols = []
-        for j, lbl in enumerate(tgt_labels):
-            e = [0] * len(tgt_labels)
-            e[j] = 1
-            comp_cols.append(theta_prev.mul_vec(T_prev.mul_vec(tuple(e))))
+        comp_cols = [theta_prev.mul_vec(T_prev.column(j))
+                     for j in range(len(tgt_labels))]
         comp = SparseMatrix.from_columns(P_prev.rows, comp_cols, field)
         comp_solver = LinearSystem(comp)
         pair_solver = LinearSystem(P_prev.transpose())
         sign_g = -1 if (p + qd) % 2 else 1
         for j, lbl in enumerate(src_labels):
-            e = [0] * len(src_labels)
-            e[j] = 1
-            g = theta_M.mul_vec(T.mul_vec(tuple(e)))
+            g = theta_M.mul_vec(T.column(j))
             # rhs_i = (-1)^{|g|} <g, B c_i> over the (p-1, t) chain basis
             gP = P_here.transpose().mul_vec(g)
             rhs = Bmat.transpose().mul_vec(gP)

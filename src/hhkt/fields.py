@@ -7,10 +7,10 @@ kernel, solving and homology all go through it.  All reduced forms are
 RREF, which is unique, so pivot-selection heuristics only affect speed,
 never results; a rank alone skips the back-elimination, since the pivot
 columns are the same without it.  A homology cell ker(d_out)/im(d_in)
-takes its kernel basis from rref(d_out), one vector per free column, and
-its representatives from the rref of [d_in | kernel vectors]: a kernel
-vector is kept exactly when its column is a pivot, that is when it lies
-outside the span of the image and of the kernel vectors before it.
+is reduced in the coordinates of the free columns of rref(d_out), which
+determine a cycle: one elimination of [d_in at the free rows | I] picks
+the representatives (canonical kernel vectors, one per free column) and
+then solves for the class coordinates of any cycle.
 Vectors in the algebraic modules are ``LinComb`` subclasses: sparse
 ``{key: coeff}`` maps normalized mod p.
 
@@ -19,13 +19,12 @@ complex, the bar cochains and the Hochschild chains) is a ``CellComplex``,
 which caches per (degree, weight) cell its basis and index, differential
 matrix, its rank, a solver, and homology with its class-expresser.  A
 dimension alone is n - rank(d_out) - rank(d_in) from the cached ranks;
-representatives are built only where a class is expressed or read.
+homology is reduced only where a class is expressed or read.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
 
 
 class FieldError(ValueError):
@@ -245,6 +244,11 @@ def rref(M: SparseMatrix):
     return _rref(M, M.cols)
 
 
+def rank(M: SparseMatrix):
+    """The rank of M, by forward elimination alone."""
+    return len(_rref(M, M.cols, back=False)[0])
+
+
 def kernel_basis_from_rref(pivots, rows, ncols, field):
     """Canonical kernel basis (one vector per free column) from an RREF."""
     p = field.p
@@ -313,38 +317,37 @@ class LinearSystem:
 
 
 class SubquotientBasis:
-    """ker(d_out)/im(d_in) with explicit representative vectors."""
+    """ker(d_out)/im(d_in) with explicit representative vectors.
 
-    def __init__(self, ambient_dim, kernel_basis, image_basis,
-                 representatives, field):
-        self.ambient_dim = ambient_dim
-        self.kernel_basis = kernel_basis
-        self.image_basis = image_basis
+    Classes are solved in the coordinates of the free columns of
+    rref(d_out), which determine a cycle: ``solver`` eliminates [B | I_f],
+    B the rows of d_in at those columns, and ``rep_cols`` are its pivot
+    columns in the I-block, one per representative.
+    """
+
+    def __init__(self, representatives, d_out, free, solver, rep_cols):
         self.representatives = representatives
-        self.field = field
+        self.d_out = d_out
+        self.free = free
+        self.solver = solver
+        self.rep_cols = rep_cols
 
     @property
     def dim(self):
         return len(self.representatives)
 
-    @cached_property
-    def _class_solver(self):
-        cols = self.representatives + self.image_basis
-        return LinearSystem(
-            SparseMatrix.from_columns(self.ambient_dim, cols, self.field))
-
     def express(self, vec):
         """Coordinates of a cycle's class in the representative basis, or
         None when vec is not a cycle of this cell."""
-        sol = self._class_solver.solve(vec)
-        if sol is None:
+        if any(self.d_out.mul_vec(vec)):
             return None
-        return sol[:self.dim]
+        x = self.solver.solve([vec[j] for j in self.free])
+        return tuple(x[c] for c in self.rep_cols)
 
 
 def check_composite(d_in: SparseMatrix, d_out: SparseMatrix):
     """Raise ComplexViolationError at the first column of d_in with a
-    nonzero image under d_out (the dense witness); else d_in by columns."""
+    nonzero image under d_out (the dense witness)."""
     if d_in.rows != d_out.cols:
         raise ValueError("d_in rows must match d_out cols")
     p = d_out.field.p
@@ -366,7 +369,6 @@ def check_composite(d_in: SparseMatrix, d_out: SparseMatrix):
             raise ComplexViolationError(
                 "composite differential is nonzero: d^2 != 0", j,
                 tuple(witness))
-    return in_cols
 
 
 def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
@@ -376,33 +378,31 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
     of it (its columns index the cell basis).  The composite d_out . d_in
     must vanish; a violation raises ComplexViolationError with a witness.
 
-    The kernel is the canonical basis of rref(d_out).  One rref of
-    [d_in | kernel vectors] then gives both the image basis (the d_in
-    columns at its pivots) and the representatives (the kernel vectors at
-    its pivots: those outside the span of the image and of the kernel
-    vectors before them).
+    The kernel is the canonical basis of rref(d_out): each vector is 1 at
+    its own free column and 0 at the others, so restricting to the f free
+    columns is injective on ker(d_out), which holds every column of d_in.
+    [d_in | kernel vectors] and [B | I_f], B the free rows of d_in, thus
+    have the same column dependencies, and the I-block pivots of one
+    elimination of [B | I_f] pick the representatives: the kernel vectors
+    outside the span of the image and of the kernel vectors before them.
     """
     field = d_out.field
-    n = d_out.cols
-    in_cols = check_composite(d_in, d_out)
+    check_composite(d_in, d_out)
     pivots, rows = rref(d_out)
-    kernel = kernel_basis_from_rref(pivots, rows, n, field)
-    entries = dict(d_in.entries)
-    for k, v in enumerate(kernel):
-        for r, x in enumerate(v):
-            if x:
-                entries[(r, d_in.cols + k)] = x
-    pivots, _ = rref(SparseMatrix(n, d_in.cols + len(kernel), entries, field))
-    image, reps = [], []
-    for c in pivots:
-        if c < d_in.cols:
-            col = [0] * n
-            for r, v in in_cols[c]:
-                col[r] = v
-            image.append(tuple(col))
-        else:
-            reps.append(kernel[c - d_in.cols])
-    return SubquotientBasis(n, kernel, image, reps, field)
+    kernel = kernel_basis_from_rref(pivots, rows, d_out.cols, field)
+    pivot_set = set(pivots)
+    free = [j for j in range(d_out.cols) if j not in pivot_set]
+    free_row = {j: k for k, j in enumerate(free)}
+    m = d_in.cols
+    entries = {(free_row[r], c): v for (r, c), v in d_in.entries.items()
+               if r in free_row}
+    for k in range(len(free)):
+        entries[(k, m + k)] = 1
+    solver = LinearSystem(SparseMatrix(len(free), m + len(free), entries,
+                                       field))
+    rep_cols = [c for c in solver.pivots if c >= m]
+    return SubquotientBasis([kernel[c - m] for c in rep_cols], d_out, free,
+                            solver, rep_cols)
 
 
 class CellComplex:
@@ -476,8 +476,7 @@ class CellComplex:
     def rank(self, d, w):
         """The rank of the differential out of the cell (d, w)."""
         if (d, w) not in self._ranks:
-            M = self.matrix(d, w)
-            self._ranks[(d, w)] = len(_rref(M, M.cols, back=False)[0])
+            self._ranks[(d, w)] = rank(self.matrix(d, w))
         return self._ranks[(d, w)]
 
     def _check_size(self, d, w):

@@ -390,8 +390,9 @@ def test_blowup_guard_on_dimensions():
         cx.homology_dim(1, 2)
 
 
-CORPUS = sorted((pathlib.Path(__file__).resolve().parents[1] / "scripts"
-                 / "presentations").glob("*.json"))
+CORPUS_DIR = (pathlib.Path(__file__).resolve().parents[1] / "scripts"
+              / "presentations")
+CORPUS = sorted(CORPUS_DIR.glob("*.json"))
 
 
 @pytest.mark.parametrize("coeff", [COEFF_SELF, COEFF_DUAL])
@@ -443,6 +444,35 @@ def test_homology_dim_matches_homology(path):
         assert dims == [cx.homology(d, w).dim for d, w in cells], \
             type(cx).__name__
         assert any(dims)
+
+
+@pytest.mark.parametrize("name", ["ext2_deg3_char2", "poly1_deg2_char3"])
+def test_express_reads_back_representatives(name):
+    """On every window cell of the bar cochains (both coefficient sides)
+    and of the Hochschild chains, the i-th representative, alone and plus
+    a boundary, expresses as the i-th unit vector."""
+    doc = json.loads((CORPUS_DIR / f"{name}.json").read_text())
+    A = parse_presentation(doc)
+    win = doc["window"]
+    window = DegreeWindow(win["max_filtration"], win["q_min"], win["q_max"])
+    chain_t = range(max(0, -window.q_max), max(0, -window.q_min) + 1)
+    graded = [(d, t) for d in range(window.max_p + 1) for t in chain_t]
+    p = A.field.p
+    seen = 0
+    for cx, cells in [(BarComplex(A, COEFF_SELF, window), window.cells()),
+                      (BarComplex(A, COEFF_DUAL, window), window.cells()),
+                      (ChainComplexCells(A), graded)]:
+        for d, w in cells:
+            hom = cx.homology(d, w)
+            d_in = cx.matrix(d - cx.step, w)
+            bd = d_in.column(0) if d_in.cols else (0,) * d_in.rows
+            for i, rep in enumerate(hom.representatives):
+                unit = tuple(int(j == i) for j in range(hom.dim))
+                assert hom.express(rep) == unit, (type(cx).__name__, d, w)
+                shifted = tuple((x + y) % p for x, y in zip(rep, bd))
+                assert hom.express(shifted) == unit
+                seen += 1
+    assert seen
 
 
 @functools.lru_cache(maxsize=None)

@@ -277,15 +277,68 @@ def test_cohomology_cell_on_random_complexes(p, rng):
     d_in = SparseMatrix.from_columns(n, in_cols, field)
     hom = cohomology_cell(d_in, d_out)
     rank_in = _dense_rank(in_cols, n, field)
-    assert len(hom.kernel_basis) == n - len(piv)
-    for v in hom.kernel_basis:
+    assert len(ker) == n - len(piv)
+    for v in ker:
         assert not any(d_out.mul_vec(v))
-    assert hom.dim == len(hom.kernel_basis) - rank_in
-    assert len(hom.image_basis) == rank_in
-    assert all(v in in_cols for v in hom.image_basis)
+    assert hom.dim == len(ker) - rank_in
     expected = []
-    for i, v in enumerate(hom.kernel_basis):
-        before = in_cols + hom.kernel_basis[:i]
+    for i, v in enumerate(ker):
+        before = in_cols + ker[:i]
         if _dense_rank(before + [v], n, field) > _dense_rank(before, n, field):
             expected.append(v)
     assert hom.representatives == expected
+
+
+def _dense_express(reps, image, vec, n, field):
+    """Reference class coordinates: the reps-part of the unique solution of
+    [reps | image] x = vec by dense elimination, or None off their span."""
+    cols = list(reps) + list(image)
+    piv, rows = _dense_rref(
+        SparseMatrix.from_columns(n, cols + [tuple(vec)], field))
+    if len(cols) in piv:
+        return None
+    return tuple(rows[i].get(len(cols), 0) for i in range(len(reps)))
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_express_against_dense_solve(p, rng):
+    """express agrees with a dense solve over [reps | image] on random
+    cycles, on a cycle plus a boundary, and gives None on non-cycles."""
+    field = PrimeField(p)
+    n = rng.randrange(1, 8)
+    d_out = _random_sparse(rng, rng.randrange(0, 5), n, p)
+    piv, rows = _dense_rref(d_out)
+    ker = kernel_basis_from_rref(piv, rows, n, field)
+
+    def combo(vectors):
+        out = [0] * n
+        for v in vectors:
+            c = rng.randrange(p)
+            out = [(x + c * y) % p for x, y in zip(out, v)]
+        return tuple(out)
+
+    in_cols = [combo(ker) for _ in range(rng.randrange(0, 5))]
+    d_in = SparseMatrix.from_columns(n, in_cols, field)
+    hom = cohomology_cell(d_in, d_out)
+    image = []
+    for v in in_cols:
+        if _dense_rank(image + [v], n, field) > len(image):
+            image.append(v)
+    for i, rep in enumerate(hom.representatives):
+        assert hom.express(rep) == tuple(int(j == i) for j in range(hom.dim))
+    z = combo(ker)
+    coords = hom.express(z)
+    assert coords == _dense_express(hom.representatives, image, z, n, field)
+    assert coords is not None
+    zb = tuple((x + y) % p for x, y in zip(z, combo(in_cols)))
+    assert hom.express(zb) == coords
+    for c in piv:
+        # a pivot column of d_out is nonzero, so z + e_c is not a cycle
+        off = tuple((x + (j == c)) % p for j, x in enumerate(z))
+        assert _dense_express(hom.representatives, image, off, n,
+                              field) is None
+        assert hom.express(off) is None
+    v = tuple(rng.randrange(p) for _ in range(n))
+    assert hom.express(v) == _dense_express(hom.representatives, image, v, n,
+                                            field)
