@@ -47,8 +47,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
-                      Polynomial)
+from .algebra import AlgebraPresentation, Monomial, Polynomial
 from .bigraded import DegreeWindow
 from .fields import CellComplex, LinComb, SparseMatrix
 
@@ -502,18 +501,3 @@ class ChainComplexCells(_WordCells):
 
     def _boundary(self, b):
         return hochschild_b(ChainElement(self.A, {b: 1})).terms.items()
-
-    def connes_matrix_on_homology(self, k, t):
-        """H(B): homology at (k, t) -> homology at (k+1, t)."""
-        hom_src = self.homology(k, t)
-        hom_dst = self.homology(k + 1, t)
-        cols = []
-        for rep in hom_src.representatives:
-            c = ChainElement(self.A, self.combination(k, t, rep))
-            coords = self.express(k + 1, t, connes_boundary(c).terms)
-            if coords is None:
-                raise InternalConsistencyError(
-                    "Connes image of a cycle is not a cycle class in the "
-                    "window")
-            cols.append(coords)
-        return SparseMatrix.from_columns(hom_dst.dim, cols, self.A.field)

@@ -1,8 +1,12 @@
 """Poincare duality data and the BV operator on Hochschild cohomology.
 
-The operator is computed as the composite: cup with the dual fundamental
-class into dual coefficients, transport along the chain/cochain duality,
-the dual of the cyclic rotation operator on Hochschild homology, and back.
+The operator is the dual of the cyclic rotation operator B, carried
+through HH*(A;A) = HH*(A;A-dual) = HH_*(A)-dual, and every map of that
+composite is read on cocycles: cup with the dual fundamental class takes
+a class to a dual-coefficient cocycle g; the functional
+(-1)^{|g|} g(B c) on Hochschild chains c is, through the chain/cochain
+duality iota, again a dual-coefficient cocycle, whose class is pulled
+back through the cup.  No homology of the Hochschild chains is reduced.
 Classes are carried on the resolution side (labels of the computed ring)
 and translated to bar cochains through the comparison chain map, so the
 final tables are expressed in the ring's monomial basis.
@@ -17,8 +21,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import AlgebraPresentation, InternalConsistencyError
-from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
-                  Cochain, DualValue, cochain_cup, word_suspension)
+from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement, Cochain,
+                  DualValue, cochain_cup, connes_boundary, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rank
 from .koszul_tate import KTResolution, KTRing, XiLift
@@ -115,7 +119,10 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
 
 class BVContext:
     """Caches every cell-level matrix needed for the operator on one
-    presentation, within one window."""
+    presentation, within one window: the comparison map T and the cup
+    theta with the dual fundamental class, each in bar-homology
+    coordinates, and the operator's table per ring cell.  Only the bar
+    cochain cells, of both coefficient sides, are reduced."""
 
     def __init__(self, A: AlgebraPresentation, window: DegreeWindow):
         self.A = A
@@ -129,10 +136,8 @@ class BVContext:
         self.xi = XiLift(self.R, max(4, window.max_p))
         self.bar_self = BarComplex(A, COEFF_SELF, window)
         self.bar_dual = BarComplex(A, COEFF_DUAL, window)
-        self.chains = ChainComplexCells(A)
         self._translate = {}
         self._theta = {}
-        self._pairing = {}
         self._delta = {}
 
     # -- translations ------------------------------------------------------
@@ -222,40 +227,17 @@ class BVContext:
         self._theta[key] = M
         return M
 
-    # -- pairing with chain homology ------------------------------------------
-
-    def pairing_matrix(self, p, q_dual):
-        """P[k][i] = <dual class k at (p, q_dual), chain class i at
-        (p, -q_dual)>; square and invertible."""
-        key = (p, q_dual)
-        if key in self._pairing:
-            return self._pairing[key]
-        t = -q_dual
-        hom_dual = self.bar_dual.homology(p, q_dual)
-        hom_chain = self.chains.homology(p, t)
-        if hom_dual.dim != hom_chain.dim:
-            raise InternalConsistencyError(
-                f"pairing cell mismatch at ({p},{q_dual})")
-        entries = {}
-        for k, grep in enumerate(hom_dual.representatives):
-            g = Cochain(self.A, COEFF_DUAL, p, q_dual,
-                        self.bar_dual.combination(p, q_dual, grep))
-            for i, crep in enumerate(hom_chain.representatives):
-                v = pair_class(g, self.chains.combination(p, t, crep), self.A)
-                if v:
-                    entries[(k, i)] = v
-        M = SparseMatrix(hom_dual.dim, hom_chain.dim, entries, self.A.field)
-        if rank(M) != hom_dual.dim:
-            raise InternalConsistencyError(
-                f"degenerate class pairing at ({p},{q_dual})")
-        self._pairing[key] = M
-        return M
-
     # -- the operator on one cell ----------------------------------------------
 
     def delta_matrix(self, p, q):
         """Matrix of the operator from ring cell (p, q) to (p-1, q):
-        {source label: {target label: coeff}}."""
+        {source label: {target label: coeff}}.
+
+        A class x goes to the dual cocycle g = theta(T x) at (p, q-d);
+        the functional (-1)^{|g|} g.B on the chains a0[w] behind the
+        entries (w, a0) of the dual cell (p-1, q-d) is, through iota, a
+        dual cocycle there, whose class is pulled back through theta and
+        the comparison map in one solve."""
         key = (p, q)
         if key in self._delta:
             return self._delta[key]
@@ -264,35 +246,41 @@ class BVContext:
         if p == 0 or not labels:
             self._delta[key] = out
             return out
-        field = self.A.field
+        A = self.A
+        field = A.field
         qd = q - self.d
-        t = -qd
         src_labels, T = self.translate_matrix(p, q)
         theta_M = self.theta_matrix(p, q)
-        P_here = self.pairing_matrix(p, qd)
-        P_prev = self.pairing_matrix(p - 1, qd)
-        Bmat = self.chains.connes_matrix_on_homology(p - 1, t)
+        reps = SparseMatrix.from_columns(
+            len(self.bar_dual.cell_basis(p, qd)),
+            self.bar_dual.homology(p, qd).representatives, field)
         tgt_labels, T_prev = self.translate_matrix(p - 1, q)
         theta_prev = self.theta_matrix(p - 1, q)
         # composite (theta_prev . T_prev): KT coords -> dual-class coords
         comp_cols = [theta_prev.mul_vec(T_prev.column(j))
                      for j in range(len(tgt_labels))]
-        comp = SparseMatrix.from_columns(P_prev.rows, comp_cols, field)
+        comp = SparseMatrix.from_columns(theta_prev.rows, comp_cols, field)
         comp_solver = LinearSystem(comp)
-        pair_solver = LinearSystem(P_prev.transpose())
+        # the entries (w, a0) of the dual cell (p-1, q-d) are those of the
+        # chain cell (p-1, d-q); B kills the chains with a0 = 1
+        images = []
+        for (w, a0) in self.bar_dual.cell_basis(p - 1, qd):
+            image = connes_boundary(ChainElement(A, {(a0, w): 1})).terms
+            if image:
+                images.append(((a0, w), image))
         sign_g = -1 if (p + qd) % 2 else 1
         for j, lbl in enumerate(src_labels):
-            g = theta_M.mul_vec(T.column(j))
-            # rhs_i = (-1)^{|g|} <g, B c_i> over the (p-1, t) chain basis
-            gP = P_here.transpose().mul_vec(g)
-            rhs = Bmat.transpose().mul_vec(gP)
-            rhs = tuple((sign_g * v) % field.p for v in rhs)
-            # g' with <g', c_i> = rhs_i, then pull back through theta and
-            # the comparison map in one solve
-            gprime = pair_solver.solve(rhs) if P_prev.rows else tuple()
+            g = Cochain(A, COEFF_DUAL, p, qd, self.bar_dual.combination(
+                p, qd, reps.mul_vec(theta_M.mul_vec(T.column(j)))))
+            gB = {chain: sign_g * pair_class(g, image, A)
+                  for chain, image in images}
+            gprime = self.bar_dual.express(p - 1, qd,
+                                           iota(gB, A, p - 1, -qd).terms)
             if gprime is None:
-                raise InternalConsistencyError("pairing solve failed")
-            coords = comp_solver.solve(tuple(gprime))
+                raise InternalConsistencyError(
+                    "Connes image of a cycle is not a cycle class in the "
+                    "window")
+            coords = comp_solver.solve(gprime)
             if coords is None:
                 raise InternalConsistencyError(
                     "operator image missed the ring cell")

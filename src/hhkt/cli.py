@@ -557,6 +557,8 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "cell_limit", 0) < 0:
+            raise UsageError("--cell-limit must be >= 0")
     except UsageError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1

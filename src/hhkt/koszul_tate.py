@@ -969,10 +969,10 @@ def hh_via_kt(presentation: AlgebraPresentation,
 class XiLift:
     """A chain map from the bar resolution to F covering the identity.
 
-    Values are produced word by word: pinned on [y] (nu), and in
-    characteristic 2 on [y_i|y_i] (gamma_2) and the symmetrized length-2
-    words (nu_i nu_j); everything else is a deterministic linear solve in
-    the acyclic resolution.
+    Values are produced word by word, each a deterministic linear solve
+    in the acyclic resolution against the images of the word's faces.
+    Any two such lifts are chain homotopic, so no class read through
+    them depends on which one is taken.
     """
 
     def __init__(self, R: KTResolution, depth: int = 4):
@@ -998,12 +998,6 @@ class XiLift:
         rhs = self._rhs(word)
         if not rhs.d().is_zero():
             raise InternalConsistencyError("xi right-hand side is not a cycle")
-        pinned = self._pinned(word, rhs)
-        if pinned is not None:
-            if not (pinned.d() - rhs).is_zero():
-                raise InternalConsistencyError(
-                    "pinned xi value fails the chain-map equation")
-            return pinned
         sol = R.solve(len(word), sum(A.mono_degree(a) for a in word),
                       rhs.terms)
         if sol is None:
@@ -1026,53 +1020,3 @@ class XiLift:
                 term = term * KTElement.from_mono(R, right=right)
             rhs = rhs + term
         return rhs
-
-    def _pinned(self, word, rhs):
-        R, A = self.R, self.A
-        if len(word) == 1:
-            m = word[0]
-            if m.mask and bin(m.mask).count("1") == 1 and not any(m.exps):
-                i = m.mask.bit_length() - 1
-                nu = [0] * R.l
-                nu[i] = 1
-                return KTElement.from_mono(
-                    R, e=EMono(tuple(nu), 0, (0,) * R.m))
-            if A.field.p == 2 and m.mask and not any(m.exps) \
-                    and bin(m.mask).count("1") == 2:
-                # product of two exterior generators: fix the asymmetric
-                # telescoped lift so the length-2 pins close up
-                i = (m.mask & -m.mask).bit_length() - 1
-                j = m.mask.bit_length() - 1
-                yi = Monomial(1 << i, (0,) * A.n_poly)
-                yj = Monomial(1 << j, (0,) * A.n_poly)
-                nu_i = [0] * R.l
-                nu_i[i] = 1
-                nu_j = [0] * R.l
-                nu_j[j] = 1
-                one = A.unit_monomial()
-                return KTElement(R, {
-                    (yi, one, EMono(tuple(nu_j), 0, (0,) * R.m)): 1,
-                    (one, yj, EMono(tuple(nu_i), 0, (0,) * R.m)): 1,
-                })
-            return None
-        if len(word) == 2 and A.field.p == 2:
-            m1, m2 = word
-            single = (lambda m: m.mask and bin(m.mask).count("1") == 1
-                      and not any(m.exps))
-            if single(m1) and single(m2):
-                i = m1.mask.bit_length() - 1
-                j = m2.mask.bit_length() - 1
-                if i == j:
-                    nu = [0] * R.l
-                    nu[i] = 2
-                    return KTElement.from_mono(
-                        R, e=EMono(tuple(nu), 0, (0,) * R.m))
-                if i > j:
-                    # enforce xi([y_j|y_i]) + xi([y_i|y_j]) = nu_i nu_j
-                    nu = [0] * R.l
-                    nu[i] = 1
-                    nu[j] = 1
-                    target = KTElement.from_mono(
-                        R, e=EMono(tuple(nu), 0, (0,) * R.m))
-                    return target - self.value((m2, m1))
-        return None

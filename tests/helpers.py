@@ -30,3 +30,11 @@ def two_spheres_deg3():
 def truncated_poly_char2():
     """F_2[x]/(x^2) with deg x = 4."""
     return polynomial(2, [4], ["x1^2"])
+
+
+def exterior_times_truncated_f3():
+    """/\\(y1) (x) F_3[x1]/(x1^3) with deg y1 = 3, deg x1 = 2."""
+    return AlgebraPresentation(
+        PrimeField(3),
+        [GradedGenerator("y1", 3, "exterior"),
+         GradedGenerator("x1", 2, "polynomial")], ["x1^3"])

@@ -2,14 +2,16 @@
 
 Each one checks the package from another angle (the shuffle product on
 Hochschild chains, the unit cochain, Hochschild homology dimensions over a
-window, the map phi from Hochschild cycles to the resolution, an explicit
-bigraded ring), but no command needs it, so none is compiled by every
-process that imports hhkt.
+window, the map phi from Hochschild cycles to the resolution, the BV
+operator through Hochschild homology, an explicit bigraded ring), but no
+command needs it, so none is compiled by every process that imports hhkt.
 """
 
-from hhkt.algebra import Polynomial
-from hhkt.bar import (COEFF_SELF, ChainComplexCells, ChainElement, Cochain,
-                      hochschild_b, word_suspension)
+from hhkt.algebra import InternalConsistencyError, Polynomial
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
+                      Cochain, connes_boundary, hochschild_b, word_suspension)
+from hhkt.bv import pair_class
+from hhkt.fields import LinearSystem, SparseMatrix, rank
 
 
 # -- Hochschild chains and cochains ------------------------------------------
@@ -92,6 +94,90 @@ def phi(chain_terms, R, xi):
                 key = (mono, e)
                 out[key] = (out.get(key, 0) + coeff * c * cc) % A.field.p
     return {k: v for k, v in out.items() if v}
+
+
+# -- the BV operator through Hochschild homology -----------------------------
+
+
+def connes_matrix_on_homology(chains, k, t):
+    """H(B): chain homology at (k, t) -> chain homology at (k+1, t), in
+    the representative bases of a ChainComplexCells."""
+    hom_src = chains.homology(k, t)
+    hom_dst = chains.homology(k + 1, t)
+    cols = []
+    for rep in hom_src.representatives:
+        c = ChainElement(chains.A, chains.combination(k, t, rep))
+        coords = chains.express(k + 1, t, connes_boundary(c).terms)
+        if coords is None:
+            raise InternalConsistencyError(
+                "Connes image of a cycle is not a cycle class in the window")
+        cols.append(coords)
+    return SparseMatrix.from_columns(hom_dst.dim, cols, chains.A.field)
+
+
+def pairing_matrix(ctx, chains, p, q_dual):
+    """P[k][i] = <dual class k at (p, q_dual), chain class i at
+    (p, -q_dual)>; square and invertible."""
+    A = ctx.A
+    t = -q_dual
+    hom_dual = ctx.bar_dual.homology(p, q_dual)
+    hom_chain = chains.homology(p, t)
+    if hom_dual.dim != hom_chain.dim:
+        raise InternalConsistencyError(
+            f"pairing cell mismatch at ({p},{q_dual})")
+    entries = {}
+    for k, grep in enumerate(hom_dual.representatives):
+        g = Cochain(A, COEFF_DUAL, p, q_dual,
+                    ctx.bar_dual.combination(p, q_dual, grep))
+        for i, crep in enumerate(hom_chain.representatives):
+            v = pair_class(g, chains.combination(p, t, crep), A)
+            if v:
+                entries[(k, i)] = v
+    M = SparseMatrix(hom_dual.dim, hom_chain.dim, entries, A.field)
+    if rank(M) != hom_dual.dim:
+        raise InternalConsistencyError(
+            f"degenerate class pairing at ({p},{q_dual})")
+    return M
+
+
+def delta_matrix_via_homology(ctx, chains, p, q):
+    """BVContext.delta_matrix(p, q) as the composite through Hochschild
+    homology: pair g = theta(T x) with the chain classes of (p, d-q),
+    apply H(B) from (p-1, d-q), solve the pairing at (p-1, q-d) for the
+    dual class g' with <g', c> = (-1)^{|g|} <g, B c>, and pull g' back
+    through theta and the comparison map."""
+    labels = ctx.ring.cells.get((p, q), [])
+    out = {lbl: {} for lbl in labels}
+    if p == 0 or not labels:
+        return out
+    field = ctx.A.field
+    qd = q - ctx.d
+    src_labels, T = ctx.translate_matrix(p, q)
+    theta_M = ctx.theta_matrix(p, q)
+    P_here = pairing_matrix(ctx, chains, p, qd)
+    P_prev = pairing_matrix(ctx, chains, p - 1, qd)
+    Bmat = connes_matrix_on_homology(chains, p - 1, -qd)
+    tgt_labels, T_prev = ctx.translate_matrix(p - 1, q)
+    theta_prev = ctx.theta_matrix(p - 1, q)
+    comp = SparseMatrix.from_columns(
+        P_prev.rows, [theta_prev.mul_vec(T_prev.column(j))
+                      for j in range(len(tgt_labels))], field)
+    comp_solver = LinearSystem(comp)
+    pair_solver = LinearSystem(P_prev.transpose())
+    sign_g = -1 if (p + qd) % 2 else 1
+    for j, lbl in enumerate(src_labels):
+        g = theta_M.mul_vec(T.column(j))
+        rhs = Bmat.transpose().mul_vec(P_here.transpose().mul_vec(g))
+        rhs = tuple((sign_g * v) % field.p for v in rhs)
+        gprime = pair_solver.solve(rhs) if P_prev.rows else tuple()
+        if gprime is None:
+            raise InternalConsistencyError("pairing solve failed")
+        coords = comp_solver.solve(tuple(gprime))
+        if coords is None:
+            raise InternalConsistencyError(
+                "operator image missed the ring cell")
+        out[lbl] = {tgt_labels[i]: v for i, v in enumerate(coords) if v}
+    return out
 
 
 # -- bigraded rings ----------------------------------------------------------

@@ -1,17 +1,19 @@
 import itertools
+import random
 
 import pytest
 
-from hhkt.bar import (COEFF_DUAL, COEFF_SELF, Cochain, DualValue,
-                      cochain_differential, dual_left_action, hochschild_b,
-                      ChainElement)
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
+                      Cochain, DualValue, cochain_differential,
+                      dual_left_action, hochschild_b)
 from hhkt.bigraded import DegreeWindow
 from hhkt.bv import (BVContext, NotPoincareDualityError, build_pd, iota,
                      iota_inverse, pair_class)
-from hhkt.koszul_tate import EMono
+from hhkt.koszul_tate import EMono, KTElement
 
-from .helpers import exterior, polynomial, truncated_poly_char2, \
-    two_spheres_deg3, two_spheres_deg5
+from .helpers import exterior, exterior_times_truncated_f3, polynomial, \
+    truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
+from .reference import delta_matrix_via_homology
 
 
 def test_build_pd_examples():
@@ -31,7 +33,6 @@ def test_build_pd_examples():
 
 def test_iota_round_trip_and_intertwining():
     A = two_spheres_deg5()
-    from hhkt.bar import ChainComplexCells
     cx = ChainComplexCells(A)
     for (k, t) in [(1, 10), (1, 15), (2, 15), (2, 20)]:
         basis = cx.cell_basis(k, t)
@@ -61,15 +62,16 @@ def test_pairing_descends():
     A = two_spheres_deg5()
     window = DegreeWindow(3, -20, 2)
     ctx = BVContext(A, window)
+    chains = ChainComplexCells(A)
     for (p, qd) in [(1, -10), (1, -15), (2, -20)]:
         t = -qd
         hom_dual = ctx.bar_dual.homology(p, qd)
-        bmat = ctx.chains.matrix(p + 1, t)
+        bmat = chains.matrix(p + 1, t)
         for grep in hom_dual.representatives:
             g = Cochain(A, COEFF_DUAL, p, qd,
                         ctx.bar_dual.combination(p, qd, grep))
             for j in range(bmat.cols):
-                boundary = ctx.chains.combination(p, t, bmat.column(j))
+                boundary = chains.combination(p, t, bmat.column(j))
                 if not boundary:
                     continue
                 assert pair_class(g, boundary, A) == 0
@@ -298,3 +300,49 @@ def test_no_lifted_word_is_longer_than_the_window():
             ctx.delta_of_label(lbl)
     assert ctx.xi.table
     assert max(len(word) for word in ctx.xi.table) <= window.max_p
+
+
+@pytest.mark.parametrize("A, window", [
+    (exterior(2, [3, 3]), DegreeWindow(3, -16, 8)),
+    (exterior(3, [3, 3]), DegreeWindow(3, -16, 8)),
+    (exterior(5, [3, 3]), DegreeWindow(3, -16, 8)),
+    # two relations, no monomial generator model: the homology path
+    (polynomial(2, [2, 2], ["x1^2+x1*x2", "x2^2"]), DegreeWindow(3, -12, 8)),
+], ids=["ext2_f2", "ext2_f3", "ext2_f5", "two_relations_f2"])
+def test_delta_matches_the_homology_composite(A, window):
+    """The operator read on dual cocycles agrees on every window cell with
+    the composite through Hochschild homology, its pairings and H(B)."""
+    ctx = BVContext(A, window)
+    chains = ChainComplexCells(A)
+    nonzero = 0
+    for (p, q) in sorted(ctx.ring.cells):
+        table = ctx.delta_matrix(p, q)
+        assert table == delta_matrix_via_homology(ctx, chains, p, q), (p, q)
+        nonzero += sum(1 for row in table.values() if row)
+    assert nonzero
+
+
+@pytest.mark.parametrize("A, window", [
+    (exterior(2, [5, 5]), DegreeWindow(3, -22, 12)),
+    (exterior_times_truncated_f3(), DegreeWindow(3, -14, 14)),
+], ids=["ext2_f2", "mixed_f3"])
+def test_delta_does_not_depend_on_the_xi_lift(A, window):
+    """Every length-1 lift is moved by a boundary d(h) before any longer
+    word is lifted; the longer lifts follow, and the operator does not
+    change on any window cell."""
+    fresh = BVContext(A, window)
+    ctx = BVContext(A, window)
+    xi, R = ctx.xi, ctx.R
+    assert all(len(word) <= 1 for word in xi.table)
+    rng = random.Random(0)
+    moved = 0
+    for deg in range(1, A.top_degree_bound() + 1):
+        for m in A.monomial_basis(deg):
+            dh = KTElement(R, {b: rng.randrange(A.field.p)
+                               for b in R.cell_basis(2, deg)}).d()
+            xi.table[(m,)] = xi.value((m,)) + dh
+            moved += not dh.is_zero()
+    assert moved
+    for (p, q) in sorted(fresh.ring.cells):
+        assert ctx.delta_matrix(p, q) == fresh.delta_matrix(p, q), (p, q)
+    assert any(len(word) > 1 for word in xi.table)

@@ -346,10 +346,11 @@ def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
 
 
 def test_connes_failure_is_internal(tmp_path, capsys, monkeypatch):
-    # a Connes boundary with every rotation signed +1 sends a cycle class
-    # of this odd-characteristic input to a non-cycle, which is a bug, not
-    # bad input
+    # a Connes boundary with every rotation signed +1, dualised on a dual
+    # cocycle of this odd-characteristic input, gives a non-cocycle, which
+    # is a bug, not bad input
     import hhkt.bar as bar_mod
+    import hhkt.bv as bv_mod
 
     def unsigned(c):
         unit = c.A.unit_monomial()
@@ -361,12 +362,24 @@ def test_connes_failure_is_internal(tmp_path, capsys, monkeypatch):
                     key = (unit, entries[i:] + entries[:i])
                     out[key] = out.get(key, 0) + coeff
         return bar_mod.ChainElement(c.A, out)
-    monkeypatch.setattr(bar_mod, "connes_boundary", unsigned)
+    monkeypatch.setattr(bv_mod, "connes_boundary", unsigned)
     code = main(["bv", "--input", write(tmp_path, "mixed_f3")])
     err = capsys.readouterr().err
     assert code == 3
     assert err == ("internal consistency failure: Connes image of a cycle "
                    "is not a cycle class in the window\n")
+
+
+def test_bv_reduces_no_hochschild_chain_homology(capsys, monkeypatch):
+    import hhkt.bar as bar_mod
+
+    def refuse(self, k, t):
+        raise AssertionError(f"chain homology reduced at ({k},{t})")
+    monkeypatch.setattr(bar_mod.ChainComplexCells, "homology", refuse)
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "presentations" / "ext2_deg5_char2.json"
+    code, _ = run(capsys, ["bv", "--input", str(path)])
+    assert code == 0
 
 
 def test_bv_odd_characteristic_two_generators(tmp_path, capsys):
@@ -408,7 +421,7 @@ for module, qualname, *_ in child.TARGETS:
 def test_benchmark_trace_targets_resolve_after_cli_import():
     """The benchmark wraps only functions of modules already imported when
     its tracer installs, and does not report a target it cannot find; this
-    repeats its lookup in a fresh process after `import hhkt.cli`.  The two
+    repeats its lookup in a fresh process after `import hhkt.cli`.  The
     allowed names are targets the benchmark still lists for code that is
     gone."""
     import hhkt
@@ -419,7 +432,9 @@ def test_benchmark_trace_targets_resolve_after_cli_import():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(root / "src")})
     missing = set(proc.stdout.split())
-    assert missing <= {"fields._rref_dense", "bar.ChainComplexCells.b_matrix"}
+    assert missing <= {"fields._rref_dense", "bar.ChainComplexCells.b_matrix",
+                       "bar.ChainComplexCells.connes_matrix_on_homology",
+                       "bv.BVContext.pairing_matrix"}
 
 
 def _reference_product_rows(ring):
@@ -594,6 +609,15 @@ def test_usage_error_is_an_input_error(capsys, name):
     assert captured.out == ""
     assert captured.err.startswith("input error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_negative_cell_limit_is_an_input_error(tmp_path, capsys):
+    code = main(["oracle", "--input", write(tmp_path, "ext2_deg5"),
+                 "--cell-limit", "-5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "input error: --cell-limit must be >= 0\n"
 
 
 def test_help_still_exits_0(capsys):
