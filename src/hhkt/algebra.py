@@ -33,6 +33,27 @@ class InternalConsistencyError(RuntimeError):
     """A verified-by-construction identity failed; indicates a bug."""
 
 
+# Raised by the resolution, the oracle and the BV side and mapped to exit
+# codes by cli.main; they live here so that mapping loads none of those
+# modules.
+
+
+class UnsupportedDiagonalError(RuntimeError):
+    """No diagonal correction for a relation generator exists in-window."""
+
+
+class CellBlowupError(RuntimeError):
+    def __init__(self, message, estimate):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+class NotPoincareDualityError(ValueError):
+    def __init__(self, message, degree=None):
+        super().__init__(message)
+        self.degree = degree
+
+
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
 

@@ -47,7 +47,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraPresentation, Monomial, Polynomial
+from .algebra import (AlgebraPresentation, CellBlowupError, Monomial,
+                      Polynomial)
 from .bigraded import DegreeWindow
 from .fields import CellComplex, LinComb, SparseMatrix
 
@@ -347,12 +348,6 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
 
 
 # -- cochain cells and window homology ----------------------------------------
-
-
-class CellBlowupError(RuntimeError):
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class _WordCells(CellComplex):

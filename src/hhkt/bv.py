@@ -20,18 +20,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraPresentation, InternalConsistencyError
+from .algebra import (AlgebraPresentation, InternalConsistencyError,
+                      NotPoincareDualityError)
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement, Cochain,
                   DualValue, cochain_cup, connes_boundary, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinearSystem, SparseMatrix, rank
 from .koszul_tate import KTResolution, KTRing, XiLift
-
-
-class NotPoincareDualityError(ValueError):
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
 
 
 class PoincareDualityData(namedtuple(

@@ -33,16 +33,21 @@ try:  # CPython's built-in module; hashlib would map OpenSSL for one digest
 except ImportError:
     from hashlib import sha256
 
-from .algebra import (InternalConsistencyError, PresentationError, json_int,
-                      parse_presentation, validate_regular_sequence)
-from .bar import COEFF_SELF, CellBlowupError, compute_hh_window
+from . import lazy_module
+from .algebra import (CellBlowupError, InternalConsistencyError,
+                      NotPoincareDualityError, PresentationError,
+                      UnsupportedDiagonalError, json_int, parse_presentation,
+                      validate_regular_sequence)
 from .bigraded import DegreeWindow, WindowError
-from .bv import BVContext, NotPoincareDualityError
 from .fields import ComplexViolationError, FieldError
-from .koszul_tate import KTRing, UnsupportedDiagonalError, hh_via_kt
-from .spectral import (collapse_certificate, resolve_bv_extension,
-                       resolve_product_extension)
-from . import verify as verify_suite
+
+# each command runs only some of these; a module is compiled and run when a
+# command first reads from it, so no process pays for the ones it skips
+bar = lazy_module("hhkt.bar")
+bv = lazy_module("hhkt.bv")
+koszul_tate = lazy_module("hhkt.koszul_tate")
+spectral = lazy_module("hhkt.spectral")
+verify_suite = lazy_module("hhkt.verify")
 
 
 JobConfig = namedtuple(
@@ -99,7 +104,7 @@ def base_metadata(cfg, A, window, digest, extra=None):
     return meta
 
 
-def hh_table_from_ring(ring: KTRing):
+def hh_table_from_ring(ring):
     table = []
     for (p, q), labels in sorted(ring.cells.items()):
         if not labels:
@@ -114,7 +119,7 @@ class ProductRows(list):
     which json_text writes from one row template."""
 
 
-def product_table_from_ring(ring: KTRing):
+def product_table_from_ring(ring):
     """Every product of two basis classes whose bidegree is in the window,
     in the order of combinations_with_replacement over the labels listed
     cell by cell.  Only the cell pairs whose summed bidegree lies in the
@@ -155,7 +160,7 @@ def regularity_gate(A):
 def cmd_compute(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
     extra = regularity_gate(A) or {}
-    ring = hh_via_kt(A, window)
+    ring = koszul_tate.hh_via_kt(A, window)
     extra["differential_vanishes"] = ring.differential_vanishes
     doc = {
         "metadata": base_metadata(cfg, A, window, digest, extra),
@@ -165,7 +170,7 @@ def cmd_compute(cfg: JobConfig):
             {"symbol": s, "bidegree": list(b)}
             for s, b in ring.R.generator_roster()],
     }
-    cert = collapse_certificate(ring)
+    cert = spectral.collapse_certificate(ring)
     doc["certificate"] = {
         "status": cert.status, "page_bound": cert.r_bound,
         "detail": cert.detail,
@@ -183,10 +188,10 @@ def cmd_oracle(cfg: JobConfig):
     if cfg.max_bar_length is not None:
         window = DegreeWindow(min(window.max_p, cfg.max_bar_length),
                               window.q_min, window.q_max)
-    ring = hh_via_kt(A, window)
+    ring = koszul_tate.hh_via_kt(A, window)
     kt_dims = {pq: len(lbls) for pq, lbls in ring.cells.items()}
-    bar_dims = compute_hh_window(A, COEFF_SELF, window,
-                                 cell_limit=cfg.cell_limit)
+    bar_dims = bar.compute_hh_window(A, bar.COEFF_SELF, window,
+                                     cell_limit=cfg.cell_limit)
     mismatches = []
     edge_cells = []
     table = []
@@ -216,7 +221,7 @@ def cmd_oracle(cfg: JobConfig):
     return doc, (0 if not mismatches else 2)
 
 
-def _generator_monomial_labels(ring: KTRing):
+def _generator_monomial_labels(ring):
     """Basis classes that are products of one or two model generators (the
     unit is omitted: the operator kills it by the algebra axioms)."""
     labels = []
@@ -239,7 +244,7 @@ def _generator_monomial_labels(ring: KTRing):
 def cmd_bv(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
     extra = regularity_gate(A) or {}
-    ctx = BVContext(A, window)
+    ctx = bv.BVContext(A, window)
     ring = ctx.ring
     if ring.generators is None:
         why = ("the relations are not pure powers"
@@ -260,7 +265,7 @@ def cmd_bv(cfg: JobConfig):
         delta_gr[lbl] = ctx.delta_of_label(lbl)
     bv_table = []
     for lbl in labels:
-        res = resolve_bv_extension(ring, delta_gr, lbl)
+        res = spectral.resolve_bv_extension(ring, delta_gr, lbl)
         bv_table.append({
             "class": ring.label_str(lbl),
             "bidegree": list(ring.bidegree(lbl)),
@@ -278,7 +283,7 @@ def cmd_bv(cfg: JobConfig):
                 ring.bidegree(l1)[1] + ring.bidegree(l2)[1])
         if not ring.window.contains(p, q):
             continue
-        res = resolve_product_extension(ring, l1, l2)
+        res = spectral.resolve_product_extension(ring, l1, l2)
         ext_table.append({
             "a": ring.label_str(l1), "b": ring.label_str(l2),
             "status": res.status,

@@ -249,23 +249,23 @@ def rank(M: SparseMatrix):
     return len(_rref(M, M.cols, back=False)[0])
 
 
+def kernel_vector(pivots, rows, ncols, j, field):
+    """The canonical kernel vector of an RREF at its free column j: 1 at
+    j, minus column j of each pivot row at that row's pivot, 0 elsewhere."""
+    vec = [0] * ncols
+    vec[j] = 1
+    for c, row in zip(pivots, rows):
+        v = row.get(j)
+        if v:
+            vec[c] = (-v) % field.p
+    return tuple(vec)
+
+
 def kernel_basis_from_rref(pivots, rows, ncols, field):
     """Canonical kernel basis (one vector per free column) from an RREF."""
-    p = field.p
     pivot_set = set(pivots)
-    col_to_row = {c: i for i, c in enumerate(pivots)}
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[j] = 1
-        for c, i in col_to_row.items():
-            v = rows[i].get(j, 0)
-            if v:
-                vec[c] = (-v) % p
-        basis.append(tuple(vec))
-    return basis
+    return [kernel_vector(pivots, rows, ncols, j, field)
+            for j in range(ncols) if j not in pivot_set]
 
 
 def rank_kernel_image(M: SparseMatrix):
@@ -385,11 +385,11 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
     have the same column dependencies, and the I-block pivots of one
     elimination of [B | I_f] pick the representatives: the kernel vectors
     outside the span of the image and of the kernel vectors before them.
+    Only those kernel vectors are built.
     """
     field = d_out.field
     check_composite(d_in, d_out)
     pivots, rows = rref(d_out)
-    kernel = kernel_basis_from_rref(pivots, rows, d_out.cols, field)
     pivot_set = set(pivots)
     free = [j for j in range(d_out.cols) if j not in pivot_set]
     free_row = {j: k for k, j in enumerate(free)}
@@ -401,8 +401,9 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
     solver = LinearSystem(SparseMatrix(len(free), m + len(free), entries,
                                        field))
     rep_cols = [c for c in solver.pivots if c >= m]
-    return SubquotientBasis([kernel[c - m] for c in rep_cols], d_out, free,
-                            solver, rep_cols)
+    reps = [kernel_vector(pivots, rows, d_out.cols, free[c - m], field)
+            for c in rep_cols]
+    return SubquotientBasis(reps, d_out, free, solver, rep_cols)
 
 
 class CellComplex:

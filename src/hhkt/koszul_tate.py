@@ -24,7 +24,8 @@ and its internal degree; diagonal_mono itself stays uncached, so checks
 that call it see a fresh computation.  The terms of D(alpha) over a level
 are grouped once by their (a_e, b_e) slots, so the cup product
 (a . e1*) cup (b . e2*) of basis cochains walks only the entries of
-(e1, e2) (cup_on_basis).  Beyond the window, cell dimensions of the
+(e1, e2), and their factors (lamL lamM) a serve every b (cup_lefts, then
+cup_on_basis).  Beyond the window, cell dimensions of the
 monomial model are counted, sum_t N(p, t) dim A_{t+q}, from the number
 N(p, t) of E-monomials per level and internal degree (emono_counts).
 
@@ -43,15 +44,13 @@ import itertools
 import math
 from collections import namedtuple
 
+from . import lazy_module
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
-                      Polynomial, zeta_coefficients)
-from .bar import bar_faces
+                      Polynomial, UnsupportedDiagonalError, zeta_coefficients)
 from .bigraded import DegreeWindow, RingGenerator, WindowError
 from .fields import CellComplex, LinComb, SparseMatrix
 
-
-class UnsupportedDiagonalError(RuntimeError):
-    """No diagonal correction for a relation generator exists in-window."""
+bar = lazy_module("hhkt.bar")  # XiLift alone reads it
 
 
 def lucas_binomial(n, k, p):
@@ -659,28 +658,44 @@ def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
 # -- the dual ring over a coefficient algebra --------------------------------
 
 
-def cup_on_basis(R: KTResolution, level, e1: EMono, a: Monomial, f_odd,
-                 e2: EMono, b: Monomial, g_odd):
-    """(a . e1*) cup (b . e2*) for cochains of total degree parities f_odd
-    and g_odd, as {(alpha, monomial): coeff}, where level is the level of
-    e1 e2.  Walks only the table entries of (e1, e2); each term of D(alpha)
-    is evaluated as (lamL lamM) a times lamR b, with sign
+def cup_lefts(R: KTResolution, level, e1: EMono, a: Monomial, f_odd,
+              e2: EMono, g_odd):
+    """The part of (a . e1*) cup (b . e2*) that does not depend on b, for
+    cochains of total degree parities f_odd and g_odd, where level is the
+    level of e1 e2: for each entry of the cup table at (e1, e2) whose
+    (lamL lamM) a is nonzero, (alpha, lamR, [(monomial of (lamL lamM) a,
+    its coefficient times c)]), with c signed by
     (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
+    A = R.algebra
+    one = A.unit_monomial()
+    out = []
+    for alpha, lam, lamR, c, lam_odd, right_odd in \
+            _cup_table(R, level).get((e1, e2), ()):
+        if (lam_odd * f_odd + right_odd * g_odd) % 2:
+            c = -c
+        lefts = [(fm, c * lc * fc) for lm, lc in lam
+                 for fm, fc in (A.mul_monomials(lm, a) if lm != one
+                                else ((a, 1),))]
+        if lefts:
+            out.append((alpha, lamR, lefts))
+    return out
+
+
+def cup_on_basis(R: KTResolution, lefts, b: Monomial):
+    """(a . e1*) cup (b . e2*) from the cup_lefts of a, e1 and e2, as
+    {(alpha, monomial): coeff}: each term of D(alpha) is evaluated as
+    (lamL lamM) a times lamR b."""
     A = R.algebra
     p = R.field.p
     one = A.unit_monomial()
-    table = _cup_table(R, level)
     out = {}
-    for alpha, lam, lamR, c, lam_odd, right_odd in table.get((e1, e2), ()):
-        if (lam_odd * f_odd + right_odd * g_odd) % 2:
-            c = -c
+    for alpha, lamR, lefts_alpha in lefts:
         rights = A.mul_monomials(lamR, b) if lamR != one else ((b, 1),)
-        for lm, lc in lam:
-            lefts = A.mul_monomials(lm, a) if lm != one else ((a, 1),)
-            for (fm, fc), (gm, gc) in itertools.product(lefts, rights):
+        for fm, fc in lefts_alpha:
+            for gm, gc in rights:
                 for m, mc in A.mul_monomials(fm, gm):
                     key = (alpha, m)
-                    out[key] = (out.get(key, 0) + c * lc * fc * gc * mc) % p
+                    out[key] = (out.get(key, 0) + fc * gc * mc) % p
     return {key: c for key, c in out.items() if c}
 
 
@@ -700,8 +715,8 @@ def cup_via_diagonal(R: KTResolution, f, g):
     out = {}
     for ((e1, a), ca), ((e2, b), cb) in itertools.product(f.items(),
                                                           g.items()):
-        for key, c in cup_on_basis(R, level, e1, a, f_odd,
-                                   e2, b, g_odd).items():
+        lefts = cup_lefts(R, level, e1, a, f_odd, e2, g_odd)
+        for key, c in cup_on_basis(R, lefts, b).items():
             out[key] = (out.get(key, 0) + ca * cb * c) % p
     return {key: c for key, c in out.items() if c}
 
@@ -717,7 +732,10 @@ class KTRing(CellComplex):
     monomial a of A.  When its differential vanishes identically in the
     window (no relations, or all relation derivatives vanish mod p) the
     cells are read off directly and a monomial generator model is attached;
-    otherwise cells are its homology classes.  class_reps maps each class
+    otherwise cells are its homology classes.  Whether it vanishes is read
+    from the boundaries d(alpha) of the E-monomials, without a matrix
+    (_differential_vanishes); only the homology path builds the
+    differential matrices, to reduce its cells.  class_reps maps each class
     label to a representative cochain, as terms {(e, a): coeff} of its
     cell basis: {(e, a): 1} for the label ("m", e, a).
     """
@@ -770,9 +788,7 @@ class KTRing(CellComplex):
         W = self.window
         self.cells = {}
         self.class_reps = {}
-        self.differential_vanishes = not any(
-            self.matrix(p, q).nnz() for p in range(W.max_p + 2)
-            for q in range(W.q_min, W.q_max + 1))
+        self.differential_vanishes = self._differential_vanishes()
         if self.differential_vanishes:
             for (p, q) in W.cells():
                 pairs = self.cell_basis(p, q)
@@ -790,6 +806,31 @@ class KTRing(CellComplex):
                     labels.append(label)
                     self.class_reps[label] = self.combination(p, q, rep)
                 self.cells[(p, q)] = labels
+
+    def _differential_vanishes(self):
+        """Whether the differential out of every cell (p, q), p <= max_p + 1
+        and q in the window, is zero, decided without building its matrix.
+        In _matrix the entries of column (e, a) in the rows of alpha are
+        -+ P a, P the sum of the c l r over the terms (l (x) r . e, c) of
+        d(alpha), each signed by (-1)^(|l| + |r|) when p + q is odd; so P
+        is formed once per parity of p + q, and only a nonzero P is
+        multiplied by the cell's monomials a."""
+        R, A, W = self.R, self.algebra, self.window
+        for p in range(W.max_p + 2):
+            for alpha in emonos_at_level(R, p + 1):
+                for e, terms in _boundary_by_emono(R, alpha).items():
+                    by_parity = (Polynomial(A), Polynomial(A))
+                    for lr, odd, c in terms:
+                        by_parity = (by_parity[0] + lr.scale(c),
+                                     by_parity[1] + lr.scale(-c if odd else c))
+                    for q in range(W.q_min, W.q_max + 1):
+                        P = by_parity[(p + q) % 2]
+                        if P.is_zero():
+                            continue
+                        for a in A.monomial_basis(R.e_internal(e) + q):
+                            if not (P * Polynomial(A, {a: 1})).is_zero():
+                                return False
+        return True
 
     def _generator_model(self):
         """RingGenerator list when the ring is A (x) E-dual on the nose."""
@@ -909,9 +950,11 @@ class KTRing(CellComplex):
 
     def products(self, la, run):
         """[product(la, lb) for lb in run], with every label checked first.
-        The level, both parities and the cup table are read again only
-        where the bidegree along the run changes, so a run from one cell
-        reads them once; a pair with no cup-table entry is zero."""
+        The level and both parities are read again only where the
+        bidegree along the run changes, so a run from one cell reads them
+        once.  In the monomial model the factors that do not depend on
+        lb's algebra monomial (cup_lefts) are built once per E-monomial of
+        the cell, and a pair without them is zero."""
         reps = self.class_reps
         for lbl in (la, *run):
             if lbl not in reps:
@@ -930,7 +973,7 @@ class KTRing(CellComplex):
         R = self.R
         _, e1, a = la
         f_odd = (pa + qa) % 2
-        cell = table = None
+        cell = None
         out = []
         for lb in run:
             pq = self.bidegree(lb)
@@ -938,12 +981,16 @@ class KTRing(CellComplex):
                 cell = pq
                 level = pa + pq[0]
                 g_odd = (pq[0] + pq[1]) % 2
-                table = _cup_table(R, level)
+                lefts_by_e2 = {}
             _, e2, b = lb
-            if (e1, e2) not in table:
+            lefts = lefts_by_e2.get(e2)
+            if lefts is None:
+                lefts = lefts_by_e2[e2] = cup_lefts(R, level, e1, a, f_odd,
+                                                    e2, g_odd)
+            if not lefts:
                 out.append({})
                 continue
-            cup = cup_on_basis(R, level, e1, a, f_odd, e2, b, g_odd)
+            cup = cup_on_basis(R, lefts, b)
             out.append({("m", e, m): c for (e, m), c in cup.items()})
         return out
 
@@ -1012,7 +1059,7 @@ class XiLift:
         R = self.R
         one = self.A.unit_monomial()
         rhs = KTElement(R)
-        for left, sub, right, c in bar_faces(self.A, word):
+        for left, sub, right, c in bar.bar_faces(self.A, word):
             term = self.value(sub).scale(c)
             if left != one:
                 term = KTElement.from_mono(R, left=left) * term

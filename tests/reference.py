@@ -3,8 +3,9 @@
 Each one checks the package from another angle (the shuffle product on
 Hochschild chains, the unit cochain, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
-operator through Hochschild homology, an explicit bigraded ring), but no
-command needs it, so none is compiled by every process that imports hhkt.
+operator through Hochschild homology, the Hom-complex differential tested
+on its matrices, an explicit bigraded ring), but no command needs it, so
+none is compiled by any hhkt process.
 """
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
@@ -94,6 +95,15 @@ def phi(chain_terms, R, xi):
                 key = (mono, e)
                 out[key] = (out.get(key, 0) + coeff * c * cc) % A.field.p
     return {k: v for k, v in out.items() if v}
+
+
+def hom_differential_vanishes_by_matrices(ring):
+    """Whether the Hom-complex differential of a KTRing is zero out of
+    every cell (p, q) with p <= max_p + 1 and q in the window, read from
+    its assembled matrices."""
+    W = ring.window
+    return not any(ring.matrix(p, q).nnz() for p in range(W.max_p + 2)
+                   for q in range(W.q_min, W.q_max + 1))
 
 
 # -- the BV operator through Hochschild homology -----------------------------

@@ -132,16 +132,16 @@ def test_oracle_agreement_and_exit_code(tmp_path, capsys):
 
 def test_oracle_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     # force a lying resolution side to exercise the mismatch exit path
-    import hhkt.cli as cli_mod
+    import hhkt.koszul_tate as kt_mod
 
-    real = cli_mod.hh_via_kt
+    real = kt_mod.hh_via_kt
 
     def lying(A, window):
         ring = real(A, window)
         ring.cells[(0, 0)] = []
         return ring
 
-    monkeypatch.setattr(cli_mod, "hh_via_kt", lying)
+    monkeypatch.setattr(kt_mod, "hh_via_kt", lying)
     code, out = run(capsys, ["oracle", "--input",
                              write(tmp_path, "ext2_deg5"), "--max-p", "1"])
     assert code == 2
@@ -333,12 +333,12 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, kind):
 ])
 def test_library_errors_map_to_exit_codes(tmp_path, capsys, monkeypatch,
                                           error, code):
-    import hhkt.cli as cli_mod
+    import hhkt.koszul_tate as kt_mod
 
     def failing(A, window):
         raise error
 
-    monkeypatch.setattr(cli_mod, "hh_via_kt", failing)
+    monkeypatch.setattr(kt_mod, "hh_via_kt", failing)
     assert main(["compute", "--input", write(tmp_path, "ext2_deg5")]) == code
     err = capsys.readouterr().err
     assert str(error) in err

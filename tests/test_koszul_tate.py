@@ -1,9 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hhkt.algebra import Polynomial
+from hhkt.algebra import AlgebraPresentation, GradedGenerator, Polynomial
 from hhkt.bigraded import DegreeWindow, WindowError
+from hhkt.fields import PrimeField
 from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               KTTensorElement, XiLift,
                               cup_via_diagonal, diagonal_element,
@@ -11,7 +13,8 @@ from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               hh_via_kt, kt_d_mono, lucas_binomial)
 
 from .helpers import exterior, polynomial, truncated_poly_char2, two_spheres_deg5
-from .reference import NotACycleError, phi
+from .reference import (NotACycleError, hom_differential_vanishes_by_matrices,
+                        phi)
 
 
 def kt_unit(R):
@@ -270,6 +273,43 @@ def test_hh_via_kt_truncated_char2():
                 if window.contains(p, q):
                     expected[(p, q)] = expected.get((p, q), 0) + 1
     assert ring_dims(ring) == expected
+
+
+TWO_RELATION_INPUTS = [
+    (2, ["x1^2 + x1*x2", "x2^2"]),
+    (3, ["x1^2 + x1*x2 + x2^2", "x1*x2"]),
+]
+
+
+@st.composite
+def _pure_power_presentations(draw):
+    """Up to two degree-2 polynomial generators over F_2, F_3 or F_5, each
+    truncated at a power that p divides or not, with up to two exterior
+    generators of degree 3 or 5."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    powers = draw(st.lists(st.sampled_from([2, 3, 4, 5, 6]), max_size=2))
+    gens = [GradedGenerator(f"x{j+1}", 2, "polynomial")
+            for j in range(len(powers))]
+    ext_degrees = draw(st.lists(st.sampled_from([3, 5]), max_size=2))
+    gens += [GradedGenerator(f"y{i+1}", d, "exterior")
+             for i, d in enumerate(ext_degrees)]
+    return AlgebraPresentation(PrimeField(p), gens,
+                               [f"x{j+1}^{n}" for j, n in enumerate(powers)])
+
+
+@given(st.one_of(
+           _pure_power_presentations(),
+           st.sampled_from(TWO_RELATION_INPUTS).map(
+               lambda case: polynomial(case[0], [2, 2], case[1]))),
+       st.integers(0, 3), st.integers(-14, 3), st.integers(0, 10))
+@settings(max_examples=60, deadline=None)
+# 2x != 0 in F_3[x]/(x^2), but 2x a = 0 on every monomial a of this window
+@example(polynomial(3, [2], ["x1^2"]), 2, -1, 7)
+def test_differential_decision_matches_the_matrices(presentation, max_p,
+                                                    q_min, width):
+    ring = hh_via_kt(presentation, DegreeWindow(max_p, q_min, q_min + width))
+    assert ring.differential_vanishes == \
+        hom_differential_vanishes_by_matrices(ring)
 
 
 def test_hh_via_kt_truncated_odd_homology_path():
