@@ -97,13 +97,7 @@ class Polynomial(LinComb):
 
     def __mul__(self, other):
         self._check(other)
-        A = self.algebra
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in A.mul_monomials(m1, m2):
-                    out[m] = out.get(m, 0) + c1 * c2 * c
-        return Polynomial(A, out)
+        return self._like(self.bilinear(other, self.algebra.mul_monomials))
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.algebra is other.algebra
@@ -584,34 +578,24 @@ class TensorPoly(LinComb):
 
     @classmethod
     def from_sides(cls, left: Polynomial, right: Polynomial):
-        A = left.algebra
-        terms = {}
-        for ml, cl in left.terms.items():
-            for mr, cr in right.terms.items():
-                terms[(ml, mr)] = terms.get((ml, mr), 0) + cl * cr
-        return cls(A, terms)
+        return cls(left.algebra,
+                   left.bilinear(right, lambda ml, mr: (((ml, mr), 1),)))
 
     def __mul__(self, other):
         A = self.algebra
-        out = {}
-        for (l1, r1), c1 in self.terms.items():
-            d_r1 = A.mono_degree(r1)
-            for (l2, r2), c2 in other.terms.items():
-                sign = -1 if (d_r1 * A.mono_degree(l2)) % 2 else 1
-                for ml, cl in A.mul_monomials(l1, l2):
-                    for mr, cr in A.mul_monomials(r1, r2):
-                        k = (ml, mr)
-                        out[k] = out.get(k, 0) + sign * c1 * c2 * cl * cr
-        return TensorPoly(A, out)
+
+        def mul(m1, m2):
+            (l1, r1), (l2, r2) = m1, m2
+            sign = -1 if (A.mono_degree(r1) * A.mono_degree(l2)) % 2 else 1
+            return [((ml, mr), sign * cl * cr)
+                    for ml, cl in A.mul_monomials(l1, l2)
+                    for mr, cr in A.mul_monomials(r1, r2)]
+        return self._like(self.bilinear(other, mul))
 
     def apply_multiplication(self) -> Polynomial:
         """The multiplication map Lambda (x) Lambda -> Lambda."""
         A = self.algebra
-        out = A.zero()
-        for (l, r), c in self.terms.items():
-            prod = Polynomial(A, dict(A.mul_monomials(l, r)))
-            out = out + prod.scale(c)
-        return out
+        return Polynomial(A, self.linear(lambda lr: A.mul_monomials(*lr)))
 
     def __eq__(self, other):
         return self.terms == other.terms
@@ -635,17 +619,12 @@ def zeta_coefficients(rho: Polynomial):
     quotient = rho.algebra
     free = quotient.free_cover()
     if free is not quotient:
-        zetas_free = zeta_coefficients(Polynomial(free, dict(rho.terms)))
-        out = []
-        for z in zetas_free:
-            terms = {}
-            for (l, r), c in z.terms.items():
-                for lm, lc in quotient._poly_normal_form(l.exps):
-                    for rm, rc in quotient._poly_normal_form(r.exps):
-                        k = (lm, rm)
-                        terms[k] = terms.get(k, 0) + c * lc * rc
-            out.append(TensorPoly(quotient, terms))
-        return out
+        def push_down(lr):
+            return [((lm, rm), lc * rc)
+                    for lm, lc in quotient._poly_normal_form(lr[0].exps)
+                    for rm, rc in quotient._poly_normal_form(lr[1].exps)]
+        return [TensorPoly(quotient, z.linear(push_down))
+                for z in zeta_coefficients(Polynomial(free, dict(rho.terms)))]
     A = rho.algebra
     n = A.n_poly
     zetas = [TensorPoly(A) for _ in range(n)]

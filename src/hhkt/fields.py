@@ -12,7 +12,8 @@ determine a cycle: one elimination of [d_in at the free rows | I] picks
 the representatives (canonical kernel vectors, one per free column) and
 then solves for the class coordinates of any cycle.
 Vectors in the algebraic modules are ``LinComb`` subclasses: sparse
-``{key: coeff}`` maps normalized mod p.
+``{key: coeff}`` maps normalized mod p, each extending its maps and
+products over terms with ``LinComb.linear`` and ``LinComb.bilinear``.
 
 Every complex in the package (the resolution F, its tensor square, the Hom
 complex, the bar cochains and the Hochschild chains) is a ``CellComplex``,
@@ -56,11 +57,16 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField(namedtuple("PrimeField", "p")):
-    """The field F_p; elements are canonical int representatives in [0, p)."""
+    """The field F_p; elements are canonical int representatives in [0, p).
+    p must lie below 2^31, so that the primality check by trial division
+    stays fast."""
 
     __slots__ = ()
 
     def __new__(cls, p):
+        if p >= 1 << 31:
+            raise FieldError(f"characteristic {p} is too large "
+                             f"(at most 2^31 - 1)")
         if not _is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         return super().__new__(cls, p)
@@ -80,8 +86,8 @@ class LinComb:
     coefficients in ``[1, p)``; zero coefficients are dropped.
 
     A subclass holds the context its keys live in (an algebra or a
-    resolution), rebuilds itself from terms in ``_like`` and adds its own
-    product and boundary.
+    resolution), rebuilds itself from terms in ``_like`` and builds its
+    product and boundary from ``bilinear`` and ``linear``.
     """
 
     __slots__ = ("terms",)
@@ -120,6 +126,25 @@ class LinComb:
 
     def scale(self, k):
         return self._like({m: c * k for m, c in self.terms.items()})
+
+    def linear(self, image):
+        """The terms of the linear extension of image, which sends a key
+        to (key, coeff) pairs."""
+        out = {}
+        for k, c in self.terms.items():
+            for k2, c2 in image(k):
+                out[k2] = out.get(k2, 0) + c * c2
+        return out
+
+    def bilinear(self, other, mul):
+        """The terms of the bilinear extension of mul, which sends a pair
+        of keys to (key, coeff) pairs."""
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                for k, c in mul(k1, k2):
+                    out[k] = out.get(k, 0) + c1 * c2 * c
+        return out
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms

@@ -10,9 +10,13 @@ Gamma[w]:
 * gamma_r(w_i) kills the relation rho_i:    bidegree of w_i = (-2, deg rho_i)
   d(gamma_r(w_i)) = (sum_j zeta_ij u_j) gamma_{r-1}(w_i)
 
-The differential is a derivation; all products carry Koszul signs computed
-by one generic merge routine over ordered symbol sequences, so one code
-path serves every characteristic (signs are trivially +1 mod 2).
+The differential is a derivation.  A monomial of F, (l, r, e), and one of
+F (x)_Lambda F, (lamL, lamM, alpha, lamR, beta), are both tuples of algebra
+slots and E-slots, and one product serves both (mul_slots): it merges the
+E-slots, multiplies the algebra slots in Lambda and takes its Koszul sign
+from merging the two ordered symbol sequences (slot_symbols, merge_sign),
+so one code path serves F, its tensor square and every characteristic
+(signs are trivially +1 mod 2).
 
 Filtration convention: "level" counts resolution steps (>= 0); the
 homological degree is -level, the bidegree of a level-p internal-degree-t
@@ -72,6 +76,76 @@ def lucas_binomial(n, k, p):
 EMono = namedtuple("EMono", "nu u w")
 
 KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
+
+
+def slot_symbols(R, m):
+    """Ordered (key, total degree) pairs of a monomial of F or of
+    F (x)_Lambda F: the algebra slot i keyed (i, ()), each symbol of the
+    E-slot i keyed (i, subkey)."""
+    syms = []
+    for i, s in enumerate(m):
+        if type(s) is EMono:
+            syms.extend(((i, key), deg) for key, deg, _ in R.e_symbols(s))
+        else:
+            syms.append(((i, ()), R.algebra.mono_degree(s)))
+    return syms
+
+
+def merge_sign(syms1, syms2):
+    """Koszul sign for stably sorting syms1 + syms2 by key.
+
+    Only cross pairs (a from the first list, b from the second) with
+    key(b) < key(a) swap; equal keys keep the first-list symbol on the
+    left.
+    """
+    sign = 1
+    for key_a, deg_a in syms1:
+        if deg_a % 2 == 0:
+            continue
+        for key_b, deg_b in syms2:
+            if deg_b % 2 and key_b < key_a:
+                sign = -sign
+    return sign
+
+
+def _merge_emono(e1: EMono, e2: EMono, p):
+    """The product of two E-monomials as (EMono, coeff), or (None, 0)."""
+    if e1.u & e2.u:
+        return None, 0
+    coeff = 1
+    for a, b in zip(e1.nu, e2.nu):
+        if a and b:
+            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
+    for a, b in zip(e1.w, e2.w):
+        if a and b:
+            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
+    if coeff == 0:
+        return None, 0
+    return EMono(tuple(a + b for a, b in zip(e1.nu, e2.nu)), e1.u | e2.u,
+                 tuple(a + b for a, b in zip(e1.w, e2.w))), coeff
+
+
+def mul_slots(R, m1, m2):
+    """The product of two monomials of F, or of F (x)_Lambda F, slot by
+    slot, as a list of (monomial, coeff): E-slots merge (_merge_emono),
+    algebra slots multiply in Lambda, and the sign is merge_sign of their
+    symbols."""
+    p = R.field.p
+    coeff = 1
+    slots = []
+    for s1, s2 in zip(m1, m2):
+        if type(s1) is EMono:
+            e, c = _merge_emono(s1, s2, p)
+            if e is None:
+                return []
+            coeff *= c
+            slots.append(((e, 1),))
+        else:
+            slots.append(R.algebra.mul_monomials(s1, s2))
+    coeff *= merge_sign(slot_symbols(R, m1), slot_symbols(R, m2))
+    return [(tuple(s for s, _ in factors),
+             coeff * math.prod(c for _, c in factors))
+            for factors in itertools.product(*slots)]
 
 
 class KTResolution(CellComplex):
@@ -158,66 +232,28 @@ class KTResolution(CellComplex):
             out.append((f"w_{i}", (-2, self.w_degrees[i])))
         return out
 
-    # -- symbol sequences and Koszul merging ---------------------------------
+    # -- E symbols ------------------------------------------------------------
 
     def e_symbols(self, e: EMono):
-        """Ordered (key, total_degree, payload) triples of the E part."""
+        """Ordered (subkey, total_degree, payload) triples of the E part."""
         syms = []
         for i, k in enumerate(e.nu):
             if k:
-                syms.append(((2, (0, i)), k * (self.nu_degrees[i] - 1),
+                syms.append(((0, i), k * (self.nu_degrees[i] - 1),
                              ("nu", i, k)))
         for j in range(self.n):
             if (e.u >> j) & 1:
-                syms.append(((2, (1, j)), self.u_degrees[j] - 1, ("u", j, 1)))
+                syms.append(((1, j), self.u_degrees[j] - 1, ("u", j, 1)))
         for i, k in enumerate(e.w):
             if k:
-                syms.append(((2, (2, i)), k * (self.w_degrees[i] - 2),
+                syms.append(((2, i), k * (self.w_degrees[i] - 2),
                              ("w", i, k)))
         return syms
 
-    def mono_symbols(self, m: KTMono):
-        A = self.algebra
-        syms = [((0, ()), A.mono_degree(m[0]), ("L", m[0])),
-                ((1, ()), A.mono_degree(m[1]), ("R", m[1]))]
-        syms.extend(self.e_symbols(m[2]))
-        return syms
 
-    @staticmethod
-    def merge_sign(syms1, syms2):
-        """Koszul sign for stably sorting syms1 + syms2 by key.
-
-        Only cross pairs (a from the first list, b from the second) with
-        key(b) < key(a) swap; equal keys keep the first-list symbol on the
-        left.
-        """
-        sign = 1
-        for key_a, deg_a, _ in syms1:
-            if deg_a % 2 == 0:
-                continue
-            for key_b, deg_b, _ in syms2:
-                if deg_b % 2 and key_b < key_a:
-                    sign = -sign
-        return sign
-
-    # -- monomial product -----------------------------------------------------
-
-    def mul_monos(self, m1: KTMono, m2: KTMono):
-        """Product of KT monomials: list of (KTMono, coeff)."""
-        A = self.algebra
-        e, coeff = _merge_emono(m1[2], m2[2], self.field.p)
-        if e is None:
-            return []
-        sign = self.merge_sign(self.mono_symbols(m1), self.mono_symbols(m2))
-        out = []
-        for lm, lc in A.mul_monomials(m1[0], m2[0]):
-            for rm, rc in A.mul_monomials(m1[1], m2[1]):
-                out.append(((lm, rm, e), sign * coeff * lc * rc))
-        return out
-
-
-class KTElement(LinComb):
-    """Linear combination of KT monomials over F_p."""
+class _SlotCombination(LinComb):
+    """Linear combination over F_p of monomials of F or of F (x)_Lambda F,
+    multiplied slot by slot."""
 
     __slots__ = ("R",)
 
@@ -226,7 +262,18 @@ class KTElement(LinComb):
         super().__init__(terms, R.field.p)
 
     def _like(self, terms):
-        return KTElement(self.R, terms)
+        return type(self)(self.R, terms)
+
+    def __mul__(self, other):
+        R = self.R
+        return self._like(self.bilinear(other,
+                                        lambda m1, m2: mul_slots(R, m1, m2)))
+
+
+class KTElement(_SlotCombination):
+    """Linear combination of KT monomials over F_p."""
+
+    __slots__ = ()
 
     @classmethod
     def from_mono(cls, R, left=None, right=None, e=None, coeff=1):
@@ -236,20 +283,8 @@ class KTElement(LinComb):
                 e if e is not None else R.unit_emono())
         return cls(R, {mono: coeff})
 
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in self.R.mul_monos(m1, m2):
-                    out[m] = out.get(m, 0) + c1 * c2 * c
-        return KTElement(self.R, out)
-
     def d(self):
-        out = {}
-        for m, c in self.terms.items():
-            for dm, dc in kt_d_mono(self.R, m):
-                out[dm] = out.get(dm, 0) + c * dc
-        return KTElement(self.R, out)
+        return self._like(self.linear(lambda m: kt_d_mono(self.R, m)))
 
 
 def _d_symbol(R: KTResolution, payload):
@@ -260,9 +295,7 @@ def _d_symbol(R: KTResolution, payload):
     if kind == "nu":
         name = A.generators[A.ext_index[idx]].name
         y = A.generator_monomial(name)
-        nu = [0] * R.l
-        nu[idx] = exp - 1
-        e = EMono(tuple(nu), 0, (0,) * R.m)
+        e = _emono_of(R, [("nu", idx, exp - 1)])
         return KTElement(R, {(y, one, e): 1, (one, y, e): -1})
     if kind == "u":
         name = A.generators[A.poly_index[idx]].name
@@ -271,13 +304,11 @@ def _d_symbol(R: KTResolution, payload):
         return KTElement(R, {(x, one, e): 1, (one, x, e): -1})
     # kind == "w": d(gamma_f(w_i)) = (sum_j zeta_ij u_j) gamma_{f-1}(w_i)
     terms = {}
-    w = [0] * R.m
-    w[idx] = exp - 1
     for j in range(R.n):
         zeta = R.zeta[idx][j]
         if zeta.is_zero():
             continue
-        e = EMono((0,) * R.l, 1 << j, tuple(w))
+        e = _emono_of(R, [("u", j, 1), ("w", idx, exp - 1)])
         for (ml, mr), c in zeta.terms.items():
             key = (ml, mr, e)
             terms[key] = terms.get(key, 0) + c
@@ -290,14 +321,13 @@ def kt_d_mono(R: KTResolution, m: KTMono):
     syms = R.e_symbols(m[2])
     if not syms:
         return []
-    coeff_deg = A.mono_degree(m[0]) + A.mono_degree(m[1])
+    payloads = [payload for _, _, payload in syms]
     out = {}
-    prefix_deg = coeff_deg
-    for t, (key, deg, payload) in enumerate(syms):
+    prefix_deg = A.mono_degree(m[0]) + A.mono_degree(m[1])
+    for t, (_, deg, payload) in enumerate(syms):
         sign = -1 if prefix_deg % 2 else 1
-        kind, idx, exp = payload
-        prefix_e = _emono_from_symbols(R, syms[:t])
-        suffix_e = _emono_from_symbols(R, syms[t + 1:])
+        prefix_e = _emono_of(R, payloads[:t])
+        suffix_e = _emono_of(R, payloads[t + 1:])
         prefix = KTElement(R, {(m[0], m[1], prefix_e): sign})
         suffix = KTElement.from_mono(R, e=suffix_e)
         term = (prefix * _d_symbol(R, payload)) * suffix
@@ -309,27 +339,37 @@ def kt_d_mono(R: KTResolution, m: KTMono):
 
 
 def _boundary_by_emono(R: KTResolution, alpha: EMono):
-    """d(1 (x) 1 . alpha), computed once per alpha, as
-    {beta: ((l r as a Polynomial, |l| + |r| odd, coeff), ...)} in the
-    order kt_d_mono produces the terms."""
-    grouped = R._alpha_d_cache.get(alpha)
-    if grouped is None:
+    """d(1 (x) 1 . alpha), computed once per alpha and multiplied out in
+    Lambda, as {e: (P, P')}: P is the sum of the c l r over the terms
+    c (l (x) r) . e of d(alpha), and P' the same sum with each term signed
+    by (-1)^(|l| + |r|).  An alpha without a w symbol gives {}: each
+    symbol's d is (y (x) 1 - 1 (x) y) or (x (x) 1 - 1 (x) x) times the
+    rest, whose two terms have the same sign, equal l r and opposite
+    coefficients, so they cancel in P and in P'."""
+    pairs = R._alpha_d_cache.get(alpha)
+    if pairs is None:
         A = R.algebra
         one = A.unit_monomial()
-        grouped = {}
-        for (l, r, beta), c in kt_d_mono(R, (one, one, alpha)):
-            odd = (A.mono_degree(l) + A.mono_degree(r)) % 2
-            lr = Polynomial(A, dict(A.mul_monomials(l, r)))
-            grouped[beta] = grouped.get(beta, ()) + ((lr, odd, c),)
-        R._alpha_d_cache[alpha] = grouped
-    return grouped
+        sums = {}
+        if any(alpha.w):
+            for (l, r, e), c in kt_d_mono(R, (one, one, alpha)):
+                odd = (A.mono_degree(l) + A.mono_degree(r)) % 2
+                P, P_odd = sums.setdefault(e, ({}, {}))
+                for m, mc in A.mul_monomials(l, r):
+                    P[m] = P.get(m, 0) + c * mc
+                    P_odd[m] = P_odd.get(m, 0) + (-c if odd else c) * mc
+        pairs = R._alpha_d_cache[alpha] = {
+            e: (Polynomial(A, P), Polynomial(A, P_odd))
+            for e, (P, P_odd) in sums.items()}
+    return pairs
 
 
-def _emono_from_symbols(R, syms):
+def _emono_of(R, payloads):
+    """The E-monomial of the (kind, index, exponent) symbol payloads."""
     nu = [0] * R.l
     u = 0
     w = [0] * R.m
-    for _, _, (kind, idx, exp) in syms:
+    for kind, idx, exp in payloads:
         if kind == "nu":
             nu[idx] = exp
         elif kind == "u":
@@ -414,82 +454,14 @@ def exactness_check(R: KTResolution, max_level: int, internal_bound: int):
 TMono = tuple  # (lamL, lamM, alpha: EMono, lamR, beta: EMono)
 
 
-class KTTensorElement(LinComb):
+class KTTensorElement(_SlotCombination):
     """Element of F (x)_Lambda F in the normal form with the right slot's
     left coordinate slid into the middle."""
 
-    __slots__ = ("R",)
-
-    def __init__(self, R, terms=None):
-        self.R = R
-        super().__init__(terms, R.field.p)
-
-    def _like(self, terms):
-        return KTTensorElement(self.R, terms)
-
-    def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                for m, c in _mul_tmonos(self.R, m1, m2):
-                    out[m] = out.get(m, 0) + c1 * c2 * c
-        return KTTensorElement(self.R, out)
+    __slots__ = ()
 
     def boundary(self):
-        out = {}
-        for m, c in self.terms.items():
-            for dm, dc in _tmono_boundary(self.R, m):
-                out[dm] = out.get(dm, 0) + c * dc
-        return KTTensorElement(self.R, out)
-
-
-def _tmono_symbols(R, m: TMono):
-    A = R.algebra
-    lamL, lamM, alpha, lamR, beta = m
-    syms = [((0, ()), A.mono_degree(lamL), None),
-            ((1, ()), A.mono_degree(lamM), None)]
-    for key, deg, payload in R.e_symbols(alpha):
-        syms.append(((2, key[1]), deg, payload))
-    syms.append(((3, ()), A.mono_degree(lamR), None))
-    for key, deg, payload in R.e_symbols(beta):
-        syms.append(((4, key[1]), deg, payload))
-    return syms
-
-
-def _merge_emono(e1: EMono, e2: EMono, p):
-    """The product of two E-monomials as (EMono, coeff), or (None, 0)."""
-    if e1.u & e2.u:
-        return None, 0
-    coeff = 1
-    for a, b in zip(e1.nu, e2.nu):
-        if a and b:
-            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-    for a, b in zip(e1.w, e2.w):
-        if a and b:
-            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-    if coeff == 0:
-        return None, 0
-    return EMono(tuple(a + b for a, b in zip(e1.nu, e2.nu)), e1.u | e2.u,
-                 tuple(a + b for a, b in zip(e1.w, e2.w))), coeff
-
-
-def _mul_tmonos(R, m1: TMono, m2: TMono):
-    A = R.algebra
-    p = R.field.p
-    alpha, coeff_a = _merge_emono(m1[2], m2[2], p)
-    if alpha is None:
-        return []
-    beta, coeff_b = _merge_emono(m1[4], m2[4], p)
-    if beta is None:
-        return []
-    sign = KTResolution.merge_sign(_tmono_symbols(R, m1), _tmono_symbols(R, m2))
-    out = []
-    for mL, cL in A.mul_monomials(m1[0], m2[0]):
-        for mM, cM in A.mul_monomials(m1[1], m2[1]):
-            for mR, cR in A.mul_monomials(m1[3], m2[3]):
-                out.append(((mL, mM, alpha, mR, beta),
-                            sign * coeff_a * coeff_b * cL * cM * cR))
-    return out
+        return self._like(self.linear(lambda m: _tmono_boundary(self.R, m)))
 
 
 def _tmono_boundary(R, m: TMono):
@@ -556,22 +528,22 @@ class TensorSquare(CellComplex):
 # -- the diagonal ---------------------------------------------------------------
 
 
+def _divided_coproduct(R: KTResolution, kind, idx, exp) -> KTTensorElement:
+    """sum_s gamma_s (x) gamma_{exp-s} of the nu or w generator idx."""
+    one = R.algebra.unit_monomial()
+    return KTTensorElement(R, {
+        (one, one, _emono_of(R, [(kind, idx, s)]), one,
+         _emono_of(R, [(kind, idx, exp - s)])): 1 for s in range(exp + 1)})
+
+
 def _diag_symbol(R: KTResolution, payload) -> KTTensorElement:
     kind, idx, exp = payload
     one = R.algebra.unit_monomial()
     unit_e = R.unit_emono()
     if kind == "nu":
-        terms = {}
-        for s in range(exp + 1):
-            nu_a = [0] * R.l
-            nu_a[idx] = s
-            nu_b = [0] * R.l
-            nu_b[idx] = exp - s
-            terms[(one, one, EMono(tuple(nu_a), 0, (0,) * R.m), one,
-                   EMono(tuple(nu_b), 0, (0,) * R.m))] = 1
-        return KTTensorElement(R, terms)
+        return _divided_coproduct(R, kind, idx, exp)
     if kind == "u":
-        e_u = EMono((0,) * R.l, 1 << idx, (0,) * R.m)
+        e_u = _emono_of(R, [payload])
         return KTTensorElement(R, {
             (one, one, e_u, one, unit_e): 1,
             (one, one, unit_e, one, e_u): 1,
@@ -586,18 +558,8 @@ def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
     if key in R._diag_cache:
         return R._diag_cache[key]
     one = R.algebra.unit_monomial()
-    terms = {}
-    for s in range(exp + 1):
-        w_a = [0] * R.m
-        w_a[idx] = s
-        w_b = [0] * R.m
-        w_b[idx] = exp - s
-        terms[(one, one, EMono((0,) * R.l, 0, tuple(w_a)), one,
-               EMono((0,) * R.l, 0, tuple(w_b)))] = 1
-    naive = KTTensorElement(R, terms)
-    w_e = [0] * R.m
-    w_e[idx] = exp
-    gamma = EMono((0,) * R.l, 0, tuple(w_e))
+    naive = _divided_coproduct(R, "w", idx, exp)
+    gamma = _emono_of(R, [("w", idx, exp)])
     d_gamma = KTElement(R, dict(kt_d_mono(R, (one, one, gamma))))
     rhs = diagonal_element(R, d_gamma) - naive.boundary()
     if rhs.is_zero():
@@ -649,10 +611,8 @@ def _cup_table(R: KTResolution, level: int):
 
 
 def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
-    out = KTTensorElement(R)
-    for m, c in x.terms.items():
-        out = out + diagonal_mono(R, m).scale(c)
-    return out
+    return KTTensorElement(
+        R, x.linear(lambda m: diagonal_mono(R, m).terms.items()))
 
 
 # -- the dual ring over a coefficient algebra --------------------------------
@@ -735,7 +695,9 @@ class KTRing(CellComplex):
     otherwise cells are its homology classes.  Whether it vanishes is read
     from the boundaries d(alpha) of the E-monomials, without a matrix
     (_differential_vanishes); only the homology path builds the
-    differential matrices, to reduce its cells.  class_reps maps each class
+    differential matrices, to reduce its cells.  Both read the signed sums
+    P and P' of each d(alpha) from _boundary_by_emono, and an alpha without
+    a w symbol contributes nothing to either.  class_reps maps each class
     label to a representative cochain, as terms {(e, a): coeff} of its
     cell basis: {(e, a): 1} for the label ("m", e, a).
     """
@@ -761,12 +723,14 @@ class KTRing(CellComplex):
         return out
 
     def _matrix(self, p, q):
-        """Induced differential on A (x) E-dual from cell (p,q) to (p+1,q)."""
+        """Induced differential on A (x) E-dual from cell (p,q) to (p+1,q):
+        the rows of alpha in the column (e, a) are -P a when p + q is even
+        and P' a when it is odd, (P, P') = _boundary_by_emono(alpha)[e]."""
         R, A = self.R, self.algebra
         src = self.cell_basis(p, q)
         dst_index = self.index(p + 1, q)
         h_odd = (p + q) % 2
-        sign_h = -1 if h_odd else 1
+        sign = 1 if h_odd else -1
         boundaries = [(alpha, _boundary_by_emono(R, alpha))
                       for alpha in emonos_at_level(R, p + 1)
                       if R.e_internal(alpha) + q >= 0]
@@ -774,14 +738,9 @@ class KTRing(CellComplex):
         for j, (e, a) in enumerate(src):
             a_poly = Polynomial(A, {a: 1})
             for alpha, d_alpha in boundaries:
-                acc = {}
-                for lr, odd, c in d_alpha.get(e, ()):
-                    sgn = -1 if odd and h_odd else 1
-                    for mono, cc in (lr * a_poly).terms.items():
-                        acc[mono] = acc.get(mono, 0) - sign_h * sgn * c * cc
-                for mono, cc in acc.items():
-                    if cc % R.field.p:
-                        entries[(dst_index[(alpha, mono)], j)] = cc
+                if e in d_alpha:
+                    for mono, c in (d_alpha[e][h_odd] * a_poly).terms.items():
+                        entries[(dst_index[(alpha, mono)], j)] = sign * c
         return SparseMatrix(len(dst_index), len(src), entries, R.field)
 
     def _build(self):
@@ -809,22 +768,16 @@ class KTRing(CellComplex):
 
     def _differential_vanishes(self):
         """Whether the differential out of every cell (p, q), p <= max_p + 1
-        and q in the window, is zero, decided without building its matrix.
-        In _matrix the entries of column (e, a) in the rows of alpha are
-        -+ P a, P the sum of the c l r over the terms (l (x) r . e, c) of
-        d(alpha), each signed by (-1)^(|l| + |r|) when p + q is odd; so P
-        is formed once per parity of p + q, and only a nonzero P is
-        multiplied by the cell's monomials a."""
+        and q in the window, is zero, decided without building its matrix:
+        _matrix writes -+ P a for the (P, P') of _boundary_by_emono, P or
+        P' by the parity of p + q, so only a nonzero one is multiplied by
+        the cell's monomials a."""
         R, A, W = self.R, self.algebra, self.window
         for p in range(W.max_p + 2):
             for alpha in emonos_at_level(R, p + 1):
-                for e, terms in _boundary_by_emono(R, alpha).items():
-                    by_parity = (Polynomial(A), Polynomial(A))
-                    for lr, odd, c in terms:
-                        by_parity = (by_parity[0] + lr.scale(c),
-                                     by_parity[1] + lr.scale(-c if odd else c))
+                for e, pair in _boundary_by_emono(R, alpha).items():
                     for q in range(W.q_min, W.q_max + 1):
-                        P = by_parity[(p + q) % 2]
+                        P = pair[(p + q) % 2]
                         if P.is_zero():
                             continue
                         for a in A.monomial_basis(R.e_internal(e) + q):
@@ -869,9 +822,7 @@ class KTRing(CellComplex):
         A = self.R.algebra
         mask = 0
         poly = [0] * A.n_poly
-        nu = [0] * self.R.l
-        u = 0
-        w = [0] * self.R.m
+        payloads = []
         for name, e in exps.items():
             if not e:
                 continue
@@ -880,14 +831,9 @@ class KTRing(CellComplex):
                 mask |= 1 << idx
             elif kind == "a_poly":
                 poly[idx] = e
-            elif kind == "nu":
-                nu[idx] = e
-            elif kind == "u":
-                u |= 1 << idx
             else:
-                w[idx] = e
-        return ("m", EMono(tuple(nu), u, tuple(w)),
-                Monomial(mask, tuple(poly)))
+                payloads.append((kind, idx, e))
+        return ("m", _emono_of(self.R, payloads), Monomial(mask, tuple(poly)))
 
     # -- queries ---------------------------------------------------------
 

@@ -107,7 +107,6 @@ def check_kt_exactness(corpus, rng):
 def check_diagonal_chain_map(corpus, rng):
     for name, A in corpus.items():
         R = KTResolution(A)
-        seen = 0
         pool = []
         for level in range(1, 4):
             for t in range(0, 15):
@@ -118,7 +117,6 @@ def check_diagonal_chain_map(corpus, rng):
             rhs = diagonal_element(R, KTElement(R, {m: 1}).d())
             if lhs != rhs:
                 return "fail", f"{name}: diagonal chain map fails on {m}"
-            seen += 1
     return "pass", None
 
 
@@ -218,7 +216,7 @@ def check_zeta_conditions(corpus, rng, inject_fault=False):
             continue
         try:
             zetas = zeta_coefficients(rho)
-        except Exception as err:
+        except Exception:
             return "fail", f"zeta construction failed on {A.label_poly(rho)}"
         if inject_fault and produced == 7:
             # corrupt one coefficient and verify the conditions now fail

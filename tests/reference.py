@@ -3,8 +3,8 @@
 Each one checks the package from another angle (the shuffle product on
 Hochschild chains, the unit cochain, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
-operator through Hochschild homology, the Hom-complex differential tested
-on its matrices, an explicit bigraded ring), but no command needs it, so
+operator through Hochschild homology, the Hom-complex differential
+assembled term by term, an explicit bigraded ring), but no command needs it, so
 none is compiled by any hhkt process.
 """
 
@@ -13,6 +13,7 @@ from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
                       Cochain, connes_boundary, hochschild_b, word_suspension)
 from hhkt.bv import pair_class
 from hhkt.fields import LinearSystem, SparseMatrix, rank
+from hhkt.koszul_tate import emonos_at_level, kt_d_mono
 
 
 # -- Hochschild chains and cochains ------------------------------------------
@@ -97,13 +98,39 @@ def phi(chain_terms, R, xi):
     return {k: v for k, v in out.items() if v}
 
 
-def hom_differential_vanishes_by_matrices(ring):
-    """Whether the Hom-complex differential of a KTRing is zero out of
-    every cell (p, q) with p <= max_p + 1 and q in the window, read from
-    its assembled matrices."""
-    W = ring.window
-    return not any(ring.matrix(p, q).nnz() for p in range(W.max_p + 2)
-                   for q in range(W.q_min, W.q_max + 1))
+def hom_matrices_by_terms(ring):
+    """{(p, q): the Hom-complex differential of a KTRing out of the cell
+    (p, q)} for p <= max_p + 1 and q in the window, assembled term by term
+    from kt_d_mono on every E-monomial alpha of level p + 1, with nothing
+    skipped: a term c (l (x) r) . e of d(alpha) adds
+    -(-1)^(p + q) (-1)^((|l| + |r|)(p + q)) c (l r a) to the rows of alpha
+    in each column (e, a)."""
+    R, A, W = ring.R, ring.algebra, ring.window
+    one = A.unit_monomial()
+    out = {}
+    for p in range(W.max_p + 2):
+        d_alpha = [(alpha, kt_d_mono(R, (one, one, alpha)))
+                   for alpha in emonos_at_level(R, p + 1)]
+        for q in range(W.q_min, W.q_max + 1):
+            h_odd = (p + q) % 2
+            columns = {}
+            for j, (e, a) in enumerate(ring.cell_basis(p, q)):
+                columns.setdefault(e, []).append((j, Polynomial(A, {a: 1})))
+            dst_index = ring.index(p + 1, q)
+            entries = {}
+            for alpha, terms in d_alpha:
+                for (l, r, e), c in terms:
+                    odd = (A.mono_degree(l) + A.mono_degree(r)) % 2
+                    sign = (1 if h_odd else -1) * (-1 if odd and h_odd else 1)
+                    lr = Polynomial(A, dict(A.mul_monomials(l, r)))
+                    for j, a in columns.get(e, ()):
+                        for mono, cc in (lr * a).terms.items():
+                            key = (dst_index[(alpha, mono)], j)
+                            entries[key] = entries.get(key, 0) + sign * c * cc
+            out[(p, q)] = SparseMatrix(len(dst_index),
+                                       len(ring.cell_basis(p, q)), entries,
+                                       A.field)
+    return out
 
 
 # -- the BV operator through Hochschild homology -----------------------------

@@ -314,6 +314,29 @@ def test_malformed_presentation_is_an_input_error(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 1), (10 ** 9 + 7, 0)])
+def test_characteristic_is_checked_promptly(tmp_path, p, code):
+    """A characteristic of 2^31 or more is refused before its primality
+    check, which would divide by every d up to sqrt(p); 10^9 + 7 is still
+    accepted.  The command runs in a process of its own, so a check that
+    hangs fails at the timeout."""
+    import hhkt
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_with("poly_f2", characteristic=p)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hhkt.cli", "compute", "--input", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(
+            pathlib.Path(hhkt.__file__).resolve().parents[1])})
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr == (f"input error: characteristic {p} is too "
+                               f"large (at most 2^31 - 1)\n")
+    else:
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["metadata"]["characteristic"] == p
+
+
 @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
 def test_unreadable_input_is_an_input_error(tmp_path, capsys, kind):
     path = tmp_path

@@ -13,8 +13,7 @@ from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               hh_via_kt, kt_d_mono, lucas_binomial)
 
 from .helpers import exterior, polynomial, truncated_poly_char2, two_spheres_deg5
-from .reference import (NotACycleError, hom_differential_vanishes_by_matrices,
-                        phi)
+from .reference import NotACycleError, hom_matrices_by_terms, phi
 
 
 def kt_unit(R):
@@ -307,9 +306,75 @@ def _pure_power_presentations(draw):
 @example(polynomial(3, [2], ["x1^2"]), 2, -1, 7)
 def test_differential_decision_matches_the_matrices(presentation, max_p,
                                                     q_min, width):
+    """The decision and every matrix of the Hom differential agree with the
+    term-by-term assembly, which skips no alpha."""
     ring = hh_via_kt(presentation, DegreeWindow(max_p, q_min, q_min + width))
+    reference = hom_matrices_by_terms(ring)
     assert ring.differential_vanishes == \
-        hom_differential_vanishes_by_matrices(ring)
+        (not any(M.nnz() for M in reference.values()))
+    for (p, q), M in reference.items():
+        N = ring.matrix(p, q)
+        assert (N.rows, N.cols, N.entries) == (M.rows, M.cols, M.entries), \
+            (p, q)
+
+
+@st.composite
+def _slot_presentations(draw):
+    """F_2, F_3 or F_5 with an exterior generator of degree 1, maybe a
+    second one of degree 1 or 3, one or two polynomial generators of
+    degree 2 and one relation."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    ext_degrees = [1] + draw(st.lists(st.sampled_from([1, 3]), max_size=1))
+    n_poly = draw(st.integers(1, 2))
+    relations = ["x1^2", "x1^3", "x1^4"]
+    if n_poly == 2:
+        relations += ["x1^2 + x1*x2", "x1*x2", "x2^3"]
+    gens = [GradedGenerator(f"y{i+1}", d, "exterior")
+            for i, d in enumerate(ext_degrees)]
+    gens += [GradedGenerator(f"x{j+1}", 2, "polynomial")
+             for j in range(n_poly)]
+    return AlgebraPresentation(PrimeField(p), gens,
+                               [draw(st.sampled_from(relations))])
+
+
+def _draw_slots(draw, R, kinds):
+    """A monomial drawn by draw, with an algebra slot for each "a" in kinds
+    and an E-slot for each "e"."""
+    A = R.algebra
+    monomials = [m for d in range(4) for m in A.monomial_basis(d)]
+    # mostly small exponents, so that most products of three are nonzero
+    exponent = st.sampled_from([0, 0, 1, 2])
+    slots = []
+    for kind in kinds:
+        if kind == "a":
+            slots.append(draw(st.one_of(st.just(A.unit_monomial()),
+                                        st.sampled_from(monomials))))
+        else:
+            slots.append(EMono(
+                tuple(draw(exponent) for _ in range(R.l)),
+                sum(1 << j for j in range(R.n) if draw(exponent) == 1),
+                tuple(draw(exponent) for _ in range(R.m))))
+    return tuple(slots)
+
+
+@given(_slot_presentations(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_slot_product_is_associative_and_graded_commutative(presentation,
+                                                            data):
+    """The one slot-wise product, on monomials of F and of F (x)_Lambda F,
+    is associative, and m n = (-1)^(|m||n|) n m in total degree."""
+    R = KTResolution(presentation)
+    A = R.algebra
+
+    def total_degree(m):
+        return sum(R.e_total(s) if type(s) is EMono else A.mono_degree(s)
+                   for s in m)
+    for kinds, element in (("aae", KTElement), ("aaeae", KTTensorElement)):
+        monos = [_draw_slots(data.draw, R, kinds) for _ in range(3)]
+        x, y, z = (element(R, {m: 1}) for m in monos)
+        assert (x * y) * z == x * (y * z), monos
+        odd = total_degree(monos[0]) * total_degree(monos[1]) % 2
+        assert x * y == (y * x).scale(-1 if odd else 1), monos
 
 
 def test_hh_via_kt_truncated_odd_homology_path():
@@ -511,25 +576,44 @@ def test_cached_cup_matches_direct_evaluation(case):
         for lamL, lamM, _, lamR, _ in diag.terms)
 
 
-def test_product_table_computes_each_alpha_once(monkeypatch):
-    """Building the /\\(y1,y2,y3) ring and its product table evaluates the
-    diagonal and the differential at most once per E-monomial alpha."""
+def _count_calls(monkeypatch, names):
+    """{name: list of the monomials each koszul_tate function is called on}."""
     import hhkt.koszul_tate as kt
-    from hhkt.cli import product_table_from_ring
-    calls = {"diagonal_mono": [], "kt_d_mono": []}
-    for name in calls:
+    calls = {name: [] for name in names}
+    for name in names:
         real = getattr(kt, name)
 
         def counting(R, m, real=real, seen=calls[name]):
             seen.append(m)
             return real(R, m)
         monkeypatch.setattr(kt, name, counting)
+    return calls
+
+
+def test_product_table_computes_each_alpha_once(monkeypatch):
+    """Building the /\\(y1,y2,y3) ring and its product table evaluates the
+    diagonal and the differential at most once per E-monomial alpha.  With
+    no w symbol the differential is never needed, since d(alpha) cancels
+    in the Hom complex."""
+    from hhkt.cli import product_table_from_ring
+    calls = _count_calls(monkeypatch, ("diagonal_mono", "kt_d_mono"))
     ring = hh_via_kt(exterior(2, [5, 5, 5]), DegreeWindow(3, -15, 15))
     rows = product_table_from_ring(ring)
     assert len(rows) > 100
+    assert calls["diagonal_mono"]
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)), name
+
+
+def test_a_relation_needs_the_differential(monkeypatch):
+    """With a relation, the ring and its product table evaluate the
+    diagonal and the differential."""
+    from hhkt.cli import product_table_from_ring
+    calls = _count_calls(monkeypatch, ("diagonal_mono", "kt_d_mono"))
+    ring = hh_via_kt(truncated_poly_char2(), DegreeWindow(3, -16, 8))
+    assert product_table_from_ring(ring)
     for name, seen in calls.items():
         assert seen, name
-        assert len(seen) == len(set(seen)), name
 
 
 # name: (presentation, window); the first two take the monomial model, the

@@ -89,3 +89,45 @@ def test_every_definition_is_used():
                     if not (name.startswith("__") and name.endswith("__"))
                     and not counts.get(name))
     assert unused == [], f"defined but never used: {unused}"
+
+
+def _bound_names(node):
+    """The names one binding target stores to."""
+    return [n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
+def _bindings(func):
+    """(line, names) for each binding in a function: assignments,
+    augmented assignments, for and comprehension targets and except ... as
+    clauses."""
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield node.lineno, _bound_names(target)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            yield node.lineno, _bound_names(node.target)
+        elif isinstance(node, ast.comprehension):
+            yield node.target.lineno, _bound_names(node.target)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            yield node.lineno, [node.name]
+
+
+def test_every_binding_is_read():
+    """In each function under src/hhkt, every binding stores to at least
+    one name that the function (or a function nested in it) reads; names
+    starting with _ are exempt."""
+    unread = []
+    for path in sorted((ROOT / "src" / "hhkt").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(func)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for line, names in _bindings(func):
+                names = [n for n in names if not n.startswith("_")]
+                if names and not read.intersection(names):
+                    unread.append(f"{path.name}:{line} {func.name}: "
+                                  f"{', '.join(names)}")
+    assert unread == [], f"bound but never read: {unread}"
