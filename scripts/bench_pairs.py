@@ -11,8 +11,10 @@ Usage:
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
         --workload products [--pairs 10] [--seed 1] [--seconds 30]
 
-For each end-to-end metric it prints each side's median and quartiles and
-the pairs each side won; a tie counts for neither side.  Which way is
+For each end-to-end metric it prints each side's median and quartiles, the
+pairs each side won (a tie counts for neither side) and the median and
+quartiles of the per-pair ratios change/parent, which are steadier than the
+two medians when the machine's speed drifts between runs.  Which way is
 better comes from the change checkout's BENCHMARK.json.  peak_rss_mb
 follows the length of the checkout path, so a warning is printed when the
 two paths differ in length.
@@ -36,9 +38,11 @@ def quartiles(values):
 
 def summarize(pairs, better):
     """Per metric named in `better` ("lower" or "higher" is better): each
-    side's quartiles and the pairs each side won.  `pairs` is a list of
-    (parent metrics, change metrics), each {name: value}; a metric missing
-    from either side of a pair is left out of that pair."""
+    side's quartiles, the pairs each side won and the quartiles of the
+    per-pair ratios change/parent (None when the parent read 0 in every
+    pair; such a pair has no ratio).  `pairs` is a list of (parent
+    metrics, change metrics), each {name: value}; a metric missing from
+    either side of a pair is left out of that pair."""
     out = {}
     for name, way in better.items():
         both = [(p[name], c[name]) for p, c in pairs
@@ -46,26 +50,33 @@ def summarize(pairs, better):
         if not both:
             continue
         sign = 1 if way == "lower" else -1
+        ratios = [c / p for p, c in both if p]
         out[name] = {
             "pairs": len(both),
             "parent": quartiles([p for p, _ in both]),
             "change": quartiles([c for _, c in both]),
             "parent_wins": sum(sign * (p - c) < 0 for p, c in both),
             "change_wins": sum(sign * (c - p) < 0 for p, c in both),
+            "ratio": quartiles(ratios) if ratios else None,
         }
     return out
 
 
 def format_summary(summary):
-    """One line per metric: median (quartiles) parent -> change, wins."""
+    """One line per metric: median (quartiles) parent -> change, wins,
+    and the median (quartiles) of the ratios change/parent."""
     lines = []
     for name, s in summary.items():
         (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
+        ratio = "n/a"
+        if s["ratio"] is not None:
+            r1, r2, r3 = s["ratio"]
+            ratio = f"{r2:.4g} ({r1:.4g}-{r3:.4g})"
         lines.append(
             f"{name}: parent {p2:.4g} ({p1:.4g}-{p3:.4g}) -> change "
             f"{c2:.4g} ({c1:.4g}-{c3:.4g}); change better in "
             f"{s['change_wins']}/{s['pairs']}, parent better in "
-            f"{s['parent_wins']}/{s['pairs']}")
+            f"{s['parent_wins']}/{s['pairs']}; change/parent {ratio}")
     return lines
 
 

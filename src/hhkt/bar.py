@@ -477,6 +477,37 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
     return {(p, q): cx.homology_dim(p, q) for (p, q) in window.cells()}
 
 
+def oracle_report(A: AlgebraPresentation, window: DegreeWindow,
+                  resolution_dims, cell_limit):
+    """The `hhkt oracle` comparison: the bar-complex dimension of every
+    cell of the window beside resolution_dims {(p, q): dim} (a missing
+    cell is 0), with the cells that disagree and the nonzero edge cells,
+    whose outgoing maps are built with one filtration column of slack."""
+    bar_dims = compute_hh_window(A, COEFF_SELF, window, cell_limit=cell_limit)
+    mismatches = []
+    edge_cells = []
+    table = []
+    for (p, q) in window.cells():
+        bar_dim = bar_dims[(p, q)]
+        kt_dim = resolution_dims.get((p, q), 0)
+        if window.is_edge(p, q) and (bar_dim or kt_dim):
+            edge_cells.append([p, q])
+        if bar_dim or kt_dim:
+            table.append({"p": p, "q": q, "bar_dim": bar_dim,
+                          "resolution_dim": kt_dim,
+                          "agree": bar_dim == kt_dim})
+        if bar_dim != kt_dim:
+            mismatches.append([p, q, bar_dim, kt_dim])
+    return {
+        "cells": table,
+        "mismatches": mismatches,
+        "agree": not mismatches,
+        "edge_cells": sorted(edge_cells),
+        "note": ("edge cells flagged: outgoing maps are built with one "
+                 "extra filtration column of slack" if edge_cells else ""),
+    }
+
+
 # -- chain cells ---------------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ failure.  Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -46,6 +45,7 @@ from .fields import ComplexViolationError, FieldError
 bar = lazy_module("hhkt.bar")
 bv = lazy_module("hhkt.bv")
 koszul_tate = lazy_module("hhkt.koszul_tate")
+render = lazy_module("hhkt.render")  # --format text alone
 spectral = lazy_module("hhkt.spectral")
 verify_suite = lazy_module("hhkt.verify")
 
@@ -114,9 +114,37 @@ def hh_table_from_ring(ring):
     return table
 
 
-class ProductRows(list):
-    """Product-table rows {"a": str, "b": str, "value": [[str, int], ...]},
-    which json_text writes from one row template."""
+class ProductRows:
+    """The product table: rows {"a": str, "b": str, "value": [[str, int],
+    ...]} held as blocks (a, bs, values), the rows (a, bs[i], values[i]),
+    values None when every value of the block is [].  json_text writes it
+    from one template per row, with no dict per row (a block of other
+    label or value types as json.dumps writes its rows); len() counts the
+    rows, and iterating gives each row as a dict."""
+
+    __slots__ = ("blocks", "_rows")
+
+    def __init__(self):
+        self.blocks = []
+        self._rows = 0
+
+    def add(self, a, bs, values=None):
+        """The rows (a, bs[i], values[i]); values None: every value is []."""
+        self.blocks.append((a, bs, values))
+        self._rows += len(bs)
+
+    def __len__(self):
+        return self._rows
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from _block_rows(*block)
+
+
+def _block_rows(a, bs, values):
+    """The rows of one ProductRows block, as dicts."""
+    for i, b in enumerate(bs):
+        yield {"a": a, "b": b, "value": [] if values is None else values[i]}
 
 
 def product_table_from_ring(ring):
@@ -124,11 +152,16 @@ def product_table_from_ring(ring):
     in the order of combinations_with_replacement over the labels listed
     cell by cell.  Only the cell pairs whose summed bidegree lies in the
     window are walked, each class against the run of its partners in one
-    cell at a time."""
+    cell at a time, block by block as ring.product_blocks gives them: a
+    block that is zero becomes rows without a value to name or sort."""
     cells = [(pq, lbls) for pq, lbls in sorted(ring.cells.items()) if lbls]
     name = {lbl: ring.label_str(lbl)
             for _pq, lbls in cells for lbl in lbls}
     out = ProductRows()
+    # product_blocks may give equal products as one object, which is named
+    # once: {id: (product, its value)}, the product kept so its id is not
+    # reused
+    named = {}
     for i, ((pa, qa), lbls_a) in enumerate(cells):
         partners = [(j, lbls_b) for j, ((pb, qb), lbls_b)
                     in enumerate(cells[i:], i)
@@ -137,12 +170,17 @@ def product_table_from_ring(ring):
             a = name[la]
             for j, lbls_b in partners:
                 run = lbls_b[k:] if j == i else lbls_b
-                for lb, prod in zip(run, ring.products(la, run)):
-                    value = []
-                    if prod:
-                        value = [[name[lc], c] for lc, c in prod.items()]
-                        value.sort()
-                    out.append({"a": a, "b": name[lb], "value": value})
+                for block, values in ring.product_blocks(la, run):
+                    if values is not None:
+                        rows = []
+                        for prod in values:
+                            hit = named.get(id(prod))
+                            if hit is None:
+                                hit = named[id(prod)] = (prod, sorted(
+                                    [name[lc], c] for lc, c in prod.items()))
+                            rows.append(hit[1])
+                        values = rows
+                    out.add(a, [name[lb] for lb in block], values)
     return out
 
 
@@ -189,147 +227,23 @@ def cmd_oracle(cfg: JobConfig):
         window = DegreeWindow(min(window.max_p, cfg.max_bar_length),
                               window.q_min, window.q_max)
     ring = koszul_tate.hh_via_kt(A, window)
-    kt_dims = {pq: len(lbls) for pq, lbls in ring.cells.items()}
-    bar_dims = bar.compute_hh_window(A, bar.COEFF_SELF, window,
-                                     cell_limit=cfg.cell_limit)
-    mismatches = []
-    edge_cells = []
-    table = []
-    for (p, q) in window.cells():
-        bar_dim = bar_dims[(p, q)]
-        kt_dim = kt_dims.get((p, q), 0)
-        if window.is_edge(p, q) and (bar_dim or kt_dim):
-            edge_cells.append([p, q])
-        if bar_dim or kt_dim:
-            table.append({"p": p, "q": q, "bar_dim": bar_dim,
-                          "resolution_dim": kt_dim,
-                          "agree": bar_dim == kt_dim})
-        if bar_dim != kt_dim:
-            mismatches.append([p, q, bar_dim, kt_dim])
+    report = bar.oracle_report(
+        A, window, {pq: len(lbls) for pq, lbls in ring.cells.items()},
+        cfg.cell_limit)
     doc = {
         "metadata": base_metadata(cfg, A, window, digest, extra),
-        "oracle_report": {
-            "cells": table,
-            "mismatches": mismatches,
-            "agree": not mismatches,
-            "edge_cells": sorted(edge_cells),
-            "note": ("edge cells flagged: outgoing maps are built with one "
-                     "extra filtration column of slack" if edge_cells
-                     else ""),
-        },
+        "oracle_report": report,
     }
-    return doc, (0 if not mismatches else 2)
-
-
-def _generator_monomial_labels(ring):
-    """Basis classes that are products of one or two model generators (the
-    unit is omitted: the operator kills it by the algebra axioms)."""
-    labels = []
-    gens = ring.generators
-    items = [{g.label: 1} for g in gens]
-    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        exps = {g1.label: 1}
-        exps[g2.label] = exps.get(g2.label, 0) + 1
-        items.append(exps)
-    for exps in items:
-        lbl = ring.label_from_exponents(exps)
-        p, q = ring.bidegree(lbl)
-        if not ring.window.contains(p, q):
-            continue
-        if lbl in ring.cells.get((p, q), []) and lbl not in labels:
-            labels.append(lbl)
-    return labels
+    return doc, (0 if report["agree"] else 2)
 
 
 def cmd_bv(cfg: JobConfig):
     A, window, _doc, digest = load_job(cfg)
     extra = regularity_gate(A) or {}
-    ctx = bv.BVContext(A, window)
-    ring = ctx.ring
-    if ring.generators is None:
-        why = ("the relations are not pure powers"
-               if ring.differential_vanishes else
-               "the Hom-complex differential does not vanish in the window")
-        raise PresentationError(
-            f"bv needs a monomial generator model of HH, and there is "
-            f"none: {why}")
-    if A.field.p != 2:
-        extra["odd_characteristic_bv"] = \
-            "computed, but outside the validated scope"
-    extra["formal_dimension"] = ctx.d
-    extra["fundamental_class"] = A.label_monomial(ctx.pd.fundamental_class)
-    extra["xi_lifting_depth"] = ctx.xi.depth
-    labels = _generator_monomial_labels(ring)
-    delta_gr = {}
-    for lbl in labels:
-        delta_gr[lbl] = ctx.delta_of_label(lbl)
-    bv_table = []
-    for lbl in labels:
-        res = spectral.resolve_bv_extension(ring, delta_gr, lbl)
-        bv_table.append({
-            "class": ring.label_str(lbl),
-            "bidegree": list(ring.bidegree(lbl)),
-            "delta_gr": sorted([ring.label_str(t), c]
-                               for t, c in delta_gr[lbl].items()),
-            "status": res.status,
-            "ambiguity_basis": [ring.label_str(t) for t in res.ambiguity],
-        })
-    ext_table = []
-    gens = ring.generators
-    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        l1 = ring.label_from_exponents({g1.label: 1})
-        l2 = ring.label_from_exponents({g2.label: 1})
-        p, q = (ring.bidegree(l1)[0] + ring.bidegree(l2)[0],
-                ring.bidegree(l1)[1] + ring.bidegree(l2)[1])
-        if not ring.window.contains(p, q):
-            continue
-        res = spectral.resolve_product_extension(ring, l1, l2)
-        ext_table.append({
-            "a": ring.label_str(l1), "b": ring.label_str(l2),
-            "status": res.status,
-            "value": sorted([ring.label_str(t), c]
-                            for t, c in (res.value or {}).items()),
-            "ambiguity_basis": [ring.label_str(t) for t in res.ambiguity],
-        })
-    # seven-term identity sweep over generator triples
-    gen_labels = []
-    for g in gens:
-        lbl = ring.label_from_exponents({g.label: 1})
-        if ring.window.contains(*ring.bidegree(lbl)):
-            gen_labels.append(lbl)
-    sweep = {"checked": 0, "failures": []}
-    skipped = []
-    for la, lb, lc in itertools.combinations_with_replacement(gen_labels, 3):
-        p = sum(ring.bidegree(x)[0] for x in (la, lb, lc))
-        q = sum(ring.bidegree(x)[1] for x in (la, lb, lc))
-        if not ring.window.contains(p, q) or p < 1:
-            continue
-        da = ring.total_degree(la)
-        db = ring.total_degree(lb)
-        try:
-            holds, residual = ctx.check_bv_identity(
-                {la: 1}, {lb: 1}, {lc: 1}, da, db)
-        except WindowError:
-            # a nonzero a.b, b.c or a.c, or a term built from one, lies
-            # outside the window although a.b.c lies inside it
-            skipped.append([ring.label_str(x) for x in (la, lb, lc)])
-            continue
-        sweep["checked"] += 1
-        if not holds:
-            sweep["failures"].append({
-                "triple": [ring.label_str(x) for x in (la, lb, lc)],
-                "residual": sorted([ring.label_str(t), c]
-                                   for t, c in residual.items())})
-    if skipped:
-        sweep["skipped_outside_window"] = skipped
-    doc = {
-        "metadata": base_metadata(cfg, A, window, digest, extra),
-        "bv_table": bv_table,
-        "extension_report": ext_table,
-        "bv_identity_sweep": sweep,
-    }
-    code = 0 if not sweep["failures"] else 3
-    return doc, code
+    meta, sections, code = bv.bv_report(A, window)
+    extra.update(meta)
+    return {"metadata": base_metadata(cfg, A, window, digest, extra),
+            **sections}, code
 
 
 def cmd_verify(cfg: JobConfig):
@@ -348,71 +262,7 @@ def cmd_verify(cfg: JobConfig):
     return doc, (0 if ok else 3)
 
 
-# -- rendering ------------------------------------------------------------------
-
-
-def render_text(doc) -> str:
-    lines = []
-    meta = doc.get("metadata", {})
-    lines.append(f"command: {meta.get('command')}")
-    if "characteristic" in meta:
-        gens = ", ".join(f"{g['name']}:{g['degree']}:{g['kind'][:4]}"
-                         for g in meta.get("generators", []))
-        lines.append(f"field: F_{meta['characteristic']}  generators: {gens}")
-        if meta.get("relations"):
-            lines.append("relations: " + ", ".join(meta["relations"]))
-        w = meta.get("window", {})
-        lines.append(f"window: p <= {w.get('max_filtration')}, "
-                     f"{w.get('q_min')} <= q <= {w.get('q_max')}")
-    if "hh_table" in doc:
-        lines.append("")
-        lines.append("HH cells (p, q, dim, basis):")
-        for row in doc["hh_table"]:
-            lines.append(f"  ({row['p']:2d},{row['q']:4d})  dim {row['dim']}"
-                         f"  {', '.join(row['basis'])}")
-    if "certificate" in doc:
-        cert = doc["certificate"]
-        lines.append("")
-        lines.append(f"collapse certificate: {cert['status']} "
-                     f"({cert['detail']})")
-    if "oracle_report" in doc:
-        rep = doc["oracle_report"]
-        lines.append("")
-        lines.append("oracle comparison (p, q, bar, resolution):")
-        for row in rep["cells"]:
-            mark = "" if row["agree"] else "  <-- MISMATCH"
-            lines.append(f"  ({row['p']:2d},{row['q']:4d})  "
-                         f"{row['bar_dim']:3d} {row['resolution_dim']:3d}"
-                         f"{mark}")
-        lines.append(f"agreement: {rep['agree']}")
-        if rep.get("note"):
-            lines.append(f"note: {rep['note']} "
-                         f"(cells {rep['edge_cells']})")
-    if "bv_table" in doc:
-        lines.append("")
-        lines.append("BV operator table:")
-        for row in doc["bv_table"]:
-            val = " + ".join(str(c) if t == "1" else
-                             (t if c == 1 else f"{c}*{t}")
-                             for t, c in row["delta_gr"]) or "0"
-            extra = ""
-            if row["status"] == "ambiguous":
-                extra = ("  [ambiguous; basis: "
-                         + ", ".join(row["ambiguity_basis"]) + "]")
-            lines.append(f"  Delta({row['class']}) = {val}"
-                         f"  [{row['status']}]{extra}")
-        sweep = doc.get("bv_identity_sweep", {})
-        lines.append(f"seven-term identity sweep: {sweep.get('checked', 0)} "
-                     f"triples, {len(sweep.get('failures', []))} failures")
-        if sweep.get("skipped_outside_window"):
-            lines.append(f"  skipped {len(sweep['skipped_outside_window'])} "
-                         f"triples that need a class outside the window")
-    if "checks" in doc:
-        lines.append("")
-        for c in doc["checks"]:
-            lines.append(f"  {c['status'].upper():4s}  {c['name']}"
-                         + (f"  ({c['witness']})" if c.get("witness") else ""))
-    return "\n".join(lines) + "\n"
+# -- JSON text ---------------------------------------------------------------
 
 
 def _float_text(x: float) -> str:
@@ -472,53 +322,88 @@ def json_text(obj, indent=""):
                     f"is not JSON serializable")
 
 
+class _OffTemplate(Exception):
+    """A product-table label or value the row template does not write."""
+
+
 class _JSONStrings(dict):
     """str -> its JSON text, encoded on first use."""
 
     def __missing__(self, s):
+        if type(s) is not str:
+            raise _OffTemplate
         text = self[s] = encode_basestring_ascii(s)
         return text
 
 
 def _product_rows_text(rows, indent):
-    """json_text of a ProductRows list: one f-string per row, with each
-    label's JSON text encoded once.  A row of any other shape or type goes
-    through the generic recursion, so the text is still json.dumps's."""
-    if not rows:
+    """json_text of a ProductRows table: one template per row, with the
+    JSON text of each label and of each value object made once; a block
+    of zero products is one join of its b labels.  A block with a label
+    that is not a str or a value that is not a list of [str, int] pairs
+    goes row by row through the generic recursion, so the text is still
+    json.dumps's."""
+    if not len(rows):
         return "[]"
     inner = indent + "  "
     field = inner + "  "
     pair = field + "  "
     entry = pair + "  "
     pair_sep = f",\n{pair}"
+    value_head = f',\n{field}"value": '
+    row_end = f"\n{inner}}}"
+    zero_end = f"{value_head}[]{row_end}"
     names = _JSONStrings()
+    value_texts = {}    # id of a value list (alive in rows) -> its text
     texts = []
-    for row in rows:
-        a = b = value = None
-        if type(row) is dict and len(row) == 3:
-            a, b, value = row.get("a"), row.get("b"), row.get("value")
-        if type(a) is str and type(b) is str and type(value) is list:
-            pairs = []
-            for v in value:
-                if (type(v) is not list or len(v) != 2
-                        or type(v[0]) is not str or type(v[1]) is not int):
-                    break
-                pairs.append(f"[\n{entry}{names[v[0]]},\n{entry}{v[1]}"
-                             f"\n{pair}]")
-            else:
-                tv = (f"[\n{pair}{pair_sep.join(pairs)}\n{field}]" if pairs
-                      else "[]")
-                texts.append(f'{{\n{field}"a": {names[a]},\n{field}"b": '
-                             f'{names[b]},\n{field}"value": {tv}\n{inner}}}')
+    for a, bs, values in rows.blocks:
+        start = len(texts)
+        try:
+            head = f'{{\n{field}"a": {names[a]},\n{field}"b": '
+            if values is None:
+                if bs:
+                    texts.append(head + f"{zero_end},\n{inner}{head}".join(
+                        [names[b] for b in bs]) + zero_end)
                 continue
-        texts.append(json_text(row, inner))
+            for b, value in zip(bs, values):
+                text = value_texts.get(id(value))
+                if text is None:
+                    if type(value) is not list:
+                        raise _OffTemplate
+                    text = "[]"
+                    if value:
+                        text = pair_sep.join([
+                            f"[\n{entry}{names[lc]},\n{entry}"
+                            f"{_coefficient_text(c)}\n{pair}]"
+                            for lc, c in map(_template_pair, value)])
+                        text = f"[\n{pair}{text}\n{field}]"
+                    value_texts[id(value)] = text
+                texts.append(f"{head}{names[b]}{value_head}{text}{row_end}")
+        except _OffTemplate:
+            del texts[start:]
+            texts.extend([json_text(row, inner)
+                          for row in _block_rows(a, bs, values)])
     return "".join(("[\n", inner, f",\n{inner}".join(texts), "\n", indent,
                     "]"))
 
 
+def _template_pair(v):
+    """v, if it is a [label, coefficient] list the row template writes."""
+    if type(v) is not list or len(v) != 2:
+        raise _OffTemplate
+    return v
+
+
+def _coefficient_text(c):
+    """The JSON text of an int coefficient, as the row template writes it."""
+    if type(c) is not int:
+        raise _OffTemplate
+    return int.__repr__(c)
+
+
 def emit(doc, fmt):
     if fmt == "text":
-        sys.stdout.write(render_text(doc))
+        sys.stdout.write(render.render_text(doc))
     else:
         sys.stdout.write(json_text(doc))
         sys.stdout.write("\n")

@@ -25,13 +25,15 @@ element is (-p, t) and its total degree t - p.
 Per-E-monomial data is computed once per resolution and reused: the
 diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
 and its internal degree; diagonal_mono itself stays uncached, so checks
-that call it see a fresh computation.  The terms of D(alpha) over a level
-are grouped once by their (a_e, b_e) slots, so the cup product
-(a . e1*) cup (b . e2*) of basis cochains walks only the entries of
-(e1, e2), and their factors (lamL lamM) a serve every b (cup_lefts, then
-cup_on_basis).  Beyond the window, cell dimensions of the
-monomial model are counted, sum_t N(p, t) dim A_{t+q}, from the number
-N(p, t) of E-monomials per level and internal degree (emono_counts).
+that call it see a fresh computation.  The cup product is read from
+structure constants (cup_constants): for each pair of E-monomials (e1, e2)
+and parities of |a| and |b|, the terms of D(alpha) over every alpha of the
+level of e1 e2 are summed, once, into one polynomial Q_alpha of Lambda per
+alpha, so that (a . e1*) cup (b . e2*) = sum_alpha (Q_alpha a b) . alpha*
+is one lookup and one product in Lambda per pair of basis cochains.
+Beyond the window, cell dimensions of the monomial model are counted,
+sum_t N(p, t) dim A_{t+q}, from the number N(p, t) of E-monomials per
+level and internal degree (emono_counts).
 
 Three fields.CellComplex subclasses hold the cells: KTResolution is F by
 (level, internal degree), its tensor_square is F (x)_Lambda F, and KTRing
@@ -169,6 +171,7 @@ class KTResolution(CellComplex):
         self._internal_cache = {}
         self._diag_cache = {}
         self._cup_tables = {}
+        self._cup_constants = {}
         self._alpha_d_cache = {}
         self._count_cache = {}
         self.tensor_square = TensorSquare(self)
@@ -340,28 +343,30 @@ def kt_d_mono(R: KTResolution, m: KTMono):
 
 def _boundary_by_emono(R: KTResolution, alpha: EMono):
     """d(1 (x) 1 . alpha), computed once per alpha and multiplied out in
-    Lambda, as {e: (P, P')}: P is the sum of the c l r over the terms
-    c (l (x) r) . e of d(alpha), and P' the same sum with each term signed
-    by (-1)^(|l| + |r|).  An alpha without a w symbol gives {}: each
-    symbol's d is (y (x) 1 - 1 (x) y) or (x (x) 1 - 1 (x) x) times the
-    rest, whose two terms have the same sign, equal l r and opposite
-    coefficients, so they cancel in P and in P'."""
-    pairs = R._alpha_d_cache.get(alpha)
-    if pairs is None:
+    Lambda, as {e: P}: P is the sum of the c l r over the terms
+    c (l (x) r) . e of d(alpha).  The Hom-complex differential reads P
+    with one sign per cell, because a term of d(alpha) whose |l| + |r| is
+    odd cancels in P against a partner of the same sign: in characteristic
+    2 every sign is trivial, and in odd characteristic relations involve
+    only (even) polynomial generators, so the zeta and u terms have even
+    |l| + |r|, and the only odd ones are the nu terms, (y (x) 1 - 1 (x) y)
+    times the same rest, with equal l r and opposite coefficients.  An
+    alpha without a w symbol gives {}: every symbol's d is such a
+    difference, (y (x) 1 - 1 (x) y) or (x (x) 1 - 1 (x) x) times the
+    rest."""
+    sums = R._alpha_d_cache.get(alpha)
+    if sums is None:
         A = R.algebra
         one = A.unit_monomial()
-        sums = {}
+        terms = {}
         if any(alpha.w):
             for (l, r, e), c in kt_d_mono(R, (one, one, alpha)):
-                odd = (A.mono_degree(l) + A.mono_degree(r)) % 2
-                P, P_odd = sums.setdefault(e, ({}, {}))
+                P = terms.setdefault(e, {})
                 for m, mc in A.mul_monomials(l, r):
                     P[m] = P.get(m, 0) + c * mc
-                    P_odd[m] = P_odd.get(m, 0) + (-c if odd else c) * mc
-        pairs = R._alpha_d_cache[alpha] = {
-            e: (Polynomial(A, P), Polynomial(A, P_odd))
-            for e, (P, P_odd) in sums.items()}
-    return pairs
+        sums = R._alpha_d_cache[alpha] = {
+            e: Polynomial(A, P) for e, P in terms.items()}
+    return sums
 
 
 def _emono_of(R, payloads):
@@ -590,9 +595,9 @@ def diagonal_mono(R: KTResolution, m: KTMono) -> KTTensorElement:
 def _cup_table(R: KTResolution, level: int):
     """The terms of D(1 (x) 1 . alpha) over every alpha of one level, built
     once per level from one diagonal_mono call per alpha and grouped by
-    their (a_e, b_e) slots, in level order.  An entry is (alpha, lamL lamM
-    as (monomial, coeff) pairs, lamR, coeff, |lamL lamM| odd, |lamR| plus
-    the left slot's total degree odd)."""
+    their (a_e, b_e) slots, in level order.  An entry is (alpha,
+    lamL lamM lamR as (monomial, coeff) pairs, coeff, |lamL lamM| odd,
+    |lamR| plus the left slot's total degree odd, |lamR| odd)."""
     table = R._cup_tables.get(level)
     if table is None:
         A = R.algebra
@@ -602,12 +607,67 @@ def _cup_table(R: KTResolution, level: int):
             diag = diagonal_mono(R, (one, one, alpha))
             for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
                 lam_deg = A.mono_degree(lamL) + A.mono_degree(lamM)
-                right_deg = A.mono_degree(lamR) + lam_deg + R.e_total(a_e)
+                right_deg = A.mono_degree(lamR)
+                lam = [(m, lc * mc) for lm, lc in A.mul_monomials(lamL, lamM)
+                       for m, mc in A.mul_monomials(lm, lamR)]
                 table.setdefault((a_e, b_e), []).append(
-                    (alpha, tuple(A.mul_monomials(lamL, lamM)), lamR, c,
-                     lam_deg % 2, right_deg % 2))
+                    (alpha, lam, c, lam_deg % 2,
+                     (right_deg + lam_deg + R.e_total(a_e)) % 2,
+                     right_deg % 2))
         R._cup_tables[level] = table
     return table
+
+
+def cup_constants(R: KTResolution, e1: EMono, e2: EMono, a_odd, b_odd):
+    """The structure constants of (a . e1*) cup (b . e2*) for algebra
+    monomials a, b of degree parities a_odd, b_odd, cached on R: a list of
+    (alpha, Q_alpha), Q_alpha nonzero in Lambda as (monomial, coeff)
+    pairs, such that the product is sum_alpha (Q_alpha a b) . alpha*.
+
+    A term c (lamL (x) lamM) alpha' (x) lamR beta' of D(alpha) with
+    (alpha', beta') = (e1, e2) evaluates to c (lamL lamM a)(lamR b), signed
+    (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g) for the total-degree
+    parities f, g of the two factors; graded commutativity moves a past
+    lamR at the sign (-1)^(|a| |lamR|), so Q_alpha is the signed sum of
+    c lamL lamM lamR.  An empty list means every such product is zero."""
+    key = (e1, e2, a_odd, b_odd)
+    consts = R._cup_constants.get(key)
+    if consts is None:
+        p = R.field.p
+        level = R.e_level(e1) + R.e_level(e2)
+        f_odd = (a_odd + R.e_total(e1)) % 2
+        g_odd = (b_odd + R.e_total(e2)) % 2
+        sums = {}
+        for alpha, lam, c, lam_odd, right_odd, lamR_odd in \
+                _cup_table(R, level).get((e1, e2), ()):
+            if (lam_odd * f_odd + right_odd * g_odd + a_odd * lamR_odd) % 2:
+                c = -c
+            Q = sums.setdefault(alpha, {})
+            for m, mc in lam:
+                Q[m] = Q.get(m, 0) + c * mc
+        consts = R._cup_constants[key] = []
+        for alpha, Q in sums.items():
+            Q = tuple((m, c % p) for m, c in Q.items() if c % p)
+            if Q:
+                consts.append((alpha, Q))
+    return consts
+
+
+def cup_terms(R: KTResolution, consts, ab, tag=()):
+    """sum_alpha (Q_alpha ab) . alpha* for the cup_constants consts and an
+    element ab of Lambda given as (monomial, coeff) pairs, as terms
+    {tag + (alpha, monomial): coeff}."""
+    mul = R.algebra.mul_monomials
+    p = R.field.p
+    out = {}
+    for alpha, Q in consts:
+        head = tag + (alpha,)
+        for q, qc in Q:
+            for m, c in ab:
+                for mm, mc in mul(q, m):
+                    key = head + (mm,)
+                    out[key] = out.get(key, 0) + qc * c * mc
+    return {key: c % p for key, c in out.items() if c % p}
 
 
 def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
@@ -618,67 +678,23 @@ def diagonal_element(R: KTResolution, x: KTElement) -> KTTensorElement:
 # -- the dual ring over a coefficient algebra --------------------------------
 
 
-def cup_lefts(R: KTResolution, level, e1: EMono, a: Monomial, f_odd,
-              e2: EMono, g_odd):
-    """The part of (a . e1*) cup (b . e2*) that does not depend on b, for
-    cochains of total degree parities f_odd and g_odd, where level is the
-    level of e1 e2: for each entry of the cup table at (e1, e2) whose
-    (lamL lamM) a is nonzero, (alpha, lamR, [(monomial of (lamL lamM) a,
-    its coefficient times c)]), with c signed by
-    (-1)^(|lamL lamM| f + (|lamR| + |left slot|) g)."""
-    A = R.algebra
-    one = A.unit_monomial()
-    out = []
-    for alpha, lam, lamR, c, lam_odd, right_odd in \
-            _cup_table(R, level).get((e1, e2), ()):
-        if (lam_odd * f_odd + right_odd * g_odd) % 2:
-            c = -c
-        lefts = [(fm, c * lc * fc) for lm, lc in lam
-                 for fm, fc in (A.mul_monomials(lm, a) if lm != one
-                                else ((a, 1),))]
-        if lefts:
-            out.append((alpha, lamR, lefts))
-    return out
-
-
-def cup_on_basis(R: KTResolution, lefts, b: Monomial):
-    """(a . e1*) cup (b . e2*) from the cup_lefts of a, e1 and e2, as
-    {(alpha, monomial): coeff}: each term of D(alpha) is evaluated as
-    (lamL lamM) a times lamR b."""
-    A = R.algebra
-    p = R.field.p
-    one = A.unit_monomial()
-    out = {}
-    for alpha, lamR, lefts_alpha in lefts:
-        rights = A.mul_monomials(lamR, b) if lamR != one else ((b, 1),)
-        for fm, fc in lefts_alpha:
-            for gm, gc in rights:
-                for m, mc in A.mul_monomials(fm, gm):
-                    key = (alpha, m)
-                    out[key] = (out.get(key, 0) + fc * gc * mc) % p
-    return {key: c for key, c in out.items() if c}
-
-
 def cup_via_diagonal(R: KTResolution, f, g):
     """(f cup g)(alpha) = (f (x) g)(D alpha) for cochains given as terms
-    {(e, a): coeff}: the bilinear extension of cup_on_basis, as terms
-    {(alpha, monomial): coeff}.  A cochain's level and degree parity are
-    read from any of its keys."""
-    if not f or not g:
-        return {}
+    {(e, a): coeff}: for each pair of their terms (e1, a) and (e2, b), the
+    cup_terms of the cup_constants of (e1, e2) and the product a b, as
+    terms {(alpha, monomial): coeff}."""
     A = R.algebra
     p = R.field.p
-    (e1, a), (e2, b) = next(iter(f)), next(iter(g))
-    level = R.e_level(e1) + R.e_level(e2)
-    f_odd = (A.mono_degree(a) - R.e_total(e1)) % 2
-    g_odd = (A.mono_degree(b) - R.e_total(e2)) % 2
     out = {}
-    for ((e1, a), ca), ((e2, b), cb) in itertools.product(f.items(),
-                                                          g.items()):
-        lefts = cup_lefts(R, level, e1, a, f_odd, e2, g_odd)
-        for key, c in cup_on_basis(R, lefts, b).items():
-            out[key] = (out.get(key, 0) + ca * cb * c) % p
-    return {key: c for key, c in out.items() if c}
+    for (e1, a), ca in f.items():
+        a_odd = A.mono_degree(a) % 2
+        for (e2, b), cb in g.items():
+            consts = cup_constants(R, e1, e2, a_odd, A.mono_degree(b) % 2)
+            if consts:
+                for key, c in cup_terms(R, consts,
+                                        A.mul_monomials(a, b)).items():
+                    out[key] = out.get(key, 0) + ca * cb * c
+    return {key: c % p for key, c in out.items() if c % p}
 
 
 # -- HH via the resolution -----------------------------------------------------
@@ -695,9 +711,9 @@ class KTRing(CellComplex):
     otherwise cells are its homology classes.  Whether it vanishes is read
     from the boundaries d(alpha) of the E-monomials, without a matrix
     (_differential_vanishes); only the homology path builds the
-    differential matrices, to reduce its cells.  Both read the signed sums
-    P and P' of each d(alpha) from _boundary_by_emono, and an alpha without
-    a w symbol contributes nothing to either.  class_reps maps each class
+    differential matrices, to reduce its cells.  Both read the sum P of
+    each d(alpha) from _boundary_by_emono, and an alpha without a w symbol
+    contributes nothing to either.  class_reps maps each class
     label to a representative cochain, as terms {(e, a): coeff} of its
     cell basis: {(e, a): 1} for the label ("m", e, a).
     """
@@ -725,12 +741,11 @@ class KTRing(CellComplex):
     def _matrix(self, p, q):
         """Induced differential on A (x) E-dual from cell (p,q) to (p+1,q):
         the rows of alpha in the column (e, a) are -P a when p + q is even
-        and P' a when it is odd, (P, P') = _boundary_by_emono(alpha)[e]."""
+        and P a when it is odd, P = _boundary_by_emono(alpha)[e]."""
         R, A = self.R, self.algebra
         src = self.cell_basis(p, q)
         dst_index = self.index(p + 1, q)
-        h_odd = (p + q) % 2
-        sign = 1 if h_odd else -1
+        sign = 1 if (p + q) % 2 else -1
         boundaries = [(alpha, _boundary_by_emono(R, alpha))
                       for alpha in emonos_at_level(R, p + 1)
                       if R.e_internal(alpha) + q >= 0]
@@ -739,7 +754,7 @@ class KTRing(CellComplex):
             a_poly = Polynomial(A, {a: 1})
             for alpha, d_alpha in boundaries:
                 if e in d_alpha:
-                    for mono, c in (d_alpha[e][h_odd] * a_poly).terms.items():
+                    for mono, c in (d_alpha[e] * a_poly).terms.items():
                         entries[(dst_index[(alpha, mono)], j)] = sign * c
         return SparseMatrix(len(dst_index), len(src), entries, R.field)
 
@@ -749,11 +764,17 @@ class KTRing(CellComplex):
         self.class_reps = {}
         self.differential_vanishes = self._differential_vanishes()
         if self.differential_vanishes:
+            # the (E-monomial, parity of |a|) of each label ("m", e, a), and
+            # the products by cup_constants key and algebra product a b
+            self._block_keys = {}
+            self._cup_values = {}
             for (p, q) in W.cells():
                 pairs = self.cell_basis(p, q)
                 self.cells[(p, q)] = [("m", e, a) for (e, a) in pairs]
                 for e, a in pairs:
                     self.class_reps[("m", e, a)] = {(e, a): 1}
+                    self._block_keys[("m", e, a)] = (
+                        e, (self.R.e_internal(e) + q) % 2)
             self.generators = self._generator_model()
             self.complete = self.generators is not None
         else:
@@ -769,17 +790,15 @@ class KTRing(CellComplex):
     def _differential_vanishes(self):
         """Whether the differential out of every cell (p, q), p <= max_p + 1
         and q in the window, is zero, decided without building its matrix:
-        _matrix writes -+ P a for the (P, P') of _boundary_by_emono, P or
-        P' by the parity of p + q, so only a nonzero one is multiplied by
-        the cell's monomials a."""
+        _matrix writes -+ P a for the P of _boundary_by_emono, so only a
+        nonzero P is multiplied by the cell's monomials a."""
         R, A, W = self.R, self.algebra, self.window
         for p in range(W.max_p + 2):
             for alpha in emonos_at_level(R, p + 1):
-                for e, pair in _boundary_by_emono(R, alpha).items():
+                for e, P in _boundary_by_emono(R, alpha).items():
+                    if P.is_zero():
+                        continue
                     for q in range(W.q_min, W.q_max + 1):
-                        P = pair[(p + q) % 2]
-                        if P.is_zero():
-                            continue
                         for a in A.monomial_basis(R.e_internal(e) + q):
                             if not (P * Polynomial(A, {a: 1})).is_zero():
                                 return False
@@ -895,50 +914,66 @@ class KTRing(CellComplex):
         return self.products(la, (lb,))[0]
 
     def products(self, la, run):
-        """[product(la, lb) for lb in run], with every label checked first.
-        The level and both parities are read again only where the
-        bidegree along the run changes, so a run from one cell reads them
-        once.  In the monomial model the factors that do not depend on
-        lb's algebra monomial (cup_lefts) are built once per E-monomial of
-        the cell, and a pair without them is zero."""
+        """[product(la, lb) for lb in run], with every label checked first;
+        each product a dict of its own."""
+        out = []
+        for block, values in self.product_blocks(la, run):
+            if values is None:
+                out.extend({} for _ in block)
+            else:
+                out.extend(map(dict, values))
+        return out
+
+    def product_blocks(self, la, run):
+        """The products of la with the labels of run, as a list of
+        (labels, values) over consecutive pieces of run: values[i] is
+        product(la, labels[i]), and values is None when every product of
+        the piece is zero.  Every label is checked first.  In the monomial
+        model a piece is a maximal stretch of labels with one E-monomial e2
+        and one parity of |b| (read from _block_keys; a cell's labels are
+        E-monomial-major, so it has one piece per E-monomial), one
+        cup_constants lookup serves the piece, and an empty one makes it
+        zero without a product.  A product depends on b only through a b,
+        so it is computed once per (constants, a b) and the same dict is
+        given for every pair that shares them: values are read-only.  On
+        the homology path the whole run is one piece, each product a
+        cup_via_diagonal expressed in the class basis."""
         reps = self.class_reps
-        for lbl in (la, *run):
-            if lbl not in reps:
-                raise WindowError(f"class {self.label_str(lbl)} lies outside "
-                                  f"the window")
-        pa, qa = self.bidegree(la)
+        if la not in reps or not all(map(reps.__contains__, run)):
+            bad = next(lbl for lbl in (la, *run) if lbl not in reps)
+            raise WindowError(f"class {self.label_str(bad)} lies outside "
+                              f"the window")
+        R, A = self.R, self.algebra
         if not self.differential_vanishes:
+            pa, qa = self.bidegree(la)
             f = reps[la]
-            out = []
+            values = []
             for lb in run:
                 pb, qb = self.bidegree(lb)
-                cup = cup_via_diagonal(self.R, f, reps[lb])
-                out.append(self._express(cup, pa + pb, qa + qb))
-            return out
+                cup = cup_via_diagonal(R, f, reps[lb])
+                values.append(self._express(cup, pa + pb, qa + qb))
+            return [(run, values)]
         # the monomial model extends beyond the window
-        R = self.R
         _, e1, a = la
-        f_odd = (pa + qa) % 2
-        cell = None
-        out = []
-        for lb in run:
-            pq = self.bidegree(lb)
-            if pq != cell:
-                cell = pq
-                level = pa + pq[0]
-                g_odd = (pq[0] + pq[1]) % 2
-                lefts_by_e2 = {}
-            _, e2, b = lb
-            lefts = lefts_by_e2.get(e2)
-            if lefts is None:
-                lefts = lefts_by_e2[e2] = cup_lefts(R, level, e1, a, f_odd,
-                                                    e2, g_odd)
-            if not lefts:
-                out.append({})
-                continue
-            cup = cup_on_basis(R, lefts, b)
-            out.append({("m", e, m): c for (e, m), c in cup.items()})
-        return out
+        a_odd = A.mono_degree(a) % 2
+        blocks = []
+        for (e2, b_odd), block in itertools.groupby(
+                run, self._block_keys.__getitem__):
+            block = list(block)
+            key = (e1, e2, a_odd, b_odd)
+            consts = cup_constants(R, *key)
+            values = None
+            if consts:
+                memo = self._cup_values.setdefault(key, {})
+                values = []
+                for lb in block:
+                    ab = A.mul_monomials(a, lb[2])
+                    value = memo.get(ab)
+                    if value is None:
+                        value = memo[ab] = cup_terms(R, consts, ab, ("m",))
+                    values.append(value)
+            blocks.append((block, values))
+        return blocks
 
     def _express(self, terms, p, q):
         """Coordinates of a cocycle's class in the homology cell basis."""

@@ -4,8 +4,9 @@ Each one checks the package from another angle (the shuffle product on
 Hochschild chains, the unit cochain, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
 operator through Hochschild homology, the Hom-complex differential
-assembled term by term, an explicit bigraded ring), but no command needs it, so
-none is compiled by any hhkt process.
+assembled term by term, the cup product evaluated term by term on the
+diagonal, an explicit bigraded ring), but no command needs it, so none is
+compiled by any hhkt process.
 """
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
@@ -13,7 +14,7 @@ from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
                       Cochain, connes_boundary, hochschild_b, word_suspension)
 from hhkt.bv import pair_class
 from hhkt.fields import LinearSystem, SparseMatrix, rank
-from hhkt.koszul_tate import emonos_at_level, kt_d_mono
+from hhkt.koszul_tate import diagonal_mono, emonos_at_level, kt_d_mono
 
 
 # -- Hochschild chains and cochains ------------------------------------------
@@ -131,6 +132,93 @@ def hom_matrices_by_terms(ring):
                                        len(ring.cell_basis(p, q)), entries,
                                        A.field)
     return out
+
+
+# -- the cup product term by term on the diagonal ----------------------------
+
+_CUP_TABLES = {}    # (resolution, level) -> the grouped terms of D(alpha)
+
+
+def _cup_table(R, level):
+    """The terms of D(1 (x) 1 . alpha) over every alpha of one level,
+    grouped by their (a_e, b_e) slots.  An entry is (alpha, lamL lamM as
+    (monomial, coeff) pairs, lamR, coeff, |lamL lamM| odd, |lamR| plus the
+    left slot's total degree odd)."""
+    table = _CUP_TABLES.get((R, level))
+    if table is None:
+        A = R.algebra
+        one = A.unit_monomial()
+        table = _CUP_TABLES[(R, level)] = {}
+        for alpha in emonos_at_level(R, level):
+            diag = diagonal_mono(R, (one, one, alpha))
+            for (lamL, lamM, a_e, lamR, b_e), c in diag.terms.items():
+                lam_deg = A.mono_degree(lamL) + A.mono_degree(lamM)
+                right_deg = A.mono_degree(lamR) + lam_deg + R.e_total(a_e)
+                table.setdefault((a_e, b_e), []).append(
+                    (alpha, tuple(A.mul_monomials(lamL, lamM)), lamR, c,
+                     lam_deg % 2, right_deg % 2))
+    return table
+
+
+def _cup_lefts(R, level, e1, a, f_odd, e2, g_odd):
+    """For each entry of the cup table at (e1, e2) whose (lamL lamM) a is
+    nonzero, (alpha, lamR, [(monomial of (lamL lamM) a, its coefficient
+    times c)]), with c signed by (-1)^(|lamL lamM| f + (|lamR| + |left
+    slot|) g)."""
+    A = R.algebra
+    one = A.unit_monomial()
+    out = []
+    for alpha, lam, lamR, c, lam_odd, right_odd in \
+            _cup_table(R, level).get((e1, e2), ()):
+        if (lam_odd * f_odd + right_odd * g_odd) % 2:
+            c = -c
+        lefts = [(fm, c * lc * fc) for lm, lc in lam
+                 for fm, fc in (A.mul_monomials(lm, a) if lm != one
+                                else ((a, 1),))]
+        if lefts:
+            out.append((alpha, lamR, lefts))
+    return out
+
+
+def _cup_on_basis(R, lefts, b):
+    """(a . e1*) cup (b . e2*) from the _cup_lefts of a, e1 and e2, as
+    {(alpha, monomial): coeff}: each term of D(alpha) is evaluated as
+    (lamL lamM) a times lamR b."""
+    A = R.algebra
+    p = R.field.p
+    one = A.unit_monomial()
+    out = {}
+    for alpha, lamR, lefts_alpha in lefts:
+        rights = A.mul_monomials(lamR, b) if lamR != one else ((b, 1),)
+        for fm, fc in lefts_alpha:
+            for gm, gc in rights:
+                for m, mc in A.mul_monomials(fm, gm):
+                    key = (alpha, m)
+                    out[key] = (out.get(key, 0) + fc * gc * mc) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def cup_by_diagonal_terms(R, f, g):
+    """(f cup g)(alpha) = (f (x) g)(D alpha) for cochains {(e, a): coeff},
+    evaluated on each term of D(alpha) without structure constants: the
+    bilinear extension of _cup_on_basis, as terms {(alpha, monomial):
+    coeff}.  A cochain's level and degree parity are read from any of its
+    keys."""
+    if not f or not g:
+        return {}
+    A = R.algebra
+    p = R.field.p
+    (e1, a), (e2, b) = next(iter(f)), next(iter(g))
+    level = R.e_level(e1) + R.e_level(e2)
+    f_odd = (A.mono_degree(a) - R.e_total(e1)) % 2
+    g_odd = (A.mono_degree(b) - R.e_total(e2)) % 2
+    out = {}
+    for (e1, a), ca in f.items():
+        for (e2, b), cb in g.items():
+            lefts = _cup_lefts(R, level, e1, a, f_odd, e2, g_odd)
+            for key, c in _cup_on_basis(R, lefts, b).items():
+                out[key] = (out.get(key, 0) + ca * cb * c) % p
+    return {key: c for key, c in out.items() if c}
 
 
 # -- the BV operator through Hochschild homology -----------------------------

@@ -42,7 +42,7 @@ def test_summary_lines():
         bench_pairs.summarize(PAIRS, {"wall_s": "lower"}))
     assert lines == ["wall_s: parent 0.6 (0.5625-0.6375) -> change 0.535 "
                      "(0.505-0.595); change better in 2/4, parent better "
-                     "in 1/4"]
+                     "in 1/4; change/parent 0.9167 (0.8083-1.012)"]
 
 
 def test_path_length_warning(tmp_path):
@@ -53,3 +53,22 @@ def test_path_length_warning(tmp_path):
     warning = bench_pairs.path_length_warning(tmp_path / "parent",
                                               tmp_path / "changed")
     assert "differ in length" in warning and "peak_rss_mb" in warning
+
+
+def test_summary_ratios_are_paired():
+    """The ratio statistic pairs each change run with its own parent run:
+    a parent that drifts by 2x between pairs leaves every ratio at 0.9,
+    while the two medians alone differ by less than their spread."""
+    pairs = [({"wall_s": p}, {"wall_s": 0.9 * p})
+             for p in (0.2, 0.4, 0.3, 0.35, 0.25)]
+    wall = bench_pairs.summarize(pairs, {"wall_s": "lower"})["wall_s"]
+    assert wall["ratio"] == pytest.approx((0.9, 0.9, 0.9))
+    assert wall["change_wins"] == 5
+    # ratios of the PAIRS above: 0.5/0.6, 1, 0.52/0.65, 0.61/0.6
+    summary = bench_pairs.summarize(PAIRS, BETTER)
+    assert summary["wall_s"]["ratio"] == pytest.approx(
+        bench_pairs.quartiles([0.5 / 0.6, 1.0, 0.8, 0.61 / 0.6]))
+    # a parent that read 0 gives no ratio
+    zero = bench_pairs.summarize([({"x": 0.0}, {"x": 1.0})], {"x": "lower"})
+    assert zero["x"]["ratio"] is None
+    assert bench_pairs.format_summary(zero)[0].endswith("change/parent n/a")

@@ -484,7 +484,28 @@ def test_product_table_walks_pairs_in_reference_order(presentation, window,
     assert ring.differential_vanishes == monomial_model
     rows, n = _reference_product_rows(ring)
     assert 0 < len(rows) < n * (n + 1) // 2
-    assert product_table_from_ring(ring) == rows
+    table = product_table_from_ring(ring)
+    assert len(table) == len(rows)
+    assert list(table) == rows
+
+
+PERFBENCH_INPUTS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+     / "inputs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", PERFBENCH_INPUTS, ids=lambda p: p.stem)
+def test_product_table_text_is_json_dumps_of_itself(path):
+    """The product table's text, alone and at its indent in a document,
+    is what json.dumps writes for the rows it reads back as."""
+    A, window, _doc, _digest = load_job(JobConfig(
+        "compute", str(path), None, None, None, "json", 0, None))
+    table = product_table_from_ring(hh_via_kt(A, window))
+    text = json_text(table)
+    assert text == json.dumps(json.loads(text), indent=2)
+    assert json.loads(text) == list(table)
+    doc_text = json_text({"product_table": table})
+    assert doc_text == json.dumps(json.loads(doc_text), indent=2)
 
 
 JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028'),
@@ -531,41 +552,59 @@ def test_json_text_rejects_what_documents_never_hold(value):
 
 COEFFICIENTS = (st.integers()
                 | st.integers(min_value=-2**200, max_value=2**200))
-PRODUCT_ROWS = st.lists(st.fixed_dictionaries({
-    "a": JSON_STRINGS, "b": JSON_STRINGS,
-    "value": st.lists(st.tuples(JSON_STRINGS, COEFFICIENTS).map(list),
-                      max_size=3)}), max_size=6).map(ProductRows)
+VALUES = st.lists(st.tuples(JSON_STRINGS, COEFFICIENTS).map(list),
+                  max_size=3)
+
+
+def _table(blocks):
+    """A ProductRows table of (a, bs, values or None) blocks."""
+    table = ProductRows()
+    for a, bs, values in blocks:
+        table.add(a, bs, values)
+    return table
+
+
+# blocks of rows with any labels and coefficients; values None (every row
+# zero) or one value per b, some of them one shared list
+PRODUCT_ROWS = st.lists(st.tuples(
+    JSON_STRINGS, st.lists(JSON_STRINGS, max_size=4),
+    st.none() | VALUES.flatmap(lambda shared: st.lists(
+        VALUES | st.just(shared), min_size=4, max_size=4)))
+    .map(lambda blk: (blk[0], blk[1], blk[2] and blk[2][:len(blk[1])])),
+    max_size=4).map(_table)
 
 
 @given(st.dictionaries(JSON_STRINGS, PRODUCT_ROWS, min_size=1, max_size=3))
 def test_product_row_template_matches_json_dumps(doc):
-    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    plain = {key: list(rows) for key, rows in doc.items()}
+    assert json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("row", [
-    {"a": 1, "b": "x", "value": []},
-    {"a": _Name("y1"), "b": "x", "value": [["x", 1]]},
-    {"a": "y1", "b": "x", "value": [["x", True]]},
-    {"a": "y1", "b": "x", "value": [["x", _Level.LOW]]},
-    {"a": "y1", "b": "x", "value": [["x", 1.5]]},
-    {"a": "y1", "b": "x", "value": [("x", 1)]},
-    {"a": "y1", "b": "x", "value": (["x", 1],)},
-    {"a": "y1", "b": "x", "value": [["x", 1, 2]]},
-    {"a": "y1", "b": "x", "value": None},
-    {"a": "y1", "b": "x"},
-    {"a": "y1", "b": "x", "c": []},
-    {"a": "y1", "b": "x", "value": [], "c": 0},
-    ["y1", "x", []],
+    (1, "x", []),
+    (_Name("y1"), "x", [["x", 1]]),
+    ("y1", "x", [["x", True]]),
+    ("y1", "x", [["x", _Level.LOW]]),
+    ("y1", "x", [["x", 1.5]]),
+    ("y1", "x", [("x", 1)]),
+    ("y1", "x", (["x", 1],)),
+    ("y1", "x", [["x", 1, 2]]),
+    ("y1", "x", None),
 ])
 def test_product_rows_off_the_template_are_written_as_json_does(row):
-    doc = {"product_table": ProductRows([{"a": "1", "b": "1", "value": []},
-                                         row])}
-    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    a, b, value = row
+    table = _table([("1", ["1", "2"], None), ("1", ["1"], [[]]),
+                    (a, [b, "z"], [value, [["z", 2]]]), (a, [b], None)])
+    doc = {"product_table": table}
+    assert json_text(doc) == json.dumps({"product_table": list(table)},
+                                        sort_keys=True, indent=2)
 
 
 def test_empty_product_table_is_written_as_json_does():
     doc = {"product_table": ProductRows()}
-    assert json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert len(doc["product_table"]) == 0
+    assert json_text(doc) == json.dumps({"product_table": []},
+                                        sort_keys=True, indent=2)
     assert json_text(doc) == '{\n  "product_table": []\n}'
 
 
@@ -575,8 +614,9 @@ def test_empty_product_table_is_written_as_json_does():
     {"a": "y1", "b": "x", "value": [["x", {1}]]},
 ])
 def test_product_row_with_a_label_json_cannot_write_raises(row):
+    table = _table([(row["a"], [row["b"]], [row["value"]])])
     with pytest.raises(TypeError):
-        json_text({"product_table": ProductRows([row])})
+        json_text({"product_table": table})
 
 
 def test_product_table_is_uncapped():

@@ -61,8 +61,8 @@ def test_no_module_imports_dataclasses_or_typing():
     assert offenders == []
 
 
-LAZY = {"hhkt.bar", "hhkt.bv", "hhkt.koszul_tate", "hhkt.spectral",
-        "hhkt.verify"}
+LAZY = {"hhkt.bar", "hhkt.bv", "hhkt.koszul_tate", "hhkt.render",
+        "hhkt.spectral", "hhkt.verify"}
 # runs hhkt with its output discarded, then prints the exit code and the
 # modules still waiting for their first attribute access (type() does not
 # touch the module, so it runs none of them)
@@ -95,9 +95,11 @@ def _not_run_after(argv):
     return int(code), set(names)
 
 
+# the bv command's report lives in bv, the oracle comparison in bar and the
+# text rendering in render, so a JSON compute compiles none of them
 @pytest.mark.parametrize("command, not_run", [
-    ("compute", {"hhkt.bar", "hhkt.bv", "hhkt.verify"}),
-    ("oracle", {"hhkt.bv", "hhkt.spectral", "hhkt.verify"}),
+    ("compute", {"hhkt.bar", "hhkt.bv", "hhkt.render", "hhkt.verify"}),
+    ("oracle", {"hhkt.bv", "hhkt.render", "hhkt.spectral", "hhkt.verify"}),
 ])
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, command, not_run):
     path = tmp_path / "ext2_deg5.json"
@@ -116,3 +118,13 @@ def test_an_input_error_runs_no_lazy_module(tmp_path):
     code, lazy = _not_run_after(["compute", "--input", str(path)])
     assert code == 1
     assert lazy == LAZY
+
+
+def test_text_format_runs_the_renderer(tmp_path):
+    path = tmp_path / "ext2_deg5.json"
+    path.write_text(json.dumps(EXT2_DEG5))
+    code, lazy = _not_run_after(["compute", "--input", str(path),
+                                 "--format", "text"])
+    assert code == 0
+    assert "hhkt.render" not in lazy
+    assert {"hhkt.bar", "hhkt.bv", "hhkt.verify"} <= lazy

@@ -12,8 +12,10 @@ from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               diagonal_mono, emonos_at_level, exactness_check,
                               hh_via_kt, kt_d_mono, lucas_binomial)
 
-from .helpers import exterior, polynomial, truncated_poly_char2, two_spheres_deg5
-from .reference import NotACycleError, hom_matrices_by_terms, phi
+from .helpers import (exterior, exterior_times_truncated_f3, polynomial,
+                      truncated_poly_char2, two_spheres_deg5)
+from .reference import (NotACycleError, cup_by_diagonal_terms,
+                        hom_matrices_by_terms, phi)
 
 
 def kt_unit(R):
@@ -574,6 +576,81 @@ def test_cached_cup_matches_direct_evaluation(case):
         (lamL, lamM, lamR) != (one, one, one)
         for diag in diagonals.values()
         for lamL, lamM, _, lamR, _ in diag.terms)
+
+
+def _ext_trunc_f5():
+    """/\\(y1) (x) F_5[x1]/(x1^5), |y1| = 3, |x1| = 2: the relation's
+    derivative vanishes mod 5, so the model has a w generator."""
+    return AlgebraPresentation(
+        PrimeField(5), [GradedGenerator("y1", 3, "exterior"),
+                        GradedGenerator("x1", 2, "polynomial")], ["x1^5"])
+
+
+# name: (presentation, window); the last two take the homology path
+STRUCTURE_CASES = {
+    "exterior_f2": (lambda: exterior(2, [3, 3]), DegreeWindow(3, -12, 6)),
+    "truncated_f2": (truncated_poly_char2, DegreeWindow(4, -20, 6)),
+    "exterior_truncated_f3": (exterior_times_truncated_f3,
+                              DegreeWindow(2, -10, 10)),
+    "exterior_f5": (lambda: exterior(5, [3, 5]), DegreeWindow(2, -10, 8)),
+    "exterior_truncated_f5": (_ext_trunc_f5, DegreeWindow(2, -12, 8)),
+    "one_relation_homology_f2": (
+        lambda: polynomial(2, [2, 2], ["x1^2 + x1*x2"]),
+        DegreeWindow(2, -6, 6)),
+    "two_relations_homology_f3": (
+        lambda: polynomial(3, [2, 2], ["x1^2", "x2^2"]),
+        DegreeWindow(2, -8, 4)),
+}
+_STRUCTURE_RINGS = {}
+
+
+def _structure_ring(case):
+    ring = _STRUCTURE_RINGS.get(case)
+    if ring is None:
+        build, window = STRUCTURE_CASES[case]
+        ring = _STRUCTURE_RINGS[case] = hh_via_kt(build(), window)
+    return ring
+
+
+@given(st.sampled_from(sorted(STRUCTURE_CASES)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_structure_constants_match_the_diagonal_terms(case, data):
+    """The cup product read from cup_constants equals the term-by-term
+    evaluation on the diagonal: on a class against every class of a cell
+    (their product's bidegree inside the window or not), and on
+    combinations of the classes of two cells; so does the product in the
+    class basis."""
+    ring = _structure_ring(case)
+    assert ring.differential_vanishes == ("homology" not in case)
+    R, p = ring.R, ring.algebra.field.p
+    cells = [lbls for _, lbls in sorted(ring.cells.items()) if lbls]
+
+    def combination():
+        lbls = data.draw(st.sampled_from(cells))
+        terms = {}
+        for lbl in data.draw(st.lists(st.sampled_from(lbls), min_size=1,
+                                      max_size=3, unique=True)):
+            c = data.draw(st.integers(1, p - 1))
+            for key, v in ring.class_reps[lbl].items():
+                terms[key] = (terms.get(key, 0) + c * v) % p
+        return {key: v for key, v in terms.items() if v}
+
+    f, g = combination(), combination()
+    assert cup_via_diagonal(R, f, g) == cup_by_diagonal_terms(R, f, g)
+    la = data.draw(st.sampled_from(data.draw(st.sampled_from(cells))))
+    pa, qa = ring.bidegree(la)
+    for lb in data.draw(st.sampled_from(cells)):
+        f, g = ring.class_reps[la], ring.class_reps[lb]
+        ref = cup_by_diagonal_terms(R, f, g)
+        assert cup_via_diagonal(R, f, g) == ref, (la, lb)
+        pb, qb = ring.bidegree(lb)
+        if ring.differential_vanishes:
+            expected = {("m", alpha, m): c for (alpha, m), c in ref.items()}
+        elif ring.window.contains(pa + pb, qa + qb):
+            expected = ring._express(ref, pa + pb, qa + qb)
+        else:
+            continue
+        assert ring.product(la, lb) == expected, (la, lb)
 
 
 def _count_calls(monkeypatch, names):
