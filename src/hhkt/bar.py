@@ -478,7 +478,7 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
 
 
 def oracle_report(A: AlgebraPresentation, window: DegreeWindow,
-                  resolution_dims, cell_limit):
+                  resolution_dims, cell_limit=200000):
     """The `hhkt oracle` comparison: the bar-complex dimension of every
     cell of the window beside resolution_dims {(p, q): dim} (a missing
     cell is 0), with the cells that disagree and the nonzero edge cells,

@@ -1,4 +1,4 @@
-"""Shared bigraded bookkeeping: degree windows and ring generators.
+"""Shared bigraded bookkeeping: degree windows and their errors.
 
 Cells are indexed by (p, q): p >= 0 is the filtration (resolution or bar
 length) degree, q the internal degree; total degree is p + q.
@@ -11,6 +11,10 @@ from collections import namedtuple
 
 class WindowError(ValueError):
     pass
+
+
+class UnboundedSearchError(ValueError):
+    """No degree bound makes an enumeration of classes finite."""
 
 
 class DegreeWindow(namedtuple("DegreeWindow", "max_p q_min q_max")):
@@ -35,17 +39,3 @@ class DegreeWindow(namedtuple("DegreeWindow", "max_p q_min q_max")):
 
     def is_edge(self, p, q):
         return p == self.max_p or q in (self.q_min, self.q_max)
-
-
-class RingGenerator(namedtuple("RingGenerator", "label p q order")):
-    """A multiplicative generator of a bigraded monomial model.
-
-    order bounds exponents (2 for square-zero symbols, k for truncated
-    powers, None for free polynomial symbols).
-    """
-
-    __slots__ = ()
-
-    @property
-    def total_degree(self):
-        return self.p + self.q

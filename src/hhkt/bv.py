@@ -357,10 +357,10 @@ def _generator_monomial_labels(ring):
     unit is omitted: the operator kills it by the algebra axioms)."""
     labels = []
     gens = ring.generators
-    items = [{g.label: 1} for g in gens]
+    items = [{g: 1} for g in gens]
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        exps = {g1.label: 1}
-        exps[g2.label] = exps.get(g2.label, 0) + 1
+        exps = {g1: 1}
+        exps[g2] = exps.get(g2, 0) + 1
         items.append(exps)
     for exps in items:
         lbl = ring.label_from_exponents(exps)
@@ -411,8 +411,8 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
     ext_table = []
     gens = ring.generators
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        l1 = ring.label_from_exponents({g1.label: 1})
-        l2 = ring.label_from_exponents({g2.label: 1})
+        l1 = ring.label_from_exponents({g1: 1})
+        l2 = ring.label_from_exponents({g2: 1})
         p, q = (ring.bidegree(l1)[0] + ring.bidegree(l2)[0],
                 ring.bidegree(l1)[1] + ring.bidegree(l2)[1])
         if not ring.window.contains(p, q):
@@ -428,7 +428,7 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
     # seven-term identity sweep over generator triples
     gen_labels = []
     for g in gens:
-        lbl = ring.label_from_exponents({g.label: 1})
+        lbl = ring.label_from_exponents({g: 1})
         if ring.window.contains(*ring.bidegree(lbl)):
             gen_labels.append(lbl)
     sweep = {"checked": 0, "failures": []}

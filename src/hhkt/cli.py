@@ -14,7 +14,8 @@ Presentation files are UTF-8 JSON:
      "window": {"max_filtration": 4, "q_min": -24, "q_max": 24}}
 
 Exit codes: 0 success/agreement, 1 input error (including a malformed
-command line) or window limit, 2 oracle mismatch, 3 internal consistency
+command line, and a bv input whose extension problems have no degree
+bound) or window limit, 2 oracle mismatch, 3 internal consistency
 failure.  Every error is one line on stderr.
 """
 
@@ -37,7 +38,7 @@ from .algebra import (CellBlowupError, InternalConsistencyError,
                       NotPoincareDualityError, PresentationError,
                       UnsupportedDiagonalError, json_int, parse_presentation,
                       validate_regular_sequence)
-from .bigraded import DegreeWindow, WindowError
+from .bigraded import DegreeWindow, UnboundedSearchError, WindowError
 from .fields import ComplexViolationError, FieldError
 
 # each command runs only some of these; a module is compiled and run when a
@@ -96,7 +97,6 @@ def base_metadata(cfg, A, window, digest, extra=None):
         "relations": [A.label_poly(r) for r in A.relations],
         "window": {"max_filtration": window.max_p, "q_min": window.q_min,
                    "q_max": window.q_max},
-        "seed": cfg.seed,
         "choices": dict(SOLVER_CHOICES),
     }
     if extra:
@@ -433,7 +433,6 @@ def build_parser():
         p.add_argument("--q-min", type=int, default=None)
         p.add_argument("--q-max", type=int, default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         if name == "oracle":
             p.add_argument("--max-bar-length", type=int, default=None)
             p.add_argument("--cell-limit", type=int, default=200000)
@@ -459,7 +458,7 @@ def main(argv=None) -> int:
         q_min=getattr(args, "q_min", None),
         q_max=getattr(args, "q_max", None),
         fmt=args.format,
-        seed=args.seed,
+        seed=getattr(args, "seed", None),
         max_bar_length=getattr(args, "max_bar_length", None),
         inject_zeta_fault=getattr(args, "inject_zeta_fault", False),
         cell_limit=getattr(args, "cell_limit", 200000),
@@ -475,7 +474,7 @@ def main(argv=None) -> int:
             doc, code = cmd_verify(cfg)
     except (PresentationError, FieldError, WindowError, OSError,
             UnicodeDecodeError, NotPoincareDualityError,
-            json.JSONDecodeError) as err:
+            UnboundedSearchError, json.JSONDecodeError) as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1
     except CellBlowupError as err:

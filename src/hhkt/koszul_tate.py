@@ -53,7 +53,7 @@ from collections import namedtuple
 from . import lazy_module
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, UnsupportedDiagonalError, zeta_coefficients)
-from .bigraded import DegreeWindow, RingGenerator, WindowError
+from .bigraded import DegreeWindow, WindowError
 from .fields import CellComplex, LinComb, SparseMatrix
 
 bar = lazy_module("hhkt.bar")  # XiLift alone reads it
@@ -805,36 +805,21 @@ class KTRing(CellComplex):
         return True
 
     def _generator_model(self):
-        """RingGenerator list when the ring is A (x) E-dual on the nose."""
+        """The names of the model generators when the ring is A (x) E-dual
+        on the nose, else None; generator_payloads maps each name to its
+        kind and index."""
         A = self.R.algebra
-        caps = A._pure_power_caps if A.relations else {}
-        if caps is None:
+        if A._pure_power_caps is None:
             return None  # no monomial model for general relation ideals
-        gens = []
-        self.generator_payloads = {}
-        for i, gi in enumerate(A.ext_index):
-            g = A.generators[gi]
-            gens.append(RingGenerator(g.name, 0, g.degree, 2))
-            self.generator_payloads[g.name] = ("a_ext", i)
-        for j, gj in enumerate(A.poly_index):
-            g = A.generators[gj]
-            gens.append(RingGenerator(g.name, 0, g.degree, caps.get(j)))
-            self.generator_payloads[g.name] = ("a_poly", j)
-        for i in range(self.R.l):
-            name = A.generators[A.ext_index[i]].name
-            gens.append(RingGenerator(f"nu_{name}*", 1,
-                                      -self.R.nu_degrees[i], None))
-            self.generator_payloads[f"nu_{name}*"] = ("nu", i)
-        for j in range(self.R.n):
-            name = A.generators[A.poly_index[j]].name
-            gens.append(RingGenerator(f"u_{name}*", 1,
-                                      -self.R.u_degrees[j], 2))
-            self.generator_payloads[f"u_{name}*"] = ("u", j)
-        for i in range(self.R.m):
-            gens.append(RingGenerator(f"w_{i}*", 2,
-                                      -self.R.w_degrees[i], None))
-            self.generator_payloads[f"w_{i}*"] = ("w", i)
-        return gens
+        ext = [A.generators[gi].name for gi in A.ext_index]
+        poly = [A.generators[gj].name for gj in A.poly_index]
+        self.generator_payloads = {
+            **{name: ("a_ext", i) for i, name in enumerate(ext)},
+            **{name: ("a_poly", j) for j, name in enumerate(poly)},
+            **{f"nu_{name}*": ("nu", i) for i, name in enumerate(ext)},
+            **{f"u_{name}*": ("u", j) for j, name in enumerate(poly)},
+            **{f"w_{i}*": ("w", i) for i in range(self.R.m)}}
+        return tuple(self.generator_payloads)
 
     def label_from_exponents(self, exps: dict):
         """Ring basis label for a monomial in the model generators."""

@@ -3,18 +3,17 @@ certificates, ambiguity bases for lifting associated-graded values, and the
 extension-problem solvers for products and the BV operator.
 
 The solver never evaluates page differentials; it only certifies that
-targets vanish for bidegree reasons, and enumerates the higher-filtration
-monomials a lifted value could pick up.  Page differentials go from (p, q)
-to (p + r, q + 1 - r).
+targets vanish for bidegree reasons, and lists the higher-filtration
+classes a lifted value could pick up: the monomial model's cells of that
+total degree, up to the filtration that the algebra's top degree allows.
+Page differentials go from (p, q) to (p + r, q + 1 - r).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-
-class UnboundedSearchError(ValueError):
-    pass
+from .bigraded import UnboundedSearchError
 
 
 Differential = namedtuple("Differential", "r source target target_dim")
@@ -56,75 +55,48 @@ def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
         f"page {r_bound}")
 
 
-def _monomial_exponents(R, total_degree, min_filtration):
-    """All generator-exponent dicts with the given total degree and
-    filtration >= min_filtration, proven complete by degree bounds."""
-    gens = R.generators
-    for g in gens:
-        if g.total_degree == 0:
-            raise UnboundedSearchError(
-                f"generator {g.label} has total degree 0: unbounded search")
-    pos = [g for g in gens if g.total_degree > 0]
-    neg = [g for g in gens if g.total_degree < 0]
-    pos_max = 0
-    for g in pos:
-        if g.order is None:
-            pos_max = None
-            break
-        pos_max += (g.order - 1) * g.total_degree
-    neg_max = 0
-    for g in neg:
-        if g.order is None:
-            neg_max = None
-            break
-        neg_max += (g.order - 1) * (-g.total_degree)
-    if pos_max is None and neg_max is None:
+def _filtration_bound(R, total_degree):
+    """The highest filtration p of a monomial-model class of total degree
+    t.  The label ("m", e, a) of the cell (p, t - p) has
+    |a| = t + |e|_total <= top, |e|_total the internal minus the level
+    degree of e.  Per filtration level, nu_i adds |y_i| - 1 to |e|_total
+    and w_i adds (|rho_i| - 2)/2; with s the least of these, and the at
+    most n square-zero u's adding >= 0, p <= n + (top - t)/s.  Without nu
+    and w, p <= n."""
+    KT = R.R
+    # twice the total degree per filtration level of each unbounded symbol
+    steps = {}
+    for name, (kind, i) in R.generator_payloads.items():
+        if kind == "nu":
+            steps[name] = 2 * (KT.nu_degrees[i] - 1)
+        elif kind == "w":
+            steps[name] = KT.w_degrees[i] - 2
+    if not steps:
+        return KT.n
+    top = R.algebra.top_degree_bound()
+    if top is None:
         raise UnboundedSearchError(
-            "both positive and negative generator ranges are unbounded")
-
-    caps = {}
-    for g in gens:
-        if g.order is not None:
-            caps[g.label] = g.order - 1
-        elif g.total_degree > 0:
-            caps[g.label] = max(0, (total_degree + neg_max)
-                                // g.total_degree)
-        else:
-            caps[g.label] = max(0, (pos_max - total_degree)
-                                // (-g.total_degree))
-
-    out = []
-
-    def rec(i, acc, tot, filt):
-        if i == len(gens):
-            if tot == total_degree and filt >= min_filtration:
-                out.append(dict(acc))
-            return
-        g = gens[i]
-        for e in range(caps[g.label] + 1):
-            if e:
-                acc[g.label] = e
-            rec(i + 1, acc, tot + e * g.total_degree, filt + e * g.p)
-            if e:
-                del acc[g.label]
-
-    rec(0, {}, 0, 0)
-    return out
+            "the algebra is not finite-dimensional: the ambiguity bases of "
+            "its extension problems are unbounded")
+    name, step = min(steps.items(), key=lambda item: item[1])
+    if step <= 0:
+        raise UnboundedSearchError(
+            f"{name} has total degree 0: the ambiguity bases of the "
+            f"extension problems are unbounded")
+    return KT.n + 2 * (top - total_degree) // step
 
 
 def ambiguity_basis(R, total_degree: int, min_filtration: int):
-    """Basis monomials with the stated total degree and filtration at or
-    above the threshold; complete within the computed exponent cutoffs."""
+    """The monomial-model classes of the total degree in filtration at or
+    above the threshold, beyond the window too: the labels of the cells
+    (p, total_degree - p) up to _filtration_bound, in (bidegree, label)
+    order."""
     found = []
-    seen = set()
-    for exps in _monomial_exponents(R, total_degree, min_filtration):
-        label = R.label_from_exponents(exps)
-        if label in seen:
-            continue
-        seen.add(label)
-        found.append(label)
-    return sorted(found, key=lambda lbl: (R.bidegree(lbl),
-                                          R.label_str(lbl)))
+    for p in range(min_filtration, _filtration_bound(R, total_degree) + 1):
+        found.extend(sorted(
+            (("m", e, a) for e, a in R.cell_basis(p, total_degree - p)),
+            key=R.label_str))
+    return found
 
 
 # status is "determined" or "ambiguous"

@@ -18,7 +18,7 @@ from .algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
                       validate_regular_sequence, zeta_coefficients)
 from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
                   ChainElement, Cochain, bar_differential, cochain_cup,
-                  compute_hh_window, connes_boundary, hochschild_b)
+                  connes_boundary, hochschild_b, oracle_report)
 from .bigraded import DegreeWindow
 from .bv import BVContext, iota, iota_inverse
 from .fields import PrimeField, SparseMatrix, rank_kernel_image
@@ -267,15 +267,12 @@ def check_oracle_vs_resolution(corpus, rng):
     }
     for name, A in corpus.items():
         window = windows[name]
-        bar = {pq: dim for pq, dim in
-               compute_hh_window(A, COEFF_SELF, window).items() if dim}
         ring = hh_via_kt(A, window)
-        kt = {pq: len(lbls) for pq, lbls in ring.cells.items() if lbls}
-        if bar != kt:
-            diff = {pq: (bar.get(pq), kt.get(pq))
-                    for pq in set(bar) | set(kt)
-                    if bar.get(pq) != kt.get(pq)}
-            return "fail", f"{name}: {diff}"
+        mismatches = oracle_report(
+            A, window, {pq: len(lbls) for pq, lbls in ring.cells.items()}
+        )["mismatches"]
+        if mismatches:
+            return "fail", f"{name}: [p, q, bar, resolution] {mismatches}"
     return "pass", None
 
 
@@ -294,7 +291,7 @@ def check_bv_operator(corpus, rng):
                         f"{ring.label_str(lbl)}"
         gens = []
         for g in ring.generators:
-            lbl = ring.label_from_exponents({g.label: 1})
+            lbl = ring.label_from_exponents({g: 1})
             gens.append((lbl, ring.total_degree(lbl)))
         for (la, da), (lb, db), (lc, dc) in \
                 itertools.combinations_with_replacement(gens, 3):

@@ -227,10 +227,10 @@ def _bv_data(degs, window):
     gens = ring.generators
     labels = []
     for g in gens:
-        labels.append(ring.label_from_exponents({g.label: 1}))
+        labels.append(ring.label_from_exponents({g: 1}))
     for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        exps = {g1.label: 1}
-        exps[g2.label] = exps.get(g2.label, 0) + 1
+        exps = {g1: 1}
+        exps[g2] = exps.get(g2, 0) + 1
         lbl = ring.label_from_exponents(exps)
         if ring.window.contains(*ring.bidegree(lbl)) and lbl not in labels:
             if lbl in ring.cells.get(ring.bidegree(lbl), []):

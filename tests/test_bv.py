@@ -260,7 +260,7 @@ def test_bv_mixed_presentation_with_relation():
         for label in labels:
             assert not ctx.delta_of_combination(
                 ctx.delta_of_label(label)), label
-    gens = [ring.label_from_exponents({g.label: 1})
+    gens = [ring.label_from_exponents({g: 1})
             for g in ring.generators]
     checked = 0
     for la, lb, lc in itertools.combinations_with_replacement(gens, 3):

@@ -69,6 +69,22 @@ PRESENTATIONS = {
         "relations": ["x1^2 + x2^2", "x2^2"],
         "window": {"max_filtration": 2, "q_min": -8, "q_max": 4},
     },
+    # degree 1 over F_2: the circle, and two truncated polynomial rings
+    "circle": {
+        "characteristic": 2,
+        "generators": [{"name": "y1", "degree": 1, "kind": "exterior"}],
+        "relations": [],
+    },
+    "x1_squared_deg1": {
+        "characteristic": 2,
+        "generators": [{"name": "x1", "degree": 1, "kind": "polynomial"}],
+        "relations": ["x1^2"],
+    },
+    "x1_quartic_deg1": {
+        "characteristic": 2,
+        "generators": [{"name": "x1", "degree": 1, "kind": "polynomial"}],
+        "relations": ["x1^4"],
+    },
 }
 
 
@@ -250,8 +266,8 @@ def test_bv_deg5_table(tmp_path, capsys):
 
 def test_compute_deterministic(tmp_path, capsys):
     path = write(tmp_path, "ext2_deg5")
-    _, out1 = run(capsys, ["compute", "--input", path, "--seed", "3"])
-    _, out2 = run(capsys, ["compute", "--input", path, "--seed", "3"])
+    _, out1 = run(capsys, ["compute", "--input", path])
+    _, out2 = run(capsys, ["compute", "--input", path])
     assert out1 == out2
 
 
@@ -412,6 +428,32 @@ def test_bv_odd_characteristic_two_generators(tmp_path, capsys):
     assert code == 0
     sweep = json.loads(out)["bv_identity_sweep"]
     assert (sweep["checked"], sweep["failures"]) == (23, [])
+
+
+@pytest.mark.parametrize("name, symbol", [("circle", "nu_y1*"),
+                                          ("x1_squared_deg1", "w_0*")])
+def test_bv_with_unbounded_extension_problems_is_an_input_error(
+        tmp_path, capsys, name, symbol):
+    """A resolution generator of total degree 0 leaves the ambiguity bases
+    of the extension problems without a bound: one line, exit 1."""
+    code = main(["bv", "--input", write(tmp_path, name)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {symbol} has total "
+                                   f"degree 0")
+    assert captured.err.count("\n") == 1
+
+
+def test_bv_square_zero_u_of_total_degree_0(tmp_path, capsys):
+    """In F_2[x1]/(x1^4), |x1| = 1, u_x1* has total degree 0, but it is
+    square-zero, so the extension problems stay bounded."""
+    code, out = run(capsys, ["bv", "--input",
+                             write(tmp_path, "x1_quartic_deg1")])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["bv_identity_sweep"]["failures"] == []
+    assert doc["bv_identity_sweep"]["checked"] > 0
 
 
 def test_cli_import_leaves_numpy_unloaded():
@@ -660,6 +702,10 @@ USAGE_ERRORS = {
     "bv_max_bar_length": ["bv", "--input", "pres.json",
                           "--max-bar-length", "3"],
     "bv_cell_limit": ["bv", "--input", "pres.json", "--cell-limit", "3"],
+    # only verify samples, so only verify takes a seed
+    "compute_seed": ["compute", "--input", "pres.json", "--seed", "3"],
+    "oracle_seed": ["oracle", "--input", "pres.json", "--seed", "3"],
+    "bv_seed": ["bv", "--input", "pres.json", "--seed", "3"],
     "verify_input": ["verify", "--input", "pres.json"],
     "bad_format": ["verify", "--format", "xml"],
 }

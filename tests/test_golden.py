@@ -25,46 +25,46 @@ BENCH_INPUTS = ROOT / "perfbench" / "inputs"
 
 COMPUTE_SHA256 = {
     "ext1_deg3_char3":
-        "5bb7657903de3d79cb157107a51ec9e1b11d64b6344f3b60925b154153b23ce8",
+        "974e490fdd5b6885415a60d6f2a6247bb8e0fd0a9f04ceaaef9dfd7c8598d6c2",
     "ext2_deg3_char2":
-        "9b62e42686ddb955e66ed31636c2beedd7b08c35db01c434c548f294d2f670dd",
+        "8cbb5052ab14a7dcfb4712fe2fe180d5b5b58282513ac6c84bb9181f43a50c37",
     "ext2_deg5_char2":
-        "b077d9dc8940eb12560f430a3563b21f731a69946e582807ee5c692edad75e6f",
+        "cd09fdec34c9aedb4d5ffc25b4dd983fa6f7420c9bb125aa6fe9a97a5fae1430",
     "mixed_ext5_trunc4_char2":
-        "321bfe4aec716c169a3737ebac503b1f0ad8ab97e7ed57acd3f54afcc2bec345",
+        "2b4815bb02fa6af2bf05aa9e197e1a5037c436422380254ceb97e12f8a7c18bf",
     "poly1_deg2_char3":
-        "c806002455568e6a00af25c95f876728ba13c0e9f8c60f9acf72e7d1dcafc450",
+        "55e8a128227bc353b1ec5ac567c737721a0c5d1a393567e70146e76732bc54df",
     "trunc_x2_deg4_char2":
-        "e40e922a0ff3d122d1b9ae37690e5ade4099a251af0a1e41cb83374b8dfc2610",
+        "36f1bb0660afcd56c515d0d8371f9e270de555888abd8f913e3acf9704132130",
 }
 
 ORACLE_SHA256 = {
     "ext1_deg3_char3":
-        "e02ff0543086725e4381779eaf84101899a7a88fee0e47404085fe2d4325a06d",
+        "9b548318b1da3792907e1633e4e7ca1d3ff512b33e706522f0abb82f026f0398",
     "ext2_deg3_char2":
-        "7cd6abf0ad206961c7b4ecf6b349c121c2a62635e6a4cbd35009eefd814ae8fe",
+        "6223b771c909d8707e73ed3d4197f65a681afecd13cb6286782b25bf3eff5aef",
     "ext2_deg5_char2":
-        "f136df34d46ad51a12966080a53259d8e4b5106613b6c6134d8e59ffa3377103",
+        "2e5a9627038e72e604defe451b8de75df31171a2f4150771533e8b3240e876cc",
     "mixed_ext5_trunc4_char2":
-        "c3d385a9e731464a0644a06ae240552d5d6254dbb010e8d16ed1f895295ecea0",
+        "2d016ff7400f9e82e5721cf42f132dedd4ba9edfd1ee3cc1272732786010df5d",
     "poly1_deg2_char3":
-        "4dc0f845e0acb5bb590f03f088676ca524e54670568e0857504b1682d3f7b03c",
+        "9f7200ba27e4b01fe3f99439affd5e99c9783cd2eeb39d7dfd88f0e6541bbf77",
     "trunc_x2_deg4_char2":
-        "961accbaaeaddee38addb5ea325a8b6e2bf42d6ee46f019da58c82a822ec5153",
+        "f6ddc588b983386fb5d6d64b3492d775e825fe2835542d27023f68ad9b8d942d",
 }
 
 # poly1_deg2_char3 has no Poincare duality, so it has no bv document
 BV_SHA256 = {
     "ext1_deg3_char3":
-        "c76a4ec6ba5e37c48826d4c28446d5299c173ccd25155f78cc6b3d828d16b08b",
+        "2116c6aeae381372a079b70d16172bd9e76af8bba2c3bad3ac3d0ba44fb34acf",
     "ext2_deg3_char2":
-        "4e807c6a3c8fe6275878a22130c8a73d77744075574f380f65ed600466f8effc",
+        "4314c37880570d7b64e69fea3b6083a32a32c8daba1073b6d9ea5bbb103e3df9",
     "ext2_deg5_char2":
-        "ee6a579fa5fa70a39868c1a1316df2f0223b340deadc343f11949a75b712e32e",
+        "09fa6243b31f2bfd5e6e4ac091158c6c4e8f30222f1cdcfc6dcffc19871a3be1",
     "mixed_ext5_trunc4_char2":
-        "e28be699bc7af9e91185989feecb730b76995bbf548387e64a4a00d63a61cc24",
+        "5b0335b64cc01b9de371f51cf9994d67021d0a6afdbac60c2b0aafe3278b2565",
     "trunc_x2_deg4_char2":
-        "a05772869ecfb947496a74092069909bb94c46f071d322cf47ddffe9f1ef3bff",
+        "a372e7265edade46b8ea1bbe734d39924dbc84d6f3b9cae4921ec9de4e28b770",
 }
 
 # ext3_deg5_char2: 2 697 product rows; poly2_deg2_char2: 14 721 product
@@ -73,28 +73,28 @@ BV_SHA256 = {
 # 75 product rows on the homology path (cup_via_diagonal, then _express)
 BENCH_COMPUTE_SHA256 = {
     "ext3_deg5_char2":
-        "58f4db88888336b5b07369644f0b7c0446e5be1d03db1c9ebd947b602953c60e",
+        "f5c0d048f9fde2bc77b5e6399225e19981b9ffd9ba5cd6cc33c19ddc6a529fa5",
     "poly2_deg2_char2":
-        "933a0125de797d9c0c96a32deecaed511d6bad8bc53e45a9c841d557e7b61b24",
+        "d3d22f4e9ac9df79058784f1f4bb4d7d82006b7c2445567927c9cc28265333fd",
     "mixed_ext3_trunc3_char3":
-        "77fcc73822908b79bdabc76bae02a35ebcdc81bbfde789a68e234b929ba101f5",
+        "a56e92b54a87fed93a3b29e2679ac88fc6d2ace328482edae816b75619eb7b41",
     "poly2_rel_deg2_char2":
-        "9be6ed53305d74cd59d12e9bf7b16c49e2d21257979425c4fadbded3a594bc78",
+        "21294d4bc1d2b32453101224718d2fd04ae3d96b92a825ba4487adb9c321e590",
 }
 
 # the two commands of the benchmark's oracle workload: a relation that is
 # not a pure power over F_2, and a mixed presentation over F_3
 BENCH_ORACLE_SHA256 = {
     "poly2_rel_deg2_char2":
-        "edcba227f770285945c9fec90e1f2ddc1f607d5a9cd363859eaec7a9e21c05c7",
+        "cf9d0b6365d9178f53cb697056a855273de5320f00b231fde62aa36831c3d137",
     "mixed_ext3_trunc3_char3":
-        "d5f139b9a5a6dbc3133c8bdcb54ada7928f382222f39a17affb5348e369d37f1",
+        "d6c54ee72d9308971821d9213981140765db1db5d3506aaa19f1567c2de73769",
 }
 
 # /\(y1,y2,y3), |y| = 5, F_2: the BV composite with three exterior
 # generators, cut at max filtration 3
 BENCH_BV_EXT3_SHA256 = \
-    "d6f506fc25615279ced555225ebe8fa3e1d49dd9ad88aba34e422d122114ce7d"
+    "95e6439c98b3d8746a7fad554f51d0b81e66d3f2b3d3efba98cf9fab5fe1c1f8"
 
 VERIFY_SHA256 = {
     0: "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86",

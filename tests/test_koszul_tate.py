@@ -7,7 +7,7 @@ from hhkt.algebra import AlgebraPresentation, GradedGenerator, Polynomial
 from hhkt.bigraded import DegreeWindow, WindowError
 from hhkt.fields import PrimeField
 from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
-                              KTTensorElement, XiLift,
+                              KTTensorElement, XiLift, cup_constants,
                               cup_via_diagonal, diagonal_element,
                               diagonal_mono, emonos_at_level, exactness_check,
                               hh_via_kt, kt_d_mono, lucas_binomial)
@@ -651,6 +651,32 @@ def test_structure_constants_match_the_diagonal_terms(case, data):
         else:
             continue
         assert ring.product(la, lb) == expected, (la, lb)
+
+
+@pytest.mark.parametrize("lam_odd, right_odd, lamR_odd",
+                         itertools.product((0, 1), repeat=3))
+def test_cup_constants_signs_on_a_hand_made_entry(lam_odd, right_odd,
+                                                  lamR_odd):
+    """The signs (-1)^(|lamL lamM| f), (-1)^((|lamR| + |left slot|) g) and
+    (-1)^(|a| |lamR|) of cup_constants, for every parity of a, b and the
+    factor e1, on a hand-made _cup_table entry.  No accepted input shows
+    an odd lambda in odd characteristic (there every lambda comes from a w
+    correction over even polynomial generators), so the diagonal cannot
+    pin the first and the last sign."""
+    R = KTResolution(exterior_times_truncated_f3())
+    one = R.unit_emono()
+    u = EMono((0,), 1, (0,))  # |u_x1*| total degree 1
+    alpha = EMono((1,), 0, (0,))
+    lam = R.algebra.monomial_basis(3)[0]
+    for e1 in (one, u):
+        R._cup_tables[R.e_level(e1)] = {(e1, one): [
+            (alpha, [(lam, 1)], 1, lam_odd, right_odd, lamR_odd)]}
+        for a_odd, b_odd in itertools.product((0, 1), repeat=2):
+            f = (a_odd + R.e_total(e1)) % 2
+            sign = (-1) ** (lam_odd * f + right_odd * b_odd
+                            + a_odd * lamR_odd)
+            assert cup_constants(R, e1, one, a_odd, b_odd) == \
+                [(alpha, ((lam, sign % 3),))], (e1, a_odd, b_odd)
 
 
 def _count_calls(monkeypatch, names):

@@ -4,16 +4,20 @@ import pathlib
 import pytest
 
 import hhkt.koszul_tate as kt
-from hhkt.algebra import parse_presentation
-from hhkt.bigraded import DegreeWindow, RingGenerator
-from hhkt.bv import BVContext
+import hhkt.spectral as spectral
+from hhkt.algebra import (AlgebraPresentation, GradedGenerator,
+                          NotPoincareDualityError, parse_presentation)
+from hhkt.bigraded import DegreeWindow
+from hhkt.bv import BVContext, bv_report
 from hhkt.cli import main
+from hhkt.fields import PrimeField
 from hhkt.koszul_tate import hh_via_kt
 from hhkt.spectral import (UnboundedSearchError, ambiguity_basis,
                            collapse_certificate, resolve_bv_extension,
                            resolve_product_extension)
 
-from .helpers import polynomial, two_spheres_deg3, two_spheres_deg5
+from .helpers import (exterior, polynomial, two_spheres_deg3,
+                      two_spheres_deg5)
 from .reference import ExplicitBigradedRing
 
 
@@ -90,6 +94,42 @@ def test_compute_enumerates_no_level_beyond_the_window(path, monkeypatch,
     assert levels and max(levels) <= max_p + 2
 
 
+@pytest.mark.parametrize("path", MONOMIAL_MODEL_INPUTS, ids=lambda p: p.stem)
+def test_ambiguity_basis_is_every_class_above_the_threshold(path,
+                                                            monkeypatch):
+    """ambiguity_basis(t, f) is the labels of the cells (p, t - p), p >= f:
+    the cells up to three times past _filtration_bound hold no other
+    label, enumerated or counted.  Checked on every (t, f) that the
+    input's bv extension report queries, and on every total degree and
+    threshold of its window."""
+    ring = _ring_from_file(path)
+    W = ring.window
+    queries = {(t, f) for t in range(W.q_min, W.max_p + W.q_max + 1)
+               for f in range(W.max_p + 2)}
+    real = spectral.ambiguity_basis
+    reported = set()
+
+    def spy(R, t, f):
+        reported.add((t, f))
+        return real(R, t, f)
+    monkeypatch.setattr(spectral, "ambiguity_basis", spy)
+    if ring.algebra.top_degree_bound() is None:
+        with pytest.raises(NotPoincareDualityError):
+            bv_report(ring.algebra, W)
+    else:
+        bv_report(ring.algebra, W)
+        assert reported
+    for t, f in sorted(queries | reported):
+        bound = spectral._filtration_bound(ring, t)
+        expected = []
+        for p in range(f, 3 * (max(bound, f) + 1) + 1):
+            labels = [("m", e, a) for e, a in ring.cell_basis(p, t - p)]
+            assert len(labels) == ring.cell_dim(p, t - p)
+            assert p <= bound or not labels, (t, p, bound)
+            expected.extend(sorted(labels, key=ring.label_str))
+        assert real(ring, t, f) == expected, (t, f)
+
+
 def test_collapse_single_cell():
     R = ExplicitBigradedRing({(0, 0): ["a"]})
     cert = collapse_certificate(R)
@@ -131,12 +171,25 @@ def test_ambiguity_monotone():
 
 
 def test_ambiguity_unbounded_error():
-    R = ExplicitBigradedRing({(0, 0): ["a"]})
-    R.generators = [RingGenerator("t", 1, -1, None)]
-    R.label_from_exponents = lambda exps: ("t", tuple(sorted(exps.items())))
-    R.algebra = None
-    with pytest.raises(UnboundedSearchError):
-        ambiguity_basis(R, 0, 1)
+    """The circle's nu_y1*, |y1| = 1, and the w_0* of F_2[x1]/(x1^2),
+    |x1| = 1, have total degree 0; /\\(y1) (x) F_2[x1] has no top degree."""
+    for A in (exterior(2, [1]), polynomial(2, [1], ["x1^2"]),
+              AlgebraPresentation(PrimeField(2), [
+                  GradedGenerator("y1", 3, "exterior"),
+                  GradedGenerator("x1", 2, "polynomial")])):
+        ring = hh_via_kt(A, DegreeWindow(3, -6, 6))
+        assert ring.complete
+        with pytest.raises(UnboundedSearchError):
+            ambiguity_basis(ring, 0, 1)
+
+
+def test_ambiguity_basis_without_nu_or_w_needs_no_top_degree():
+    """Only the square-zero u_x1* raises the filtration of F_2[x1], so
+    p <= 1 bounds the search although the algebra has no top degree."""
+    ring = hh_via_kt(polynomial(2, [2]), DegreeWindow(3, -6, 6))
+    assert [ring.label_str(lbl) for lbl in ambiguity_basis(ring, 3, 0)] \
+        == ["x1^2.u_x1*"]
+    assert ambiguity_basis(ring, 3, 2) == []
 
 
 def test_resolve_product_extension_deg5():
