@@ -42,6 +42,10 @@ class UnsupportedDiagonalError(RuntimeError):
     """No diagonal correction for a relation generator exists in-window."""
 
 
+# the most columns the bar complex may build for one cell (`--cell-limit`)
+CELL_LIMIT = 200000
+
+
 class CellBlowupError(RuntimeError):
     def __init__(self, message, estimate):
         super().__init__(message)

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import (AlgebraPresentation, CellBlowupError, Monomial,
-                      Polynomial)
+from .algebra import (CELL_LIMIT, AlgebraPresentation, CellBlowupError,
+                      Monomial, Polynomial)
 from .bigraded import DegreeWindow
 from .fields import CellComplex, LinComb, SparseMatrix
 
@@ -381,7 +381,7 @@ class BarComplex(_WordCells):
     cochain complex: basis entries (word, n), the keys of a Cochain."""
 
     def __init__(self, A: AlgebraPresentation, coeff: str,
-                 window: DegreeWindow, cell_limit=200000):
+                 window: DegreeWindow, cell_limit=CELL_LIMIT):
         super().__init__(A)
         self.coeff = coeff
         self.window = window
@@ -470,7 +470,7 @@ class BarComplex(_WordCells):
 
 
 def compute_hh_window(A: AlgebraPresentation, coeff: str,
-                      window: DegreeWindow, cell_limit=200000) -> dict:
+                      window: DegreeWindow, cell_limit=CELL_LIMIT) -> dict:
     """Brute-force HH cell dimensions over the bar complex, {(p, q): dim}
     for every cell of the window."""
     cx = BarComplex(A, coeff, window, cell_limit)
@@ -478,7 +478,7 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
 
 
 def oracle_report(A: AlgebraPresentation, window: DegreeWindow,
-                  resolution_dims, cell_limit=200000):
+                  resolution_dims, cell_limit=CELL_LIMIT):
     """The `hhkt oracle` comparison: the bar-complex dimension of every
     cell of the window beside resolution_dims {(p, q): dim} (a missing
     cell is 0), with the cells that disagree and the nonzero edge cells,

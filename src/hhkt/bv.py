@@ -9,7 +9,11 @@ duality iota, again a dual-coefficient cocycle, whose class is pulled
 back through the cup.  No homology of the Hochschild chains is reduced.
 Classes are carried on the resolution side (labels of the computed ring)
 and translated to bar cochains through the comparison chain map, so the
-final tables are expressed in the ring's monomial basis.
+final tables are expressed in the ring's monomial basis.  A combination of
+classes is a RingClass, whose product is the cup product and whose delta()
+is the operator; the seven-term identity is written once in that
+arithmetic, and seven_term_sweep runs it over generator triples for both
+the bv command and the verify suite.
 
 At the level of a graded algebra (zero differential) the dual of the
 fundamental class is used directly as the duality class; this is the
@@ -19,14 +23,14 @@ modeling decision recorded in every result document.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError,
                       NotPoincareDualityError, PresentationError)
 from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement, Cochain,
                   DualValue, cochain_cup, connes_boundary, word_suspension)
 from .bigraded import DegreeWindow, WindowError
-from .fields import LinearSystem, SparseMatrix, rank
+from .fields import LinComb, LinearSystem, SparseMatrix, rank
 from .koszul_tate import KTResolution, KTRing, XiLift
 from .spectral import resolve_bv_extension, resolve_product_extension
 
@@ -295,81 +299,108 @@ class BVContext:
                               f"outside the window")
         return row
 
-    def delta_of_combination(self, combo: dict) -> dict:
-        field = self.A.field
-        out = {}
-        for lbl, c in combo.items():
-            for tgt, v in self.delta_of_label(lbl).items():
-                out[tgt] = (out.get(tgt, 0) + c * v) % field.p
-        return {k: v for k, v in out.items() if v}
-
     # -- the seven-term identity ------------------------------------------------
-
-    def product(self, x: dict, y: dict) -> dict:
-        field = self.A.field
-        out = {}
-        for la, ca in x.items():
-            for lb, cb in y.items():
-                for lc, cc in self.ring.product(la, lb).items():
-                    out[lc] = (out.get(lc, 0) + ca * cb * cc) % field.p
-        return {k: v for k, v in out.items() if v}
 
     def check_bv_identity(self, a: dict, b: dict, c: dict,
                           deg_a: int, deg_b: int):
-        """Seven-term relation; returns (holds, residual)."""
-        field = self.A.field
+        """Seven-term relation; returns (holds, residual).
+        Delta(abc) = Delta(ab)c + (-1)^|a| a Delta(bc)
+                     + (-1)^((|a|-1)|b|) b Delta(ac) - Delta(a)bc
+                     - (-1)^|a| a Delta(b)c - (-1)^(|a|+|b|) ab Delta(c)."""
+        a, b, c = (RingClass(self, x) for x in (a, b, c))
 
         def sgn(e):
             return -1 if e % 2 else 1
 
-        def add(acc, term, k):
-            for lbl, v in term.items():
-                acc[lbl] = (acc.get(lbl, 0) + k * v) % field.p
+        ab = a * b
+        residual = (ab * c).delta() - (
+            ab.delta() * c
+            + (a * (b * c).delta()).scale(sgn(deg_a))
+            + (b * (a * c).delta()).scale(sgn((deg_a - 1) * deg_b))
+            - a.delta() * b * c
+            - (a * b.delta() * c).scale(sgn(deg_a))
+            - (ab * c.delta()).scale(sgn(deg_a + deg_b)))
+        return residual.is_zero(), residual.terms
 
-        abc = self.product(self.product(a, b), c)
-        lhs = self.delta_of_combination(abc)
-        acc = {}
-        add(acc, self.product(self.delta_of_combination(self.product(a, b)),
-                              c), 1)
-        add(acc, self.product(a, self.delta_of_combination(
-            self.product(b, c))), sgn(deg_a))
-        add(acc, self.product(b, self.delta_of_combination(
-            self.product(a, c))), sgn((deg_a - 1) * deg_b))
-        add(acc, self.product(self.product(
-            self.delta_of_combination(a), b), c), -1)
-        add(acc, self.product(self.product(
-            a, self.delta_of_combination(b)), c), -sgn(deg_a))
-        add(acc, self.product(self.product(a, b),
-                              self.delta_of_combination(c)),
-            -sgn(deg_a + deg_b))
-        residual = dict(lhs)
-        for lbl, v in acc.items():
-            residual[lbl] = (residual.get(lbl, 0) - v) % field.p
-        residual = {k: v for k, v in residual.items() if v}
-        return (not residual), residual
+
+class RingClass(LinComb):
+    """A combination of class labels of a BVContext's ring: its product is
+    the cup product and delta() the operator."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx: BVContext, terms=None):
+        self.ctx = ctx
+        super().__init__(terms, ctx.A.field.p)
+
+    def _like(self, terms):
+        return RingClass(self.ctx, terms)
+
+    def __mul__(self, other):
+        return self._like(self.bilinear(
+            other, lambda la, lb: self.ctx.ring.product(la, lb).items()))
+
+    def delta(self):
+        return self._like(self.linear(
+            lambda lbl: self.ctx.delta_of_label(lbl).items()))
 
 
 # -- the bv command's report ----------------------------------------------------
 
 
+def generator_labels(ring):
+    """The classes of the model generators that lie in the window, in the
+    model's order."""
+    labels = (ring.label_from_exponents({g: 1}) for g in ring.generators)
+    return [lbl for lbl in labels if lbl in ring.class_reps]
+
+
+def _bidegree_of_product(ring, labels):
+    """The summed bidegree of the labels."""
+    return tuple(map(sum, zip(*map(ring.bidegree, labels))))
+
+
 def _generator_monomial_labels(ring):
     """Basis classes that are products of one or two model generators (the
     unit is omitted: the operator kills it by the algebra axioms)."""
-    labels = []
-    gens = ring.generators
-    items = [{g: 1} for g in gens]
-    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        exps = {g1: 1}
-        exps[g2] = exps.get(g2, 0) + 1
-        items.append(exps)
-    for exps in items:
-        lbl = ring.label_from_exponents(exps)
-        p, q = ring.bidegree(lbl)
-        if not ring.window.contains(p, q):
+    labels = (ring.label_from_exponents(Counter(gens)) for k in (1, 2)
+              for gens in itertools.combinations_with_replacement(
+                  ring.generators, k))
+    return list(dict.fromkeys(lbl for lbl in labels
+                              if lbl in ring.class_reps))
+
+
+def seven_term_sweep(ctx: BVContext, labels):
+    """The seven-term identity over every triple of labels whose product
+    lies in the window at positive filtration (the operator vanishes at
+    filtration 0): the bv_identity_sweep section of a bv document."""
+    ring = ctx.ring
+    sweep = {"checked": 0, "failures": []}
+    skipped = []
+    for triple in itertools.combinations_with_replacement(labels, 3):
+        p, q = _bidegree_of_product(ring, triple)
+        if not ring.window.contains(p, q) or p < 1:
             continue
-        if lbl in ring.cells.get((p, q), []) and lbl not in labels:
-            labels.append(lbl)
-    return labels
+        la, lb, lc = triple
+        names = [ring.label_str(x) for x in triple]
+        try:
+            holds, residual = ctx.check_bv_identity(
+                {la: 1}, {lb: 1}, {lc: 1},
+                ring.total_degree(la), ring.total_degree(lb))
+        except WindowError:
+            # a nonzero a.b, b.c or a.c, or a term built from one, lies
+            # outside the window although a.b.c lies inside it
+            skipped.append(names)
+            continue
+        sweep["checked"] += 1
+        if not holds:
+            sweep["failures"].append({
+                "triple": names,
+                "residual": sorted([ring.label_str(t), c]
+                                   for t, c in residual.items())})
+    if skipped:
+        sweep["skipped_outside_window"] = skipped
+    return sweep
 
 
 def bv_report(A: AlgebraPresentation, window: DegreeWindow):
@@ -394,9 +425,7 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
     meta["fundamental_class"] = A.label_monomial(ctx.pd.fundamental_class)
     meta["xi_lifting_depth"] = ctx.xi.depth
     labels = _generator_monomial_labels(ring)
-    delta_gr = {}
-    for lbl in labels:
-        delta_gr[lbl] = ctx.delta_of_label(lbl)
+    delta_gr = {lbl: ctx.delta_of_label(lbl) for lbl in labels}
     bv_table = []
     for lbl in labels:
         res = resolve_bv_extension(ring, delta_gr, lbl)
@@ -408,14 +437,10 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
             "status": res.status,
             "ambiguity_basis": [ring.label_str(t) for t in res.ambiguity],
         })
+    gen_labels = generator_labels(ring)
     ext_table = []
-    gens = ring.generators
-    for g1, g2 in itertools.combinations_with_replacement(gens, 2):
-        l1 = ring.label_from_exponents({g1: 1})
-        l2 = ring.label_from_exponents({g2: 1})
-        p, q = (ring.bidegree(l1)[0] + ring.bidegree(l2)[0],
-                ring.bidegree(l1)[1] + ring.bidegree(l2)[1])
-        if not ring.window.contains(p, q):
+    for l1, l2 in itertools.combinations_with_replacement(gen_labels, 2):
+        if not ring.window.contains(*_bidegree_of_product(ring, (l1, l2))):
             continue
         res = resolve_product_extension(ring, l1, l2)
         ext_table.append({
@@ -425,37 +450,7 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
                             for t, c in (res.value or {}).items()),
             "ambiguity_basis": [ring.label_str(t) for t in res.ambiguity],
         })
-    # seven-term identity sweep over generator triples
-    gen_labels = []
-    for g in gens:
-        lbl = ring.label_from_exponents({g: 1})
-        if ring.window.contains(*ring.bidegree(lbl)):
-            gen_labels.append(lbl)
-    sweep = {"checked": 0, "failures": []}
-    skipped = []
-    for la, lb, lc in itertools.combinations_with_replacement(gen_labels, 3):
-        p = sum(ring.bidegree(x)[0] for x in (la, lb, lc))
-        q = sum(ring.bidegree(x)[1] for x in (la, lb, lc))
-        if not ring.window.contains(p, q) or p < 1:
-            continue
-        da = ring.total_degree(la)
-        db = ring.total_degree(lb)
-        try:
-            holds, residual = ctx.check_bv_identity(
-                {la: 1}, {lb: 1}, {lc: 1}, da, db)
-        except WindowError:
-            # a nonzero a.b, b.c or a.c, or a term built from one, lies
-            # outside the window although a.b.c lies inside it
-            skipped.append([ring.label_str(x) for x in (la, lb, lc)])
-            continue
-        sweep["checked"] += 1
-        if not holds:
-            sweep["failures"].append({
-                "triple": [ring.label_str(x) for x in (la, lb, lc)],
-                "residual": sorted([ring.label_str(t), c]
-                                   for t, c in residual.items())})
-    if skipped:
-        sweep["skipped_outside_window"] = skipped
+    sweep = seven_term_sweep(ctx, gen_labels)
     sections = {
         "bv_table": bv_table,
         "extension_report": ext_table,

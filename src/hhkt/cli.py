@@ -34,10 +34,10 @@ except ImportError:
     from hashlib import sha256
 
 from . import lazy_module
-from .algebra import (CellBlowupError, InternalConsistencyError,
-                      NotPoincareDualityError, PresentationError,
-                      UnsupportedDiagonalError, json_int, parse_presentation,
-                      validate_regular_sequence)
+from .algebra import (CELL_LIMIT, CellBlowupError,
+                      InternalConsistencyError, NotPoincareDualityError,
+                      PresentationError, UnsupportedDiagonalError, json_int,
+                      parse_presentation, validate_regular_sequence)
 from .bigraded import DegreeWindow, UnboundedSearchError, WindowError
 from .fields import ComplexViolationError, FieldError
 
@@ -53,7 +53,8 @@ verify_suite = lazy_module("hhkt.verify")
 
 JobConfig = namedtuple(
     "JobConfig", "command input_path max_p q_min q_max fmt seed "
-    "max_bar_length inject_zeta_fault cell_limit", defaults=(False, 200000))
+    "max_bar_length inject_zeta_fault cell_limit",
+    defaults=(False, CELL_LIMIT))
 
 
 SOLVER_CHOICES = {
@@ -435,7 +436,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "oracle":
             p.add_argument("--max-bar-length", type=int, default=None)
-            p.add_argument("--cell-limit", type=int, default=200000)
+            p.add_argument("--cell-limit", type=int, default=CELL_LIMIT)
     v = sub.add_parser("verify")
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.add_argument("--seed", type=int, default=0)
@@ -446,8 +447,9 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "cell_limit", 0) < 0:
-            raise UsageError("--cell-limit must be >= 0")
+        for flag in ("cell_limit", "max_bar_length"):
+            if (getattr(args, flag, None) or 0) < 0:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
     except UsageError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1
@@ -461,7 +463,7 @@ def main(argv=None) -> int:
         seed=getattr(args, "seed", None),
         max_bar_length=getattr(args, "max_bar_length", None),
         inject_zeta_fault=getattr(args, "inject_zeta_fault", False),
-        cell_limit=getattr(args, "cell_limit", 200000),
+        cell_limit=getattr(args, "cell_limit", CELL_LIMIT),
     )
     try:
         if cfg.command == "compute":

@@ -895,19 +895,10 @@ class KTRing(CellComplex):
         return ".".join(parts) if parts else "1"
 
     def product(self, la, lb):
-        """Structure constants of the cup product in the class basis."""
-        return self.products(la, (lb,))[0]
-
-    def products(self, la, run):
-        """[product(la, lb) for lb in run], with every label checked first;
-        each product a dict of its own."""
-        out = []
-        for block, values in self.product_blocks(la, run):
-            if values is None:
-                out.extend({} for _ in block)
-            else:
-                out.extend(map(dict, values))
-        return out
+        """Structure constants of the cup product in the class basis, a
+        dict of its own."""
+        ((_, values),) = self.product_blocks(la, (lb,))
+        return dict(values[0]) if values else {}
 
     def product_blocks(self, la, run):
         """The products of la with the labels of run, as a list of

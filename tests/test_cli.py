@@ -690,6 +690,33 @@ def test_bv_sweep_skips_triples_that_leave_the_window(capsys):
                                               ["y1", "y2", "nu_y2*"]]
 
 
+
+# the generator pairs of the extension report at q_max = 2
+PAIRS_INSIDE_Q_MAX_2 = {
+    "ext2_deg3_char2": [["nu_y1*", "nu_y1*"], ["nu_y1*", "nu_y2*"],
+                        ["nu_y2*", "nu_y2*"]],
+    "trunc_x2_deg4_char2": [["u_x1*", "u_x1*"], ["u_x1*", "w_0*"],
+                            ["w_0*", "w_0*"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS_INSIDE_Q_MAX_2))
+def test_bv_pairs_only_the_generators_inside_the_window(capsys, name):
+    # q_max = 2 is below |y_i| = 3 and |x1| = 4: a pair such as y1 . nu_y1*
+    # lies inside the window while y1 does not, and multiplying it used to
+    # end in exit 1 ("class y1 lies outside the window")
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
+        / "presentations" / f"{name}.json"
+    code = main(["bv", "--input", str(path), "--q-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert [[row["a"], row["b"]] for row in doc["extension_report"]] \
+        == PAIRS_INSIDE_Q_MAX_2[name]
+    assert doc["bv_identity_sweep"]["checked"] > 0
+    assert doc["bv_identity_sweep"]["failures"] == []
+
 USAGE_ERRORS = {
     "bad_int": ["compute", "--input", "pres.json", "--max-p", "foo"],
     "unknown_command": ["frobnicate"],
@@ -728,6 +755,15 @@ def test_negative_cell_limit_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "input error: --cell-limit must be >= 0\n"
 
+
+
+def test_negative_max_bar_length_is_an_input_error(tmp_path, capsys):
+    code = main(["oracle", "--input", write(tmp_path, "ext2_deg5"),
+                 "--max-bar-length", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "input error: --max-bar-length must be >= 0\n"
 
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
