@@ -6,7 +6,9 @@ composite is read on cocycles: cup with the dual fundamental class takes
 a class to a dual-coefficient cocycle g; the functional
 (-1)^{|g|} g(B c) on Hochschild chains c is, through the chain/cochain
 duality iota, again a dual-coefficient cocycle, whose class is pulled
-back through the cup.  No homology of the Hochschild chains is reduced.
+back through the cup.  No homology of the Hochschild chains is reduced;
+of the bar cochain cells only the dual side is reduced, and the self side
+is only ranked.
 Classes are carried on the resolution side (labels of the computed ring)
 and translated to bar cochains through the comparison chain map, so the
 final tables are expressed in the ring's monomial basis.  A combination of
@@ -83,24 +85,25 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
 # -- the chain/cochain duality -------------------------------------------------
 
 
+def _iota_sign(A: AlgebraPresentation, a0, word) -> int:
+    """(-1)^{|a0||word|}, the sign of the chain/cochain duality on the
+    chain a0[word]."""
+    return -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
+
+
 def iota(functional, A: AlgebraPresentation, k: int, t: int) -> Cochain:
     """Functional on chains -> dual-coefficient cochain,
     iota(f)(word)(a) = (-1)^{|a||word|} f(a[word])."""
-    terms = {}
-    for (a0, word), c in functional.items():
-        sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        terms[(word, a0)] = terms.get((word, a0), 0) + sgn * c
-    return Cochain(A, COEFF_DUAL, k, -t, terms)
+    return Cochain(A, COEFF_DUAL, k, -t,
+                   {(word, a0): _iota_sign(A, a0, word) * c
+                    for (a0, word), c in functional.items()})
 
 
 def iota_inverse(g: Cochain) -> dict:
     """Dual-coefficient cochain -> functional on chains (same sign rule)."""
     A = g.A
-    out = {}
-    for (word, a0), c in g.terms.items():
-        sgn = -1 if (A.mono_degree(a0) * word_suspension(A, word)) % 2 else 1
-        out[(a0, word)] = (sgn * c) % A.field.p
-    return out
+    return {(a0, word): (_iota_sign(A, a0, word) * c) % A.field.p
+            for (word, a0), c in g.terms.items()}
 
 
 def pair_class(g: Cochain, chain_terms, A) -> int:
@@ -109,9 +112,7 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
     for (a0, word), c in chain_terms.items():
         v = g.terms.get((word, a0))
         if v:
-            sgn = -1 if (A.mono_degree(a0)
-                         * word_suspension(A, word)) % 2 else 1
-            total += sgn * c * v
+            total += _iota_sign(A, a0, word) * c * v
     return total % A.field.p
 
 
@@ -119,11 +120,11 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
 
 
 class BVContext:
-    """Caches every cell-level matrix needed for the operator on one
-    presentation, within one window: the comparison map T and the cup
-    theta with the dual fundamental class, each in bar-homology
-    coordinates, and the operator's table per ring cell.  Only the bar
-    cochain cells, of both coefficient sides, are reduced."""
+    """Caches what the operator needs on one presentation, within one
+    window: per ring cell, the dual cocycles theta(T x) of its classes, T
+    the comparison map and theta the cup with the dual fundamental class,
+    with their dual-class coordinates, and the operator's table.  Only the
+    dual bar cochain cells are reduced; the self side is only ranked."""
 
     def __init__(self, A: AlgebraPresentation, window: DegreeWindow):
         self.A = A
@@ -137,8 +138,7 @@ class BVContext:
         self.xi = XiLift(self.R, max(4, window.max_p))
         self.bar_self = BarComplex(A, COEFF_SELF, window)
         self.bar_dual = BarComplex(A, COEFF_DUAL, window)
-        self._translate = {}
-        self._theta = {}
+        self._dual = {}
         self._delta = {}
 
     # -- translations ------------------------------------------------------
@@ -167,33 +167,6 @@ class BVContext:
                             terms[key] = terms.get(key, 0) + c * lrc * ca * nc
         return Cochain(A, COEFF_SELF, p, q, terms)
 
-    def translate_matrix(self, p, q):
-        """Columns: bar homology coordinates of each ring basis class."""
-        key = (p, q)
-        if key in self._translate:
-            return self._translate[key]
-        labels = self.ring.cells.get((p, q), [])
-        hom = self.bar_self.homology(p, q)
-        if len(labels) != hom.dim:
-            raise InternalConsistencyError(
-                f"cell ({p},{q}): ring dim {len(labels)} != bar dim "
-                f"{hom.dim}")
-        cols = []
-        for lbl in labels:
-            f = self.kt_to_bar_cochain(self.ring.class_reps[lbl], p, q)
-            coords = self.bar_self.express(p, q, f.terms)
-            if coords is None:
-                raise InternalConsistencyError(
-                    "comparison image is not a cocycle class")
-            cols.append(coords)
-        M = SparseMatrix.from_columns(hom.dim, cols, self.A.field)
-        if rank(M) != len(labels):
-            raise InternalConsistencyError(
-                f"cell ({p},{q}): comparison map is not injective")
-        out = (labels, M)
-        self._translate[key] = out
-        return out
-
     # -- theta = cup with the dual fundamental class -------------------------
 
     def theta_cochain(self, f: Cochain) -> Cochain:
@@ -201,32 +174,39 @@ class BVContext:
             w for (w, _) in self.bar_dual.cell_basis(f.p, f.q - self.d)))
         return cochain_cup(f, self.pd.dual_cochain(), words)
 
-    def theta_matrix(self, p, q):
-        """Bar homology basis at (p,q) -> dual-class coordinates at
-        (p, q-d); verified bijective."""
+    def dual_classes(self, p, q):
+        """(labels, cocycles, M) for ring cell (p, q): each label's dual
+        cocycle g = theta(T x) at (p, q-d), and M, whose columns are their
+        dual-class coordinates.  The self-side cell is only ranked: equal
+        dimensions and an injective composite prove T and theta bijective."""
         key = (p, q)
-        if key in self._theta:
-            return self._theta[key]
-        hom = self.bar_self.homology(p, q)
+        if key in self._dual:
+            return self._dual[key]
+        labels = self.ring.cells.get((p, q), [])
+        dim_self = self.bar_self.homology_dim(p, q)
         hom_dual = self.bar_dual.homology(p, q - self.d)
-        if hom.dim != hom_dual.dim:
+        if not len(labels) == dim_self == hom_dual.dim:
             raise InternalConsistencyError(
-                f"duality cell mismatch at ({p},{q})")
-        cols = []
-        for rep in hom.representatives:
-            f = Cochain(self.A, COEFF_SELF, p, q,
-                        self.bar_self.combination(p, q, rep))
-            coords = self.bar_dual.express(p, q - self.d,
-                                           self.theta_cochain(f).terms)
+                f"cell ({p},{q}): ring dim {len(labels)}, bar dim "
+                f"{dim_self}, dual bar dim {hom_dual.dim}")
+        cocycles, cols = [], []
+        for lbl in labels:
+            g = self.theta_cochain(self.kt_to_bar_cochain(
+                self.ring.class_reps[lbl], p, q))
+            coords = self.bar_dual.express(p, q - self.d, g.terms)
             if coords is None:
-                raise InternalConsistencyError("theta image not a class")
+                raise InternalConsistencyError(
+                    "theta of a comparison image is not a cocycle class")
+            cocycles.append(g)
             cols.append(coords)
         M = SparseMatrix.from_columns(hom_dual.dim, cols, self.A.field)
-        if rank(M) != hom.dim:
+        if rank(M) != len(labels):
             raise InternalConsistencyError(
-                f"theta is not bijective on cell ({p},{q})")
-        self._theta[key] = M
-        return M
+                f"cell ({p},{q}): theta after the comparison map is not "
+                f"injective")
+        out = (labels, cocycles, M)
+        self._dual[key] = out
+        return out
 
     # -- the operator on one cell ----------------------------------------------
 
@@ -248,20 +228,10 @@ class BVContext:
             self._delta[key] = out
             return out
         A = self.A
-        field = A.field
         qd = q - self.d
-        src_labels, T = self.translate_matrix(p, q)
-        theta_M = self.theta_matrix(p, q)
-        reps = SparseMatrix.from_columns(
-            len(self.bar_dual.cell_basis(p, qd)),
-            self.bar_dual.homology(p, qd).representatives, field)
-        tgt_labels, T_prev = self.translate_matrix(p - 1, q)
-        theta_prev = self.theta_matrix(p - 1, q)
-        # composite (theta_prev . T_prev): KT coords -> dual-class coords
-        comp_cols = [theta_prev.mul_vec(T_prev.column(j))
-                     for j in range(len(tgt_labels))]
-        comp = SparseMatrix.from_columns(theta_prev.rows, comp_cols, field)
-        comp_solver = LinearSystem(comp)
+        _, cocycles, _ = self.dual_classes(p, q)
+        tgt_labels, _, M_prev = self.dual_classes(p - 1, q)
+        solver = LinearSystem(M_prev)
         # the entries (w, a0) of the dual cell (p-1, q-d) are those of the
         # chain cell (p-1, d-q); B kills the chains with a0 = 1
         images = []
@@ -270,9 +240,7 @@ class BVContext:
             if image:
                 images.append(((a0, w), image))
         sign_g = -1 if (p + qd) % 2 else 1
-        for j, lbl in enumerate(src_labels):
-            g = Cochain(A, COEFF_DUAL, p, qd, self.bar_dual.combination(
-                p, qd, reps.mul_vec(theta_M.mul_vec(T.column(j)))))
+        for lbl, g in zip(labels, cocycles):
             gB = {chain: sign_g * pair_class(g, image, A)
                   for chain, image in images}
             gprime = self.bar_dual.express(p - 1, qd,
@@ -281,7 +249,7 @@ class BVContext:
                 raise InternalConsistencyError(
                     "Connes image of a cycle is not a cycle class in the "
                     "window")
-            coords = comp_solver.solve(gprime)
+            coords = solver.solve(gprime)
             if coords is None:
                 raise InternalConsistencyError(
                     "operator image missed the ring cell")

@@ -265,33 +265,67 @@ def pairing_matrix(ctx, chains, p, q_dual):
     return M
 
 
+def dual_class_matrix_via_self_homology(ctx, p, q):
+    """The dual-class coordinates at (p, q-d) of theta(T x) for the ring
+    classes x of cell (p, q), as the two-step composite theta_M . T_M
+    through the reduced self-side bar homology: T_M holds the coordinates
+    of each comparison image T x, theta_M those of theta of each self-side
+    representative."""
+    A = ctx.A
+    qd = q - ctx.d
+    labels = ctx.ring.cells.get((p, q), [])
+    hom = ctx.bar_self.homology(p, q)
+    hom_dual = ctx.bar_dual.homology(p, qd)
+    if not len(labels) == hom.dim == hom_dual.dim:
+        raise InternalConsistencyError(f"cell mismatch at ({p},{q})")
+    T_cols = []
+    for lbl in labels:
+        f = ctx.kt_to_bar_cochain(ctx.ring.class_reps[lbl], p, q)
+        coords = ctx.bar_self.express(p, q, f.terms)
+        if coords is None:
+            raise InternalConsistencyError(
+                "comparison image is not a cocycle class")
+        T_cols.append(coords)
+    theta_cols = []
+    for rep in hom.representatives:
+        f = Cochain(A, COEFF_SELF, p, q, ctx.bar_self.combination(p, q, rep))
+        coords = ctx.bar_dual.express(p, qd, ctx.theta_cochain(f).terms)
+        if coords is None:
+            raise InternalConsistencyError("theta image not a class")
+        theta_cols.append(coords)
+    theta_M = SparseMatrix.from_columns(hom_dual.dim, theta_cols, A.field)
+    M = SparseMatrix.from_columns(
+        hom_dual.dim, [theta_M.mul_vec(col) for col in T_cols], A.field)
+    if rank(M) != len(labels):
+        raise InternalConsistencyError(
+            f"theta . T is not injective on cell ({p},{q})")
+    return M
+
+
 def delta_matrix_via_homology(ctx, chains, p, q):
     """BVContext.delta_matrix(p, q) as the composite through Hochschild
     homology: pair g = theta(T x) with the chain classes of (p, d-q),
     apply H(B) from (p-1, d-q), solve the pairing at (p-1, q-d) for the
     dual class g' with <g', c> = (-1)^{|g|} <g, B c>, and pull g' back
-    through theta and the comparison map."""
+    through theta and the comparison map, both read through the self-side
+    bar homology."""
     labels = ctx.ring.cells.get((p, q), [])
     out = {lbl: {} for lbl in labels}
     if p == 0 or not labels:
         return out
     field = ctx.A.field
     qd = q - ctx.d
-    src_labels, T = ctx.translate_matrix(p, q)
-    theta_M = ctx.theta_matrix(p, q)
+    comp_here = dual_class_matrix_via_self_homology(ctx, p, q)
     P_here = pairing_matrix(ctx, chains, p, qd)
     P_prev = pairing_matrix(ctx, chains, p - 1, qd)
     Bmat = connes_matrix_on_homology(chains, p - 1, -qd)
-    tgt_labels, T_prev = ctx.translate_matrix(p - 1, q)
-    theta_prev = ctx.theta_matrix(p - 1, q)
-    comp = SparseMatrix.from_columns(
-        P_prev.rows, [theta_prev.mul_vec(T_prev.column(j))
-                      for j in range(len(tgt_labels))], field)
-    comp_solver = LinearSystem(comp)
+    tgt_labels = ctx.ring.cells.get((p - 1, q), [])
+    comp_solver = LinearSystem(
+        dual_class_matrix_via_self_homology(ctx, p - 1, q))
     pair_solver = LinearSystem(P_prev.transpose())
     sign_g = -1 if (p + qd) % 2 else 1
-    for j, lbl in enumerate(src_labels):
-        g = theta_M.mul_vec(T.column(j))
+    for j, lbl in enumerate(labels):
+        g = comp_here.column(j)
         rhs = Bmat.transpose().mul_vec(P_here.transpose().mul_vec(g))
         rhs = tuple((sign_g * v) % field.p for v in rhs)
         gprime = pair_solver.solve(rhs) if P_prev.rows else tuple()

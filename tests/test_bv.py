@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
 
-from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
-                      Cochain, DualValue, cochain_differential,
+from hhkt import cli
+from hhkt.algebra import InternalConsistencyError
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
+                      ChainElement, Cochain, DualValue, cochain_differential,
                       dual_left_action, hochschild_b)
 from hhkt.bigraded import DegreeWindow
 from hhkt.bv import (BVContext, NotPoincareDualityError, RingClass,
@@ -14,7 +17,8 @@ from hhkt.koszul_tate import EMono, KTElement
 
 from .helpers import exterior, exterior_times_truncated_f3, polynomial, \
     truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
-from .reference import delta_matrix_via_homology
+from .reference import (delta_matrix_via_homology,
+                        dual_class_matrix_via_self_homology)
 
 
 def test_build_pd_examples():
@@ -363,7 +367,59 @@ def test_delta_matches_the_homology_composite(A, window):
         table = ctx.delta_matrix(p, q)
         assert table == delta_matrix_via_homology(ctx, chains, p, q), (p, q)
         nonzero += sum(1 for row in table.values() if row)
+        M = ctx.dual_classes(p, q)[2]
+        ref = dual_class_matrix_via_self_homology(ctx, p, q)
+        assert (M.rows, M.cols, M.entries) == \
+            (ref.rows, ref.cols, ref.entries), (p, q)
     assert nonzero
+
+
+def test_dual_classes_refuse_a_cell_dimension_mismatch(monkeypatch):
+    ctx = BVContext(exterior(2, [3, 3]), DegreeWindow(3, -16, 8))
+    true_dim = ctx.bar_self.homology_dim
+    monkeypatch.setattr(ctx.bar_self, "homology_dim",
+                        lambda d, w: true_dim(d, w) + 1)
+    (p, q) = next(cell for cell, labels in sorted(ctx.ring.cells.items())
+                  if labels)
+    with pytest.raises(InternalConsistencyError, match="bar dim"):
+        ctx.dual_classes(p, q)
+
+
+def test_dual_classes_refuse_a_composite_that_is_not_injective(monkeypatch):
+    A = exterior(2, [3, 3])
+    ctx = BVContext(A, DegreeWindow(3, -16, 8))
+    monkeypatch.setattr(ctx, "theta_cochain", lambda f: Cochain(
+        A, COEFF_DUAL, f.p, f.q - ctx.d))
+    (p, q) = next(cell for cell, labels in sorted(ctx.ring.cells.items())
+                  if labels)
+    with pytest.raises(InternalConsistencyError, match="not injective"):
+        ctx.dual_classes(p, q)
+
+
+def test_bv_exits_3_on_a_cell_dimension_mismatch(tmp_path, capsys,
+                                                 monkeypatch):
+    path = tmp_path / "ext2_deg3.json"
+    path.write_text(json.dumps({
+        "characteristic": 2,
+        "generators": [{"name": "y1", "degree": 3, "kind": "exterior"},
+                       {"name": "y2", "degree": 3, "kind": "exterior"}],
+        "relations": []}))
+    true_dim = BarComplex.homology_dim
+    monkeypatch.setattr(BarComplex, "homology_dim", lambda self, d, w: (
+        true_dim(self, d, w) + (self.coeff == COEFF_SELF)))
+    code = cli.main(["bv", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("internal consistency failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_the_operator_never_reduces_the_self_side_bar_homology():
+    ctx = BVContext(exterior(2, [5, 5]), DegreeWindow(3, -22, 12))
+    labels = [lbl for cell in ctx.ring.cells.values() for lbl in cell]
+    assert any([ctx.delta_of_label(lbl) for lbl in labels])
+    assert ctx.bar_self._hom == {}
+    assert ctx.bar_dual._hom
 
 
 @pytest.mark.parametrize("A, window", [

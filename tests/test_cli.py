@@ -499,7 +499,9 @@ def test_benchmark_trace_targets_resolve_after_cli_import():
     missing = set(proc.stdout.split())
     assert missing <= {"fields._rref_dense", "bar.ChainComplexCells.b_matrix",
                        "bar.ChainComplexCells.connes_matrix_on_homology",
-                       "bv.BVContext.pairing_matrix"}
+                       "bv.BVContext.pairing_matrix",
+                       "bv.BVContext.translate_matrix",
+                       "bv.BVContext.theta_matrix"}
 
 
 def _reference_product_rows(ring):
