@@ -17,11 +17,15 @@ quartiles of the per-pair ratios change/parent, which are steadier than the
 two medians when the machine's speed drifts between runs.  Which way is
 better comes from the change checkout's BENCHMARK.json.  peak_rss_mb
 follows the length of the checkout path, so a warning is printed when the
-two paths differ in length.
+two paths differ in length.  A checkout holding src/hhkt/__pycache__
+imports faster than one without it, so the script exits 2, naming the
+directory, when either checkout holds one; its own runs set
+PYTHONDONTWRITEBYTECODE=1 and leave none behind.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -94,7 +98,8 @@ def run_once(checkout, workload, seed, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return metrics, result["correct"]
@@ -109,6 +114,12 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        cache = Path(checkout) / "src" / "hhkt" / "__pycache__"
+        if cache.exists():
+            print(f"error: {cache} exists; delete it so that both checkouts "
+                  f"import from source", file=sys.stderr)
+            return 2
     warning = path_length_warning(args.parent, args.change)
     if warning:
         print(warning, flush=True)

@@ -100,6 +100,9 @@ class Polynomial(LinComb):
         return len({self.algebra.mono_degree(m) for m in self.terms}) <= 1
 
     def __mul__(self, other):
+        # so that poly * alpha, alpha a DualValue, reaches alpha.__rmul__
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check(other)
         return self._like(self.bilinear(other, self.algebra.mul_monomials))
 
@@ -291,7 +294,7 @@ class AlgebraPresentation:
         if not self.relations:
             return [(Monomial(0, exps), 1)]
         deg = sum(e * d for e, d in zip(exps, self.poly_degrees))
-        basis, reduction = self._nf_table(deg)
+        _, reduction = self._nf_table(deg)
         key = exps
         if key in reduction:
             return [(Monomial(0, e), c) for e, c in reduction[key].items()]

@@ -28,8 +28,10 @@ A cochain is a LinComb keyed (word, n), exactly like the entries of its
 cell basis, so converting between a cochain and its cell vector copies
 keys.  Its value on a word is a Polynomial (sum of the n) for
 coefficients in the algebra itself, or a DualValue (sum of the duals of
-the n, a bimodule without a product) for dual coefficients; these values
-are built only where a differential or a cup product needs them.
+the n) for dual coefficients; these values are built only where a
+differential or a cup product needs them.  Both are A-bimodules through
+`*` with a Polynomial, so the differential and the cup product are
+written once for both coefficient sides.
 
 BarComplex (cochain cells (p, q)) and ChainComplexCells (chain cells
 (k, t)) are fields.CellComplex subclasses: cell vectors, solves and
@@ -170,9 +172,13 @@ def connes_boundary(c: ChainElement) -> ChainElement:
 
 class DualValue(LinComb):
     """A sum of dual basis elements of A, {Monomial: coeff}; the dual of a
-    degree-k monomial sits in degree -k.  A bimodule over A through
-    dual_left_action and dual_right_action, with no product, and it does
-    not combine with a Polynomial."""
+    degree-k monomial sits in degree -k.  An A-bimodule: for a Polynomial
+    g, g * alpha and alpha * g are the actions
+
+        <g.alpha; h> = (-1)^{|g|} <alpha; h g>,   <alpha.g; h> = <alpha; g h>
+
+    on each monomial g.  Two DualValues have no product, and a DualValue
+    has no sum with a Polynomial."""
 
     __slots__ = ("algebra",)
 
@@ -189,6 +195,37 @@ class DualValue(LinComb):
                             f"{type(other).__name__}")
         if other.algebra is not self.algebra:
             raise ValueError("mixed presentations")
+
+    def __mul__(self, poly):
+        return self._action(poly, left=False)
+
+    def __rmul__(self, poly):
+        return self._action(poly, left=True)
+
+    def _action(self, poly, left):
+        """poly . self (left) or self . poly: the dual of m picks up, at
+        each basis monomial m2 of degree |m| - |g|, the coefficient of m in
+        m2 g (left, signed (-1)^{|g|}) or in g m2 (right)."""
+        if not isinstance(poly, Polynomial):
+            return NotImplemented
+        if poly.algebra is not self.algebra:
+            raise ValueError("mixed presentations")
+        A = self.algebra
+        out = {}
+        for g, cg in poly.terms.items():
+            dg = A.mono_degree(g)
+            if left and dg % 2:
+                cg = -cg
+            for m, c in self.terms.items():
+                target = A.mono_degree(m) - dg
+                if target < 0:
+                    continue
+                for m2 in A.monomial_basis(target):
+                    for mm, cc in (A.mul_monomials(m2, g) if left
+                                   else A.mul_monomials(g, m2)):
+                        if mm == m:
+                            out[m2] = out.get(m2, 0) + cg * c * cc
+        return DualValue(A, out)
 
 
 def cochain_value(A, coeff, terms=None):
@@ -233,50 +270,14 @@ def _word_values(f: Cochain):
     return {w: cochain_value(f.A, f.coeff, t) for w, t in grouped.items()}
 
 
-def dual_left_action(A, g: Monomial, alpha: DualValue) -> DualValue:
-    """g . alpha with <g.alpha; h> = (-1)^{|g|} <alpha; h g>."""
-    dg = A.mono_degree(g)
-    sgn = -1 if dg % 2 else 1
-    out = {}
-    for m, c in alpha.terms.items():
-        target = A.mono_degree(m) - dg
-        if target < 0:
-            continue
-        for m2 in A.monomial_basis(target):
-            for mm, cc in A.mul_monomials(m2, g):
-                if mm == m:
-                    out[m2] = out.get(m2, 0) + sgn * c * cc
-    return DualValue(A, out)
-
-
-def dual_right_action(A, alpha: DualValue, g: Monomial) -> DualValue:
-    """alpha . g with <alpha.g; h> = <alpha; g h>."""
-    dg = A.mono_degree(g)
-    out = {}
-    for m, c in alpha.terms.items():
-        target = A.mono_degree(m) - dg
-        if target < 0:
-            continue
-        for m2 in A.monomial_basis(target):
-            for mm, cc in A.mul_monomials(g, m2):
-                if mm == m:
-                    out[m2] = out.get(m2, 0) + c * cc
-    return DualValue(A, out)
-
-
-def _act(A, coeff, left: Monomial, value, right: Monomial):
-    """left . value . right for a cochain value; unit sides cost nothing."""
+def _act(A, left: Monomial, value, right: Monomial):
+    """left . value . right for a cochain value, a Polynomial or a
+    DualValue; unit sides cost nothing."""
     one = A.unit_monomial()
-    if coeff == COEFF_SELF:
-        if left != one:
-            value = Polynomial(A, {left: 1}) * value
-        if right != one:
-            value = value * Polynomial(A, {right: 1})
-        return value
     if left != one:
-        value = dual_left_action(A, left, value)
+        value = Polynomial(A, {left: 1}) * value
     if right != one:
-        value = dual_right_action(A, value, right)
+        value = value * Polynomial(A, {right: 1})
     return value
 
 
@@ -303,19 +304,17 @@ def cochain_differential(f: Cochain, target_words) -> Cochain:
                                                      word):
             v = values.get(sub)
             if v is not None:
-                acc = acc + _act(A, f.coeff, left, v, right).scale(s)
+                acc = acc + _act(A, left, v, right).scale(s)
         for n, c in acc.terms.items():
             terms[(word, n)] = c
     return Cochain(A, f.coeff, f.p + 1, f.q, terms)
 
 
 def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
-    """Front-back splitting cup product.
-
-    Coefficient dispatch: self*self multiplies in A; self*dual acts on the
-    left of the dual; dual*self acts on the right.  The result coefficient
-    type is dual if either factor is dual.
-    """
+    """Front-back splitting cup product: on a word w1 w2 it is
+    (-1)^{|g||s w1|} f(w1) * g(w2), the product in A, or the bimodule
+    action when one factor has dual coefficients; the result then has
+    dual coefficients.  Two dual factors have no product."""
     A = f.A
     if f.coeff == COEFF_DUAL and g.coeff == COEFF_DUAL:
         raise ValueError("no product structure on dual (x) dual coefficients")
@@ -331,18 +330,8 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
         v2 = g_values.get(w2)
         if v1 is None or v2 is None:
             continue
-        if f.coeff == COEFF_SELF and g.coeff == COEFF_SELF:
-            val = v1 * v2
-        elif f.coeff == COEFF_SELF:
-            val = DualValue(A)
-            for m, c in v1.terms.items():
-                val = val + dual_left_action(A, m, v2).scale(c)
-        else:
-            val = DualValue(A)
-            for m, c in v2.terms.items():
-                val = val + dual_right_action(A, v1, m).scale(c)
         sgn = -1 if (g.total_degree * word_suspension(A, w1)) % 2 else 1
-        for n, c in val.terms.items():
+        for n, c in (v1 * v2).terms.items():
             terms[(word, n)] = sgn * c
     return Cochain(A, out_coeff, f.p + g.p, f.q + g.q, terms)
 
@@ -452,8 +441,7 @@ class BarComplex(_WordCells):
                     img = actions.get((left, n, right))
                     if img is None:
                         img = actions[(left, n, right)] = tuple(_act(
-                            A, self.coeff, left,
-                            cochain_value(A, self.coeff, {n: 1}),
+                            A, left, cochain_value(A, self.coeff, {n: 1}),
                             right).terms.items())
                     for m, c in img:
                         i = index.get((word, m))

@@ -99,13 +99,6 @@ def iota(functional, A: AlgebraPresentation, k: int, t: int) -> Cochain:
                     for (a0, word), c in functional.items()})
 
 
-def iota_inverse(g: Cochain) -> dict:
-    """Dual-coefficient cochain -> functional on chains (same sign rule)."""
-    A = g.A
-    return {(a0, word): (_iota_sign(A, a0, word) * c) % A.field.p
-            for (word, a0), c in g.terms.items()}
-
-
 def pair_class(g: Cochain, chain_terms, A) -> int:
     """<iota^{-1}(g), c> evaluated term by term."""
     total = 0

@@ -119,8 +119,7 @@ class ProductRows:
     """The product table: rows {"a": str, "b": str, "value": [[str, int],
     ...]} held as blocks (a, bs, values), the rows (a, bs[i], values[i]),
     values None when every value of the block is [].  json_text writes it
-    from one template per row, with no dict per row (a block of other
-    label or value types as json.dumps writes its rows); len() counts the
+    from one template per row, with no dict per row; len() counts the
     rows, and iterating gives each row as a dict."""
 
     __slots__ = ("blocks", "_rows")
@@ -289,8 +288,10 @@ def json_text(obj, indent=""):
     """The text json.dumps(obj, sort_keys=True, indent=2) gives, built as
     one str.join per container instead of json's pure-Python chunk
     iterator (json uses its C encoder only without indent).  Dict keys must
-    be str; any other key or value type raises TypeError.  Scalars in a
-    container are written inline, without a call per scalar."""
+    be str.  A value is a dict, list, tuple or ProductRows, or a scalar of
+    exactly str, int, float, bool or None; any other type, a subclass of
+    those scalars included, raises TypeError.  Scalars in a container are
+    written inline, without a call per scalar."""
     scalar = _SCALAR_TEXT.get(type(obj))
     if scalar is not None:
         return scalar(obj)
@@ -316,23 +317,14 @@ def json_text(obj, indent=""):
             scalar(v) if (scalar := _SCALAR_TEXT.get(type(v)))
             else json_text(v, inner) for v in obj])
         return "".join(("[\n", inner, items, "\n", indent, "]"))
-    for kind in (str, int, float):
-        if isinstance(obj, kind):
-            return _SCALAR_TEXT[kind](obj)
     raise TypeError(f"Object of type {type(obj).__name__} "
                     f"is not JSON serializable")
-
-
-class _OffTemplate(Exception):
-    """A product-table label or value the row template does not write."""
 
 
 class _JSONStrings(dict):
     """str -> its JSON text, encoded on first use."""
 
     def __missing__(self, s):
-        if type(s) is not str:
-            raise _OffTemplate
         text = self[s] = encode_basestring_ascii(s)
         return text
 
@@ -340,10 +332,9 @@ class _JSONStrings(dict):
 def _product_rows_text(rows, indent):
     """json_text of a ProductRows table: one template per row, with the
     JSON text of each label and of each value object made once; a block
-    of zero products is one join of its b labels.  A block with a label
-    that is not a str or a value that is not a list of [str, int] pairs
-    goes row by row through the generic recursion, so the text is still
-    json.dumps's."""
+    of zero products is one join of its b labels.  Labels are str and
+    values lists of [str, int] pairs, as product_table_from_ring builds
+    them; a label or coefficient of another type raises TypeError."""
     if not len(rows):
         return "[]"
     inner = indent + "  "
@@ -358,48 +349,25 @@ def _product_rows_text(rows, indent):
     value_texts = {}    # id of a value list (alive in rows) -> its text
     texts = []
     for a, bs, values in rows.blocks:
-        start = len(texts)
-        try:
-            head = f'{{\n{field}"a": {names[a]},\n{field}"b": '
-            if values is None:
-                if bs:
-                    texts.append(head + f"{zero_end},\n{inner}{head}".join(
-                        [names[b] for b in bs]) + zero_end)
-                continue
-            for b, value in zip(bs, values):
-                text = value_texts.get(id(value))
-                if text is None:
-                    if type(value) is not list:
-                        raise _OffTemplate
-                    text = "[]"
-                    if value:
-                        text = pair_sep.join([
-                            f"[\n{entry}{names[lc]},\n{entry}"
-                            f"{_coefficient_text(c)}\n{pair}]"
-                            for lc, c in map(_template_pair, value)])
-                        text = f"[\n{pair}{text}\n{field}]"
-                    value_texts[id(value)] = text
-                texts.append(f"{head}{names[b]}{value_head}{text}{row_end}")
-        except _OffTemplate:
-            del texts[start:]
-            texts.extend([json_text(row, inner)
-                          for row in _block_rows(a, bs, values)])
+        head = f'{{\n{field}"a": {names[a]},\n{field}"b": '
+        if values is None:
+            if bs:
+                texts.append(head + f"{zero_end},\n{inner}{head}".join(
+                    [names[b] for b in bs]) + zero_end)
+            continue
+        for b, value in zip(bs, values):
+            text = value_texts.get(id(value))
+            if text is None:
+                text = "[]"
+                if value:
+                    text = pair_sep.join([
+                        f"[\n{entry}{names[lc]},\n{entry}"
+                        f"{int.__repr__(c)}\n{pair}]" for lc, c in value])
+                    text = f"[\n{pair}{text}\n{field}]"
+                value_texts[id(value)] = text
+            texts.append(f"{head}{names[b]}{value_head}{text}{row_end}")
     return "".join(("[\n", inner, f",\n{inner}".join(texts), "\n", indent,
                     "]"))
-
-
-def _template_pair(v):
-    """v, if it is a [label, coefficient] list the row template writes."""
-    if type(v) is not list or len(v) != 2:
-        raise _OffTemplate
-    return v
-
-
-def _coefficient_text(c):
-    """The JSON text of an int coefficient, as the row template writes it."""
-    if type(c) is not int:
-        raise _OffTemplate
-    return int.__repr__(c)
 
 
 def emit(doc, fmt):

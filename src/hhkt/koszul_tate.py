@@ -723,7 +723,6 @@ class KTRing(CellComplex):
         self.R = R
         self.algebra = R.algebra
         self.window = window
-        self.complete = False
         self._bidegrees = {}
         self._build()
 
@@ -776,7 +775,6 @@ class KTRing(CellComplex):
                     self._block_keys[("m", e, a)] = (
                         e, (self.R.e_internal(e) + q) % 2)
             self.generators = self._generator_model()
-            self.complete = self.generators is not None
         else:
             self.generators = None
             for (p, q) in W.cells():

@@ -28,7 +28,7 @@ def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
     populated = sorted(pq for pq, labels in R.cells.items() if labels)
     if not populated:
         return CollapseCertificate("collapse", [], 2, "no populated cells")
-    if not R.complete:
+    if R.generators is None:
         return CollapseCertificate(
             "unknown", [], None,
             "no monomial model: cells beyond the window are not enumerable")

@@ -20,8 +20,8 @@ from .bar import (COEFF_SELF, BarComplex, BarWord, ChainComplexCells,
                   ChainElement, Cochain, bar_differential, cochain_cup,
                   connes_boundary, hochschild_b, oracle_report)
 from .bigraded import DegreeWindow
-from .bv import (BVContext, RingClass, generator_labels, iota,
-                 iota_inverse, seven_term_sweep)
+from .bv import (BVContext, RingClass, generator_labels, iota, pair_class,
+                 seven_term_sweep)
 from .fields import PrimeField, SparseMatrix, rank_kernel_image
 from .koszul_tate import (KTElement, KTResolution, XiLift,
                           cup_via_diagonal, diagonal_element, diagonal_mono,
@@ -282,7 +282,7 @@ def check_bv_operator(corpus, rng):
                          ("ext2_deg3", DegreeWindow(3, -14, 8))]:
         ctx = BVContext(corpus[name], window)
         ring = ctx.ring
-        for (p, q), labels in ring.cells.items():
+        for (p, _), labels in ring.cells.items():
             if p < 2:
                 continue
             for lbl in labels:
@@ -303,11 +303,9 @@ def check_iota(corpus, rng):
     A = corpus["ext2_deg5"]
     cx = ChainComplexCells(A)
     for (k, t) in [(1, 10), (2, 15)]:
-        basis = cx.cell_basis(k, t)
-        for key in basis:
-            f = {key: 1}
-            g = iota(f, A, k, t)
-            if iota_inverse(g) != f:
+        for key in cx.cell_basis(k, t):
+            g = iota({key: 1}, A, k, t)
+            if len(g.terms) != 1 or pair_class(g, {key: 1}, A) != 1:
                 return "fail", f"iota round trip fails at {(k, t)}"
     return "pass", None
 
@@ -323,7 +321,7 @@ def check_linear_algebra(corpus, rng):
                 if rng.random() < 0.4:
                     entries[(r, c)] = rng.randrange(1, p)
         M = SparseMatrix(rows, cols, entries, field)
-        rank, kernel, image = rank_kernel_image(M)
+        rank, kernel, _ = rank_kernel_image(M)
         rank_t, _, _ = rank_kernel_image(M.transpose())
         if rank != rank_t:
             return "fail", f"rank != rank of transpose ({rows}x{cols}, p={p})"

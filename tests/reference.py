@@ -1,7 +1,8 @@
 """Reference implementations that only the tests call.
 
 Each one checks the package from another angle (the shuffle product on
-Hochschild chains, the unit cochain, Hochschild homology dimensions over a
+Hochschild chains, the unit cochain, the bimodule actions on the dual of
+the algebra by one monomial, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
 operator through Hochschild homology, the Hom-complex differential
 assembled term by term, the cup product evaluated term by term on the
@@ -11,7 +12,8 @@ compiled by any hhkt process.
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
 from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
-                      Cochain, connes_boundary, hochschild_b, word_suspension)
+                      Cochain, DualValue, connes_boundary, hochschild_b,
+                      word_suspension)
 from hhkt.bv import pair_class
 from hhkt.fields import LinearSystem, SparseMatrix, rank
 from hhkt.koszul_tate import diagonal_mono, emonos_at_level, kt_d_mono
@@ -56,6 +58,38 @@ def shuffle_product(c1: ChainElement, c2: ChainElement) -> ChainElement:
 
 def unit_cochain(A):
     return Cochain(A, COEFF_SELF, 0, 0, {((), A.unit_monomial()): 1})
+
+
+def dual_left_action(A, g, alpha: DualValue) -> DualValue:
+    """g . alpha for a monomial g, with
+    <g.alpha; h> = (-1)^{|g|} <alpha; h g>."""
+    dg = A.mono_degree(g)
+    sgn = -1 if dg % 2 else 1
+    out = {}
+    for m, c in alpha.terms.items():
+        target = A.mono_degree(m) - dg
+        if target < 0:
+            continue
+        for m2 in A.monomial_basis(target):
+            for mm, cc in A.mul_monomials(m2, g):
+                if mm == m:
+                    out[m2] = out.get(m2, 0) + sgn * c * cc
+    return DualValue(A, out)
+
+
+def dual_right_action(A, alpha: DualValue, g) -> DualValue:
+    """alpha . g for a monomial g, with <alpha.g; h> = <alpha; g h>."""
+    dg = A.mono_degree(g)
+    out = {}
+    for m, c in alpha.terms.items():
+        target = A.mono_degree(m) - dg
+        if target < 0:
+            continue
+        for m2 in A.monomial_basis(target):
+            for mm, cc in A.mul_monomials(g, m2):
+                if mm == m:
+                    out[m2] = out.get(m2, 0) + c * cc
+    return DualValue(A, out)
 
 
 def compute_hochschild_homology_window(A, window) -> dict:
@@ -343,10 +377,11 @@ def delta_matrix_via_homology(ctx, chains, p, q):
 
 
 class ExplicitBigradedRing:
-    """A ring given by an exhaustive cell table (used for counterexamples);
-    no generator monomial model."""
+    """A ring given by an exhaustive cell table (used for counterexamples).
+    Every cell can be read, as in a monomial model, but it names no model
+    generators."""
 
-    complete = True
+    generators = ()
 
     def __init__(self, cells):
         self.cells = cells

@@ -6,8 +6,10 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhkt.algebra import Polynomial, parse_presentation
+from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
+                          parse_presentation)
 from hhkt.bigraded import DegreeWindow
+from hhkt.fields import PrimeField
 from hhkt.bar import (BarComplex, BarWord, ChainComplexCells, ChainElement,
                       Cochain, DualValue, bar_differential, cochain_cup,
                       cochain_differential, compute_hh_window,
@@ -18,7 +20,8 @@ from hhkt.koszul_tate import (KTElement, KTResolution, KTRing,
 
 from .helpers import exterior, polynomial, truncated_poly_char2, \
     two_spheres_deg5
-from .reference import (compute_hochschild_homology_window, shuffle_product,
+from .reference import (compute_hochschild_homology_window,
+                        dual_left_action, dual_right_action, shuffle_product,
                         unit_cochain)
 
 
@@ -33,8 +36,6 @@ def all_words(A, max_len, degree_cap):
 
 
 def _mixed(p, ydeg, xdeg, rels=()):
-    from hhkt.algebra import AlgebraPresentation, GradedGenerator
-    from hhkt.fields import PrimeField
     return AlgebraPresentation(
         PrimeField(p), [GradedGenerator("y1", ydeg, "exterior"),
                         GradedGenerator("x1", xdeg, "polynomial")], rels)
@@ -531,15 +532,59 @@ def test_dual_values_have_no_product():
     poly = Polynomial(A, {y: 1})
     # a LinComb over F_2: the sum and the scalar multiples still work
     assert (dual + dual).is_zero() and dual.scale(3) == dual
+    # * with a Polynomial is the action on either side:
+    # y1 . y1-dual = y1-dual . y1 = 1-dual
+    one_dual = DualValue(A, {A.unit_monomial(): 1})
+    assert poly * dual == one_dual and dual * poly == one_dual
     with pytest.raises(TypeError):
         dual * dual
-    with pytest.raises(TypeError):
-        dual * poly
-    with pytest.raises(TypeError):
-        poly * dual
     with pytest.raises(TypeError):
         poly + dual
     with pytest.raises(TypeError):
         dual - poly
     with pytest.raises(ValueError):
         dual + DualValue(two_spheres_deg5(), {y: 1})
+    with pytest.raises(ValueError):
+        poly * DualValue(two_spheres_deg5(), {y: 1})
+
+
+@st.composite
+def _finite_presentations(draw):
+    """F_2 or F_3 with up to two exterior and two truncated polynomial
+    generators (over F_3 exterior degrees odd, polynomial degrees even)."""
+    p = draw(st.sampled_from([2, 3]))
+    n_ext = draw(st.integers(0, 2))
+    n_poly = draw(st.integers(0 if n_ext else 1, 2))
+    ext_degrees = [1, 3] if p == 3 else [1, 2, 3]
+    poly_degrees = [2, 4] if p == 3 else [1, 2]
+    gens = [GradedGenerator(f"y{i+1}", draw(st.sampled_from(ext_degrees)),
+                            "exterior") for i in range(n_ext)]
+    gens += [GradedGenerator(f"x{j+1}", draw(st.sampled_from(poly_degrees)),
+                             "polynomial") for j in range(n_poly)]
+    rels = [f"x{j+1}^{draw(st.integers(2, 4))}" for j in range(n_poly)]
+    return AlgebraPresentation(PrimeField(p), gens, rels)
+
+
+@given(_finite_presentations(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dual_value_is_a_bimodule(A, data):
+    """poly * alpha and alpha * poly are the one-monomial actions of the
+    reference extended over poly's terms, and they make the dual of A an
+    A-bimodule: (pq)a = p(qa), a(pq) = (ap)q and (pa)q = p(aq)."""
+    basis = [m for d in range(A.top_degree_bound() + 1)
+             for m in A.monomial_basis(d)]
+    # dense coefficients, so that every pair of basis monomials meets
+    coeffs = st.lists(st.integers(0, A.field.p - 1), min_size=len(basis),
+                      max_size=len(basis))
+
+    def element(kind):
+        return kind(A, dict(zip(basis, data.draw(coeffs))))
+    p, q, alpha = element(Polynomial), element(Polynomial), element(DualValue)
+    left = right = DualValue(A)
+    for g, c in p.terms.items():
+        left = left + dual_left_action(A, g, alpha).scale(c)
+        right = right + dual_right_action(A, alpha, g).scale(c)
+    assert p * alpha == left and alpha * p == right
+    assert (p * q) * alpha == p * (q * alpha)
+    assert alpha * (p * q) == (alpha * p) * q
+    assert (p * alpha) * q == p * (alpha * q)

@@ -72,3 +72,17 @@ def test_summary_ratios_are_paired():
     zero = bench_pairs.summarize([({"x": 0.0}, {"x": 1.0})], {"x": "lower"})
     assert zero["x"]["ratio"] is None
     assert bench_pairs.format_summary(zero)[0].endswith("change/parent n/a")
+
+
+def test_bytecode_cache_stops_the_run(tmp_path, capsys):
+    """A src/hhkt/__pycache__ in either checkout exits 2 before any run,
+    with one line naming it."""
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "hhkt").mkdir(parents=True)
+    cache = tmp_path / "change" / "src" / "hhkt" / "__pycache__"
+    cache.mkdir()
+    argv = ["--parent", str(tmp_path / "parent"),
+            "--change", str(tmp_path / "change"), "--workload", "products"]
+    assert bench_pairs.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(cache) in err

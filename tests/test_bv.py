@@ -8,17 +8,17 @@ from hhkt import cli
 from hhkt.algebra import InternalConsistencyError
 from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                       ChainElement, Cochain, DualValue, cochain_differential,
-                      dual_left_action, hochschild_b)
+                      hochschild_b)
 from hhkt.bigraded import DegreeWindow
 from hhkt.bv import (BVContext, NotPoincareDualityError, RingClass,
-                     _generator_monomial_labels, build_pd, iota,
-                     iota_inverse, pair_class, seven_term_sweep)
+                     _generator_monomial_labels, build_pd, iota, pair_class,
+                     seven_term_sweep)
 from hhkt.koszul_tate import EMono, KTElement
 
 from .helpers import exterior, exterior_times_truncated_f3, polynomial, \
     truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
 from .reference import (delta_matrix_via_homology,
-                        dual_class_matrix_via_self_homology)
+                        dual_class_matrix_via_self_homology, dual_left_action)
 
 
 def test_build_pd_examples():
@@ -44,7 +44,7 @@ def test_iota_round_trip_and_intertwining():
         for i, key in enumerate(basis):
             f = {key: 1}
             g = iota(f, A, k, t)
-            assert iota_inverse(g) == f
+            assert len(g.terms) == 1 and pair_class(g, f, A) == 1
             # intertwining: iota(b-dual f) equals the cochain differential
             # of iota(f), checked by evaluating both on the next cell
             sign_f = -1 if (k - t) % 2 else 1

@@ -575,20 +575,10 @@ class _Level(enum.IntEnum):
     LOW = 1
 
 
-class _Name(str):
-    pass
-
-
-class _Ratio(float):
-    pass
-
-
-def test_json_text_writes_scalar_subclasses_as_json_does():
-    value = {_Name("k"): [_Level.LOW, _Name("v\u00e9"), _Ratio(0.5)]}
-    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("value", [{"a": {1, 2}}, {"a": 1, 2: "b"}, {3: 4}])
+# a document holds scalars of exact types only, so an int subclass is
+# rejected too
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, {"a": 1, 2: "b"}, {3: 4},
+                                   {"k": [_Level.LOW]}])
 def test_json_text_rejects_what_documents_never_hold(value):
     with pytest.raises(TypeError):
         json_text(value)
@@ -624,26 +614,6 @@ def test_product_row_template_matches_json_dumps(doc):
     assert json_text(doc) == json.dumps(plain, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("row", [
-    (1, "x", []),
-    (_Name("y1"), "x", [["x", 1]]),
-    ("y1", "x", [["x", True]]),
-    ("y1", "x", [["x", _Level.LOW]]),
-    ("y1", "x", [["x", 1.5]]),
-    ("y1", "x", [("x", 1)]),
-    ("y1", "x", (["x", 1],)),
-    ("y1", "x", [["x", 1, 2]]),
-    ("y1", "x", None),
-])
-def test_product_rows_off_the_template_are_written_as_json_does(row):
-    a, b, value = row
-    table = _table([("1", ["1", "2"], None), ("1", ["1"], [[]]),
-                    (a, [b, "z"], [value, [["z", 2]]]), (a, [b], None)])
-    doc = {"product_table": table}
-    assert json_text(doc) == json.dumps({"product_table": list(table)},
-                                        sort_keys=True, indent=2)
-
-
 def test_empty_product_table_is_written_as_json_does():
     doc = {"product_table": ProductRows()}
     assert len(doc["product_table"]) == 0
@@ -652,10 +622,13 @@ def test_empty_product_table_is_written_as_json_does():
     assert json_text(doc) == '{\n  "product_table": []\n}'
 
 
+# the row template writes str labels only, as product_table_from_ring
+# builds them, so the int label is refused too
 @pytest.mark.parametrize("row", [
     {"a": b"y1", "b": "x", "value": []},
     {"a": "y1", "b": "x", "value": [[b"x", 1]]},
     {"a": "y1", "b": "x", "value": [["x", {1}]]},
+    {"a": 1, "b": "x", "value": []},
 ])
 def test_product_row_with_a_label_json_cannot_write_raises(row):
     table = _table([(row["a"], [row["b"]], [row["value"]])])
