@@ -409,6 +409,10 @@ class BarComplex(_WordCells):
                         out.append((w, n))
         return out
 
+    def cell_words(self, p, q):
+        """The distinct words of the (p, q) cell, in basis order."""
+        return list(dict.fromkeys(w for (w, _) in self.cell_basis(p, q)))
+
     def estimate_cell(self, p, q):
         total = 0
         for S in self.degree_range(p, q):
@@ -425,14 +429,13 @@ class BarComplex(_WordCells):
         read from the complex's action table."""
         A = self.A
         src = self.cell_basis(p, q)
-        dst = self.cell_basis(p + 1, q)
         by_word = {}
         for j, (w, n) in enumerate(src):
             by_word.setdefault(w, []).append((j, n))
         index = self.index(p + 1, q)
         actions = self._actions
         entries = {}
-        for word in dict.fromkeys(w for (w, _) in dst):
+        for word in self.cell_words(p + 1, q):
             key = (word, (p + q) % 2)
             if key not in self._faces:
                 self._faces[key] = tuple(_coboundary_faces(A, p + q, word))
@@ -447,7 +450,7 @@ class BarComplex(_WordCells):
                         i = index.get((word, m))
                         if i is not None:
                             entries[(i, j)] = entries.get((i, j), 0) + s * c
-        return SparseMatrix(len(dst), len(src), entries, A.field)
+        return SparseMatrix(len(index), len(src), entries, A.field)
 
     def _check_size(self, p, q):
         est = self.estimate_cell(p, q) + self.estimate_cell(p + 1, q)

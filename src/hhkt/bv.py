@@ -146,8 +146,7 @@ class BVContext:
         for (e, a), c in f.items():
             values.setdefault(e, []).append((a, c))
         terms = {}
-        for word in dict.fromkeys(w for (w, _) in
-                                  self.bar_self.cell_basis(p, q)):
+        for word in self.bar_self.cell_words(p, q):
             for (l, r, e), c in self.xi.value(word).terms.items():
                 if e not in values:
                     continue
@@ -163,9 +162,8 @@ class BVContext:
     # -- theta = cup with the dual fundamental class -------------------------
 
     def theta_cochain(self, f: Cochain) -> Cochain:
-        words = list(dict.fromkeys(
-            w for (w, _) in self.bar_dual.cell_basis(f.p, f.q - self.d)))
-        return cochain_cup(f, self.pd.dual_cochain(), words)
+        return cochain_cup(f, self.pd.dual_cochain(),
+                           self.bar_dual.cell_words(f.p, f.q - self.d))
 
     def dual_classes(self, p, q):
         """(labels, cocycles, M) for ring cell (p, q): each label's dual
@@ -321,7 +319,7 @@ def _bidegree_of_product(ring, labels):
     return tuple(map(sum, zip(*map(ring.bidegree, labels))))
 
 
-def _generator_monomial_labels(ring):
+def generator_monomial_labels(ring):
     """Basis classes that are products of one or two model generators (the
     unit is omitted: the operator kills it by the algebra axioms)."""
     labels = (ring.label_from_exponents(Counter(gens)) for k in (1, 2)
@@ -385,7 +383,7 @@ def bv_report(A: AlgebraPresentation, window: DegreeWindow):
     meta["formal_dimension"] = ctx.d
     meta["fundamental_class"] = A.label_monomial(ctx.pd.fundamental_class)
     meta["xi_lifting_depth"] = ctx.xi.depth
-    labels = _generator_monomial_labels(ring)
+    labels = generator_monomial_labels(ring)
     delta_gr = {lbl: ctx.delta_of_label(lbl) for lbl in labels}
     bv_table = []
     for lbl in labels:

@@ -25,7 +25,6 @@ import argparse
 import json
 import math
 import sys
-from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 try:  # CPython's built-in module; hashlib would map OpenSSL for one digest
@@ -51,12 +50,6 @@ spectral = lazy_module("hhkt.spectral")
 verify_suite = lazy_module("hhkt.verify")
 
 
-JobConfig = namedtuple(
-    "JobConfig", "command input_path max_p q_min q_max fmt seed "
-    "max_bar_length inject_zeta_fault cell_limit",
-    defaults=(False, CELL_LIMIT))
-
-
 SOLVER_CHOICES = {
     "cup_diagonal": "front-back word splitting (strictly associative)",
     "resolution_diagonal": ("divided-power coproduct; relation generators "
@@ -67,8 +60,10 @@ SOLVER_CHOICES = {
 }
 
 
-def load_job(cfg: JobConfig):
-    with open(cfg.input_path, "r", encoding="utf-8") as fh:
+def load_job(args):
+    """(presentation, window, input digest) of a command's --input, its
+    window flags overriding the file's."""
+    with open(args.input, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     A = parse_presentation(doc)
     win = doc.get("window", {})
@@ -80,17 +75,17 @@ def load_job(cfg: JobConfig):
             return flag
         return json_int(win.get(key, default), f"window {key}")
 
-    window = DegreeWindow(bound(cfg.max_p, "max_filtration", 4),
-                          bound(cfg.q_min, "q_min", -24),
-                          bound(cfg.q_max, "q_max", 24))
+    window = DegreeWindow(bound(args.max_p, "max_filtration", 4),
+                          bound(args.q_min, "q_min", -24),
+                          bound(args.q_max, "q_max", 24))
     digest = sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
-    return A, window, doc, digest
+    return A, window, digest
 
 
-def base_metadata(cfg, A, window, digest, extra=None):
+def base_metadata(args, A, window, digest, extra=None):
     meta = {
-        "command": cfg.command,
+        "command": args.command,
         "input_hash": digest,
         "characteristic": A.field.p,
         "generators": [{"name": g.name, "degree": g.degree, "kind": g.kind}
@@ -195,13 +190,13 @@ def regularity_gate(A):
     return {"regular_sequence_checked_through_degree": report.bound}
 
 
-def cmd_compute(cfg: JobConfig):
-    A, window, _doc, digest = load_job(cfg)
+def cmd_compute(args):
+    A, window, digest = load_job(args)
     extra = regularity_gate(A) or {}
     ring = koszul_tate.hh_via_kt(A, window)
     extra["differential_vanishes"] = ring.differential_vanishes
     doc = {
-        "metadata": base_metadata(cfg, A, window, digest, extra),
+        "metadata": base_metadata(args, A, window, digest, extra),
         "hh_table": hh_table_from_ring(ring),
         "product_table": product_table_from_ring(ring),
         "resolution_generators": [
@@ -220,41 +215,41 @@ def cmd_compute(cfg: JobConfig):
     return doc, 0
 
 
-def cmd_oracle(cfg: JobConfig):
-    A, window, _doc, digest = load_job(cfg)
+def cmd_oracle(args):
+    A, window, digest = load_job(args)
     extra = regularity_gate(A) or {}
-    if cfg.max_bar_length is not None:
-        window = DegreeWindow(min(window.max_p, cfg.max_bar_length),
+    if args.max_bar_length is not None:
+        window = DegreeWindow(min(window.max_p, args.max_bar_length),
                               window.q_min, window.q_max)
     ring = koszul_tate.hh_via_kt(A, window)
     report = bar.oracle_report(
         A, window, {pq: len(lbls) for pq, lbls in ring.cells.items()},
-        cfg.cell_limit)
+        args.cell_limit)
     doc = {
-        "metadata": base_metadata(cfg, A, window, digest, extra),
+        "metadata": base_metadata(args, A, window, digest, extra),
         "oracle_report": report,
     }
     return doc, (0 if report["agree"] else 2)
 
 
-def cmd_bv(cfg: JobConfig):
-    A, window, _doc, digest = load_job(cfg)
+def cmd_bv(args):
+    A, window, digest = load_job(args)
     extra = regularity_gate(A) or {}
     meta, sections, code = bv.bv_report(A, window)
     extra.update(meta)
-    return {"metadata": base_metadata(cfg, A, window, digest, extra),
+    return {"metadata": base_metadata(args, A, window, digest, extra),
             **sections}, code
 
 
-def cmd_verify(cfg: JobConfig):
-    report = verify_suite.run_suite(seed=cfg.seed,
-                                    inject_zeta_fault=cfg.inject_zeta_fault)
+def cmd_verify(args):
+    report = verify_suite.run_suite(seed=args.seed,
+                                    inject_zeta_fault=args.inject_zeta_fault)
     doc = {
         "metadata": {
             "command": "verify",
-            "seed": cfg.seed,
+            "seed": args.seed,
             "choices": dict(SOLVER_CHOICES),
-            "zeta_fault_injected": cfg.inject_zeta_fault,
+            "zeta_fault_injected": args.inject_zeta_fault,
         },
         "checks": report,
     }
@@ -390,13 +385,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """The command line.  Each subcommand's run default is its cmd_
+    function as this module holds it when the parser is built, which main
+    does on every call."""
     parser = _Parser(
         prog="hhkt",
         description=("Hochschild cohomology of graded complete "
                      "intersections over prime fields"))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("compute", "oracle", "bv"):
+    for name, run in (("compute", cmd_compute), ("oracle", cmd_oracle),
+                      ("bv", cmd_bv)):
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True)
         p.add_argument("--max-p", type=int, default=None)
         p.add_argument("--q-min", type=int, default=None)
@@ -406,6 +406,7 @@ def build_parser():
             p.add_argument("--max-bar-length", type=int, default=None)
             p.add_argument("--cell-limit", type=int, default=CELL_LIMIT)
     v = sub.add_parser("verify")
+    v.set_defaults(run=cmd_verify)
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--inject-zeta-fault", action="store_true")
@@ -421,27 +422,8 @@ def main(argv=None) -> int:
     except UsageError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1
-    cfg = JobConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        max_p=getattr(args, "max_p", None),
-        q_min=getattr(args, "q_min", None),
-        q_max=getattr(args, "q_max", None),
-        fmt=args.format,
-        seed=getattr(args, "seed", None),
-        max_bar_length=getattr(args, "max_bar_length", None),
-        inject_zeta_fault=getattr(args, "inject_zeta_fault", False),
-        cell_limit=getattr(args, "cell_limit", CELL_LIMIT),
-    )
     try:
-        if cfg.command == "compute":
-            doc, code = cmd_compute(cfg)
-        elif cfg.command == "oracle":
-            doc, code = cmd_oracle(cfg)
-        elif cfg.command == "bv":
-            doc, code = cmd_bv(cfg)
-        else:
-            doc, code = cmd_verify(cfg)
+        doc, code = args.run(args)
     except (PresentationError, FieldError, WindowError, OSError,
             UnicodeDecodeError, NotPoincareDualityError,
             UnboundedSearchError, json.JSONDecodeError) as err:
@@ -456,7 +438,7 @@ def main(argv=None) -> int:
     except (InternalConsistencyError, ComplexViolationError) as err:
         sys.stderr.write(f"internal consistency failure: {err}\n")
         return 3
-    emit(doc, cfg.fmt)
+    emit(doc, args.format)
     return code
 
 

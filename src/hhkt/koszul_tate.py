@@ -22,10 +22,17 @@ Filtration convention: "level" counts resolution steps (>= 0); the
 homological degree is -level, the bidegree of a level-p internal-degree-t
 element is (-p, t) and its total degree t - p.
 
+The generators of E are one table in roster order (nu, u, w),
+KTResolution.e_generators.  The degrees and ordered symbols of an
+E-monomial (e_symbols, keyed by roster position), the E-monomials of a
+level and their counts, the roster, the dual labels and the spectral
+filtration bound are read from it; only the differential and diagonal of
+one symbol depend on its kind.
+
 Per-E-monomial data is computed once per resolution and reused: the
 diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
-and its internal degree; diagonal_mono itself stays uncached, so checks
-that call it see a fresh computation.  The cup product is read from
+and its degrees and symbols; diagonal_mono itself stays uncached, so
+checks that call it see a fresh computation.  The cup product is read from
 structure constants (cup_constants): for each pair of E-monomials (e1, e2)
 and parities of |a| and |b|, the terms of D(alpha) over every alpha of the
 level of e1 e2 are summed, once, into one polynomial Q_alpha of Lambda per
@@ -76,6 +83,12 @@ def lucas_binomial(n, k, p):
 
 # monomial of the generator part E: divided nu and w powers, u mask
 EMono = namedtuple("EMono", "nu u w")
+
+# one generator of E: its kind ("nu", "u" or "w"), index within the kind,
+# roster symbol, level, internal degree, and whether its powers are divided
+# (nu, w) rather than square-zero (u)
+EGenerator = namedtuple("EGenerator",
+                        "kind index symbol level degree divided")
 
 KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
 
@@ -159,27 +172,27 @@ class KTResolution(CellComplex):
 
     def __init__(self, presentation: AlgebraPresentation):
         super().__init__(presentation.field)
-        self.algebra = presentation
-        self.l = presentation.n_ext
-        self.n = presentation.n_poly
-        self.m = len(presentation.relations)
-        self.nu_degrees = presentation.ext_degrees
-        self.u_degrees = presentation.poly_degrees
-        self.w_degrees = tuple(r.degree() for r in presentation.relations)
-        self.zeta = [zeta_coefficients(rho) for rho in presentation.relations]
+        A = self.algebra = presentation
+        self.l = A.n_ext
+        self.n = A.n_poly
+        self.m = len(A.relations)
+        self.zeta = [zeta_coefficients(rho) for rho in A.relations]
+        gens = A.generators
+        self.e_generators = (
+            tuple(EGenerator("nu", i, f"nu_{gens[g].name}", 1, gens[g].degree,
+                             True) for i, g in enumerate(A.ext_index))
+            + tuple(EGenerator("u", j, f"u_{gens[g].name}", 1, gens[g].degree,
+                               False) for j, g in enumerate(A.poly_index))
+            + tuple(EGenerator("w", i, f"w_{i}", 2, rho.degree(), True)
+                    for i, rho in enumerate(A.relations)))
         self._emono_cache = {}
-        self._internal_cache = {}
+        self._e_cache = {}
         self._diag_cache = {}
         self._cup_tables = {}
         self._cup_constants = {}
         self._alpha_d_cache = {}
         self._count_cache = {}
         self.tensor_square = TensorSquare(self)
-        # (level step, internal degree, unbounded power) per generator
-        self.count_generators = (
-            tuple((1, d, True) for d in self.nu_degrees)
-            + tuple((1, d, False) for d in self.u_degrees)
-            + tuple((2, d, True) for d in self.w_degrees))
 
     # -- cells --------------------------------------------------------------
 
@@ -205,53 +218,38 @@ class KTResolution(CellComplex):
     def unit_emono(self):
         return EMono((0,) * self.l, 0, (0,) * self.m)
 
+    def _e_data(self, e: EMono):
+        """(level, internal degree, symbols) of an E-monomial, from its
+        exponents in roster order, cached per E-monomial."""
+        data = self._e_cache.get(e)
+        if data is None:
+            exps = e.nu + tuple((e.u >> j) & 1 for j in range(self.n)) + e.w
+            gens = self.e_generators
+            data = self._e_cache[e] = (
+                sum(k * g.level for g, k in zip(gens, exps)),
+                sum(k * g.degree for g, k in zip(gens, exps)),
+                tuple((pos, k * (g.degree - g.level), (g.kind, g.index, k))
+                      for pos, (g, k) in enumerate(zip(gens, exps)) if k))
+        return data
+
     def e_level(self, e: EMono) -> int:
-        return sum(e.nu) + bin(e.u).count("1") + 2 * sum(e.w)
+        return self._e_data(e)[0]
 
     def e_internal(self, e: EMono) -> int:
-        t = self._internal_cache.get(e)
-        if t is None:
-            t = sum(k * d for k, d in zip(e.nu, self.nu_degrees))
-            t += sum(self.u_degrees[j] for j in range(self.n)
-                     if (e.u >> j) & 1)
-            t += sum(k * d for k, d in zip(e.w, self.w_degrees))
-            self._internal_cache[e] = t
-        return t
+        return self._e_data(e)[1]
 
     def e_total(self, e: EMono) -> int:
         return self.e_internal(e) - self.e_level(e)
 
+    def e_symbols(self, e: EMono):
+        """Ordered (subkey, total_degree, payload) triples of the E part:
+        the subkey is the generator's roster position, the payload its
+        (kind, index, exponent)."""
+        return self._e_data(e)[2]
+
     def generator_roster(self):
         """(symbol, bidegree) list, for reports."""
-        A = self.algebra
-        out = []
-        for i in range(self.l):
-            name = A.generators[A.ext_index[i]].name
-            out.append((f"nu_{name}", (-1, self.nu_degrees[i])))
-        for j in range(self.n):
-            name = A.generators[A.poly_index[j]].name
-            out.append((f"u_{name}", (-1, self.u_degrees[j])))
-        for i in range(self.m):
-            out.append((f"w_{i}", (-2, self.w_degrees[i])))
-        return out
-
-    # -- E symbols ------------------------------------------------------------
-
-    def e_symbols(self, e: EMono):
-        """Ordered (subkey, total_degree, payload) triples of the E part."""
-        syms = []
-        for i, k in enumerate(e.nu):
-            if k:
-                syms.append(((0, i), k * (self.nu_degrees[i] - 1),
-                             ("nu", i, k)))
-        for j in range(self.n):
-            if (e.u >> j) & 1:
-                syms.append(((1, j), self.u_degrees[j] - 1, ("u", j, 1)))
-        for i, k in enumerate(e.w):
-            if k:
-                syms.append(((2, i), k * (self.w_degrees[i] - 2),
-                             ("w", i, k)))
-        return syms
+        return [(g.symbol, (-g.level, g.degree)) for g in self.e_generators]
 
 
 class _SlotCombination(LinComb):
@@ -388,22 +386,19 @@ def _emono_of(R, payloads):
 
 
 def emonos_at_level(R: KTResolution, level: int):
-    if level in R._emono_cache:
-        return R._emono_cache[level]
-    out = []
-    for w_total in range(level // 2 + 1):
-        for w in _compositions(w_total, R.m):
-            rem_after_w = level - 2 * w_total
-            for u_count in range(min(rem_after_w, R.n) + 1):
-                for u_bits in itertools.combinations(range(R.n), u_count):
-                    u = 0
-                    for b in u_bits:
-                        u |= 1 << b
-                    nu_total = rem_after_w - u_count
-                    for nu in _compositions(nu_total, R.l):
-                        out.append(EMono(nu, u, w))
-    out.sort(key=lambda e: (e.nu, e.u, e.w))
-    R._emono_cache[level] = out
+    """The E-monomials of one level in (nu, u, w) order, built over the
+    roster: each generator in turn takes every exponent that the level
+    left allows, at most 1 unless it is divided."""
+    out = R._emono_cache.get(level)
+    if out is None:
+        partial = [(level, [])]  # (level left, symbol payloads)
+        for g in R.e_generators:
+            partial += [(rest - k * g.level, payloads + [(g.kind, g.index, k)])
+                        for rest, payloads in partial
+                        for k in range(1, rest // g.level + 1)
+                        if g.divided or k == 1]
+        out = R._emono_cache[level] = sorted(
+            _emono_of(R, payloads) for rest, payloads in partial if not rest)
     return out
 
 
@@ -411,30 +406,20 @@ def emono_counts(R: KTResolution, level: int, k: int | None = None):
     """{internal degree: number of E-monomials} at one level, counted over
     the first k generators (all by default) without enumerating them: a
     monomial either omits generator k or is generator k times a monomial
-    one step lower that may still use it (unless it is a u)."""
-    k = len(R.count_generators) if k is None else k
+    one step lower that may still use it (if it is divided)."""
+    k = len(R.e_generators) if k is None else k
     counts = R._count_cache.get((k, level))
     if counts is None:
         if level < 0 or k == 0:
             counts = {0: 1} if level == 0 else {}
         else:
-            step, deg, unbounded = R.count_generators[k - 1]
+            g = R.e_generators[k - 1]
             counts = dict(emono_counts(R, level, k - 1))
-            lower = emono_counts(R, level - step, k if unbounded else k - 1)
+            lower = emono_counts(R, level - g.level, k if g.divided else k - 1)
             for t, n in lower.items():
-                counts[t + deg] = counts.get(t + deg, 0) + n
+                counts[t + g.degree] = counts.get(t + g.degree, 0) + n
         R._count_cache[(k, level)] = counts
     return counts
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
 
 
 ExactnessReport = namedtuple(
@@ -570,7 +555,7 @@ def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
     if rhs.is_zero():
         R._diag_cache[key] = naive
         return naive
-    correction = R.tensor_square.solve(2 * exp, exp * R.w_degrees[idx],
+    correction = R.tensor_square.solve(2 * exp, R.e_internal(gamma),
                                        rhs.terms)
     if correction is None:
         raise UnsupportedDiagonalError(
@@ -809,14 +794,12 @@ class KTRing(CellComplex):
         A = self.R.algebra
         if A._pure_power_caps is None:
             return None  # no monomial model for general relation ideals
-        ext = [A.generators[gi].name for gi in A.ext_index]
-        poly = [A.generators[gj].name for gj in A.poly_index]
         self.generator_payloads = {
-            **{name: ("a_ext", i) for i, name in enumerate(ext)},
-            **{name: ("a_poly", j) for j, name in enumerate(poly)},
-            **{f"nu_{name}*": ("nu", i) for i, name in enumerate(ext)},
-            **{f"u_{name}*": ("u", j) for j, name in enumerate(poly)},
-            **{f"w_{i}*": ("w", i) for i in range(self.R.m)}}
+            **{A.generators[g].name: ("a_ext", i)
+               for i, g in enumerate(A.ext_index)},
+            **{A.generators[g].name: ("a_poly", j)
+               for j, g in enumerate(A.poly_index)},
+            **{f"{g.symbol}*": (g.kind, g.index) for g in self.R.e_generators}}
         return tuple(self.generator_payloads)
 
     def label_from_exponents(self, exps: dict):
@@ -879,17 +862,9 @@ class KTRing(CellComplex):
         a_lbl = A.label_monomial(a)
         if a_lbl != "1":
             parts.append(a_lbl)
-        for i, k in enumerate(e.nu):
-            if k:
-                name = A.generators[A.ext_index[i]].name
-                parts.append(f"nu_{name}*" + (f"^{k}" if k > 1 else ""))
-        for j in range(self.R.n):
-            if (e.u >> j) & 1:
-                name = A.generators[A.poly_index[j]].name
-                parts.append(f"u_{name}*")
-        for i, k in enumerate(e.w):
-            if k:
-                parts.append(f"w_{i}*" + (f"^{k}" if k > 1 else ""))
+        gens = self.R.e_generators
+        for pos, _, (_, _, k) in self.R.e_symbols(e):
+            parts.append(f"{gens[pos].symbol}*" + (f"^{k}" if k > 1 else ""))
         return ".".join(parts) if parts else "1"
 
     def product(self, la, lb):

@@ -5,8 +5,10 @@ extension-problem solvers for products and the BV operator.
 The solver never evaluates page differentials; it only certifies that
 targets vanish for bidegree reasons, and lists the higher-filtration
 classes a lifted value could pick up: the monomial model's cells of that
-total degree, up to the filtration that the algebra's top degree allows.
-Page differentials go from (p, q) to (p + r, q + 1 - r).
+total degree, up to the filtration that the algebra's top degree allows,
+given the least total degree per level among the divided generators of
+the resolution's generator table (KTResolution.e_generators).  Page
+differentials go from (p, q) to (p + r, q + 1 - r).
 """
 
 from __future__ import annotations
@@ -59,18 +61,14 @@ def _filtration_bound(R, total_degree):
     """The highest filtration p of a monomial-model class of total degree
     t.  The label ("m", e, a) of the cell (p, t - p) has
     |a| = t + |e|_total <= top, |e|_total the internal minus the level
-    degree of e.  Per filtration level, nu_i adds |y_i| - 1 to |e|_total
-    and w_i adds (|rho_i| - 2)/2; with s the least of these, and the at
-    most n square-zero u's adding >= 0, p <= n + (top - t)/s.  Without nu
-    and w, p <= n."""
+    degree of e.  Per filtration level, a divided generator g of E adds
+    (|g| - level g)/level g to |e|_total; with s the least of these, and
+    the at most n square-zero ones adding >= 0, p <= n + (top - t)/s.
+    Without divided generators, p <= n."""
     KT = R.R
-    # twice the total degree per filtration level of each unbounded symbol
-    steps = {}
-    for name, (kind, i) in R.generator_payloads.items():
-        if kind == "nu":
-            steps[name] = 2 * (KT.nu_degrees[i] - 1)
-        elif kind == "w":
-            steps[name] = KT.w_degrees[i] - 2
+    # twice the total degree per filtration level of each divided generator
+    steps = [(2 * (g.degree - g.level) // g.level, g)
+             for g in KT.e_generators if g.divided]
     if not steps:
         return KT.n
     top = R.algebra.top_degree_bound()
@@ -78,10 +76,10 @@ def _filtration_bound(R, total_degree):
         raise UnboundedSearchError(
             "the algebra is not finite-dimensional: the ambiguity bases of "
             "its extension problems are unbounded")
-    name, step = min(steps.items(), key=lambda item: item[1])
+    step, g = min(steps, key=lambda item: item[0])
     if step <= 0:
         raise UnboundedSearchError(
-            f"{name} has total degree 0: the ambiguity bases of the "
+            f"{g.symbol}* has total degree 0: the ambiguity bases of the "
             f"extension problems are unbounded")
     return KT.n + 2 * (top - total_degree) // step
 

@@ -6,9 +6,12 @@ the algebra by one monomial, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
 operator through Hochschild homology, the Hom-complex differential
 assembled term by term, the cup product evaluated term by term on the
-diagonal, an explicit bigraded ring), but no command needs it, so none is
+diagonal, the E-monomial degrees, symbols and enumeration written kind by
+kind, an explicit bigraded ring), but no command needs it, so none is
 compiled by any hhkt process.
 """
+
+import itertools
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
 from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
@@ -16,7 +19,8 @@ from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
                       word_suspension)
 from hhkt.bv import pair_class
 from hhkt.fields import LinearSystem, SparseMatrix, rank
-from hhkt.koszul_tate import diagonal_mono, emonos_at_level, kt_d_mono
+from hhkt.koszul_tate import (EMono, diagonal_mono, emonos_at_level,
+                              kt_d_mono)
 
 
 # -- Hochschild chains and cochains ------------------------------------------
@@ -371,6 +375,58 @@ def delta_matrix_via_homology(ctx, chains, p, q):
                 "operator image missed the ring cell")
         out[lbl] = {tgt_labels[i]: v for i, v in enumerate(coords) if v}
     return out
+
+
+# -- E-monomials kind by kind --------------------------------------------------
+
+
+def e_level_by_kind(e):
+    """The level of an E-monomial: 1 per nu or u power, 2 per w power."""
+    return sum(e.nu) + bin(e.u).count("1") + 2 * sum(e.w)
+
+
+def e_internal_by_kind(R, e):
+    """The internal degree of an E-monomial of the resolution R."""
+    A = R.algebra
+    return (sum(k * d for k, d in zip(e.nu, A.ext_degrees))
+            + sum(d for j, d in enumerate(A.poly_degrees) if (e.u >> j) & 1)
+            + sum(k * rho.degree() for k, rho in zip(e.w, A.relations)))
+
+
+def e_symbols_by_kind(R, e):
+    """Ordered (subkey, total degree, payload) triples of an E-monomial,
+    keyed (0, i) for nu_i, (1, j) for u_j and (2, i) for w_i."""
+    A = R.algebra
+    syms = [((0, i), k * (d - 1), ("nu", i, k))
+            for i, (k, d) in enumerate(zip(e.nu, A.ext_degrees)) if k]
+    syms += [((1, j), d - 1, ("u", j, 1))
+             for j, d in enumerate(A.poly_degrees) if (e.u >> j) & 1]
+    syms += [((2, i), k * (rho.degree() - 2), ("w", i, k))
+             for i, (k, rho) in enumerate(zip(e.w, A.relations)) if k]
+    return syms
+
+
+def _compositions(total, parts):
+    """Every tuple of parts nonnegative integers summing to total."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [(head,) + tail for head in range(total + 1)
+            for tail in _compositions(total - head, parts - 1)]
+
+
+def emonos_at_level_by_kind(R, level):
+    """The E-monomials of one level, sorted by (nu, u, w): w powers, then
+    a set of u's, then nu powers filling the rest of the level."""
+    out = []
+    for w_total in range(level // 2 + 1):
+        for w in _compositions(w_total, R.m):
+            rest = level - 2 * w_total
+            for u_count in range(min(rest, R.n) + 1):
+                for bits in itertools.combinations(range(R.n), u_count):
+                    u = sum(1 << b for b in bits)
+                    for nu in _compositions(rest - u_count, R.l):
+                        out.append(EMono(nu, u, w))
+    return sorted(out, key=lambda e: (e.nu, e.u, e.w))
 
 
 # -- bigraded rings ----------------------------------------------------------

@@ -11,7 +11,7 @@ from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
                       hochschild_b)
 from hhkt.bigraded import DegreeWindow
 from hhkt.bv import (BVContext, NotPoincareDualityError, RingClass,
-                     _generator_monomial_labels, build_pd, iota, pair_class,
+                     build_pd, generator_monomial_labels, iota, pair_class,
                      seven_term_sweep)
 from hhkt.koszul_tate import EMono, KTElement
 
@@ -245,7 +245,7 @@ def test_bv_identity_generator_monomial_triples_odd_characteristic(A,
     generator triples the terms Delta(a)bc, a Delta(b)c and ab Delta(c)
     vanish, and in characteristic 2 every sign is trivial."""
     ctx = BVContext(A, window)
-    sweep = seven_term_sweep(ctx, _generator_monomial_labels(ctx.ring))
+    sweep = seven_term_sweep(ctx, generator_monomial_labels(ctx.ring))
     assert sweep["failures"] == []
     assert "skipped_outside_window" not in sweep
     assert sweep["checked"] >= 200

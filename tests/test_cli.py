@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hhkt.bigraded import DegreeWindow
-from hhkt.cli import (JobConfig, ProductRows, json_text, load_job, main,
+from hhkt.cli import (ProductRows, build_parser, json_text, load_job, main,
                       product_table_from_ring)
 from hhkt.fields import ComplexViolationError, SparseMatrix
 from hhkt.koszul_tate import UnsupportedDiagonalError, hh_via_kt
@@ -209,9 +209,9 @@ def test_oracle_corrupted_bar_matrix_exit_code(tmp_path, capsys,
 
 def test_input_hash_is_sha256_of_the_document(tmp_path):
     path = write(tmp_path, "ext2_deg5")
-    cfg = JobConfig("compute", path, None, None, None, "json", 0, None)
+    args = build_parser().parse_args(["compute", "--input", path])
     doc = PRESENTATIONS["ext2_deg5"]
-    assert load_job(cfg)[3] == hashlib.sha256(
+    assert load_job(args)[2] == hashlib.sha256(
         json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
@@ -542,8 +542,8 @@ PERFBENCH_INPUTS = sorted(
 def test_product_table_text_is_json_dumps_of_itself(path):
     """The product table's text, alone and at its indent in a document,
     is what json.dumps writes for the rows it reads back as."""
-    A, window, _doc, _digest = load_job(JobConfig(
-        "compute", str(path), None, None, None, "json", 0, None))
+    A, window, _digest = load_job(
+        build_parser().parse_args(["compute", "--input", str(path)]))
     table = product_table_from_ring(hh_via_kt(A, window))
     text = json_text(table)
     assert text == json.dumps(json.loads(text), indent=2)

@@ -9,12 +9,15 @@ from hhkt.fields import PrimeField
 from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               KTTensorElement, XiLift, cup_constants,
                               cup_via_diagonal, diagonal_element,
-                              diagonal_mono, emonos_at_level, exactness_check,
-                              hh_via_kt, kt_d_mono, lucas_binomial)
+                              diagonal_mono, emono_counts, emonos_at_level,
+                              exactness_check, hh_via_kt, kt_d_mono,
+                              lucas_binomial)
 
 from .helpers import (exterior, exterior_times_truncated_f3, polynomial,
                       truncated_poly_char2, two_spheres_deg5)
 from .reference import (NotACycleError, cup_by_diagonal_terms,
+                        e_internal_by_kind, e_level_by_kind,
+                        e_symbols_by_kind, emonos_at_level_by_kind,
                         hom_matrices_by_terms, phi)
 
 
@@ -56,6 +59,49 @@ def test_generator_rosters():
 
     Rt = KTResolution(truncated_poly_char2())
     assert Rt.generator_roster() == [("u_x1", (-1, 4)), ("w_0", (-2, 8))]
+
+
+@st.composite
+def _roster_presentations(draw):
+    """F_2 or F_3 with 0-2 exterior generators of odd degree, 0-2 free
+    polynomial generators and 0-2 polynomial generators truncated at a
+    pure power, each polynomial generator of degree 2 or 4."""
+    p = draw(st.sampled_from([2, 3]))
+    counts = [draw(st.integers(0, 2)) for _ in range(3)]
+    gens = [GradedGenerator(f"y{i+1}", draw(st.sampled_from([1, 3, 5])),
+                            "exterior") for i in range(counts[0])]
+    gens += [GradedGenerator(f"x{j+1}", draw(st.sampled_from([2, 4])),
+                             "polynomial")
+             for j in range(counts[1] + counts[2])]
+    relations = [f"x{counts[1] + j + 1}^{draw(st.integers(2, 4))}"
+                 for j in range(counts[2])]
+    return AlgebraPresentation(PrimeField(p), gens, relations)
+
+
+@given(_roster_presentations(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_generator_table_matches_the_kind_by_kind_bookkeeping(presentation,
+                                                              level):
+    """Enumeration, order, level, internal degree, symbols and counts read
+    from the generator table agree with the same bookkeeping written kind
+    by kind; a symbol's key sorts as the kind-by-kind key does."""
+    R = KTResolution(presentation)
+    emonos = emonos_at_level(R, level)
+    assert emonos == emonos_at_level_by_kind(R, level)
+    keys = {}
+    for e in emonos:
+        assert R.e_level(e) == e_level_by_kind(e) == level
+        assert R.e_internal(e) == e_internal_by_kind(R, e)
+        syms, ref = R.e_symbols(e), e_symbols_by_kind(R, e)
+        assert [s[1:] for s in syms] == [s[1:] for s in ref]
+        for (key, _, _), (ref_key, _, _) in zip(syms, ref):
+            assert keys.setdefault(ref_key, key) == key
+    assert [keys[k] for k in sorted(keys)] == sorted(set(keys.values()))
+    counts = {}
+    for e in emonos:
+        t = e_internal_by_kind(R, e)
+        counts[t] = counts.get(t, 0) + 1
+    assert emono_counts(R, level) == counts
 
 
 def test_kt_differential_nu():

@@ -7,7 +7,6 @@ import pytest
 from hhkt.algebra import Monomial
 from hhkt.bar import BarWord
 from hhkt.bigraded import DegreeWindow, WindowError
-from hhkt.cli import JobConfig
 from hhkt.fields import FieldError, PrimeField
 from hhkt.koszul_tate import EMono
 
@@ -49,9 +48,3 @@ def test_hot_records_have_no_instance_dict(record):
 def test_degree_window_repr():
     assert repr(DegreeWindow(4, -24, 24)) == \
         "DegreeWindow(max_p=4, q_min=-24, q_max=24)"
-
-
-def test_job_config_defaults():
-    cfg = JobConfig("compute", "pres.json", None, None, None, "json", 0, None)
-    assert cfg.inject_zeta_fault is False
-    assert cfg.cell_limit == 200000
