@@ -325,8 +325,7 @@ def generator_monomial_labels(ring):
     labels = (ring.label_from_exponents(Counter(gens)) for k in (1, 2)
               for gens in itertools.combinations_with_replacement(
                   ring.generators, k))
-    return list(dict.fromkeys(lbl for lbl in labels
-                              if lbl in ring.class_reps))
+    return [lbl for lbl in labels if lbl in ring.class_reps]
 
 
 def seven_term_sweep(ctx: BVContext, labels):

@@ -23,11 +23,12 @@ homological degree is -level, the bidegree of a level-p internal-degree-t
 element is (-p, t) and its total degree t - p.
 
 The generators of E are one table in roster order (nu, u, w),
-KTResolution.e_generators.  The degrees and ordered symbols of an
-E-monomial (e_symbols, keyed by roster position), the E-monomials of a
-level and their counts, the roster, the dual labels and the spectral
-filtration bound are read from it; only the differential and diagonal of
-one symbol depend on its kind.
+KTResolution.e_generators, and an E-monomial (EMono) is the tuple of
+their exponents in that order.  The product of E-monomials, their degrees
+and ordered symbols (e_symbols, keyed by roster position), the
+E-monomials of a level and their counts, the roster, the dual labels and
+the spectral filtration bound are read from it; only the differential and
+diagonal of one symbol depend on its kind.
 
 Per-E-monomial data is computed once per resolution and reused: the
 diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 
 from . import lazy_module
@@ -81,8 +83,15 @@ def lucas_binomial(n, k, p):
     return result
 
 
-# monomial of the generator part E: divided nu and w powers, u mask
-EMono = namedtuple("EMono", "nu u w")
+class EMono(tuple):
+    """A monomial of the generator part E: the exponents of the generators
+    of E in roster order (KTResolution.e_generators), a u at most 1."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"EMono({tuple.__repr__(self)})"
+
 
 # one generator of E: its kind ("nu", "u" or "w"), index within the kind,
 # roster symbol, level, internal degree, and whether its powers are divided
@@ -96,7 +105,7 @@ KTMono = tuple  # (left: Monomial, right: Monomial, e: EMono)
 def slot_symbols(R, m):
     """Ordered (key, total degree) pairs of a monomial of F or of
     F (x)_Lambda F: the algebra slot i keyed (i, ()), each symbol of the
-    E-slot i keyed (i, subkey)."""
+    E-slot i keyed (i, roster position)."""
     syms = []
     for i, s in enumerate(m):
         if type(s) is EMono:
@@ -123,21 +132,18 @@ def merge_sign(syms1, syms2):
     return sign
 
 
-def _merge_emono(e1: EMono, e2: EMono, p):
-    """The product of two E-monomials as (EMono, coeff), or (None, 0)."""
-    if e1.u & e2.u:
-        return None, 0
+def _merge_emono(R, e1: EMono, e2: EMono):
+    """The product of two E-monomials as (EMono, coeff), or (None, 0): a
+    generator in both factors multiplies by binom(a + b, a) if its powers
+    are divided, and kills the product if it squares to zero."""
+    p = R.field.p
     coeff = 1
-    for a, b in zip(e1.nu, e2.nu):
+    for g, a, b in zip(R.e_generators, e1, e2):
         if a and b:
-            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-    for a, b in zip(e1.w, e2.w):
-        if a and b:
-            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
-    if coeff == 0:
-        return None, 0
-    return EMono(tuple(a + b for a, b in zip(e1.nu, e2.nu)), e1.u | e2.u,
-                 tuple(a + b for a, b in zip(e1.w, e2.w))), coeff
+            coeff = coeff * lucas_binomial(a + b, a, p) % p if g.divided else 0
+            if not coeff:
+                return None, 0
+    return EMono(map(operator.add, e1, e2)), coeff
 
 
 def mul_slots(R, m1, m2):
@@ -145,12 +151,11 @@ def mul_slots(R, m1, m2):
     slot, as a list of (monomial, coeff): E-slots merge (_merge_emono),
     algebra slots multiply in Lambda, and the sign is merge_sign of their
     symbols."""
-    p = R.field.p
     coeff = 1
     slots = []
     for s1, s2 in zip(m1, m2):
         if type(s1) is EMono:
-            e, c = _merge_emono(s1, s2, p)
+            e, c = _merge_emono(R, s1, s2)
             if e is None:
                 return []
             coeff *= c
@@ -175,7 +180,6 @@ class KTResolution(CellComplex):
         A = self.algebra = presentation
         self.l = A.n_ext
         self.n = A.n_poly
-        self.m = len(A.relations)
         self.zeta = [zeta_coefficients(rho) for rho in A.relations]
         gens = A.generators
         self.e_generators = (
@@ -215,21 +219,28 @@ class KTResolution(CellComplex):
 
     # -- degrees ------------------------------------------------------------
 
+    def emono(self, exps=()):
+        """The E-monomial with the exponents {roster position: exponent},
+        every other exponent 0 (the unit by default)."""
+        e = [0] * len(self.e_generators)
+        for pos, k in dict(exps).items():
+            e[pos] = k
+        return EMono(e)
+
     def unit_emono(self):
-        return EMono((0,) * self.l, 0, (0,) * self.m)
+        return self.emono()
 
     def _e_data(self, e: EMono):
-        """(level, internal degree, symbols) of an E-monomial, from its
-        exponents in roster order, cached per E-monomial."""
+        """(level, internal degree, symbols) of an E-monomial, cached per
+        E-monomial."""
         data = self._e_cache.get(e)
         if data is None:
-            exps = e.nu + tuple((e.u >> j) & 1 for j in range(self.n)) + e.w
             gens = self.e_generators
             data = self._e_cache[e] = (
-                sum(k * g.level for g, k in zip(gens, exps)),
-                sum(k * g.degree for g, k in zip(gens, exps)),
-                tuple((pos, k * (g.degree - g.level), (g.kind, g.index, k))
-                      for pos, (g, k) in enumerate(zip(gens, exps)) if k))
+                sum(k * g.level for g, k in zip(gens, e)),
+                sum(k * g.degree for g, k in zip(gens, e)),
+                tuple((pos, k * (g.degree - g.level), k)
+                      for pos, (g, k) in enumerate(zip(gens, e)) if k))
         return data
 
     def e_level(self, e: EMono) -> int:
@@ -242,9 +253,8 @@ class KTResolution(CellComplex):
         return self.e_internal(e) - self.e_level(e)
 
     def e_symbols(self, e: EMono):
-        """Ordered (subkey, total_degree, payload) triples of the E part:
-        the subkey is the generator's roster position, the payload its
-        (kind, index, exponent)."""
+        """Ordered (roster position, total degree, exponent) triples of
+        the generators in the E-monomial e."""
         return self._e_data(e)[2]
 
     def generator_roster(self):
@@ -288,28 +298,24 @@ class KTElement(_SlotCombination):
         return self._like(self.linear(lambda m: kt_d_mono(self.R, m)))
 
 
-def _d_symbol(R: KTResolution, payload):
-    """d of one E symbol, as a KTElement."""
+def _d_symbol(R: KTResolution, pos, exp):
+    """d of the power exp of the generator at roster position pos, as a
+    KTElement."""
     A = R.algebra
-    kind, idx, exp = payload
+    g = R.e_generators[pos]
     one = A.unit_monomial()
-    if kind == "nu":
-        name = A.generators[A.ext_index[idx]].name
-        y = A.generator_monomial(name)
-        e = _emono_of(R, [("nu", idx, exp - 1)])
+    if g.kind != "w":
+        index = A.ext_index if g.kind == "nu" else A.poly_index
+        y = A.generator_monomial(A.generators[index[g.index]].name)
+        e = R.emono({pos: exp - 1})
         return KTElement(R, {(y, one, e): 1, (one, y, e): -1})
-    if kind == "u":
-        name = A.generators[A.poly_index[idx]].name
-        x = A.generator_monomial(name)
-        e = R.unit_emono()
-        return KTElement(R, {(x, one, e): 1, (one, x, e): -1})
-    # kind == "w": d(gamma_f(w_i)) = (sum_j zeta_ij u_j) gamma_{f-1}(w_i)
+    # d(gamma_f(w_i)) = (sum_j zeta_ij u_j) gamma_{f-1}(w_i)
     terms = {}
     for j in range(R.n):
-        zeta = R.zeta[idx][j]
+        zeta = R.zeta[g.index][j]
         if zeta.is_zero():
             continue
-        e = _emono_of(R, [("u", j, 1), ("w", idx, exp - 1)])
+        e = R.emono({R.l + j: 1, pos: exp - 1})  # u_j gamma_{f-1}(w_i)
         for (ml, mr), c in zeta.terms.items():
             key = (ml, mr, e)
             terms[key] = terms.get(key, 0) + c
@@ -319,19 +325,20 @@ def _d_symbol(R: KTResolution, payload):
 def kt_d_mono(R: KTResolution, m: KTMono):
     """Derivation extension of the generator differentials."""
     A = R.algebra
-    syms = R.e_symbols(m[2])
+    e = m[2]
+    syms = R.e_symbols(e)
     if not syms:
         return []
-    payloads = [payload for _, _, payload in syms]
     out = {}
     prefix_deg = A.mono_degree(m[0]) + A.mono_degree(m[1])
-    for t, (_, deg, payload) in enumerate(syms):
+    for pos, deg, exp in syms:
         sign = -1 if prefix_deg % 2 else 1
-        prefix_e = _emono_of(R, payloads[:t])
-        suffix_e = _emono_of(R, payloads[t + 1:])
+        # the symbols before pos, and those after it
+        prefix_e = EMono(e[:pos] + (0,) * (len(e) - pos))
+        suffix_e = EMono((0,) * (pos + 1) + e[pos + 1:])
         prefix = KTElement(R, {(m[0], m[1], prefix_e): sign})
         suffix = KTElement.from_mono(R, e=suffix_e)
-        term = (prefix * _d_symbol(R, payload)) * suffix
+        term = (prefix * _d_symbol(R, pos, exp)) * suffix
         for mm, cc in term.terms.items():
             out[mm] = out.get(mm, 0) + cc
         prefix_deg += deg
@@ -357,7 +364,7 @@ def _boundary_by_emono(R: KTResolution, alpha: EMono):
         A = R.algebra
         one = A.unit_monomial()
         terms = {}
-        if any(alpha.w):
+        if any(alpha[R.l + R.n:]):  # a w exponent
             for (l, r, e), c in kt_d_mono(R, (one, one, alpha)):
                 P = terms.setdefault(e, {})
                 for m, mc in A.mul_monomials(l, r):
@@ -367,38 +374,27 @@ def _boundary_by_emono(R: KTResolution, alpha: EMono):
     return sums
 
 
-def _emono_of(R, payloads):
-    """The E-monomial of the (kind, index, exponent) symbol payloads."""
-    nu = [0] * R.l
-    u = 0
-    w = [0] * R.m
-    for kind, idx, exp in payloads:
-        if kind == "nu":
-            nu[idx] = exp
-        elif kind == "u":
-            u |= 1 << idx
-        else:
-            w[idx] = exp
-    return EMono(tuple(nu), u, tuple(w))
-
-
 # -- cell enumeration and matrices --------------------------------------------
 
 
 def emonos_at_level(R: KTResolution, level: int):
-    """The E-monomials of one level in (nu, u, w) order, built over the
-    roster: each generator in turn takes every exponent that the level
-    left allows, at most 1 unless it is divided."""
+    """The E-monomials of one level, built over the roster: each generator
+    in turn takes every exponent that the level left allows, at most 1
+    unless it is divided.  They are sorted by (nu exponents, u bitmask,
+    w exponents), the order of every cell basis: the bitmask of the u's
+    compares as their exponents read from the last u to the first."""
     out = R._emono_cache.get(level)
     if out is None:
-        partial = [(level, [])]  # (level left, symbol payloads)
+        partial = [(level, ())]  # (level left, exponents so far)
         for g in R.e_generators:
-            partial += [(rest - k * g.level, payloads + [(g.kind, g.index, k)])
-                        for rest, payloads in partial
-                        for k in range(1, rest // g.level + 1)
-                        if g.divided or k == 1]
+            partial = [(rest - k * g.level, exps + (k,))
+                       for rest, exps in partial
+                       for k in range(rest // g.level + 1)
+                       if g.divided or k < 2]
+        l, n = R.l, R.n
         out = R._emono_cache[level] = sorted(
-            _emono_of(R, payloads) for rest, payloads in partial if not rest)
+            (EMono(exps) for rest, exps in partial if not rest),
+            key=lambda e: e[:l] + e[l:l + n][::-1] + e[l + n:])
     return out
 
 
@@ -518,51 +514,39 @@ class TensorSquare(CellComplex):
 # -- the diagonal ---------------------------------------------------------------
 
 
-def _divided_coproduct(R: KTResolution, kind, idx, exp) -> KTTensorElement:
-    """sum_s gamma_s (x) gamma_{exp-s} of the nu or w generator idx."""
+def _divided_coproduct(R: KTResolution, pos, exp) -> KTTensorElement:
+    """sum_s gamma_s (x) gamma_{exp-s} of the generator at roster position
+    pos (gamma_0 (x) gamma_1 + gamma_1 (x) gamma_0 for a u)."""
     one = R.algebra.unit_monomial()
     return KTTensorElement(R, {
-        (one, one, _emono_of(R, [(kind, idx, s)]), one,
-         _emono_of(R, [(kind, idx, exp - s)])): 1 for s in range(exp + 1)})
+        (one, one, R.emono({pos: s}), one, R.emono({pos: exp - s})): 1
+        for s in range(exp + 1)})
 
 
-def _diag_symbol(R: KTResolution, payload) -> KTTensorElement:
-    kind, idx, exp = payload
-    one = R.algebra.unit_monomial()
-    unit_e = R.unit_emono()
-    if kind == "nu":
-        return _divided_coproduct(R, kind, idx, exp)
-    if kind == "u":
-        e_u = _emono_of(R, [payload])
-        return KTTensorElement(R, {
-            (one, one, e_u, one, unit_e): 1,
-            (one, one, unit_e, one, e_u): 1,
-        })
-    # kind == "w": divided coproduct plus a correction solved so that the
-    # chain-map identity holds; the correction is forced by the zeta terms
-    return _diag_w(R, idx, exp)
-
-
-def _diag_w(R: KTResolution, idx: int, exp: int) -> KTTensorElement:
-    key = (idx, exp)
-    if key in R._diag_cache:
-        return R._diag_cache[key]
-    one = R.algebra.unit_monomial()
-    naive = _divided_coproduct(R, "w", idx, exp)
-    gamma = _emono_of(R, [("w", idx, exp)])
-    d_gamma = KTElement(R, dict(kt_d_mono(R, (one, one, gamma))))
-    rhs = diagonal_element(R, d_gamma) - naive.boundary()
-    if rhs.is_zero():
-        R._diag_cache[key] = naive
-        return naive
-    correction = R.tensor_square.solve(2 * exp, R.e_internal(gamma),
-                                       rhs.terms)
-    if correction is None:
-        raise UnsupportedDiagonalError(
-            f"no diagonal correction for relation {idx} divided power {exp} "
-            f"within the window")
-    result = naive + KTTensorElement(R, correction)
-    R._diag_cache[key] = result
+def _diag_symbol(R: KTResolution, pos, exp) -> KTTensorElement:
+    """The diagonal of gamma_exp of the generator at roster position pos:
+    its divided coproduct, plus for a w a correction, solved once per
+    (pos, exp), so that the chain-map identity holds; the correction is
+    forced by the zeta terms."""
+    if R.e_generators[pos].kind != "w":
+        return _divided_coproduct(R, pos, exp)
+    result = R._diag_cache.get((pos, exp))
+    if result is None:
+        one = R.algebra.unit_monomial()
+        result = _divided_coproduct(R, pos, exp)
+        gamma = R.emono({pos: exp})
+        d_gamma = KTElement(R, dict(kt_d_mono(R, (one, one, gamma))))
+        rhs = diagonal_element(R, d_gamma) - result.boundary()
+        if not rhs.is_zero():
+            correction = R.tensor_square.solve(
+                2 * exp, R.e_internal(gamma), rhs.terms)
+            if correction is None:
+                raise UnsupportedDiagonalError(
+                    f"no diagonal correction for relation "
+                    f"{R.e_generators[pos].index} divided power {exp} "
+                    f"within the window")
+            result = result + KTTensorElement(R, correction)
+        R._diag_cache[(pos, exp)] = result
     return result
 
 
@@ -572,8 +556,8 @@ def diagonal_mono(R: KTResolution, m: KTMono) -> KTTensorElement:
     unit = R.unit_emono()
     acc = KTTensorElement(R, {(m[0], R.algebra.unit_monomial(), unit, m[1],
                                unit): 1})
-    for _, _, payload in R.e_symbols(m[2]):
-        acc = acc * _diag_symbol(R, payload)
+    for pos, _, exp in R.e_symbols(m[2]):
+        acc = acc * _diag_symbol(R, pos, exp)
     return acc
 
 
@@ -790,7 +774,8 @@ class KTRing(CellComplex):
     def _generator_model(self):
         """The names of the model generators when the ring is A (x) E-dual
         on the nose, else None; generator_payloads maps each name to its
-        kind and index."""
+        place: ("a_ext", i) or ("a_poly", j) for a generator of A, ("e",
+        roster position) for the dual of a generator of E."""
         A = self.R.algebra
         if A._pure_power_caps is None:
             return None  # no monomial model for general relation ideals
@@ -799,26 +784,30 @@ class KTRing(CellComplex):
                for i, g in enumerate(A.ext_index)},
             **{A.generators[g].name: ("a_poly", j)
                for j, g in enumerate(A.poly_index)},
-            **{f"{g.symbol}*": (g.kind, g.index) for g in self.R.e_generators}}
+            **{f"{g.symbol}*": ("e", pos)
+               for pos, g in enumerate(self.R.e_generators)}}
         return tuple(self.generator_payloads)
 
     def label_from_exponents(self, exps: dict):
-        """Ring basis label for a monomial in the model generators."""
-        A = self.R.algebra
+        """Ring basis label for a monomial in the model generators, or None
+        when it holds a square-zero generator (an exterior generator of A,
+        or a u*) more than once."""
+        R = self.R
         mask = 0
-        poly = [0] * A.n_poly
-        payloads = []
-        for name, e in exps.items():
-            if not e:
-                continue
+        poly = [0] * R.algebra.n_poly
+        e = {}
+        for name, k in exps.items():
             kind, idx = self.generator_payloads[name]
+            if k > 1 and (kind == "a_ext" or kind == "e"
+                          and not R.e_generators[idx].divided):
+                return None
             if kind == "a_ext":
-                mask |= 1 << idx
+                mask |= k << idx
             elif kind == "a_poly":
-                poly[idx] = e
+                poly[idx] = k
             else:
-                payloads.append((kind, idx, e))
-        return ("m", _emono_of(self.R, payloads), Monomial(mask, tuple(poly)))
+                e[idx] = k
+        return ("m", R.emono(e), Monomial(mask, tuple(poly)))
 
     # -- queries ---------------------------------------------------------
 
@@ -863,7 +852,7 @@ class KTRing(CellComplex):
         if a_lbl != "1":
             parts.append(a_lbl)
         gens = self.R.e_generators
-        for pos, _, (_, _, k) in self.R.e_symbols(e):
+        for pos, _, k in self.R.e_symbols(e):
             parts.append(f"{gens[pos].symbol}*" + (f"^{k}" if k > 1 else ""))
         return ".".join(parts) if parts else "1"
 

@@ -6,9 +6,9 @@ the algebra by one monomial, Hochschild homology dimensions over a
 window, the map phi from Hochschild cycles to the resolution, the BV
 operator through Hochschild homology, the Hom-complex differential
 assembled term by term, the cup product evaluated term by term on the
-diagonal, the E-monomial degrees, symbols and enumeration written kind by
-kind, an explicit bigraded ring), but no command needs it, so none is
-compiled by any hhkt process.
+diagonal, the E-monomial degrees, symbols, product and enumeration
+written kind by kind, an explicit bigraded ring), but no command needs it,
+so none is compiled by any hhkt process.
 """
 
 import itertools
@@ -20,7 +20,7 @@ from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
 from hhkt.bv import pair_class
 from hhkt.fields import LinearSystem, SparseMatrix, rank
 from hhkt.koszul_tate import (EMono, diagonal_mono, emonos_at_level,
-                              kt_d_mono)
+                              kt_d_mono, lucas_binomial)
 
 
 # -- Hochschild chains and cochains ------------------------------------------
@@ -380,30 +380,70 @@ def delta_matrix_via_homology(ctx, chains, p, q):
 # -- E-monomials kind by kind --------------------------------------------------
 
 
-def e_level_by_kind(e):
+def by_kind(R, e):
+    """(nu exponents, u bitmask, w exponents) of an E-monomial of the
+    resolution R, read from the slices of its roster: l nu's, n u's, then
+    the w's."""
+    l, n = R.l, R.n
+    return (e[:l], sum(k << j for j, k in enumerate(e[l:l + n])),
+            e[l + n:])
+
+
+def emono_by_kind(R, nu, u, w):
+    """The E-monomial of R with the nu exponents, u bitmask and w
+    exponents."""
+    return EMono(nu + tuple((u >> j) & 1 for j in range(R.n)) + w)
+
+
+def e_level_by_kind(R, e):
     """The level of an E-monomial: 1 per nu or u power, 2 per w power."""
-    return sum(e.nu) + bin(e.u).count("1") + 2 * sum(e.w)
+    nu, u, w = by_kind(R, e)
+    return sum(nu) + bin(u).count("1") + 2 * sum(w)
 
 
 def e_internal_by_kind(R, e):
     """The internal degree of an E-monomial of the resolution R."""
     A = R.algebra
-    return (sum(k * d for k, d in zip(e.nu, A.ext_degrees))
-            + sum(d for j, d in enumerate(A.poly_degrees) if (e.u >> j) & 1)
-            + sum(k * rho.degree() for k, rho in zip(e.w, A.relations)))
+    nu, u, w = by_kind(R, e)
+    return (sum(k * d for k, d in zip(nu, A.ext_degrees))
+            + sum(d for j, d in enumerate(A.poly_degrees) if (u >> j) & 1)
+            + sum(k * rho.degree() for k, rho in zip(w, A.relations)))
 
 
 def e_symbols_by_kind(R, e):
     """Ordered (subkey, total degree, payload) triples of an E-monomial,
-    keyed (0, i) for nu_i, (1, j) for u_j and (2, i) for w_i."""
+    keyed (0, i) for nu_i, (1, j) for u_j and (2, i) for w_i, the payload
+    (kind, index, exponent)."""
     A = R.algebra
+    nu, u, w = by_kind(R, e)
     syms = [((0, i), k * (d - 1), ("nu", i, k))
-            for i, (k, d) in enumerate(zip(e.nu, A.ext_degrees)) if k]
+            for i, (k, d) in enumerate(zip(nu, A.ext_degrees)) if k]
     syms += [((1, j), d - 1, ("u", j, 1))
-             for j, d in enumerate(A.poly_degrees) if (e.u >> j) & 1]
+             for j, d in enumerate(A.poly_degrees) if (u >> j) & 1]
     syms += [((2, i), k * (rho.degree() - 2), ("w", i, k))
-             for i, (k, rho) in enumerate(zip(e.w, A.relations)) if k]
+             for i, (k, rho) in enumerate(zip(w, A.relations)) if k]
     return syms
+
+
+def merge_emono_by_kind(R, e1, e2):
+    """The product of two E-monomials as (EMono, coeff), or (None, 0):
+    u's by their bitmask, nu and w powers as divided powers."""
+    p = R.field.p
+    nu1, u1, w1 = by_kind(R, e1)
+    nu2, u2, w2 = by_kind(R, e2)
+    if u1 & u2:
+        return None, 0
+    coeff = 1
+    for a, b in zip(nu1, nu2):
+        if a and b:
+            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
+    for a, b in zip(w1, w2):
+        if a and b:
+            coeff = (coeff * lucas_binomial(a + b, a, p)) % p
+    if coeff == 0:
+        return None, 0
+    return emono_by_kind(R, tuple(a + b for a, b in zip(nu1, nu2)), u1 | u2,
+                         tuple(a + b for a, b in zip(w1, w2))), coeff
 
 
 def _compositions(total, parts):
@@ -419,14 +459,14 @@ def emonos_at_level_by_kind(R, level):
     a set of u's, then nu powers filling the rest of the level."""
     out = []
     for w_total in range(level // 2 + 1):
-        for w in _compositions(w_total, R.m):
+        for w in _compositions(w_total, len(R.algebra.relations)):
             rest = level - 2 * w_total
             for u_count in range(min(rest, R.n) + 1):
                 for bits in itertools.combinations(range(R.n), u_count):
                     u = sum(1 << b for b in bits)
                     for nu in _compositions(rest - u_count, R.l):
-                        out.append(EMono(nu, u, w))
-    return sorted(out, key=lambda e: (e.nu, e.u, e.w))
+                        out.append(emono_by_kind(R, nu, u, w))
+    return sorted(out, key=lambda e: by_kind(R, e))
 
 
 # -- bigraded rings ----------------------------------------------------------

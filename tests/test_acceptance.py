@@ -232,6 +232,8 @@ def _bv_data(degs, window):
         exps = {g1: 1}
         exps[g2] = exps.get(g2, 0) + 1
         lbl = ring.label_from_exponents(exps)
+        if lbl is None:  # a square of an exterior generator
+            continue
         if ring.window.contains(*ring.bidegree(lbl)) and lbl not in labels:
             if lbl in ring.cells.get(ring.bidegree(lbl), []):
                 labels.append(lbl)

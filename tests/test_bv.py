@@ -87,11 +87,12 @@ def unit_label(ring):
     return lbl
 
 
-def label_by_parts(ring, nu=None, mask=0, exps=None):
+def label_by_parts(ring, e=None, mask=0, exps=None):
+    """The label of the monomial-model class with the E exponents e (in
+    roster order), the exterior mask and the polynomial exponents."""
     A = ring.algebra
-    R = ring.R
     from hhkt.algebra import Monomial
-    e = EMono(tuple(nu or (0,) * R.l), 0, (0,) * R.m)
+    e = EMono(e or (0,) * len(ring.R.e_generators))
     a = Monomial(mask, tuple(exps or (0,) * A.n_poly))
     return ("m", e, a)
 
@@ -104,7 +105,7 @@ def test_delta_table_two_spheres_deg5():
     one = unit_label(ring)
     # Delta(y_j nu_i*) = delta_ij . 1
     for j, i in itertools.product((0, 1), repeat=2):
-        lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)],
+        lbl = label_by_parts(ring, e=[1 if k == i else 0 for k in (0, 1)],
                              mask=1 << j)
         val = ctx.delta_of_label(lbl)
         if i == j:
@@ -113,10 +114,10 @@ def test_delta_table_two_spheres_deg5():
             assert val == {}, (i, j, val)
     # Delta(nu_i*) = 0 and Delta(nu_i* nu_j*) = 0
     for i in (0, 1):
-        lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)])
+        lbl = label_by_parts(ring, e=[1 if k == i else 0 for k in (0, 1)])
         assert ctx.delta_of_label(lbl) == {}
     for nu in [(2, 0), (1, 1), (0, 2)]:
-        assert ctx.delta_of_label(label_by_parts(ring, nu=nu)) == {}
+        assert ctx.delta_of_label(label_by_parts(ring, e=nu)) == {}
     # Delta vanishes on filtration 0 (the algebra itself)
     for mask in (1, 2, 3):
         assert ctx.delta_of_label(label_by_parts(ring, mask=mask)) == {}
@@ -128,9 +129,9 @@ def test_delta_single_sphere_any_char2():
     ctx = BVContext(A, window)
     ring = ctx.ring
     one = unit_label(ring)
-    y_nu = label_by_parts(ring, nu=(1,), mask=1)
+    y_nu = label_by_parts(ring, e=(1,), mask=1)
     assert ctx.delta_of_label(y_nu) == {one: 1}
-    assert ctx.delta_of_label(label_by_parts(ring, nu=(1,))) == {}
+    assert ctx.delta_of_label(label_by_parts(ring, e=(1,))) == {}
     assert ctx.delta_of_label(label_by_parts(ring, mask=1)) == {}
 
 
@@ -216,8 +217,8 @@ def test_bv_identity_generator_triples():
     gens = [
         (label_by_parts(ring, mask=1), 5),
         (label_by_parts(ring, mask=2), 5),
-        (label_by_parts(ring, nu=(1, 0)), -4),
-        (label_by_parts(ring, nu=(0, 1)), -4),
+        (label_by_parts(ring, e=(1, 0)), -4),
+        (label_by_parts(ring, e=(0, 1)), -4),
     ]
     checked = 0
     for (la, da), (lb, db), (lc, dc) in itertools.product(gens, repeat=3):
@@ -333,7 +334,7 @@ def test_delta_deg3_gr_level_table():
     ring = ctx.ring
     one = unit_label(ring)
     for j, i in itertools.product((0, 1), repeat=2):
-        lbl = label_by_parts(ring, nu=[1 if k == i else 0 for k in (0, 1)],
+        lbl = label_by_parts(ring, e=[1 if k == i else 0 for k in (0, 1)],
                              mask=1 << j)
         val = ctx.delta_of_label(lbl)
         assert val == ({one: 1} if i == j else {}), (i, j, val)

@@ -11,14 +11,14 @@ from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
                               cup_via_diagonal, diagonal_element,
                               diagonal_mono, emono_counts, emonos_at_level,
                               exactness_check, hh_via_kt, kt_d_mono,
-                              lucas_binomial)
+                              lucas_binomial, _merge_emono)
 
 from .helpers import (exterior, exterior_times_truncated_f3, polynomial,
                       truncated_poly_char2, two_spheres_deg5)
 from .reference import (NotACycleError, cup_by_diagonal_terms,
                         e_internal_by_kind, e_level_by_kind,
                         e_symbols_by_kind, emonos_at_level_by_kind,
-                        hom_matrices_by_terms, phi)
+                        hom_matrices_by_terms, merge_emono_by_kind, phi)
 
 
 def kt_unit(R):
@@ -26,18 +26,19 @@ def kt_unit(R):
             R.unit_emono())
 
 
-def elem(R, left=None, right=None, nu=None, u=0, w=None, coeff=1):
-    A = R.algebra
-    e = EMono(tuple(nu or (0,) * R.l), u, tuple(w or (0,) * R.m))
-    return KTElement(R, {(left or A.unit_monomial(),
-                          right or A.unit_monomial(), e): coeff})
+def elem(R, exps):
+    """The KT monomial 1 (x) 1 . e, e the E-monomial with the exponents
+    exps in roster order."""
+    return KTElement.from_mono(R, e=EMono(exps))
 
 
 def test_emono_value_semantics():
-    a, b = EMono((1, 0), 1, (2,)), EMono((1, 0), 1, (2,))
+    a, b = EMono((1, 0, 1, 2)), EMono((1, 0, 1, 2))
     assert a == b and hash(a) == hash(b) and a is not b
-    assert a != EMono((1, 0), 0, (2,))
-    assert repr(EMono((1,), 0, ())) == "EMono(nu=(1,), u=0, w=())"
+    assert a != EMono((1, 0, 0, 2))
+    assert repr(EMono((1, 0))) == "EMono((1, 0))"
+    with pytest.raises(TypeError):
+        a[2] = 0
     with pytest.raises(AttributeError):
         a.u = 0
 
@@ -78,23 +79,27 @@ def _roster_presentations(draw):
     return AlgebraPresentation(PrimeField(p), gens, relations)
 
 
-@given(_roster_presentations(), st.integers(0, 6))
+@given(_roster_presentations(), st.integers(0, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_generator_table_matches_the_kind_by_kind_bookkeeping(presentation,
-                                                              level):
-    """Enumeration, order, level, internal degree, symbols and counts read
-    from the generator table agree with the same bookkeeping written kind
-    by kind; a symbol's key sorts as the kind-by-kind key does."""
+                                                              level, data):
+    """Enumeration, order, level, internal degree, symbols, counts and
+    products read from the generator table agree with the same bookkeeping
+    written kind by kind; a symbol's key sorts as the kind-by-kind key
+    does.  Products are drawn from the levels up to level, each also
+    squared, so that a generator (divided or not) is in both factors."""
     R = KTResolution(presentation)
     emonos = emonos_at_level(R, level)
     assert emonos == emonos_at_level_by_kind(R, level)
     keys = {}
     for e in emonos:
-        assert R.e_level(e) == e_level_by_kind(e) == level
+        assert R.e_level(e) == e_level_by_kind(R, e) == level
         assert R.e_internal(e) == e_internal_by_kind(R, e)
         syms, ref = R.e_symbols(e), e_symbols_by_kind(R, e)
-        assert [s[1:] for s in syms] == [s[1:] for s in ref]
-        for (key, _, _), (ref_key, _, _) in zip(syms, ref):
+        assert len(syms) == len(ref)
+        for (key, deg, k), (ref_key, ref_deg, ref_payload) in zip(syms, ref):
+            g = R.e_generators[key]
+            assert (g.kind, g.index, k) == ref_payload and deg == ref_deg
             assert keys.setdefault(ref_key, key) == key
     assert [keys[k] for k in sorted(keys)] == sorted(set(keys.values()))
     counts = {}
@@ -102,6 +107,38 @@ def test_generator_table_matches_the_kind_by_kind_bookkeeping(presentation,
         t = e_internal_by_kind(R, e)
         counts[t] = counts.get(t, 0) + 1
     assert emono_counts(R, level) == counts
+    pool = st.sampled_from([e for k in range(level + 1)
+                            for e in emonos_at_level(R, k)])
+    for _ in range(10):
+        e1, e2 = data.draw(pool), data.draw(pool)
+        for a, b in ((e1, e2), (e1, e1)):
+            assert _merge_emono(R, a, b) == merge_emono_by_kind(R, a, b)
+
+
+def test_divided_powers_multiply_by_binomials():
+    """gamma_a gamma_b = binom(a + b, a) gamma_{a + b} in F: gamma_1(nu)^2
+    is 2 gamma_2(nu) over F_3 and 0 over F_2, gamma_1(w)^2 is 2 gamma_2(w)
+    and gamma_1(w) gamma_2(w) is 0 (binom(3, 1) = 3) over F_3."""
+    R3 = KTResolution(exterior(3, [3]))
+    assert elem(R3, (1,)) * elem(R3, (1,)) == elem(R3, (2,)).scale(2)
+    R2 = KTResolution(exterior(2, [5]))
+    assert (elem(R2, (1,)) * elem(R2, (1,))).is_zero()
+    Rw = KTResolution(polynomial(3, [2], ["x1^3"]))  # roster u_x1, w_0
+    assert elem(Rw, (0, 1)) * elem(Rw, (0, 1)) == elem(Rw, (0, 2)).scale(2)
+    assert (elem(Rw, (0, 1)) * elem(Rw, (0, 2))).is_zero()
+    assert (elem(Rw, (1, 0)) * elem(Rw, (1, 0))).is_zero()
+
+
+def test_labels_refuse_a_square_zero_generator_squared():
+    """A model monomial holding a u* or an exterior generator of A twice
+    has no basis label, while u*^2 is still a product in the ring."""
+    ring = hh_via_kt(truncated_poly_char2(), DegreeWindow(4, -24, 6))
+    u = ring.label_from_exponents({"u_x1*": 1})
+    assert ring.label_from_exponents({"u_x1*": 2}) is None
+    assert ring.product(u, u) == {ring.label_from_exponents({"w_0*": 1}): 1}
+    ext = hh_via_kt(two_spheres_deg5(), DegreeWindow(2, -12, 10))
+    assert ext.label_from_exponents({"y1": 2}) is None
+    assert ext.label_from_exponents({"y1": 1, "nu_y1*": 2}) in ext.class_reps
 
 
 def test_kt_differential_nu():
@@ -109,12 +146,12 @@ def test_kt_differential_nu():
     R = KTResolution(A)
     y = A.generator_monomial("y1")
     one = A.unit_monomial()
-    d_nu = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((1,), 0, ())))))
+    d_nu = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((1,))))))
     assert d_nu == KTElement(R, {(y, one, R.unit_emono()): 1,
                                  (one, y, R.unit_emono()): -1})
     # d(gamma_2) = (y(x)1 - 1(x)y) gamma_1
-    d_g2 = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((2,), 0, ())))))
-    e1 = EMono((1,), 0, ())
+    d_g2 = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((2,))))))
+    e1 = EMono((1,))
     assert d_g2 == KTElement(R, {(y, one, e1): 1, (one, y, e1): -1})
 
 
@@ -123,9 +160,9 @@ def test_kt_differential_w_truncated():
     R = KTResolution(A)
     one = A.unit_monomial()
     x = A.generator_monomial("x1")
-    d_w = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((), 0, (1,))))))
+    d_w = KTElement(R, dict(kt_d_mono(R, (one, one, EMono((0, 1))))))
     # zeta = x(x)1 + 1(x)x, so d(gamma_1(w)) = (x(x)1 + 1(x)x) u
-    e_u = EMono((), 1, (0,))
+    e_u = EMono((1, 0))
     assert d_w == KTElement(R, {(x, one, e_u): 1, (one, x, e_u): 1})
 
 
@@ -162,16 +199,16 @@ def test_exactness():
 def test_diagonal_generators():
     R = KTResolution(polynomial(2, [2, 2]))
     one = R.algebra.unit_monomial()
-    D_u = diagonal_mono(R, (one, one, EMono((), 1, ())))
-    e_u = EMono((), 1, ())
+    D_u = diagonal_mono(R, (one, one, EMono((1, 0))))
+    e_u = EMono((1, 0))
     e_1 = R.unit_emono()
     assert D_u == KTTensorElement(R, {
         (one, one, e_u, one, e_1): 1, (one, one, e_1, one, e_u): 1})
 
     Re = KTResolution(exterior(2, [5, 5]))
     onee = Re.algebra.unit_monomial()
-    D_g2 = diagonal_mono(Re, (onee, onee, EMono((2, 0), 0, ())))
-    g = lambda k: EMono((k, 0), 0, ())
+    D_g2 = diagonal_mono(Re, (onee, onee, EMono((2, 0))))
+    g = lambda k: EMono((k, 0))
     assert D_g2 == KTTensorElement(Re, {
         (onee, onee, g(2), onee, g(0)): 1,
         (onee, onee, g(1), onee, g(1)): 1,
@@ -207,8 +244,8 @@ def test_diagonal_coassociative_nu_u():
     R = KTResolution(exterior(2, [5, 5]))
     A = R.algebra
     one = A.unit_monomial()
-    nu1 = {(EMono((1, 0), 0, ()), one): 1}
-    nu2 = {(EMono((0, 1), 0, ()), one): 1}
+    nu1 = {(EMono((1, 0)), one): 1}
+    nu2 = {(EMono((0, 1)), one): 1}
     y1 = {(R.unit_emono(), A.generator_monomial("y1")): 1}
     for f, g, h in itertools.product([nu1, nu2, y1], repeat=3):
         fg_h = cup_via_diagonal(R, cup_via_diagonal(R, f, g), h)
@@ -221,22 +258,22 @@ def test_dual_basis_product_rules():
     R = KTResolution(exterior(2, [5, 5]))
     A = R.algebra
     one = A.unit_monomial()
-    nu1 = {(EMono((1, 0), 0, ()), one): 1}
+    nu1 = {(EMono((1, 0)), one): 1}
     sq = cup_via_diagonal(R, nu1, nu1)
-    assert sq == {(EMono((2, 0), 0, ()), one): 1}
+    assert sq == {(EMono((2, 0)), one): 1}
 
     cube = cup_via_diagonal(R, sq, nu1)
-    assert {e for e, _ in cube} == {EMono((3, 0), 0, ())}
+    assert {e for e, _ in cube} == {EMono((3, 0))}
 
     # u* . u* = 0 in the relation-free polynomial case
     Rp = KTResolution(polynomial(3, [2, 2]))
-    u1 = {(EMono((), 1, ()), Rp.algebra.unit_monomial()): 1}
+    u1 = {(EMono((1, 0)), Rp.algebra.unit_monomial()): 1}
     assert cup_via_diagonal(Rp, u1, u1) == {}
 
     # unit coefficients pass through: (y1 (x) 1) . (1 (x) nu1*) = y1 (x) nu1*
     y1 = A.generator_monomial("y1")
     prod = cup_via_diagonal(R, {(R.unit_emono(), y1): 1}, nu1)
-    assert prod == {(EMono((1, 0), 0, ()), y1): 1}
+    assert prod == {(EMono((1, 0)), y1): 1}
 
 
 def expected_exterior_ring_dims(degs, window):
@@ -399,9 +436,8 @@ def _draw_slots(draw, R, kinds):
                                         st.sampled_from(monomials))))
         else:
             slots.append(EMono(
-                tuple(draw(exponent) for _ in range(R.l)),
-                sum(1 << j for j in range(R.n) if draw(exponent) == 1),
-                tuple(draw(exponent) for _ in range(R.m))))
+                draw(exponent) if g.divided else int(draw(exponent) == 1)
+                for g in R.e_generators))
     return tuple(slots)
 
 
@@ -465,8 +501,8 @@ def test_truncated_cup_u_square_is_w():
     # with the relation x^2 the corrected diagonal gives u* . u* = w*
     R = KTResolution(truncated_poly_char2())
     one = R.algebra.unit_monomial()
-    u = {(EMono((), 1, (0,)), one): 1}
-    assert cup_via_diagonal(R, u, u) == {(EMono((), 0, (1,)), one): 1}
+    u = {(EMono((1, 0)), one): 1}
+    assert cup_via_diagonal(R, u, u) == {(EMono((0, 1)), one): 1}
 
 
 def test_xi_pins_and_chain_map():
@@ -475,10 +511,10 @@ def test_xi_pins_and_chain_map():
     xi = XiLift(R, depth=4)
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
-    assert xi.value((y1,)) == elem(R, nu=(1, 0))
-    assert xi.value((y1, y1)) == elem(R, nu=(2, 0))
+    assert xi.value((y1,)) == elem(R, (1, 0))
+    assert xi.value((y1, y1)) == elem(R, (2, 0))
     both = xi.value((y1, y2)) + xi.value((y2, y1))
-    assert both == elem(R, nu=(1, 1))
+    assert both == elem(R, (1, 1))
     # chain map on every word of length <= 3
     abar = A.monomial_basis(5) + A.monomial_basis(10)
     words = []
@@ -495,7 +531,7 @@ def test_xi_chain_map_odd_char():
     R = KTResolution(A)
     xi = XiLift(R, depth=4)
     y = A.generator_monomial("y1")
-    assert xi.value((y,)) == elem(R, nu=(1,))
+    assert xi.value((y,)) == elem(R, (1,))
     for k in (2, 3, 4):
         w = (y,) * k
         assert xi.value(w).d() == xi._rhs(w)
@@ -510,10 +546,10 @@ def test_phi_values():
     unit = A.unit_monomial()
     # phi(y1 [y2]) = y1 (x) nu_2
     out = phi({(y1, (y2,)): 1}, R, xi)
-    assert out == {(y1, EMono((0, 1), 0, ())): 1}
+    assert out == {(y1, EMono((0, 1))): 1}
     # phi([y1|y1]) = gamma_2(nu_1)
     out = phi({(unit, (y1, y1)): 1}, R, xi)
-    assert out == {(unit, EMono((2, 0), 0, ())): 1}
+    assert out == {(unit, EMono((2, 0))): 1}
     # phi of a boundary is zero: b(1[y1|y2]) = y1[y2] + 1[y1 y2] + y2[y1]
     y12 = A.monomial_basis(10)[0]
     out = phi({(y1, (y2,)): 1, (unit, (y12,)): 1, (y2, (y1,)): 1}, R, xi)
@@ -711,8 +747,8 @@ def test_cup_constants_signs_on_a_hand_made_entry(lam_odd, right_odd,
     pin the first and the last sign."""
     R = KTResolution(exterior_times_truncated_f3())
     one = R.unit_emono()
-    u = EMono((0,), 1, (0,))  # |u_x1*| total degree 1
-    alpha = EMono((1,), 0, (0,))
+    u = EMono((0, 1, 0))  # |u_x1*| total degree 1
+    alpha = EMono((1, 0, 0))
     lam = R.algebra.monomial_basis(3)[0]
     for e1 in (one, u):
         R._cup_tables[R.e_level(e1)] = {(e1, one): [
@@ -818,7 +854,7 @@ def _outside_label(ring):
         return ("h", p, 0, 0)
     R = ring.R
     assert R.l, "the monomial-model cases here have an exterior generator"
-    e = EMono((p,) + (0,) * (R.l - 1), 0, (0,) * R.m)
+    e = R.emono({0: p})
     return ("m", e, ring.algebra.unit_monomial())
 
 

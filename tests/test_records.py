@@ -1,6 +1,6 @@
-"""The package's records are collections.namedtuple: immutable, without a
-per-instance dict, and with the checks, reprs and defaults they had as
-dataclasses."""
+"""The package's records are tuples (collections.namedtuple, or a plain
+tuple subclass for an E-monomial): immutable, without a per-instance dict,
+and with the checks, reprs and defaults they had as dataclasses."""
 
 import pytest
 
@@ -38,7 +38,7 @@ def test_fields_cannot_be_set(record, field):
 
 @pytest.mark.parametrize("record", [
     Monomial(1, (0, 2)),
-    EMono((1,), 0, ()),
+    EMono((1, 0, 2)),
     BarWord(Monomial(0, ()), (Monomial(1, ()),), Monomial(0, ())),
 ])
 def test_hot_records_have_no_instance_dict(record):
