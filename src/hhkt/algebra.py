@@ -110,9 +110,6 @@ class Polynomial(LinComb):
         return (isinstance(other, Polynomial) and self.algebra is other.algebra
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def _check(self, other):
         if not isinstance(other, Polynomial):
             raise TypeError(f"cannot combine a Polynomial with "
@@ -603,12 +600,6 @@ class TensorPoly(LinComb):
         """The multiplication map Lambda (x) Lambda -> Lambda."""
         A = self.algebra
         return Polynomial(A, self.linear(lambda lr: A.mul_monomials(*lr)))
-
-    def __eq__(self, other):
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
 
 def zeta_coefficients(rho: Polynomial):

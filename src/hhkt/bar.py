@@ -1,18 +1,19 @@
 """The normalized bar complex, Hochschild cochains and chains, and the
 window-truncated brute-force HH computation used as an oracle.
 
-Words are tuples of basis monomials of the augmentation ideal; a two-sided
-bar element a[a_1|..|a_k]b is only materialized inside differentials.  The
-interior differential follows the printed convention
+Words are tuples of basis monomials of the augmentation ideal.  The
+interior differential of the two-sided bar resolution follows the printed
+convention
 
     d_2(a[a_1|..|a_k]b) = (-1)^{|a|} aa_1[..]b
                           + sum_i (-1)^{eps_i} a[..|a_{i-1}a_i|..]b
                           - (-1)^{eps_k} a[..|a_{k-1}]a_k b
 
-with eps_i = |a| + sum_{j<i} |s a_j|.  Its faces on 1[a_1|..|a_k]1 are
-enumerated in one place, `bar_faces`, and every use of d_2 is built on that
-enumeration: d_2 of a two-sided word, the Hochschild boundary b (whose last
-face wraps round to a_k a_0 with its Koszul sign), the cochain differential
+with eps_i = |a| + sum_{j<i} |s a_j|.  No two-sided element is ever
+materialized: the faces of d_2 on 1[a_1|..|a_k]1 are enumerated in one
+place, `bar_faces`, and every use of d_2 is built on that enumeration: the
+Hochschild boundary b (whose last face wraps round to a_k a_0 with its
+Koszul sign), the cochain differential
 del(f) = -(-1)^{|f|} f d_2 (the coefficient differential vanishes here),
 the coboundary matrices, and the right-hand side of the comparison map in
 koszul_tate.  A coboundary matrix is assembled row by row: the faces of
@@ -47,8 +48,6 @@ of the trivial module through the window's word lengths).
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from .algebra import (CELL_LIMIT, AlgebraPresentation, CellBlowupError,
                       Monomial, Polynomial)
 from .bigraded import DegreeWindow
@@ -77,32 +76,6 @@ def bar_faces(A: AlgebraPresentation, word):
         for m, c in A.mul_monomials(word[i - 1], word[i]):
             yield one, word[:i - 1] + (m,) + word[i + 1:], one, sgn * c
     yield one, word[:-1], word[-1], 1 if eps % 2 else -1
-
-
-# -- two-sided bar words --------------------------------------------------------
-
-
-# a[a_1|..|a_k]b with basis-monomial coefficients and entries
-BarWord = namedtuple("BarWord", "left entries right")
-
-
-def bar_differential(w: BarWord, A: AlgebraPresentation):
-    """d_2 of a two-sided word, (-1)^{|a|} a . d_2(1[..]1) . b: list of
-    (BarWord, coeff).
-
-    Entries stay in the augmentation ideal automatically (products of
-    positive-degree elements have positive degree), so normalization only
-    drops vanishing products.
-    """
-    out = {}
-    sgn = -1 if A.mono_degree(w.left) % 2 else 1
-    for left, word, right, c in bar_faces(A, w.entries):
-        for lm, lc in A.mul_monomials(w.left, left):
-            for rm, rc in A.mul_monomials(right, w.right):
-                key = BarWord(lm, word, rm)
-                out[key] = out.get(key, 0) + sgn * c * lc * rc
-    p = A.field.p
-    return [(bw, c % p) for bw, c in out.items() if c % p]
 
 
 # -- Hochschild chains ---------------------------------------------------------

@@ -71,15 +71,6 @@ class PrimeField(namedtuple("PrimeField", "p")):
             raise FieldError(f"characteristic {p} is not prime")
         return super().__new__(cls, p)
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("0 is not invertible in F_p")
-        return pow(a, self.p - 2, self.p)
-
 
 class LinComb:
     """A sparse linear combination over F_p: ``terms`` maps keys to
@@ -163,7 +154,7 @@ class SparseMatrix:
         for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = field.normalize(v)
+            v %= field.p
             if v:
                 if (r, c) in clean:
                     raise ValueError(f"duplicate entry at ({r},{c})")

@@ -22,9 +22,11 @@ Differential = namedtuple("Differential", "r source target target_dim")
 # status is "collapse", "obstructed" or "unknown"
 CollapseCertificate = namedtuple(
     "CollapseCertificate", "status potential_differentials r_bound detail")
+# the last page a collapse certificate checks
+PAGE_LIMIT = 64
 
 
-def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
+def collapse_certificate(R) -> CollapseCertificate:
     """Check, for every populated cell and every page number up to a sound
     cutoff, that the differential target cell is empty."""
     populated = sorted(pq for pq, labels in R.cells.items() if labels)
@@ -38,7 +40,7 @@ def collapse_certificate(R, r_limit: int = 64) -> CollapseCertificate:
     min_q = min(q for _, q in R.cells)
     max_q = max(q for _, q in R.cells)
     r_bound = min(max(max_p - min(p for p, _ in populated),
-                      max_q - min_q + 1, 2), r_limit)
+                      max_q - min_q + 1, 2), PAGE_LIMIT)
     hits = []
     for r in range(2, r_bound + 1):
         for (p, q) in populated:

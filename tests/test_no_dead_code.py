@@ -1,18 +1,24 @@
 """Every function, method and class defined in src/hhkt has a caller.
 
-A name counts as used when it appears in code (a name, an attribute, or a
-string such as a benchmark target) anywhere in src, tests, scripts or
-perfbench, outside the body of its own definition.  Docstrings, imports
-and dunder methods do not count.
+A function or class counts as used when its name appears in code (a name,
+an attribute, or a string such as a benchmark target) anywhere in src,
+tests, scripts or perfbench, outside the body of its own definition.  A
+method counts as used only when it is read as an attribute (``.name``),
+when a string names it ``Class.method``, or when it overrides a method of
+a base class from outside the package, which that base calls (argparse
+calls ``error``); a bare name of the same spelling does not count.
+Docstrings, imports and dunder methods do not count.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "scripts", "perfbench")
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 
 def _python_files():
@@ -21,28 +27,33 @@ def _python_files():
 
 
 def _definitions(tree):
-    """Top-level defs and classes, and the methods of top-level classes."""
+    """Top-level defs and classes as (name, None), and the methods of
+    top-level classes as (name, class name)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, None
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield item.name
+                    yield item.name, node.name
 
 
 class _References(ast.NodeVisitor):
     """Counts identifier uses, skipping those inside the body of a def or
-    class with the same name (recursion is not a caller)."""
+    class with the same name (recursion is not a caller): every use in
+    ``names``, attribute reads in ``attributes``, and ``Class.method``
+    pairs named in strings in ``qualified``."""
 
-    def __init__(self, counts):
-        self.counts = counts
+    def __init__(self, names, attributes, qualified):
+        self.names = names
+        self.attributes = attributes
+        self.qualified = qualified
         self.enclosing = []
         self.docstrings = set()
 
-    def _use(self, name):
+    def _use(self, name, counts):
         if name not in self.enclosing:
-            self.counts[name] = self.counts.get(name, 0) + 1
+            counts[name] = counts.get(name, 0) + 1
 
     def _scope(self, node):
         body = getattr(node, "body", [])
@@ -60,16 +71,21 @@ class _References(ast.NodeVisitor):
     visit_Module = visit_FunctionDef = visit_ClassDef = _scope
 
     def visit_Name(self, node):
-        self._use(node.id)
+        self._use(node.id, self.names)
 
     def visit_Attribute(self, node):
-        self._use(node.attr)
+        self._use(node.attr, self.names)
+        if isinstance(node.ctx, ast.Load):
+            self._use(node.attr, self.attributes)
         self.generic_visit(node)
 
     def visit_Constant(self, node):
         if isinstance(node.value, str) and id(node) not in self.docstrings:
             for name in IDENT.findall(node.value):
-                self._use(name)
+                self._use(name, self.names)
+            for dotted in DOTTED.findall(node.value):
+                parts = dotted.split(".")
+                self.qualified.update(zip(parts, parts[1:]))
 
     def visit_Import(self, node):
         pass
@@ -77,17 +93,36 @@ class _References(ast.NodeVisitor):
     visit_ImportFrom = visit_Import
 
 
+def _overrides_outside_package(module, cls, method):
+    """Whether a base class of module.cls from outside the package defines
+    method, so that the base calls the override."""
+    bases = getattr(importlib.import_module(module), cls).__mro__[1:]
+    return any(method in vars(base) for base in bases
+               if base.__module__.partition(".")[0] != "hhkt")
+
+
 def test_every_definition_is_used():
-    counts = {}
+    names, attributes, qualified = {}, {}, set()
     defined = set()
     for path in _python_files():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if (ROOT / "src") in path.parents:
-            defined.update(_definitions(tree))
-        _References(counts).visit(tree)
-    unused = sorted(name for name in defined
-                    if not (name.startswith("__") and name.endswith("__"))
-                    and not counts.get(name))
+            module = ".".join(path.relative_to(ROOT / "src").with_suffix("")
+                              .parts)
+            defined.update((module, cls, name)
+                           for name, cls in _definitions(tree))
+        _References(names, attributes, qualified).visit(tree)
+    unused = []
+    for module, cls, name in sorted(defined, key=str):
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if cls is None:
+            used = names.get(name)
+        else:
+            used = (attributes.get(name) or (cls, name) in qualified
+                    or _overrides_outside_package(module, cls, name))
+        if not used:
+            unused.append(name if cls is None else f"{cls}.{name}")
     assert unused == [], f"defined but never used: {unused}"
 
 

@@ -5,7 +5,6 @@ and with the checks, reprs and defaults they had as dataclasses."""
 import pytest
 
 from hhkt.algebra import Monomial
-from hhkt.bar import BarWord
 from hhkt.bigraded import DegreeWindow, WindowError
 from hhkt.fields import FieldError, PrimeField
 from hhkt.koszul_tate import EMono
@@ -39,7 +38,6 @@ def test_fields_cannot_be_set(record, field):
 @pytest.mark.parametrize("record", [
     Monomial(1, (0, 2)),
     EMono((1, 0, 2)),
-    BarWord(Monomial(0, ()), (Monomial(1, ()),), Monomial(0, ())),
 ])
 def test_hot_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
