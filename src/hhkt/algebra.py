@@ -5,11 +5,9 @@ rho_i a regular sequence of decomposable homogeneous polynomials in the
 polynomial generators.  Monomials are named tuples of an exterior bit mask
 and an exponent vector, so they hash and compare as plain tuples; normal
 forms modulo the relations are computed degree by degree with exact linear
-algebra (exponent truncation when every relation is a pure power).  Each
-presentation memoizes the product of every ordered monomial pair and the
-degree of every monomial it is asked for; the product table is emptied
-once the relations attach, since parsing them multiplies in the free
-algebra.
+algebra.  Each presentation memoizes the product of every ordered monomial
+pair and the degree of every monomial it is asked for; relation strings
+are parsed in the free cover, so those tables hold quotient products only.
 
 Sign convention: graded commutativity with the Koszul rule throughout,
 a*b = (-1)^{|a||b|} b*a.  In characteristic 2 "exterior" means square-zero
@@ -157,19 +155,21 @@ class AlgebraPresentation:
         self._products = {}
         self._nf_tables = {}
         self._basis_cache = {}
-        self._poly_nf_basis_cache = {}
-        # relation expressions are parsed in the free algebra (no relations
-        # attached yet), then attached; clear caches populated meanwhile
-        self.relations = ()
-        self._pure_power_caps = {}
-        self.relations = tuple(
-            self._validate_relation(r) for r in relation_exprs)
-        self._pure_power_caps = self._detect_pure_powers()
-        self._products.clear()
-        self._nf_tables.clear()
-        self._basis_cache.clear()
-        self._poly_nf_basis_cache.clear()
         self._free_cover = None
+        self.relations = ()
+        if relation_exprs:
+            free = self._free_cover = AlgebraPresentation(field,
+                                                          self.generators)
+            self.relations = tuple(
+                Polynomial(self, free._validate_relation(r).terms)
+                for r in relation_exprs)
+        # whether every relation is c*x_j^k, no x_j in two of them: every
+        # relation has a term and every term a variable, so the counts are
+        # equal exactly then
+        powered = [j for rho in self.relations for m in rho.terms
+                   for j, e in enumerate(m.exps) if e]
+        self.pure_powers = \
+            len(set(powered)) == len(powered) == len(self.relations)
 
     # -- construction helpers -------------------------------------------
 
@@ -188,32 +188,11 @@ class AlgebraPresentation:
                     "relation has a linear term (must be decomposable)")
         return rho
 
-    def _detect_pure_powers(self):
-        """Per-variable exponent caps when every relation is c*x_j^k."""
-        caps = {}
-        for rho in self.relations:
-            if len(rho.terms) != 1:
-                return None
-            (m,) = rho.terms
-            nz = [j for j, e in enumerate(m.exps) if e]
-            if len(nz) != 1:
-                return None
-            j = nz[0]
-            if j in caps:
-                return None
-            caps[j] = m.exps[j]
-        return caps
-
     # -- degrees and units -----------------------------------------------
 
     def free_cover(self):
         """The same generators with no relations attached."""
-        if not self.relations:
-            return self
-        if self._free_cover is None:
-            self._free_cover = AlgebraPresentation(self.field,
-                                                   self.generators)
-        return self._free_cover
+        return self._free_cover or self
 
     def unit_monomial(self):
         return self._unit
@@ -283,18 +262,11 @@ class AlgebraPresentation:
 
     def _poly_normal_form(self, exps):
         """Normal form of a free polynomial-part monomial."""
-        if self._pure_power_caps is not None:
-            for j, cap in self._pure_power_caps.items():
-                if exps[j] >= cap:
-                    return []
-            return [(Monomial(0, exps), 1)]
-        if not self.relations:
-            return [(Monomial(0, exps), 1)]
-        deg = sum(e * d for e, d in zip(exps, self.poly_degrees))
-        _, reduction = self._nf_table(deg)
-        key = exps
-        if key in reduction:
-            return [(Monomial(0, e), c) for e, c in reduction[key].items()]
+        if self.relations:
+            deg = sum(e * d for e, d in zip(exps, self.poly_degrees))
+            combo = self._nf_table(deg)[1].get(exps)
+            if combo is not None:
+                return [(Monomial(0, e), c) for e, c in combo.items()]
         return [(Monomial(0, exps), 1)]
 
     def _free_poly_exponents(self, degree):
@@ -355,18 +327,7 @@ class AlgebraPresentation:
 
     def poly_nf_basis(self, degree):
         """Normal-form exponent tuples of one degree of K[x]/(rho)."""
-        if degree < 0:
-            return []
-        if degree in self._poly_nf_basis_cache:
-            return self._poly_nf_basis_cache[degree]
-        if self._pure_power_caps is not None:
-            caps = self._pure_power_caps
-            basis = [e for e in self._free_poly_exponents(degree)
-                     if all(e[j] < cap for j, cap in caps.items())]
-        else:
-            basis, _ = self._nf_table(degree)
-        self._poly_nf_basis_cache[degree] = basis
-        return basis
+        return self._nf_table(degree)[0] if degree >= 0 else []
 
     # -- bases -------------------------------------------------------------
 

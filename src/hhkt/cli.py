@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -260,60 +259,23 @@ def cmd_verify(args):
 # -- JSON text ---------------------------------------------------------------
 
 
-def _float_text(x: float) -> str:
-    """A float as json writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-# the JSON text of a scalar, by its exact type
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: lambda x: "true" if x else "false",
-    type(None): lambda x: "null",
-}
-
-
-def json_text(obj, indent=""):
-    """The text json.dumps(obj, sort_keys=True, indent=2) gives, built as
-    one str.join per container instead of json's pure-Python chunk
-    iterator (json uses its C encoder only without indent).  Dict keys must
-    be str.  A value is a dict, list, tuple or ProductRows, or a scalar of
-    exactly str, int, float, bool or None; any other type, a subclass of
-    those scalars included, raises TypeError.  Scalars in a container are
-    written inline, without a call per scalar."""
-    scalar = _SCALAR_TEXT.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
+def json_text(obj):
+    """The text json.dumps(obj, sort_keys=True, indent=2) gives.  A
+    ProductRows value, alone or at the top level of a dict with str keys,
+    is written by _product_rows_text; every other value by json.dumps,
+    each top-level value of a dict re-indented by one level (a JSON string
+    holds no raw newline)."""
     if type(obj) is ProductRows:
-        return _product_rows_text(obj, indent)
-    inner = indent + "  "
-    # the list of children's texts is gone before the brackets are added,
-    # so at most two copies of a container's text are alive at once
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not str
-        items = f",\n{inner}".join([
-            encode_basestring_ascii(k) + ": "
-            + (scalar(v) if (scalar := _SCALAR_TEXT.get(type(v)))
-               else json_text(v, inner))
-            for k, v in sorted(obj.items())])
-        return "".join(("{\n", inner, items, "\n", indent, "}"))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = f",\n{inner}".join([
-            scalar(v) if (scalar := _SCALAR_TEXT.get(type(v)))
-            else json_text(v, inner) for v in obj])
-        return "".join(("[\n", inner, items, "\n", indent, "]"))
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
+        return _product_rows_text(obj, "")
+    if not isinstance(obj, dict) or not obj:
+        return json.dumps(obj, sort_keys=True, indent=2)
+    # encode_basestring_ascii raises TypeError on a key that is not str
+    items = ",\n  ".join([
+        encode_basestring_ascii(k) + ": "
+        + (_product_rows_text(v, "  ") if type(v) is ProductRows else
+           json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  "))
+        for k, v in sorted(obj.items())])
+    return "{\n  " + items + "\n}"
 
 
 class _JSONStrings(dict):

@@ -692,7 +692,6 @@ class KTRing(CellComplex):
         self.R = R
         self.algebra = R.algebra
         self.window = window
-        self._bidegrees = {}
         self._build()
 
     # each cell: list of labels; label = ("m", e, a) in the monomial
@@ -777,7 +776,7 @@ class KTRing(CellComplex):
         place: ("a_ext", i) or ("a_poly", j) for a generator of A, ("e",
         roster position) for the dual of a generator of E."""
         A = self.R.algebra
-        if A._pure_power_caps is None:
+        if not A.pure_powers:
             return None  # no monomial model for general relation ideals
         self.generator_payloads = {
             **{A.generators[g].name: ("a_ext", i)
@@ -812,16 +811,11 @@ class KTRing(CellComplex):
     # -- queries ---------------------------------------------------------
 
     def bidegree(self, label):
-        bideg = self._bidegrees.get(label)
-        if bideg is None:
-            if label[0] == "m":
-                _, e, a = label
-                bideg = (self.R.e_level(e),
-                         self.algebra.mono_degree(a) - self.R.e_internal(e))
-            else:
-                bideg = label[1:3]
-            self._bidegrees[label] = bideg
-        return bideg
+        if label[0] == "m":
+            _, e, a = label
+            return (self.R.e_level(e),
+                    self.algebra.mono_degree(a) - self.R.e_internal(e))
+        return label[1:3]
 
     def total_degree(self, label):
         p, q = self.bidegree(label)

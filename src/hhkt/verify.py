@@ -22,7 +22,7 @@ from .bigraded import DegreeWindow
 from .bv import (BVContext, RingClass, generator_labels,
                  generator_monomial_labels, iota, pair_class, seven_term_sweep)
 from .fields import (ComplexViolationError, PrimeField, SparseMatrix,
-                     check_composite, rank_kernel_image)
+                     check_composite, cohomology_cell, rank, rref)
 from .koszul_tate import (KTElement, KTResolution, XiLift,
                           cup_via_diagonal, diagonal_element, diagonal_mono,
                           exactness_check, hh_via_kt, lucas_binomial, EMono)
@@ -44,8 +44,8 @@ def _corpus():
     }
 
 
-# the window of each corpus algebra in which the oracle is compared with the
-# resolution; the bar cells of the same windows are checked for d^2 = 0
+# the window of each algebra of _cases in which the oracle is compared with
+# the resolution; the bar cells of the same windows are checked for d^2 = 0
 ORACLE_WINDOWS = {
     "ext2_deg5": DegreeWindow(3, -16, 10),
     "ext2_deg3": DegreeWindow(3, -10, 6),
@@ -53,6 +53,7 @@ ORACLE_WINDOWS = {
     "poly1_deg2": DegreeWindow(3, -8, 8),
     "trunc_x2_p2": DegreeWindow(4, -18, 6),
     "trunc_x2_p3": DegreeWindow(4, -10, 3),
+    "ext1_trunc3_p3": DegreeWindow(3, -10, 4),
 }
 
 
@@ -64,6 +65,11 @@ def _mixed_f3():
                  ["x1^3"])
 
 
+def _cases(corpus):
+    """The corpus and _mixed_f3(), by name: the bar-side checks' algebras."""
+    return {**corpus, "ext1_trunc3_p3": _mixed_f3()}
+
+
 def _words(A, max_len, cap):
     """Bar words of length 1..max_len and internal degree <= cap."""
     cells = BarComplex(A, COEFF_SELF, DegreeWindow(max_len, -cap, 0))
@@ -72,9 +78,8 @@ def _words(A, max_len, cap):
 
 
 def check_bar_d_squared(corpus, rng):
-    cases = [(name, A, ORACLE_WINDOWS[name]) for name, A in corpus.items()]
-    cases.append(("ext1_trunc3_p3", _mixed_f3(), DegreeWindow(3, -10, 4)))
-    for name, A, window in cases:
+    for name, A in _cases(corpus).items():
+        window = ORACLE_WINDOWS[name]
         for coeff in (COEFF_SELF, COEFF_DUAL):
             cx = BarComplex(A, coeff, window)
             for (p, q) in window.cells():
@@ -87,7 +92,7 @@ def check_bar_d_squared(corpus, rng):
 
 
 def check_chain_operators(corpus, rng):
-    for name, A in {**corpus, "ext1_trunc3_p3": _mixed_f3()}.items():
+    for name, A in _cases(corpus).items():
         coeffs = [A.unit_monomial()]
         for d in range(1, 6):
             coeffs.extend(A.monomial_basis(d))
@@ -273,7 +278,7 @@ def check_xi_chain_map(corpus, rng):
 
 
 def check_oracle_vs_resolution(corpus, rng):
-    for name, A in corpus.items():
+    for name, A in _cases(corpus).items():
         window = ORACLE_WINDOWS[name]
         ring = hh_via_kt(A, window)
         mismatches = oracle_report(
@@ -328,6 +333,8 @@ def check_iota(corpus, rng):
 
 
 def check_linear_algebra(corpus, rng):
+    # the forward-only rank the commands run, against the full rref and the
+    # transpose, and the kernel cohomology_cell builds when nothing maps in
     for _ in range(40):
         p = [2, 3, 5][rng.randrange(3)]
         field = PrimeField(p)
@@ -338,10 +345,15 @@ def check_linear_algebra(corpus, rng):
                 if rng.random() < 0.4:
                     entries[(r, c)] = rng.randrange(1, p)
         M = SparseMatrix(rows, cols, entries, field)
-        rank, kernel, _ = rank_kernel_image(M)
-        rank_t, _, _ = rank_kernel_image(M.transpose())
-        if rank != rank_t:
-            return "fail", f"rank != rank of transpose ({rows}x{cols}, p={p})"
+        r = rank(M)
+        if r != len(rref(M)[0]) or r != rank(M.transpose()):
+            return "fail", "rank != rref rank or rank of transpose " \
+                f"({rows}x{cols}, p={p})"
+        kernel = cohomology_cell(SparseMatrix(cols, 0, {}, field),
+                                 M).representatives
+        if len(kernel) != cols - r:
+            return "fail", f"kernel of dimension {len(kernel)} != " \
+                f"cols - rank ({rows}x{cols}, p={p})"
         for v in kernel:
             if any(M.mul_vec(v)):
                 return "fail", "kernel vector not annihilated"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,6 +229,52 @@ def test_regular_sequence_validation():
     assert report.first_failing_degree is not None
     C = poly(2, [2, 2])
     assert validate_regular_sequence(C, 10).ok
+
+
+# a pure-power presentation over F_p: per variable its degree and its cap
+# (None: uncapped), and the unit coefficient of each relation c*x_j^cap
+PURE_POWERS = st.tuples(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.tuples(st.sampled_from([2, 4]),
+                       st.none() | st.integers(2, 4)),
+             min_size=1, max_size=3),
+    st.integers(1, 4))
+
+
+def _below_caps(degs, caps, degree):
+    """The exponent vectors of one degree with every capped exponent below
+    its cap, sorted."""
+    ranges = [range(degree // d + 1) for d in degs]
+    return sorted(e for e in itertools.product(*ranges)
+                  if sum(k * d for k, d in zip(e, degs)) == degree
+                  and all(cap is None or k < cap for k, cap in zip(e, caps)))
+
+
+@given(PURE_POWERS)
+@settings(max_examples=30, deadline=None)
+def test_pure_power_quotient_truncates_at_the_caps(presentation):
+    p, variables, c = presentation
+    degs = [d for d, _ in variables]
+    caps = [cap for _, cap in variables]
+    A = poly(p, degs, [f"{c % p or 1}*x{j + 1}^{cap}"
+                       for j, cap in enumerate(caps) if cap is not None])
+    assert A.pure_powers
+    top = 12
+    for degree in range(-1, top + 1):
+        assert A.poly_nf_basis(degree) == _below_caps(degs, caps, degree)
+    basis = [Monomial(0, e) for degree in range(top + 1)
+             for e in _below_caps(degs, caps, degree)]
+    for m1, m2 in itertools.product(basis, repeat=2):
+        exps = tuple(a + b for a, b in zip(m1.exps, m2.exps))
+        below = all(cap is None or k < cap for k, cap in zip(exps, caps))
+        assert A.mul_monomials(m1, m2) == \
+            (((Monomial(0, exps), 1),) if below else ())
+
+
+@pytest.mark.parametrize("relations", [
+    ["x1^2 + x1*x2"], ["x1*x2"], ["x1^2", "x1^3"]])
+def test_pure_powers_flag_is_off_for_other_relations(relations):
+    assert poly(3, [2, 2], relations).pure_powers is False
 
 
 def test_parse_poly_expr_forms():

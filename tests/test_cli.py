@@ -1,4 +1,3 @@
-import enum
 import hashlib
 import importlib.util
 import itertools
@@ -571,14 +570,8 @@ def test_json_text_matches_json_dumps(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-class _Level(enum.IntEnum):
-    LOW = 1
-
-
-# a document holds scalars of exact types only, so an int subclass is
-# rejected too
-@pytest.mark.parametrize("value", [{"a": {1, 2}}, {"a": 1, 2: "b"}, {3: 4},
-                                   {"k": [_Level.LOW]}])
+# a set, and a top-level key that is not str
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, {"a": 1, 2: "b"}, {3: 4}])
 def test_json_text_rejects_what_documents_never_hold(value):
     with pytest.raises(TypeError):
         json_text(value)

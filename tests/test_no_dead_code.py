@@ -6,14 +6,18 @@ tests, scripts or perfbench, outside the body of its own definition.  A
 method counts as used only when it is read as an attribute (``.name``),
 when a string names it ``Class.method``, or when it overrides a method of
 a base class from outside the package, which that base calls (argparse
-calls ``error``); a bare name of the same spelling does not count.
-Docstrings, imports and dunder methods do not count.
+calls ``error``); a bare name of the same spelling does not count, nor
+does an attribute read ``m.name`` where ``m`` is a module handle of that
+file (bound by ``import``, by ``from ... import <module>`` or by ``=
+lazy_module(...)``).  Docstrings, imports and dunder methods do not count.
 """
 
 import ast
-import importlib
+import importlib.util
 import pathlib
 import re
+import sys
+import types
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "scripts", "perfbench")
@@ -38,16 +42,48 @@ def _definitions(tree):
                     yield item.name, node.name
 
 
+def _is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except (ImportError, ValueError):  # a parent that is not a package
+        return False
+
+
+def _module_handles(tree, package):
+    """The names a file binds to modules: by import, by from ... import
+    of a submodule (relative imports resolved in package) or by assignment
+    from lazy_module(...)."""
+    handles = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            handles.update(alias.asname or alias.name.partition(".")[0]
+                           for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package)
+            handles.update(alias.asname or alias.name for alias in node.names
+                           if _is_module(f"{base}.{alias.name}"))
+        elif isinstance(node, ast.Assign) \
+                and isinstance(node.value, ast.Call) \
+                and isinstance(node.value.func, ast.Name) \
+                and node.value.func.id == "lazy_module":
+            for target in node.targets:
+                handles.update(_bound_names(target))
+    return handles
+
+
 class _References(ast.NodeVisitor):
     """Counts identifier uses, skipping those inside the body of a def or
     class with the same name (recursion is not a caller): every use in
-    ``names``, attribute reads in ``attributes``, and ``Class.method``
-    pairs named in strings in ``qualified``."""
+    ``names``, attribute reads in ``attributes`` (not those of a module
+    handle), and ``Class.method`` pairs named in strings in
+    ``qualified``."""
 
-    def __init__(self, names, attributes, qualified):
+    def __init__(self, names, attributes, qualified, handles):
         self.names = names
         self.attributes = attributes
         self.qualified = qualified
+        self.handles = handles
         self.enclosing = []
         self.docstrings = set()
 
@@ -75,7 +111,9 @@ class _References(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         self._use(node.attr, self.names)
-        if isinstance(node.ctx, ast.Load):
+        if isinstance(node.ctx, ast.Load) and not (
+                isinstance(node.value, ast.Name)
+                and node.value.id in self.handles):
             self._use(node.attr, self.attributes)
         self.generic_visit(node)
 
@@ -101,17 +139,19 @@ def _overrides_outside_package(module, cls, method):
                if base.__module__.partition(".")[0] != "hhkt")
 
 
-def test_every_definition_is_used():
+def _unused(sources):
+    """The definitions that nothing uses, as names or Class.method, over
+    (module, package, source text) triples: the definitions of the
+    sources whose module is not None, the uses of all of them."""
     names, attributes, qualified = {}, {}, set()
     defined = set()
-    for path in _python_files():
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if (ROOT / "src") in path.parents:
-            module = ".".join(path.relative_to(ROOT / "src").with_suffix("")
-                              .parts)
+    for module, package, text in sources:
+        tree = ast.parse(text)
+        if module is not None:
             defined.update((module, cls, name)
                            for name, cls in _definitions(tree))
-        _References(names, attributes, qualified).visit(tree)
+        _References(names, attributes, qualified,
+                    _module_handles(tree, package)).visit(tree)
     unused = []
     for module, cls, name in sorted(defined, key=str):
         if name.startswith("__") and name.endswith("__"):
@@ -123,7 +163,65 @@ def test_every_definition_is_used():
                     or _overrides_outside_package(module, cls, name))
         if not used:
             unused.append(name if cls is None else f"{cls}.{name}")
+    return unused
+
+
+def _sources():
+    """(module, package, text) of every searched file; module is the
+    dotted name of a file under src, else None."""
+    for path in _python_files():
+        top = ROOT / "src" if (ROOT / "src") in path.parents else ROOT
+        parts = path.relative_to(top).with_suffix("").parts
+        package = ".".join(parts[:-1])
+        module = ".".join(parts) if top != ROOT else None
+        yield module, package, path.read_text(encoding="utf-8")
+
+
+def test_every_definition_is_used():
+    unused = _unused(_sources())
     assert unused == [], f"defined but never used: {unused}"
+
+
+# each dead method shares its name with a function read through a module
+# handle, one handle per way of binding it
+PROBE = """
+import hhkt.koszul_tate as kt
+from hhkt import lazy_module, spectral
+
+verify_suite = lazy_module("hhkt.verify")
+
+
+class _Probe:
+    def collapse_certificate(self):
+        return None
+
+    def hh_via_kt(self):
+        return None
+
+    def run_suite(self):
+        return None
+
+    def used(self):
+        return None
+
+
+def run(A, window):
+    _Probe().used()
+    ring = kt.hh_via_kt(A, window)
+    return spectral.collapse_certificate(ring), verify_suite.run_suite()
+
+
+RUNNERS = [run]
+"""
+
+
+def test_a_method_read_only_through_a_module_handle_is_dead(monkeypatch):
+    probe = types.ModuleType("_probe")
+    exec(compile(PROBE, "_probe.py", "exec"), vars(probe))
+    monkeypatch.setitem(sys.modules, "_probe", probe)
+    assert _unused([("_probe", "", PROBE)]) == [
+        "_Probe.collapse_certificate", "_Probe.hh_via_kt",
+        "_Probe.run_suite"]
 
 
 def _bound_names(node):

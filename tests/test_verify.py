@@ -57,3 +57,19 @@ def test_the_global_coboundary_sign_is_an_equivalent_fault(monkeypatch):
         == ("pass", None)
     for coeff, expected in dims.items():
         assert compute_hh_window(A, coeff, window) == expected
+
+
+@pytest.mark.parametrize("fault", ["inner_face", "left_slot"])
+def test_oracle_check_fails_on_an_odd_characteristic_sign_fault(monkeypatch,
+                                                                fault):
+    """Only the mixed F_3 algebra has a nonzero product in odd
+    characteristic, where these two signs show; a raise counts as a
+    failure, as run_suite reports it."""
+    _, name, old, new = next(f for f in SIGN_FAULTS if f[0] == fault)
+    monkeypatch.setattr(bar, name, _faulty(name, old, new))
+    try:
+        status, _ = verify.check_oracle_vs_resolution(verify._corpus(),
+                                                      random.Random(0))
+    except Exception:
+        status = "fail"
+    assert status == "fail"
