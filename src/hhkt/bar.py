@@ -441,13 +441,12 @@ def compute_hh_window(A: AlgebraPresentation, coeff: str,
     return {(p, q): cx.homology_dim(p, q) for (p, q) in window.cells()}
 
 
-def oracle_report(A: AlgebraPresentation, window: DegreeWindow,
-                  resolution_dims, cell_limit=CELL_LIMIT):
+def oracle_report(window: DegreeWindow, bar_dims, resolution_dims):
     """The `hhkt oracle` comparison: the bar-complex dimension of every
-    cell of the window beside resolution_dims {(p, q): dim} (a missing
-    cell is 0), with the cells that disagree and the nonzero edge cells,
-    whose outgoing maps are built with one filtration column of slack."""
-    bar_dims = compute_hh_window(A, COEFF_SELF, window, cell_limit=cell_limit)
+    cell of the window, bar_dims {(p, q): dim}, beside resolution_dims (a
+    missing cell is 0), with the cells that disagree and the nonzero edge
+    cells, whose outgoing maps are built with one filtration column of
+    slack."""
     mismatches = []
     edge_cells = []
     table = []

@@ -10,12 +10,13 @@ back through the cup.  No homology of the Hochschild chains is reduced;
 of the bar cochain cells only the dual side is reduced, and the self side
 is only ranked.
 Classes are carried on the resolution side (labels of the computed ring)
-and translated to bar cochains through the comparison chain map, so the
-final tables are expressed in the ring's monomial basis.  A combination of
-classes is a RingClass, whose product is the cup product and whose delta()
-is the operator; the seven-term identity is written once in that
-arithmetic, and seven_term_sweep runs it over generator triples for both
-the bv command and the verify suite.
+and translated to bar cochains through the comparison map T
+(koszul_tate.XiLift, which owns the self-coefficient bar cells and needs
+no Poincare duality), so the final tables are expressed in the ring's
+monomial basis.  A combination of classes is a RingClass, whose product
+is the cup product and whose delta() is the operator; the seven-term
+identity is written once in that arithmetic, and seven_term_sweep runs it
+over generator triples for both the bv command and the verify suite.
 
 At the level of a graded algebra (zero differential) the dual of the
 fundamental class is used directly as the duality class; this is the
@@ -29,8 +30,8 @@ from collections import Counter, namedtuple
 
 from .algebra import (AlgebraPresentation, InternalConsistencyError,
                       NotPoincareDualityError, PresentationError)
-from .bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement, Cochain,
-                  DualValue, cochain_cup, connes_boundary, word_suspension)
+from .bar import (COEFF_DUAL, BarComplex, ChainElement, Cochain, DualValue,
+                  cochain_cup, connes_boundary, word_suspension)
 from .bigraded import DegreeWindow, WindowError
 from .fields import LinComb, LinearSystem, SparseMatrix, rank
 from .koszul_tate import KTResolution, KTRing, XiLift
@@ -115,7 +116,7 @@ def pair_class(g: Cochain, chain_terms, A) -> int:
 class BVContext:
     """Caches what the operator needs on one presentation, within one
     window: per ring cell, the dual cocycles theta(T x) of its classes, T
-    the comparison map and theta the cup with the dual fundamental class,
+    the comparison map xi and theta the cup with the dual fundamental class,
     with their dual-class coordinates, and the operator's table.  Only the
     dual bar cochain cells are reduced; the self side is only ranked."""
 
@@ -126,38 +127,10 @@ class BVContext:
         self.d = self.pd.formal_dimension
         self.R = KTResolution(A)
         self.ring = KTRing(self.R, window)
-        # no word is longer than the window's bar length; the depth is
-        # only a bound, and never below XiLift's default
-        self.xi = XiLift(self.R, max(4, window.max_p))
-        self.bar_self = BarComplex(A, COEFF_SELF, window)
+        self.xi = XiLift(self.R, window)
         self.bar_dual = BarComplex(A, COEFF_DUAL, window)
         self._dual = {}
         self._delta = {}
-
-    # -- translations ------------------------------------------------------
-
-    def kt_to_bar_cochain(self, f, p, q) -> Cochain:
-        """Pull a resolution-side cochain f, terms {(e, a): coeff} of the
-        (p, q) cell, back along the comparison map: the bar cochain
-        word -> f(xi(word)), where
-        f((l (x) r) . e) = (-1)^((|l| + |r|)(p + q)) (l r) f(e)."""
-        A = self.A
-        values = {}
-        for (e, a), c in f.items():
-            values.setdefault(e, []).append((a, c))
-        terms = {}
-        for word in self.bar_self.cell_words(p, q):
-            for (l, r, e), c in self.xi.value(word).terms.items():
-                if e not in values:
-                    continue
-                if (A.mono_degree(l) + A.mono_degree(r)) * (p + q) % 2:
-                    c = -c
-                for lr, lrc in A.mul_monomials(l, r):
-                    for a, ca in values[e]:
-                        for n, nc in A.mul_monomials(lr, a):
-                            key = (word, n)
-                            terms[key] = terms.get(key, 0) + c * lrc * ca * nc
-        return Cochain(A, COEFF_SELF, p, q, terms)
 
     # -- theta = cup with the dual fundamental class -------------------------
 
@@ -174,7 +147,7 @@ class BVContext:
         if key in self._dual:
             return self._dual[key]
         labels = self.ring.cells.get((p, q), [])
-        dim_self = self.bar_self.homology_dim(p, q)
+        dim_self = self.xi.bar.homology_dim(p, q)
         hom_dual = self.bar_dual.homology(p, q - self.d)
         if not len(labels) == dim_self == hom_dual.dim:
             raise InternalConsistencyError(
@@ -182,7 +155,7 @@ class BVContext:
                 f"{dim_self}, dual bar dim {hom_dual.dim}")
         cocycles, cols = [], []
         for lbl in labels:
-            g = self.theta_cochain(self.kt_to_bar_cochain(
+            g = self.theta_cochain(self.xi.cochain(
                 self.ring.class_reps[lbl], p, q))
             coords = self.bar_dual.express(p, q - self.d, g.terms)
             if coords is None:

@@ -222,8 +222,9 @@ def cmd_oracle(args):
                               window.q_min, window.q_max)
     ring = koszul_tate.hh_via_kt(A, window)
     report = bar.oracle_report(
-        A, window, {pq: len(lbls) for pq, lbls in ring.cells.items()},
-        args.cell_limit)
+        window,
+        bar.compute_hh_window(A, bar.COEFF_SELF, window, args.cell_limit),
+        {pq: len(lbls) for pq, lbls in ring.cells.items()})
     doc = {
         "metadata": base_metadata(args, A, window, digest, extra),
         "oracle_report": report,

@@ -1,6 +1,7 @@
 """Koszul-Tate resolution of a graded complete intersection, with an
 explicit diagonal, the dual ring it induces on cohomology, and the
-comparison chain map from the bar resolution.
+comparison map T from the bar side (XiLift), which needs no Poincare
+duality.
 
 The resolution is F = Lambda (x) Lambda (x) Gamma[nu] (x) /\\(u) (x)
 Gamma[w]:
@@ -49,7 +50,8 @@ is the Hom complex A (x) E-dual by (p, q).  The diagonal correction and
 the comparison map xi are solves in their cells.  A cochain of the Hom
 complex is a dict of terms {(e, a): coeff} keyed like KTRing.cell_basis:
 the map sending the E-monomial e to the sum of its coefficients a; the
-cup product (cup_via_diagonal) takes and returns such terms.
+cup product (cup_via_diagonal) takes and returns such terms, and
+XiLift.cochain pulls them back to the bar cochains f . xi of its window.
 """
 
 from __future__ import annotations
@@ -927,18 +929,19 @@ def hh_via_kt(presentation: AlgebraPresentation,
 
 
 class XiLift:
-    """A chain map from the bar resolution to F covering the identity.
+    """The comparison map T on one window: a chain map xi from the bar
+    resolution to F covering the identity, lifted word by word (each a
+    deterministic solve in the acyclic F against the images of the word's
+    faces) up to the window's bar length, and at least 4; and f -> f . xi
+    onto the window's self-coefficient bar cochains (bar).  Any two lifts
+    are chain homotopic, so no class read through them depends on which
+    one is taken."""
 
-    Values are produced word by word, each a deterministic linear solve
-    in the acyclic resolution against the images of the word's faces.
-    Any two such lifts are chain homotopic, so no class read through
-    them depends on which one is taken.
-    """
-
-    def __init__(self, R: KTResolution, depth: int = 4):
+    def __init__(self, R: KTResolution, window: DegreeWindow):
         self.R = R
         self.A = R.algebra
-        self.depth = depth
+        self.depth = max(4, window.max_p)
+        self.bar = bar.BarComplex(self.A, bar.COEFF_SELF, window)
         self.table = {}
 
     def value(self, word) -> KTElement:
@@ -955,7 +958,7 @@ class XiLift:
         R, A = self.R, self.A
         if len(word) == 0:
             return KTElement.from_mono(R)
-        rhs = self._rhs(word)
+        rhs = self.rhs(word)
         if not rhs.d().is_zero():
             raise InternalConsistencyError("xi right-hand side is not a cycle")
         sol = R.solve(len(word), sum(A.mono_degree(a) for a in word),
@@ -965,7 +968,7 @@ class XiLift:
                 "xi lift infeasible although F is acyclic")
         return KTElement(R, sol)
 
-    def _rhs(self, word):
+    def rhs(self, word):
         """xi_{k-1} applied to the interior bar differential of 1[word]1:
         the sum over its faces left[word']right of
         coeff . (left (x) 1) . xi(word') . (1 (x) right)."""
@@ -980,3 +983,26 @@ class XiLift:
                 term = term * KTElement.from_mono(R, right=right)
             rhs = rhs + term
         return rhs
+
+    def cochain(self, f, p, q):
+        """Pull a resolution-side cochain f, terms {(e, a): coeff} of the
+        (p, q) cell, back along the comparison map: the bar cochain
+        word -> f(xi(word)), where
+        f((l (x) r) . e) = (-1)^((|l| + |r|)(p + q)) (l r) f(e)."""
+        A = self.A
+        values = {}
+        for (e, a), c in f.items():
+            values.setdefault(e, []).append((a, c))
+        terms = {}
+        for word in self.bar.cell_words(p, q):
+            for (l, r, e), c in self.value(word).terms.items():
+                if e not in values:
+                    continue
+                if (A.mono_degree(l) + A.mono_degree(r)) * (p + q) % 2:
+                    c = -c
+                for lr, lrc in A.mul_monomials(l, r):
+                    for a, ca in values[e]:
+                        for n, nc in A.mul_monomials(lr, a):
+                            key = (word, n)
+                            terms[key] = terms.get(key, 0) + c * lrc * ca * nc
+        return bar.Cochain(A, bar.COEFF_SELF, p, q, terms)

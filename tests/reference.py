@@ -312,21 +312,21 @@ def dual_class_matrix_via_self_homology(ctx, p, q):
     A = ctx.A
     qd = q - ctx.d
     labels = ctx.ring.cells.get((p, q), [])
-    hom = ctx.bar_self.homology(p, q)
+    hom = ctx.xi.bar.homology(p, q)
     hom_dual = ctx.bar_dual.homology(p, qd)
     if not len(labels) == hom.dim == hom_dual.dim:
         raise InternalConsistencyError(f"cell mismatch at ({p},{q})")
     T_cols = []
     for lbl in labels:
-        f = ctx.kt_to_bar_cochain(ctx.ring.class_reps[lbl], p, q)
-        coords = ctx.bar_self.express(p, q, f.terms)
+        f = ctx.xi.cochain(ctx.ring.class_reps[lbl], p, q)
+        coords = ctx.xi.bar.express(p, q, f.terms)
         if coords is None:
             raise InternalConsistencyError(
                 "comparison image is not a cocycle class")
         T_cols.append(coords)
     theta_cols = []
     for rep in hom.representatives:
-        f = Cochain(A, COEFF_SELF, p, q, ctx.bar_self.combination(p, q, rep))
+        f = Cochain(A, COEFF_SELF, p, q, ctx.xi.bar.combination(p, q, rep))
         coords = ctx.bar_dual.express(p, qd, ctx.theta_cochain(f).terms)
         if coords is None:
             raise InternalConsistencyError("theta image not a class")

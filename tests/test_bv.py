@@ -179,7 +179,7 @@ def test_theta_unit_is_fundamental_dual():
     ctx = BVContext(A, window)
     one = unit_label(ctx.ring)
     g = ctx.theta_cochain(
-        ctx.kt_to_bar_cochain(ctx.ring.class_reps[one], 0, 0))
+        ctx.xi.cochain(ctx.ring.class_reps[one], 0, 0))
     assert g.coeff == COEFF_DUAL and (g.p, g.q) == (0, -ctx.d)
     assert g.terms == {((), ctx.pd.fundamental_class): 1}
 
@@ -191,10 +191,10 @@ def test_theta_equals_postcomposition_with_duality():
     window = DegreeWindow(2, -22, 12)
     ctx = BVContext(A, window)
     for (p, q) in [(0, 5), (1, 0), (1, -5), (2, -10)]:
-        hom = ctx.bar_self.homology(p, q)
+        hom = ctx.xi.bar.homology(p, q)
         for rep in hom.representatives:
             f = Cochain(A, COEFF_SELF, p, q,
-                        ctx.bar_self.combination(p, q, rep))
+                        ctx.xi.bar.combination(p, q, rep))
             lhs = ctx.bar_dual.express(p, q - ctx.d,
                                        ctx.theta_cochain(f).terms)
             values = {}
@@ -377,8 +377,8 @@ def test_delta_matches_the_homology_composite(A, window):
 
 def test_dual_classes_refuse_a_cell_dimension_mismatch(monkeypatch):
     ctx = BVContext(exterior(2, [3, 3]), DegreeWindow(3, -16, 8))
-    true_dim = ctx.bar_self.homology_dim
-    monkeypatch.setattr(ctx.bar_self, "homology_dim",
+    true_dim = ctx.xi.bar.homology_dim
+    monkeypatch.setattr(ctx.xi.bar, "homology_dim",
                         lambda d, w: true_dim(d, w) + 1)
     (p, q) = next(cell for cell, labels in sorted(ctx.ring.cells.items())
                   if labels)
@@ -419,7 +419,7 @@ def test_the_operator_never_reduces_the_self_side_bar_homology():
     ctx = BVContext(exterior(2, [5, 5]), DegreeWindow(3, -22, 12))
     labels = [lbl for cell in ctx.ring.cells.values() for lbl in cell]
     assert any([ctx.delta_of_label(lbl) for lbl in labels])
-    assert ctx.bar_self._hom == {}
+    assert ctx.xi.bar._hom == {}
     assert ctx.bar_dual._hom
 
 

@@ -500,7 +500,8 @@ def test_benchmark_trace_targets_resolve_after_cli_import():
                        "bar.ChainComplexCells.connes_matrix_on_homology",
                        "bv.BVContext.pairing_matrix",
                        "bv.BVContext.translate_matrix",
-                       "bv.BVContext.theta_matrix"}
+                       "bv.BVContext.theta_matrix",
+                       "bv.BVContext.kt_to_bar_cochain"}
 
 
 def _reference_product_rows(ring):

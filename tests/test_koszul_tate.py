@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hhkt.algebra import AlgebraPresentation, GradedGenerator, Polynomial
 from hhkt.bigraded import DegreeWindow, WindowError
-from hhkt.fields import PrimeField
-from hhkt.koszul_tate import (EMono, KTElement, KTResolution,
+from hhkt.fields import PrimeField, SparseMatrix, rank
+from hhkt.koszul_tate import (EMono, KTElement, KTResolution, KTRing,
                               KTTensorElement, XiLift, cup_constants,
                               cup_via_diagonal, diagonal_element,
                               diagonal_mono, emono_counts, emonos_at_level,
@@ -508,7 +508,7 @@ def test_truncated_cup_u_square_is_w():
 def test_xi_pins_and_chain_map():
     A = two_spheres_deg5()
     R = KTResolution(A)
-    xi = XiLift(R, depth=4)
+    xi = XiLift(R, DegreeWindow(4, -20, 10))
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
     assert xi.value((y1,)) == elem(R, (1, 0))
@@ -522,25 +522,61 @@ def test_xi_pins_and_chain_map():
         words += list(itertools.product(abar, repeat=k))
     for w in words:
         lhs = xi.value(w).d()
-        rhs = xi._rhs(w)
+        rhs = xi.rhs(w)
         assert lhs == rhs, w
 
 
 def test_xi_chain_map_odd_char():
     A = exterior(3, [3])
     R = KTResolution(A)
-    xi = XiLift(R, depth=4)
+    xi = XiLift(R, DegreeWindow(4, -20, 10))
     y = A.generator_monomial("y1")
     assert xi.value((y,)) == elem(R, (1,))
     for k in (2, 3, 4):
         w = (y,) * k
-        assert xi.value(w).d() == xi._rhs(w)
+        assert xi.value(w).d() == xi.rhs(w)
+
+
+
+def test_xi_lifts_to_the_window_bar_length_and_at_least_4():
+    R = KTResolution(exterior(3, [3]))
+    y = R.algebra.generator_monomial("y1")
+    assert XiLift(R, DegreeWindow(2, -20, 10)).depth == 4
+    xi = XiLift(R, DegreeWindow(5, -20, 10))
+    assert xi.depth == 5
+    assert xi.value((y,) * 5).d() == xi.rhs((y,) * 5)
+    with pytest.raises(ValueError, match="beyond lifting depth 5"):
+        xi.value((y,) * 6)
+
+
+@pytest.mark.parametrize("A, window", [
+    (polynomial(2, [2]), DegreeWindow(3, -8, 6)),
+    (polynomial(3, [2]), DegreeWindow(3, -8, 6)),
+    (polynomial(2, [2, 2], ["x1^2 + x1*x2"]), DegreeWindow(2, -6, 4)),
+    (exterior_times_truncated_f3(), DegreeWindow(3, -10, 4)),
+], ids=["poly1_f2", "poly1_f3", "homology_path_f2", "mixed_f3"])
+def test_the_comparison_map_needs_no_poincare_duality(A, window):
+    """T carries the classes of every ring cell to a basis of the bar-side
+    cohomology of the cell, on infinite-dimensional algebras (the
+    monomial model and the homology path) as on a finite one."""
+    R = KTResolution(A)
+    ring = KTRing(R, window)
+    xi = XiLift(R, window)
+    assert sum(map(len, ring.cells.values()))
+    for (p, q), labels in ring.cells.items():
+        cols = [xi.bar.express(p, q,
+                               xi.cochain(ring.class_reps[lbl], p, q).terms)
+                for lbl in labels]
+        assert None not in cols, (p, q)
+        dim = xi.bar.homology_dim(p, q)
+        assert len(labels) == dim, (p, q)
+        assert rank(SparseMatrix.from_columns(dim, cols, A.field)) == dim
 
 
 def test_phi_values():
     A = two_spheres_deg5()
     R = KTResolution(A)
-    xi = XiLift(R, depth=4)
+    xi = XiLift(R, DegreeWindow(4, -20, 10))
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
     unit = A.unit_monomial()
@@ -559,7 +595,7 @@ def test_phi_values():
 def test_phi_rejects_non_cycles():
     A = two_spheres_deg5()
     R = KTResolution(A)
-    xi = XiLift(R, depth=4)
+    xi = XiLift(R, DegreeWindow(4, -20, 10))
     y1 = A.generator_monomial("y1")
     y2 = A.generator_monomial("y2")
     unit = A.unit_monomial()
@@ -603,7 +639,7 @@ def _direct_cup(fresh, diagonals, f, f_degree, g, g_degree, alphas):
 def _mixed_f3():
     """/\\(y1) (x) F_3[x1]/(x1^3), |y1| = 3, |x1| = 2."""
     from hhkt.algebra import AlgebraPresentation, GradedGenerator
-    from hhkt.fields import PrimeField
+    from hhkt.fields import PrimeField, SparseMatrix, rank
     return AlgebraPresentation(
         PrimeField(3), [GradedGenerator("y1", 3, "exterior"),
                         GradedGenerator("x1", 2, "polynomial")], ["x1^3"])
