@@ -254,14 +254,15 @@ def _act(A, left: Monomial, value, right: Monomial):
     return value
 
 
-def _coboundary_faces(A, deg, word):
-    """The faces of d_2(1[word]1) signed for del f = -(-1)^{|f|} f . d_2
-    on cochains f of total degree deg: (left, word', right, sign) with
-    (del f)(word) = sum sign . left . f(word') . right, since f is a
-    bimodule map, f(l [w] r) = (-1)^{|l||f|} l . f(w) . r."""
+def _coboundary_faces(A, deg, faces):
+    """The faces of d_2(1[word]1), as bar_faces lists them, signed for
+    del f = -(-1)^{|f|} f . d_2 on cochains f of total degree deg:
+    (left, word', right, sign) with (del f)(word) = sum sign . left .
+    f(word') . right, since f is a bimodule map,
+    f(l [w] r) = (-1)^{|l||f|} l . f(w) . r."""
     outer = 1 if deg % 2 else -1
-    for left, sub, right, s in bar_faces(A, word):
-        if (A.mono_degree(left) * deg) % 2:
+    for left, sub, right, s in faces:
+        if deg % 2 and A.mono_degree(left) % 2:
             s = -s
         yield left, sub, right, outer * s
 
@@ -273,8 +274,8 @@ def cochain_differential(f: Cochain, target_words) -> Cochain:
     terms = {}
     for word in target_words:
         acc = cochain_value(A, f.coeff)
-        for left, sub, right, s in _coboundary_faces(A, f.total_degree,
-                                                     word):
+        for left, sub, right, s in _coboundary_faces(
+                A, f.total_degree, bar_faces(A, word)):
             v = values.get(sub)
             if v is not None:
                 acc = acc + _act(A, left, v, right).scale(s)
@@ -353,7 +354,7 @@ class BarComplex(_WordCells):
         rel_degs = [r.degree() for r in A.relations]
         self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
         self._actions = {}  # (left, n, right) -> terms of left.n.right
-        self._faces = {}    # (word, deg % 2) -> its _coboundary_faces
+        self._faces = {}    # word -> its bar_faces
 
     def degree_range(self, p, q):
         """Word internal degrees S contributing to the (p, q) cell."""
@@ -409,10 +410,10 @@ class BarComplex(_WordCells):
         actions = self._actions
         entries = {}
         for word in self.cell_words(p + 1, q):
-            key = (word, (p + q) % 2)
-            if key not in self._faces:
-                self._faces[key] = tuple(_coboundary_faces(A, p + q, word))
-            for left, sub, right, s in self._faces[key]:
+            faces = self._faces.get(word)
+            if faces is None:
+                faces = self._faces[word] = tuple(bar_faces(A, word))
+            for left, sub, right, s in _coboundary_faces(A, p + q, faces):
                 for j, n in by_word.get(sub, ()):
                     img = actions.get((left, n, right))
                     if img is None:

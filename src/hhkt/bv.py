@@ -217,7 +217,7 @@ class BVContext:
             if coords is None:
                 raise InternalConsistencyError(
                     "operator image missed the ring cell")
-            out[lbl] = {tgt_labels[i]: v for i, v in enumerate(coords) if v}
+            out[lbl] = {tgt_labels[i]: v for i, v in coords.items()}
         self._delta[key] = out
         return out
 

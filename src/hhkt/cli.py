@@ -217,9 +217,6 @@ def cmd_compute(args):
 def cmd_oracle(args):
     A, window, digest = load_job(args)
     extra = regularity_gate(A) or {}
-    if args.max_bar_length is not None:
-        window = DegreeWindow(min(window.max_p, args.max_bar_length),
-                              window.q_min, window.q_max)
     ring = koszul_tate.hh_via_kt(A, window)
     report = bar.oracle_report(
         window,
@@ -366,7 +363,6 @@ def build_parser():
         p.add_argument("--q-max", type=int, default=None)
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "oracle":
-            p.add_argument("--max-bar-length", type=int, default=None)
             p.add_argument("--cell-limit", type=int, default=CELL_LIMIT)
     v = sub.add_parser("verify")
     v.set_defaults(run=cmd_verify)
@@ -379,9 +375,8 @@ def build_parser():
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for flag in ("cell_limit", "max_bar_length"):
-            if (getattr(args, flag, None) or 0) < 0:
-                raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
+        if getattr(args, "cell_limit", 0) < 0:
+            raise UsageError("--cell-limit must be >= 0")
     except UsageError as err:
         sys.stderr.write(f"input error: {err}\n")
         return 1

@@ -11,16 +11,22 @@ is reduced in the coordinates of the free columns of rref(d_out), which
 determine a cycle: one elimination of [d_in at the free rows | I] picks
 the representatives (canonical kernel vectors, one per free column) and
 then solves for the class coordinates of any cycle.
-Vectors in the algebraic modules are ``LinComb`` subclasses: sparse
-``{key: coeff}`` maps normalized mod p, each extending its maps and
-products over terms with ``LinComb.linear`` and ``LinComb.bilinear``.
+Every vector this module takes or returns is sparse: a cell vector is an
+``{index: coeff}`` dict (matrix products, solutions, kernel vectors,
+representatives, class coordinates and d^2 witnesses alike).  Vectors in
+the algebraic modules are ``LinComb`` subclasses: ``{key: coeff}`` maps
+normalized mod p, each extending its maps and products over terms with
+``LinComb.linear`` and ``LinComb.bilinear``.
 
 Every complex in the package (the resolution F, its tensor square, the Hom
 complex, the bar cochains and the Hochschild chains) is a ``CellComplex``,
 which caches per (degree, weight) cell its basis and index, differential
-matrix, its rank, a solver, and homology with its class-expresser.  A
-dimension alone is n - rank(d_out) - rank(d_in) from the cached ranks;
-homology is reduced only where a class is expressed or read.
+matrix, its rank, a solver, and homology with its class-expresser; it
+converts between a cell's terms and its index vectors (``vector``,
+``combination``), so callers read representatives (``representatives``)
+and class coordinates (``express``) in terms of basis elements and
+indices.  A dimension alone is n - rank(d_out) - rank(d_in) from the
+cached ranks; homology is reduced only where a class is expressed or read.
 """
 
 from __future__ import annotations
@@ -163,32 +169,28 @@ class SparseMatrix:
 
     @classmethod
     def from_columns(cls, rows, columns, field):
-        entries = {}
-        for c, col in enumerate(columns):
-            for r, v in enumerate(col):
-                if v % field.p:
-                    entries[(r, c)] = v
-        return cls(rows, len(columns), entries, field)
+        """The matrix whose columns are the given {row: coeff} vectors."""
+        return cls(rows, len(columns),
+                   {(r, c): v for c, col in enumerate(columns)
+                    for r, v in col.items()}, field)
 
     def transpose(self):
         return SparseMatrix(
             self.cols, self.rows,
             {(c, r): v for (r, c), v in self.entries.items()}, self.field)
 
-    def column(self, j):
-        col = [0] * self.rows
-        for (r, c), v in self.entries.items():
-            if c == j:
-                col[r] = v
-        return tuple(col)
-
     def mul_vec(self, vec):
+        """M vec, for vec a {col: coeff} vector; summed in a dense scratch
+        list, which is faster than a dict when M has many entries."""
         p = self.field.p
+        x = [0] * self.cols
+        for c, v in vec.items():
+            x[c] = v
         out = [0] * self.rows
         for (r, c), v in self.entries.items():
-            if vec[c]:
-                out[r] = (out[r] + v * vec[c]) % p
-        return tuple(out)
+            if x[c]:
+                out[r] += v * x[c]
+        return {r: v % p for r, v in enumerate(out) if v and v % p}
 
     def nnz(self):
         return len(self.entries)
@@ -265,35 +267,15 @@ def rank(M: SparseMatrix):
     return len(_rref(M, M.cols, back=False)[0])
 
 
-def kernel_vector(pivots, rows, ncols, j, field):
+def kernel_vector(pivots, rows, j, field):
     """The canonical kernel vector of an RREF at its free column j: 1 at
-    j, minus column j of each pivot row at that row's pivot, 0 elsewhere."""
-    vec = [0] * ncols
-    vec[j] = 1
+    j, minus column j of each pivot row at that row's pivot."""
+    vec = {j: 1}
     for c, row in zip(pivots, rows):
         v = row.get(j)
         if v:
             vec[c] = (-v) % field.p
-    return tuple(vec)
-
-
-def kernel_basis_from_rref(pivots, rows, ncols, field):
-    """Canonical kernel basis (one vector per free column) from an RREF."""
-    pivot_set = set(pivots)
-    return [kernel_vector(pivots, rows, ncols, j, field)
-            for j in range(ncols) if j not in pivot_set]
-
-
-def rank_kernel_image(M: SparseMatrix):
-    """Rank, canonical kernel basis, and the pivot columns of M.
-
-    Kernel vectors v satisfy Mv = 0; the image basis is the set of original
-    columns of M at the RREF pivot positions (a maximal independent set).
-    """
-    pivots, rows = rref(M)
-    kernel = kernel_basis_from_rref(pivots, rows, M.cols, M.field)
-    image = [M.column(c) for c in pivots]
-    return len(pivots), kernel, image
+    return vec
 
 
 class LinearSystem:
@@ -313,23 +295,28 @@ class LinearSystem:
         self.pivots, self.rows = _rref(aug, M.cols)
 
     def solve(self, b):
-        """A particular solution of Mx = b (free vars 0), or None."""
+        """A particular solution x of Mx = b (free vars 0), or None; b and
+        x are {index: coeff} vectors."""
         p = self.field.p
         ncols = self.M.cols
-        x = [0] * ncols
-        for i, c in enumerate(self.pivots):
+        # b placed at the I-block columns of the recorded rows; the M-block
+        # reads zero
+        placed = [0] * (ncols + self.M.rows)
+        for r, v in b.items():
+            placed[ncols + r] = v
+        x = {}
+        for c, row in zip(self.pivots, self.rows):
             # value of (L b) at this pivot row, L = recorded row ops
             s = 0
-            row = self.rows[i]
             for cc, v in row.items():
-                if cc >= ncols and b[cc - ncols]:
-                    s = (s + v * b[cc - ncols]) % p
-            x[c] = s
+                if placed[cc]:
+                    s += v * placed[cc]
+            s %= p
+            if s:
+                x[c] = s
         # verify (also detects inconsistency from zero rows)
-        Mx = self.M.mul_vec(x)
-        if any((Mx[r] - b[r]) % p for r in range(self.M.rows)):
-            return None
-        return tuple(x)
+        b = {r: v % p for r, v in b.items() if v % p}
+        return x if self.M.mul_vec(x) == b else None
 
 
 class SubquotientBasis:
@@ -337,14 +324,15 @@ class SubquotientBasis:
 
     Classes are solved in the coordinates of the free columns of
     rref(d_out), which determine a cycle: ``solver`` eliminates [B | I_f],
-    B the rows of d_in at those columns, and ``rep_cols`` are its pivot
-    columns in the I-block, one per representative.
+    B the rows of d_in at those columns (``free_row`` numbers them), and
+    ``rep_cols`` are its pivot columns in the I-block, one per
+    representative.
     """
 
-    def __init__(self, representatives, d_out, free, solver, rep_cols):
+    def __init__(self, representatives, d_out, free_row, solver, rep_cols):
         self.representatives = representatives
         self.d_out = d_out
-        self.free = free
+        self.free_row = free_row
         self.solver = solver
         self.rep_cols = rep_cols
 
@@ -355,15 +343,16 @@ class SubquotientBasis:
     def express(self, vec):
         """Coordinates of a cycle's class in the representative basis, or
         None when vec is not a cycle of this cell."""
-        if any(self.d_out.mul_vec(vec)):
+        if self.d_out.mul_vec(vec):
             return None
-        x = self.solver.solve([vec[j] for j in self.free])
-        return tuple(x[c] for c in self.rep_cols)
+        x = self.solver.solve({self.free_row[j]: c for j, c in vec.items()
+                               if j in self.free_row})
+        return {i: x[c] for i, c in enumerate(self.rep_cols) if c in x}
 
 
 def check_composite(d_in: SparseMatrix, d_out: SparseMatrix):
     """Raise ComplexViolationError at the first column of d_in with a
-    nonzero image under d_out (the dense witness)."""
+    nonzero image under d_out, as a {row: coeff} witness."""
     if d_in.rows != d_out.cols:
         raise ValueError("d_in rows must match d_out cols")
     p = d_out.field.p
@@ -379,12 +368,9 @@ def check_composite(d_in: SparseMatrix, d_out: SparseMatrix):
             for r, v in out_cols.get(k, ()):
                 comp[r] = (comp.get(r, 0) + v * x) % p
         if any(comp.values()):
-            witness = [0] * d_out.rows
-            for r, v in comp.items():
-                witness[r] = v
             raise ComplexViolationError(
                 "composite differential is nonzero: d^2 != 0", j,
-                tuple(witness))
+                {r: v for r, v in sorted(comp.items()) if v})
 
 
 def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis:
@@ -417,9 +403,9 @@ def cohomology_cell(d_in: SparseMatrix, d_out: SparseMatrix) -> SubquotientBasis
     solver = LinearSystem(SparseMatrix(len(free), m + len(free), entries,
                                        field))
     rep_cols = [c for c in solver.pivots if c >= m]
-    reps = [kernel_vector(pivots, rows, d_out.cols, free[c - m], field)
+    reps = [kernel_vector(pivots, rows, free[c - m], field)
             for c in rep_cols]
-    return SubquotientBasis(reps, d_out, free, solver, rep_cols)
+    return SubquotientBasis(reps, d_out, free_row, solver, rep_cols)
 
 
 class CellComplex:
@@ -457,15 +443,14 @@ class CellComplex:
         return self._index[(d, w)]
 
     def vector(self, d, w, terms):
+        """The {index: coeff} vector of terms in the cell (d, w)."""
         index = self.index(d, w)
-        vec = [0] * len(index)
-        for b, c in terms.items():
-            vec[index[b]] = c
-        return tuple(vec)
+        return {index[b]: c for b, c in terms.items()}
 
     def combination(self, d, w, vec):
+        """The terms of an {index: coeff} vector, in basis order."""
         basis = self.cell_basis(d, w)
-        return {basis[i]: c for i, c in enumerate(vec) if c}
+        return {basis[i]: vec[i] for i in sorted(vec)}
 
     def matrix(self, d, w) -> SparseMatrix:
         """The differential from the cell (d, w) to (d + step, w)."""
@@ -513,6 +498,11 @@ class CellComplex:
             self._hom[(d, w)] = cohomology_cell(
                 self.matrix(d - self.step, w), self.matrix(d, w))
         return self._hom[(d, w)]
+
+    def representatives(self, d, w):
+        """The terms of the class representatives of the cell (d, w)."""
+        return [self.combination(d, w, rep)
+                for rep in self.homology(d, w).representatives]
 
     def express(self, d, w, terms):
         """Coordinates of a cycle's class in its cell's homology basis, or

@@ -749,10 +749,10 @@ class KTRing(CellComplex):
             self.generators = None
             for (p, q) in W.cells():
                 labels = []
-                for k, rep in enumerate(self.homology(p, q).representatives):
+                for k, rep in enumerate(self.representatives(p, q)):
                     label = ("h", p, q, k)
                     labels.append(label)
-                    self.class_reps[label] = self.combination(p, q, rep)
+                    self.class_reps[label] = rep
                 self.cells[(p, q)] = labels
 
     def _differential_vanishes(self):
@@ -916,7 +916,7 @@ class KTRing(CellComplex):
         coords = self.express(p, q, terms)
         if coords is None:
             raise InternalConsistencyError("cup product not a cocycle class")
-        return {("h", p, q, k): c for k, c in enumerate(coords) if c}
+        return {("h", p, q, k): c for k, c in coords.items()}
 
 
 def hh_via_kt(presentation: AlgebraPresentation,

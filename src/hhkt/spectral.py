@@ -28,11 +28,13 @@ PAGE_LIMIT = 64
 
 def collapse_certificate(R) -> CollapseCertificate:
     """Check, for every populated cell and every page number up to a sound
-    cutoff, that the differential target cell is empty."""
+    cutoff, that the differential target cell is empty.  Needs the cell
+    dimensions beyond the window, which KTRing.cell_dim gives whenever the
+    Hom-complex differential vanishes (pure-power relations or not)."""
     populated = sorted(pq for pq, labels in R.cells.items() if labels)
     if not populated:
         return CollapseCertificate("collapse", [], 2, "no populated cells")
-    if R.generators is None:
+    if not R.differential_vanishes:
         return CollapseCertificate(
             "unknown", [], None,
             "no monomial model: cells beyond the window are not enumerable")

@@ -179,9 +179,8 @@ def check_cup_strictly_associative(corpus, rng):
     cx = BarComplex(A, COEFF_SELF, window)
     reps = []
     for (p, q) in [(1, -5), (1, 0)]:
-        hom = cx.homology(p, q)
-        reps.extend(Cochain(A, COEFF_SELF, p, q, cx.combination(p, q, v))
-                    for v in hom.representatives)
+        reps.extend(Cochain(A, COEFF_SELF, p, q, terms)
+                    for terms in cx.representatives(p, q))
     for f, g, h in itertools.product(reps, repeat=3):
         p = f.p + g.p + h.p
         q = f.q + g.q + h.q
@@ -204,10 +203,8 @@ def check_cup_commutative_mod_coboundary(corpus, rng):
     cells = [(1, -5), (1, 0), (2, -10)]
     reps = {}
     for (p, q) in cells:
-        hom = cx.homology(p, q)
-        reps[(p, q)] = [Cochain(A, COEFF_SELF, p, q,
-                                cx.combination(p, q, v))
-                        for v in hom.representatives]
+        reps[(p, q)] = [Cochain(A, COEFF_SELF, p, q, terms)
+                        for terms in cx.representatives(p, q)]
     pool = [(pq1, pq2) for pq1 in cells for pq2 in cells
             if pq1[0] + pq2[0] <= window.max_p]
     count = 0
@@ -380,7 +377,7 @@ def check_linear_algebra(corpus, rng):
             return "fail", f"kernel of dimension {len(kernel)} != " \
                 f"cols - rank ({rows}x{cols}, p={p})"
         for v in kernel:
-            if any(M.mul_vec(v)):
+            if M.mul_vec(v):
                 return "fail", "kernel vector not annihilated"
     return "pass", None
 

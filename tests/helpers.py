@@ -38,3 +38,8 @@ def exterior_times_truncated_f3():
         PrimeField(3),
         [GradedGenerator("y1", 3, "exterior"),
          GradedGenerator("x1", 2, "polynomial")], ["x1^3"])
+
+
+def column(M, j):
+    """Column j of a SparseMatrix, as a {row: coeff} vector."""
+    return {r: v for (r, c), v in sorted(M.entries.items()) if c == j}

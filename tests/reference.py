@@ -22,6 +22,8 @@ from hhkt.fields import LinearSystem, SparseMatrix, rank
 from hhkt.koszul_tate import (EMono, diagonal_mono, emonos_at_level,
                               kt_d_mono, lucas_binomial)
 
+from .helpers import column
+
 
 # -- Hochschild chains and cochains ------------------------------------------
 
@@ -265,11 +267,10 @@ def cup_by_diagonal_terms(R, f, g):
 def connes_matrix_on_homology(chains, k, t):
     """H(B): chain homology at (k, t) -> chain homology at (k+1, t), in
     the representative bases of a ChainComplexCells."""
-    hom_src = chains.homology(k, t)
     hom_dst = chains.homology(k + 1, t)
     cols = []
-    for rep in hom_src.representatives:
-        c = ChainElement(chains.A, chains.combination(k, t, rep))
+    for terms in chains.representatives(k, t):
+        c = ChainElement(chains.A, terms)
         coords = chains.express(k + 1, t, connes_boundary(c).terms)
         if coords is None:
             raise InternalConsistencyError(
@@ -289,11 +290,11 @@ def pairing_matrix(ctx, chains, p, q_dual):
         raise InternalConsistencyError(
             f"pairing cell mismatch at ({p},{q_dual})")
     entries = {}
-    for k, grep in enumerate(hom_dual.representatives):
-        g = Cochain(A, COEFF_DUAL, p, q_dual,
-                    ctx.bar_dual.combination(p, q_dual, grep))
-        for i, crep in enumerate(hom_chain.representatives):
-            v = pair_class(g, chains.combination(p, t, crep), A)
+    chain_reps = chains.representatives(p, t)
+    for k, terms in enumerate(ctx.bar_dual.representatives(p, q_dual)):
+        g = Cochain(A, COEFF_DUAL, p, q_dual, terms)
+        for i, crep in enumerate(chain_reps):
+            v = pair_class(g, crep, A)
             if v:
                 entries[(k, i)] = v
     M = SparseMatrix(hom_dual.dim, hom_chain.dim, entries, A.field)
@@ -325,8 +326,8 @@ def dual_class_matrix_via_self_homology(ctx, p, q):
                 "comparison image is not a cocycle class")
         T_cols.append(coords)
     theta_cols = []
-    for rep in hom.representatives:
-        f = Cochain(A, COEFF_SELF, p, q, ctx.xi.bar.combination(p, q, rep))
+    for terms in ctx.xi.bar.representatives(p, q):
+        f = Cochain(A, COEFF_SELF, p, q, terms)
         coords = ctx.bar_dual.express(p, qd, ctx.theta_cochain(f).terms)
         if coords is None:
             raise InternalConsistencyError("theta image not a class")
@@ -363,17 +364,17 @@ def delta_matrix_via_homology(ctx, chains, p, q):
     pair_solver = LinearSystem(P_prev.transpose())
     sign_g = -1 if (p + qd) % 2 else 1
     for j, lbl in enumerate(labels):
-        g = comp_here.column(j)
+        g = column(comp_here, j)
         rhs = Bmat.transpose().mul_vec(P_here.transpose().mul_vec(g))
-        rhs = tuple((sign_g * v) % field.p for v in rhs)
-        gprime = pair_solver.solve(rhs) if P_prev.rows else tuple()
+        rhs = {r: (sign_g * v) % field.p for r, v in rhs.items()}
+        gprime = pair_solver.solve(rhs) if P_prev.rows else {}
         if gprime is None:
             raise InternalConsistencyError("pairing solve failed")
-        coords = comp_solver.solve(tuple(gprime))
+        coords = comp_solver.solve(gprime)
         if coords is None:
             raise InternalConsistencyError(
                 "operator image missed the ring cell")
-        out[lbl] = {tgt_labels[i]: v for i, v in enumerate(coords) if v}
+        out[lbl] = {tgt_labels[i]: v for i, v in coords.items()}
     return out
 
 
@@ -474,10 +475,10 @@ def emonos_at_level_by_kind(R, level):
 
 class ExplicitBigradedRing:
     """A ring given by an exhaustive cell table (used for counterexamples).
-    Every cell can be read, as in a monomial model, but it names no model
-    generators."""
+    Every cell can be read, as when the Hom-complex differential
+    vanishes."""
 
-    generators = ()
+    differential_vanishes = True
 
     def __init__(self, cells):
         self.cells = cells

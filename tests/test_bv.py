@@ -15,8 +15,8 @@ from hhkt.bv import (BVContext, NotPoincareDualityError, RingClass,
                      seven_term_sweep)
 from hhkt.koszul_tate import EMono, KTElement
 
-from .helpers import exterior, exterior_times_truncated_f3, polynomial, \
-    truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
+from .helpers import column, exterior, exterior_times_truncated_f3, \
+    polynomial, truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
 from .reference import (delta_matrix_via_homology,
                         dual_class_matrix_via_self_homology, dual_left_action)
 
@@ -70,13 +70,11 @@ def test_pairing_descends():
     chains = ChainComplexCells(A)
     for (p, qd) in [(1, -10), (1, -15), (2, -20)]:
         t = -qd
-        hom_dual = ctx.bar_dual.homology(p, qd)
         bmat = chains.matrix(p + 1, t)
-        for grep in hom_dual.representatives:
-            g = Cochain(A, COEFF_DUAL, p, qd,
-                        ctx.bar_dual.combination(p, qd, grep))
+        for terms in ctx.bar_dual.representatives(p, qd):
+            g = Cochain(A, COEFF_DUAL, p, qd, terms)
             for j in range(bmat.cols):
-                boundary = chains.combination(p, t, bmat.column(j))
+                boundary = chains.combination(p, t, column(bmat, j))
                 if not boundary:
                     continue
                 assert pair_class(g, boundary, A) == 0
@@ -191,10 +189,8 @@ def test_theta_equals_postcomposition_with_duality():
     window = DegreeWindow(2, -22, 12)
     ctx = BVContext(A, window)
     for (p, q) in [(0, 5), (1, 0), (1, -5), (2, -10)]:
-        hom = ctx.xi.bar.homology(p, q)
-        for rep in hom.representatives:
-            f = Cochain(A, COEFF_SELF, p, q,
-                        ctx.xi.bar.combination(p, q, rep))
+        for terms in ctx.xi.bar.representatives(p, q):
+            f = Cochain(A, COEFF_SELF, p, q, terms)
             lhs = ctx.bar_dual.express(p, q - ctx.d,
                                        ctx.theta_cochain(f).terms)
             values = {}

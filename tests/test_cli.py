@@ -501,7 +501,8 @@ def test_benchmark_trace_targets_resolve_after_cli_import():
                        "bv.BVContext.pairing_matrix",
                        "bv.BVContext.translate_matrix",
                        "bv.BVContext.theta_matrix",
-                       "bv.BVContext.kt_to_bar_cochain"}
+                       "bv.BVContext.kt_to_bar_cochain",
+                       "fields.rank_kernel_image"}
 
 
 def _reference_product_rows(ring):
@@ -698,6 +699,9 @@ USAGE_ERRORS = {
     "bv_max_bar_length": ["bv", "--input", "pres.json",
                           "--max-bar-length", "3"],
     "bv_cell_limit": ["bv", "--input", "pres.json", "--cell-limit", "3"],
+    # --max-p caps the bar length of the oracle too
+    "oracle_max_bar_length": ["oracle", "--input", "pres.json",
+                              "--max-bar-length", "3"],
     # only verify samples, so only verify takes a seed
     "compute_seed": ["compute", "--input", "pres.json", "--seed", "3"],
     "oracle_seed": ["oracle", "--input", "pres.json", "--seed", "3"],
@@ -725,14 +729,14 @@ def test_negative_cell_limit_is_an_input_error(tmp_path, capsys):
     assert captured.err == "input error: --cell-limit must be >= 0\n"
 
 
-
-def test_negative_max_bar_length_is_an_input_error(tmp_path, capsys):
+def test_negative_max_p_is_an_input_error(tmp_path, capsys):
     code = main(["oracle", "--input", write(tmp_path, "ext2_deg5"),
-                 "--max-bar-length", "-1"])
+                 "--max-p", "-1", "--cell-limit", "100000"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "input error: --max-bar-length must be >= 0\n"
+    assert captured.err == "input error: max filtration must be >= 0\n"
+
 
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
@@ -743,8 +747,7 @@ def test_help_still_exits_0(capsys):
 
 def test_oracle_keeps_its_bar_flags(tmp_path, capsys):
     code, out = run(capsys, ["oracle", "--input",
-                             write(tmp_path, "ext2_deg5"), "--max-p", "2",
-                             "--max-bar-length", "1",
+                             write(tmp_path, "ext2_deg5"), "--max-p", "1",
                              "--cell-limit", "100000"])
     assert code == 0
     assert json.loads(out)["metadata"]["window"]["max_filtration"] == 1

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from hhkt.fields import (CellComplex, ComplexViolationError, FieldError,
                          LinearSystem, PrimeField, SparseMatrix, _rref,
-                         cohomology_cell, kernel_basis_from_rref,
-                         rank_kernel_image, rref)
+                         cohomology_cell, kernel_vector, rank, rref)
+
+from .helpers import column
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -22,28 +23,38 @@ def test_prime_check():
         PrimeField(1)
 
 
+def _rank_kernel_image(M):
+    """The forward-only rank of M, the canonical kernel basis that
+    cohomology_cell builds when nothing maps in, and the columns of M at
+    the pivots of rref(M)."""
+    kernel = cohomology_cell(SparseMatrix(M.cols, 0, {}, M.field),
+                             M).representatives
+    return rank(M), kernel, [column(M, c) for c in rref(M)[0]]
+
+
 def test_rank_identity():
     M = SparseMatrix(3, 3, {(i, i): 1 for i in range(3)}, F2)
-    rank, kernel, image = rank_kernel_image(M)
-    assert rank == 3
+    r, kernel, image = _rank_kernel_image(M)
+    assert r == 3
     assert kernel == []
-    assert sorted(image) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert image == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_rank_zero_matrix():
     M = SparseMatrix(2, 4, {}, F2)
-    rank, kernel, image = rank_kernel_image(M)
-    assert rank == 0
-    assert len(kernel) == 4
+    r, kernel, image = _rank_kernel_image(M)
+    assert r == 0
+    assert kernel == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
     assert image == []
 
 
 def test_rank_ones_f2():
     # [[1,1],[1,1]] over F_2: rank 1, kernel spanned by (1,1)
     M = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}, F2)
-    rank, kernel, image = rank_kernel_image(M)
-    assert rank == 1
-    assert kernel == [(1, 1)]
+    r, kernel, image = _rank_kernel_image(M)
+    assert r == 1
+    assert kernel == [{0: 1, 1: 1}]
+    assert image == [{0: 1, 1: 1}]
 
 
 def _dense_rref(M):
@@ -93,13 +104,13 @@ def _random_sparse(rng, rows, cols, p):
 @settings(max_examples=60, deadline=None)
 def test_rank_transpose_and_kernel(rows, cols, p, rng):
     M = _random_sparse(rng, rows, cols, p)
-    rank, kernel, image = rank_kernel_image(M)
-    rank_t, _, _ = rank_kernel_image(M.transpose())
-    assert rank == rank_t
-    assert rank + len(kernel) == cols
+    r, kernel, image = _rank_kernel_image(M)
+    r_t, _, _ = _rank_kernel_image(M.transpose())
+    assert r == r_t
+    assert r + len(kernel) == cols
     for v in kernel:
-        assert not any(M.mul_vec(v))
-    assert len(image) == rank
+        assert not M.mul_vec(v)
+    assert len(image) == r
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([2, 5]),
@@ -107,9 +118,8 @@ def test_rank_transpose_and_kernel(rows, cols, p, rng):
 @settings(max_examples=40, deadline=None)
 def test_sparse_matches_dense_rank(rows, cols, p, rng):
     M = _random_sparse(rng, rows, cols, p)
-    rank, _, _ = rank_kernel_image(M)
     pivots, _ = _dense_rref(M)
-    assert rank == len(pivots)
+    assert rank(M) == len(pivots)
 
 
 @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([2, 3, 5]),
@@ -136,12 +146,12 @@ def test_cell_rank_is_full_rref_rank(rows, cols, p, density, rng):
 def test_solve_system():
     M = SparseMatrix(2, 3, {(0, 0): 1, (0, 2): 1, (1, 1): 1}, F5)
     solver = LinearSystem(M)
-    x = solver.solve((3, 4))
+    x = solver.solve({0: 3, 1: 4})
     assert x is not None
-    assert M.mul_vec(x) == (3, 4)
+    assert M.mul_vec(x) == {0: 3, 1: 4}
     # inconsistent system
     M2 = SparseMatrix(2, 1, {(0, 0): 1, (1, 0): 1}, F5)
-    assert LinearSystem(M2).solve((1, 2)) is None
+    assert LinearSystem(M2).solve({0: 1, 1: 2}) is None
 
 
 def test_cohomology_cell_zero_maps():
@@ -163,15 +173,15 @@ def test_cohomology_cell_violation_witness():
     d_out = SparseMatrix(1, 1, {(0, 0): 1}, F2)
     with pytest.raises(ComplexViolationError) as err:
         cohomology_cell(d_in, d_out)
-    assert any(err.value.witness)
+    assert err.value.witness == {0: 1}
     # column 0 of d_in is a cycle, column 1 is not: the first failing
-    # column is reported with its dense image under d_out
+    # column is reported with its image under d_out
     d_out = SparseMatrix(2, 3, {(0, 0): 1, (1, 1): 2}, F5)
     d_in = SparseMatrix(3, 2, {(2, 0): 3, (0, 1): 1, (1, 1): 1}, F5)
     with pytest.raises(ComplexViolationError) as err:
         cohomology_cell(d_in, d_out)
     assert err.value.source_index == 1
-    assert err.value.witness == (1, 2)
+    assert err.value.witness == {0: 1, 1: 2}
 
 
 @pytest.mark.parametrize("d_in, d_out", [
@@ -246,6 +256,28 @@ def _dense_rank(columns, nrows, field):
         SparseMatrix.from_columns(nrows, columns, field))[0])
 
 
+def _kernel_basis(pivots, rows, ncols, field):
+    """The canonical kernel basis of an RREF, one vector per free column."""
+    return [kernel_vector(pivots, rows, j, field)
+            for j in range(ncols) if j not in pivots]
+
+
+def _add(u, v, p, c=1):
+    """u + c v for {index: coeff} vectors."""
+    out = dict(u)
+    for i, x in v.items():
+        out[i] = (out.get(i, 0) + c * x) % p
+    return {i: x for i, x in sorted(out.items()) if x}
+
+
+def _combo(rng, vectors, p):
+    """A random combination of {index: coeff} vectors."""
+    out = {}
+    for v in vectors:
+        out = _add(out, v, p, rng.randrange(p))
+    return out
+
+
 @given(st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_cohomology_cell_on_random_complexes(p, rng):
@@ -256,21 +288,15 @@ def test_cohomology_cell_on_random_complexes(p, rng):
     n = rng.randrange(0, 7)
     d_out = _random_sparse(rng, rng.randrange(0, 5), n, p)
     piv, rows = _dense_rref(d_out)
-    ker = kernel_basis_from_rref(piv, rows, n, field)
+    ker = _kernel_basis(piv, rows, n, field)
     # d_in: random combinations of kernel vectors, so d_out . d_in = 0
-    in_cols = []
-    for _ in range(rng.randrange(0, 5)):
-        col = [0] * n
-        for v in ker:
-            c = rng.randrange(p)
-            col = [(x + c * y) % p for x, y in zip(col, v)]
-        in_cols.append(tuple(col))
+    in_cols = [_combo(rng, ker, p) for _ in range(rng.randrange(0, 5))]
     d_in = SparseMatrix.from_columns(n, in_cols, field)
     hom = cohomology_cell(d_in, d_out)
     rank_in = _dense_rank(in_cols, n, field)
     assert len(ker) == n - len(piv)
     for v in ker:
-        assert not any(d_out.mul_vec(v))
+        assert not d_out.mul_vec(v)
     assert hom.dim == len(ker) - rank_in
     expected = []
     for i, v in enumerate(ker):
@@ -285,10 +311,11 @@ def _dense_express(reps, image, vec, n, field):
     [reps | image] x = vec by dense elimination, or None off their span."""
     cols = list(reps) + list(image)
     piv, rows = _dense_rref(
-        SparseMatrix.from_columns(n, cols + [tuple(vec)], field))
+        SparseMatrix.from_columns(n, cols + [vec], field))
     if len(cols) in piv:
         return None
-    return tuple(rows[i].get(len(cols), 0) for i in range(len(reps)))
+    return {i: rows[i][len(cols)] for i in range(len(reps))
+            if len(cols) in rows[i]}
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.randoms(use_true_random=False))
@@ -300,16 +327,8 @@ def test_express_against_dense_solve(p, rng):
     n = rng.randrange(1, 8)
     d_out = _random_sparse(rng, rng.randrange(0, 5), n, p)
     piv, rows = _dense_rref(d_out)
-    ker = kernel_basis_from_rref(piv, rows, n, field)
-
-    def combo(vectors):
-        out = [0] * n
-        for v in vectors:
-            c = rng.randrange(p)
-            out = [(x + c * y) % p for x, y in zip(out, v)]
-        return tuple(out)
-
-    in_cols = [combo(ker) for _ in range(rng.randrange(0, 5))]
+    ker = _kernel_basis(piv, rows, n, field)
+    in_cols = [_combo(rng, ker, p) for _ in range(rng.randrange(0, 5))]
     d_in = SparseMatrix.from_columns(n, in_cols, field)
     hom = cohomology_cell(d_in, d_out)
     image = []
@@ -317,19 +336,19 @@ def test_express_against_dense_solve(p, rng):
         if _dense_rank(image + [v], n, field) > len(image):
             image.append(v)
     for i, rep in enumerate(hom.representatives):
-        assert hom.express(rep) == tuple(int(j == i) for j in range(hom.dim))
-    z = combo(ker)
+        assert hom.express(rep) == {i: 1}
+    z = _combo(rng, ker, p)
     coords = hom.express(z)
     assert coords == _dense_express(hom.representatives, image, z, n, field)
     assert coords is not None
-    zb = tuple((x + y) % p for x, y in zip(z, combo(in_cols)))
+    zb = _add(z, _combo(rng, in_cols, p), p)
     assert hom.express(zb) == coords
     for c in piv:
         # a pivot column of d_out is nonzero, so z + e_c is not a cycle
-        off = tuple((x + (j == c)) % p for j, x in enumerate(z))
+        off = _add(z, {c: 1}, p)
         assert _dense_express(hom.representatives, image, off, n,
                               field) is None
         assert hom.express(off) is None
-    v = tuple(rng.randrange(p) for _ in range(n))
+    v = {j: x for j in range(n) if (x := rng.randrange(p))}
     assert hom.express(v) == _dense_express(hom.representatives, image, v, n,
                                             field)

@@ -76,6 +76,27 @@ def test_counted_cell_dims_match_enumeration(path, monkeypatch):
         assert counted(p, q) == len(ring.cell_basis(p, q)), (p, q)
 
 
+def test_certificate_needs_a_vanishing_differential_not_pure_powers():
+    """F2[x1,x2]/(x1^2 + x2^2) has no monomial generator model, but its
+    Hom-complex differential vanishes, so cell_dim counts the cells beyond
+    the window and the certificate is decided from them; the homology
+    path stays undecided."""
+    ring = hh_via_kt(polynomial(2, [2, 2], ["x1^2 + x2^2"]),
+                     DegreeWindow(2, -8, 8))
+    assert ring.differential_vanishes and ring.generators is None
+    cert = collapse_certificate(ring)
+    assert cert.status == "obstructed", cert.detail
+    assert len(cert.potential_differentials) == 144
+    for d in cert.potential_differentials:
+        assert not ring.window.contains(*d.target)
+        assert d.target_dim == ring.cell_dim(*d.target) \
+            == len(ring.cell_basis(*d.target)), d
+    homology = _ring_from_file(
+        ROOT / "perfbench" / "inputs" / "poly2_rel_deg2_char2.json")
+    assert not homology.differential_vanishes
+    assert collapse_certificate(homology).status == "unknown"
+
+
 @pytest.mark.parametrize("path", MONOMIAL_MODEL_INPUTS, ids=lambda p: p.stem)
 def test_compute_enumerates_no_level_beyond_the_window(path, monkeypatch,
                                                        capsys):
