@@ -270,24 +270,27 @@ class AlgebraPresentation:
         return [(Monomial(0, exps), 1)]
 
     def _free_poly_exponents(self, degree):
-        """All exponent tuples of the given degree in the free K[x]."""
+        """All exponent tuples of the given degree in the free K[x], in
+        increasing order.  The last exponent is whatever degree is left, so
+        one call costs the number of tuples of the other exponents."""
+        if not self.n_poly:
+            return [()] if degree == 0 else []
         out = []
+        last = self.n_poly - 1
 
         def rec(j, rem, acc):
-            if j == self.n_poly:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
             d = self.poly_degrees[j]
-            e = 0
-            while e * d <= rem:
+            if j == last:
+                if rem >= 0 and rem % d == 0:
+                    out.append(tuple(acc) + (rem // d,))
+                return
+            for e in range(rem // d + 1):
                 acc.append(e)
                 rec(j + 1, rem - e * d, acc)
                 acc.pop()
-                e += 1
 
         rec(0, degree, [])
-        return sorted(out)
+        return out
 
     def _nf_table(self, degree):
         """(basis exponent tuples, reduction map) for one poly degree."""

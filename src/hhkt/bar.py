@@ -34,10 +34,9 @@ differential or a cup product needs them.  Both are A-bimodules through
 `*` with a Polynomial, so the differential and the cup product are
 written once for both coefficient sides.
 
-BarComplex (cochain cells (p, q)) and ChainComplexCells (chain cells
-(k, t)) are fields.CellComplex subclasses: cell vectors, solves and
-homology classes are reached through the base, on the terms of a Cochain
-or a ChainElement.
+BarComplex, the cochain cells (p, q), is a fields.CellComplex subclass:
+cell vectors, solves and homology classes are reached through the base,
+on the terms of a Cochain.
 
 Cochain cells with coefficients in the algebra itself are finite either
 because the algebra is finite-dimensional or, for free polynomial parts,
@@ -267,23 +266,6 @@ def _coboundary_faces(A, deg, faces):
         yield left, sub, right, outer * s
 
 
-def cochain_differential(f: Cochain, target_words) -> Cochain:
-    """del f, evaluated on the given words."""
-    A = f.A
-    values = _word_values(f)
-    terms = {}
-    for word in target_words:
-        acc = cochain_value(A, f.coeff)
-        for left, sub, right, s in _coboundary_faces(
-                A, f.total_degree, bar_faces(A, word)):
-            v = values.get(sub)
-            if v is not None:
-                acc = acc + _act(A, left, v, right).scale(s)
-        for n, c in acc.terms.items():
-            terms[(word, n)] = c
-    return Cochain(A, f.coeff, f.p + 1, f.q, terms)
-
-
 def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
     """Front-back splitting cup product: on a word w1 w2 it is
     (-1)^{|g||s w1|} f(w1) * g(w2), the product in A, or the bimodule
@@ -313,14 +295,24 @@ def cochain_cup(f: Cochain, g: Cochain, target_words) -> Cochain:
 # -- cochain cells and window homology ----------------------------------------
 
 
-class _WordCells(CellComplex):
-    """A bar-side cell complex: its cells are built from the words of the
-    augmentation ideal, cached by (length, internal degree)."""
+class BarComplex(CellComplex):
+    """The (p, q) cochain cells of one coefficient side of the Hochschild
+    cochain complex: basis entries (word, n), the keys of a Cochain."""
 
-    def __init__(self, A: AlgebraPresentation):
+    def __init__(self, A: AlgebraPresentation, coeff: str,
+                 window: DegreeWindow, cell_limit=CELL_LIMIT):
         super().__init__(A.field)
         self.A = A
-        self._words = {}
+        self.coeff = coeff
+        self.window = window
+        self.cell_limit = cell_limit
+        self.top = A.top_degree_bound()
+        gen_degs = [g.degree for g in A.generators]
+        rel_degs = [r.degree() for r in A.relations]
+        self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
+        self._words = {}    # (length, internal degree) -> words
+        self._actions = {}  # (left, n, right) -> terms of left.n.right
+        self._faces = {}    # word -> its bar_faces
 
     def words(self, k, S):
         """Words of length k and internal degree S, in a fixed order."""
@@ -337,24 +329,6 @@ class _WordCells(CellComplex):
                         out.append((m,) + rest)
         self._words[key] = out
         return out
-
-
-class BarComplex(_WordCells):
-    """The (p, q) cochain cells of one coefficient side of the Hochschild
-    cochain complex: basis entries (word, n), the keys of a Cochain."""
-
-    def __init__(self, A: AlgebraPresentation, coeff: str,
-                 window: DegreeWindow, cell_limit=CELL_LIMIT):
-        super().__init__(A)
-        self.coeff = coeff
-        self.window = window
-        self.cell_limit = cell_limit
-        self.top = A.top_degree_bound()
-        gen_degs = [g.degree for g in A.generators]
-        rel_degs = [r.degree() for r in A.relations]
-        self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
-        self._actions = {}  # (left, n, right) -> terms of left.n.right
-        self._faces = {}    # word -> its bar_faces
 
     def degree_range(self, p, q):
         """Word internal degrees S contributing to the (p, q) cell."""
@@ -470,24 +444,3 @@ def oracle_report(window: DegreeWindow, bar_dims, resolution_dims):
         "note": ("edge cells flagged: outgoing maps are built with one "
                  "extra filtration column of slack" if edge_cells else ""),
     }
-
-
-# -- chain cells ---------------------------------------------------------------
-
-
-class ChainComplexCells(_WordCells):
-    """Hochschild chain cells (word length k, internal degree t), with basis
-    entries (a0, word), the keys of a ChainElement; b lowers k."""
-
-    step = -1
-
-    def _basis(self, k, t):
-        out = []
-        for S in range(k, t + 1) if k else range(0, t + 1):
-            for w in self.words(k, S):
-                for a0 in self.A.monomial_basis(t - S):
-                    out.append((a0, w))
-        return out
-
-    def _boundary(self, b):
-        return hochschild_b(ChainElement(self.A, {b: 1})).terms.items()

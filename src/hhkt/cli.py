@@ -239,14 +239,12 @@ def cmd_bv(args):
 
 
 def cmd_verify(args):
-    report = verify_suite.run_suite(seed=args.seed,
-                                    inject_zeta_fault=args.inject_zeta_fault)
+    report = verify_suite.run_suite(seed=args.seed)
     doc = {
         "metadata": {
             "command": "verify",
             "seed": args.seed,
             "choices": dict(SOLVER_CHOICES),
-            "zeta_fault_injected": args.inject_zeta_fault,
         },
         "checks": report,
     }
@@ -368,7 +366,6 @@ def build_parser():
     v.set_defaults(run=cmd_verify)
     v.add_argument("--format", choices=("json", "text"), default="json")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--inject-zeta-fault", action="store_true")
     return parser
 
 

@@ -162,8 +162,6 @@ class SparseMatrix:
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             v %= field.p
             if v:
-                if (r, c) in clean:
-                    raise ValueError(f"duplicate entry at ({r},{c})")
                 clean[(r, c)] = v
         self.entries = clean
 

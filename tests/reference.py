@@ -1,9 +1,10 @@
 """Reference implementations that only the tests call.
 
 Each one checks the package from another angle (the shuffle product on
-Hochschild chains, the unit cochain, the bimodule actions on the dual of
-the algebra by one monomial, Hochschild homology dimensions over a
-window, the map phi from Hochschild cycles to the resolution, the BV
+Hochschild chains, the unit cochain, the cochain differential evaluated
+face by face, the Hochschild chain cells, the bimodule actions on the
+dual of the algebra by one monomial, Hochschild homology dimensions over
+a window, the map phi from Hochschild cycles to the resolution, the BV
 operator through Hochschild homology, the Hom-complex differential
 assembled term by term, the cup product evaluated term by term on the
 diagonal, the E-monomial degrees, symbols, product and enumeration
@@ -14,11 +15,13 @@ so none is compiled by any hhkt process.
 import itertools
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
-from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainComplexCells, ChainElement,
-                      Cochain, DualValue, connes_boundary, hochschild_b,
-                      word_suspension)
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement,
+                      Cochain, DualValue, _act, _coboundary_faces,
+                      _word_values, bar_faces, cochain_value, connes_boundary,
+                      hochschild_b, word_suspension)
+from hhkt.bigraded import DegreeWindow
 from hhkt.bv import pair_class
-from hhkt.fields import LinearSystem, SparseMatrix, rank
+from hhkt.fields import CellComplex, LinearSystem, SparseMatrix, rank
 from hhkt.koszul_tate import (EMono, diagonal_mono, emonos_at_level,
                               kt_d_mono, lucas_binomial)
 
@@ -64,6 +67,48 @@ def shuffle_product(c1: ChainElement, c2: ChainElement) -> ChainElement:
 
 def unit_cochain(A):
     return Cochain(A, COEFF_SELF, 0, 0, {((), A.unit_monomial()): 1})
+
+
+def cochain_differential(f: Cochain, target_words) -> Cochain:
+    """del f, evaluated on the given words one face at a time, where
+    BarComplex.matrix scatters each face onto the basis cochains."""
+    A = f.A
+    values = _word_values(f)
+    terms = {}
+    for word in target_words:
+        acc = cochain_value(A, f.coeff)
+        for left, sub, right, s in _coboundary_faces(
+                A, f.total_degree, bar_faces(A, word)):
+            v = values.get(sub)
+            if v is not None:
+                acc = acc + _act(A, left, v, right).scale(s)
+        for n, c in acc.terms.items():
+            terms[(word, n)] = c
+    return Cochain(A, f.coeff, f.p + 1, f.q, terms)
+
+
+class ChainComplexCells(CellComplex):
+    """Hochschild chain cells (word length k, internal degree t), with basis
+    entries (a0, word), the keys of a ChainElement; b lowers k.  The words
+    are those a BarComplex of A enumerates, whatever its window."""
+
+    step = -1
+
+    def __init__(self, A):
+        super().__init__(A.field)
+        self.A = A
+        self.words = BarComplex(A, COEFF_SELF, DegreeWindow(0, 0, 0)).words
+
+    def _basis(self, k, t):
+        out = []
+        for S in range(k, t + 1) if k else range(0, t + 1):
+            for w in self.words(k, S):
+                for a0 in self.A.monomial_basis(t - S):
+                    out.append((a0, w))
+        return out
+
+    def _boundary(self, b):
+        return hochschild_b(ChainElement(self.A, {b: 1})).terms.items()
 
 
 def dual_left_action(A, g, alpha: DualValue) -> DualValue:

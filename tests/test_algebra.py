@@ -8,6 +8,7 @@ from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Monomial,
                           parse_poly_expr, parse_presentation,
                           partial_derivative, validate_regular_sequence,
                           zeta_coefficients)
+from hhkt.cli import regularity_gate
 from hhkt.fields import PrimeField
 
 
@@ -229,6 +230,26 @@ def test_regular_sequence_validation():
     assert report.first_failing_degree is not None
     C = poly(2, [2, 2])
     assert validate_regular_sequence(C, 10).ok
+
+
+@pytest.mark.parametrize("degs", [(), (2,), (3,), (2, 4), (4, 1),
+                                  (3, 2, 1), (2, 6, 4)])
+def test_free_poly_exponents_match_brute_force(degs):
+    A = poly(2, list(degs))
+    for degree in range(-3, 25):
+        brute = sorted(
+            e for e in itertools.product(*(range(max(degree, 0) // d + 1)
+                                           for d in degs))
+            if sum(x * d for x, d in zip(e, degs)) == degree)
+        assert A._free_poly_exponents(degree) == brute, degree
+
+
+def test_regularity_gate_on_a_high_power_runs_its_full_bound():
+    """F_2[x1]/(x1^3000), |x1| = 2: the gate checks every degree through
+    2 * 6000 + 4, which used to take about 20 s."""
+    A = poly(2, [2], ["x1^3000"])
+    assert regularity_gate(A) == {
+        "regular_sequence_checked_through_degree": 12004}
 
 
 # a pure-power presentation over F_p: per variable its degree and its cap

@@ -10,16 +10,16 @@ from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
                           parse_presentation)
 from hhkt.bigraded import DegreeWindow
 from hhkt.fields import PrimeField
-from hhkt.bar import (BarComplex, ChainComplexCells, ChainElement, Cochain,
-                      DualValue, cochain_cup, cochain_differential,
-                      compute_hh_window, connes_boundary, hochschild_b,
-                      CellBlowupError, COEFF_DUAL, COEFF_SELF)
+from hhkt.bar import (BarComplex, ChainElement, Cochain, DualValue,
+                      cochain_cup, compute_hh_window, connes_boundary,
+                      hochschild_b, CellBlowupError, COEFF_DUAL, COEFF_SELF)
 from hhkt.koszul_tate import (KTElement, KTResolution, KTRing,
                               KTTensorElement, hh_via_kt)
 
 from .helpers import column, exterior, polynomial, truncated_poly_char2, \
     two_spheres_deg5
-from .reference import (compute_hochschild_homology_window,
+from .reference import (ChainComplexCells, cochain_differential,
+                        compute_hochschild_homology_window,
                         dual_left_action, dual_right_action, shuffle_product,
                         unit_cochain)
 

@@ -6,9 +6,8 @@ import pytest
 
 from hhkt import cli
 from hhkt.algebra import InternalConsistencyError
-from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainComplexCells,
-                      ChainElement, Cochain, DualValue, cochain_differential,
-                      hochschild_b)
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement,
+                      Cochain, DualValue, hochschild_b)
 from hhkt.bigraded import DegreeWindow
 from hhkt.bv import (BVContext, NotPoincareDualityError, RingClass,
                      build_pd, generator_monomial_labels, iota, pair_class,
@@ -17,7 +16,8 @@ from hhkt.koszul_tate import EMono, KTElement
 
 from .helpers import column, exterior, exterior_times_truncated_f3, \
     polynomial, truncated_poly_char2, two_spheres_deg3, two_spheres_deg5
-from .reference import (delta_matrix_via_homology,
+from .reference import (ChainComplexCells, cochain_differential,
+                        delta_matrix_via_homology,
                         dual_class_matrix_via_self_homology, dual_left_action)
 
 

@@ -279,15 +279,29 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
-def test_verify_fault_injection(capsys):
-    code = main(["verify", "--inject-zeta-fault"])
+def test_verify_fault_injection(capsys, monkeypatch):
+    # one zeta coefficient off by one fails the construction's own
+    # verification; only the zeta check builds zeta coefficients
+    import hhkt.algebra as algebra_mod
+    import hhkt.verify as verify_mod
+
+    def corrupted(rho):
+        zetas = algebra_mod.zeta_coefficients(rho)
+        j = next(j for j, z in enumerate(zetas) if z.terms)
+        key, c = next(iter(zetas[j].terms.items()))
+        zetas[j] = algebra_mod.TensorPoly(rho.algebra,
+                                          {**zetas[j].terms, key: c + 1})
+        algebra_mod._verify_zeta(rho, zetas)
+        return zetas
+    monkeypatch.setattr(verify_mod, "zeta_coefficients", corrupted)
+    code = main(["verify"])
     out = capsys.readouterr().out
     assert code == 3
     doc = json.loads(out)
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
     assert len(failed) == 1
-    assert "zeta" in failed[0]["name"]
-    assert failed[0]["witness"]
+    assert failed[0]["name"] == "zeta_conditions_on_random_relations"
+    assert failed[0]["witness"].startswith("zeta construction failed on ")
 
 
 def test_text_format(tmp_path, capsys):
@@ -409,11 +423,18 @@ def test_connes_failure_is_internal(tmp_path, capsys, monkeypatch):
 
 
 def test_bv_reduces_no_hochschild_chain_homology(capsys, monkeypatch):
-    import hhkt.bar as bar_mod
+    # a chain complex is a cell complex whose differential lowers degree
+    from hhkt.fields import CellComplex
 
-    def refuse(self, k, t):
-        raise AssertionError(f"chain homology reduced at ({k},{t})")
-    monkeypatch.setattr(bar_mod.ChainComplexCells, "homology", refuse)
+    def refusing(method):
+        def run(self, d, w):
+            if self.step == -1:
+                raise AssertionError(f"chain homology reduced at ({d},{w})")
+            return method(self, d, w)
+        return run
+    for name in ("homology", "homology_dim"):
+        monkeypatch.setattr(CellComplex, name,
+                            refusing(getattr(CellComplex, name)))
     path = pathlib.Path(__file__).resolve().parents[1] / "scripts" \
         / "presentations" / "ext2_deg5_char2.json"
     code, _ = run(capsys, ["bv", "--input", str(path)])
@@ -497,7 +518,9 @@ def test_benchmark_trace_targets_resolve_after_cli_import():
         env={**os.environ, "PYTHONPATH": str(root / "src")})
     missing = set(proc.stdout.split())
     assert missing <= {"fields._rref_dense", "bar.ChainComplexCells.b_matrix",
+                       "bar.ChainComplexCells.homology",
                        "bar.ChainComplexCells.connes_matrix_on_homology",
+                       "bar.cochain_differential",
                        "bv.BVContext.pairing_matrix",
                        "bv.BVContext.translate_matrix",
                        "bv.BVContext.theta_matrix",
@@ -707,6 +730,8 @@ USAGE_ERRORS = {
     "oracle_seed": ["oracle", "--input", "pres.json", "--seed", "3"],
     "bv_seed": ["bv", "--input", "pres.json", "--seed", "3"],
     "verify_input": ["verify", "--input", "pres.json"],
+    # verify's checks take no fault switch; the tests inject faults
+    "verify_inject_zeta_fault": ["verify", "--inject-zeta-fault"],
     "bad_format": ["verify", "--format", "xml"],
 }
 

@@ -97,9 +97,9 @@ BENCH_BV_EXT3_SHA256 = \
     "95e6439c98b3d8746a7fad554f51d0b81e66d3f2b3d3efba98cf9fab5fe1c1f8"
 
 VERIFY_SHA256 = {
-    0: "16d1c0e9d89e3f18c5a79b4fce179fce336fb46dec1f17bcff1d42a2ad3a0a86",
-    1: "6a706390efa2a26ad7e2281d969f326a9b6adcd541423185e5f6a040663a9e6b",
-    2: "d826e7a90352d1f7ddde46ab0ebe674cca2553c1d7737937c953b27f986e14b9",
+    0: "e278035399e71a1eab88af0f429f45480a9565fec941d7cc1032b81928d448a6",
+    1: "306065906c6b23adbf2da4800da66e95d4bed37f3b25acdf6d473e20c6a5532f",
+    2: "ac21c6796f3ebfacc1e325dd5dad799e94b873040cdf0fbe810de8ea169dccff",
 }
 
 

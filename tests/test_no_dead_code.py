@@ -1,4 +1,5 @@
-"""Every function, method and class defined in src/hhkt has a caller.
+"""Every function, method and class defined in src/hhkt has a caller, and
+one that the program reaches: src, scripts, or perfbench code.
 
 A function or class counts as used when its name appears in code (a name,
 an attribute, or a string such as a benchmark target) anywhere in src,
@@ -10,6 +11,9 @@ calls ``error``); a bare name of the same spelling does not count, nor
 does an attribute read ``m.name`` where ``m`` is a module handle of that
 file (bound by ``import``, by ``from ... import <module>`` or by ``=
 lazy_module(...)``).  Docstrings, imports and dunder methods do not count.
+A second pass leaves out the tests and the strings of perfbench (its trace
+targets), so that code only a test or a stale benchmark target names is
+dead there.
 """
 
 import ast
@@ -23,11 +27,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "scripts", "perfbench")
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
-
-
-def _python_files():
-    for top in SEARCHED:
-        yield from sorted((ROOT / top).rglob("*.py"))
 
 
 def _definitions(tree):
@@ -77,13 +76,14 @@ class _References(ast.NodeVisitor):
     class with the same name (recursion is not a caller): every use in
     ``names``, attribute reads in ``attributes`` (not those of a module
     handle), and ``Class.method`` pairs named in strings in
-    ``qualified``."""
+    ``qualified``; strings count only when ``strings`` is true."""
 
-    def __init__(self, names, attributes, qualified, handles):
+    def __init__(self, names, attributes, qualified, handles, strings):
         self.names = names
         self.attributes = attributes
         self.qualified = qualified
         self.handles = handles
+        self.strings = strings
         self.enclosing = []
         self.docstrings = set()
 
@@ -118,7 +118,8 @@ class _References(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Constant(self, node):
-        if isinstance(node.value, str) and id(node) not in self.docstrings:
+        if self.strings and isinstance(node.value, str) \
+                and id(node) not in self.docstrings:
             for name in IDENT.findall(node.value):
                 self._use(name, self.names)
             for dotted in DOTTED.findall(node.value):
@@ -141,17 +142,17 @@ def _overrides_outside_package(module, cls, method):
 
 def _unused(sources):
     """The definitions that nothing uses, as names or Class.method, over
-    (module, package, source text) triples: the definitions of the
-    sources whose module is not None, the uses of all of them."""
+    (module, package, source text, strings count) tuples: the definitions
+    of the sources whose module is not None, the uses of all of them."""
     names, attributes, qualified = {}, {}, set()
     defined = set()
-    for module, package, text in sources:
+    for module, package, text, strings in sources:
         tree = ast.parse(text)
         if module is not None:
             defined.update((module, cls, name)
                            for name, cls in _definitions(tree))
         _References(names, attributes, qualified,
-                    _module_handles(tree, package)).visit(tree)
+                    _module_handles(tree, package), strings).visit(tree)
     unused = []
     for module, cls, name in sorted(defined, key=str):
         if name.startswith("__") and name.endswith("__"):
@@ -166,20 +167,30 @@ def _unused(sources):
     return unused
 
 
-def _sources():
-    """(module, package, text) of every searched file; module is the
-    dotted name of a file under src, else None."""
-    for path in _python_files():
-        top = ROOT / "src" if (ROOT / "src") in path.parents else ROOT
-        parts = path.relative_to(top).with_suffix("").parts
-        package = ".".join(parts[:-1])
-        module = ".".join(parts) if top != ROOT else None
-        yield module, package, path.read_text(encoding="utf-8")
+def _sources(tops=SEARCHED, strings=SEARCHED):
+    """(module, package, text, strings count) of every file under the
+    given top directories; module is the dotted name of a file under src,
+    else None, and strings count in the files under strings."""
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            base = ROOT / "src" if top == "src" else ROOT
+            parts = path.relative_to(base).with_suffix("").parts
+            module = ".".join(parts) if top == "src" else None
+            yield (module, ".".join(parts[:-1]),
+                   path.read_text(encoding="utf-8"), top in strings)
 
 
 def test_every_definition_is_used():
     unused = _unused(_sources())
     assert unused == [], f"defined but never used: {unused}"
+
+
+def test_every_definition_is_used_by_the_program():
+    """What only the tests or a perfbench trace target name is dead code;
+    perfbench code (its size measures read matrices) still counts."""
+    unused = _unused(_sources(("src", "scripts", "perfbench"),
+                              strings=("src", "scripts")))
+    assert unused == [], f"used only by tests or trace targets: {unused}"
 
 
 # each dead method shares its name with a function read through a module
@@ -219,7 +230,7 @@ def test_a_method_read_only_through_a_module_handle_is_dead(monkeypatch):
     probe = types.ModuleType("_probe")
     exec(compile(PROBE, "_probe.py", "exec"), vars(probe))
     monkeypatch.setitem(sys.modules, "_probe", probe)
-    assert _unused([("_probe", "", PROBE)]) == [
+    assert _unused([("_probe", "", PROBE, True)]) == [
         "_Probe.collapse_certificate", "_Probe.hh_via_kt",
         "_Probe.run_suite"]
 
