@@ -7,7 +7,8 @@ and an exponent vector, so they hash and compare as plain tuples; normal
 forms modulo the relations are computed degree by degree with exact linear
 algebra.  Each presentation memoizes the product of every ordered monomial
 pair and the degree of every monomial it is asked for; relation strings
-are parsed in the free cover, so those tables hold quotient products only.
+are parsed in a free presentation on the same generators, so those tables
+hold quotient products only.
 
 Sign convention: graded commutativity with the Koszul rule throughout,
 a*b = (-1)^{|a||b|} b*a.  In characteristic 2 "exterior" means square-zero
@@ -155,11 +156,9 @@ class AlgebraPresentation:
         self._products = {}
         self._nf_tables = {}
         self._basis_cache = {}
-        self._free_cover = None
         self.relations = ()
         if relation_exprs:
-            free = self._free_cover = AlgebraPresentation(field,
-                                                          self.generators)
+            free = AlgebraPresentation(field, self.generators)
             self.relations = tuple(
                 Polynomial(self, free._validate_relation(r).terms)
                 for r in relation_exprs)
@@ -189,10 +188,6 @@ class AlgebraPresentation:
         return rho
 
     # -- degrees and units -----------------------------------------------
-
-    def free_cover(self):
-        """The same generators with no relations attached."""
-        return self._free_cover or self
 
     def unit_monomial(self):
         return self._unit
@@ -502,132 +497,87 @@ def parse_presentation(doc) -> AlgebraPresentation:
     return AlgebraPresentation(field, gens, tuple(relations))
 
 
-# -- calculus ---------------------------------------------------------------
-
-
-def partial_derivative(poly: Polynomial, var_name: str) -> Polynomial:
-    """Formal d/dx_j of a polynomial in the polynomial generators."""
-    A = poly.algebra
-    gm = A.generator_monomial(var_name)
-    if gm.mask:
-        raise PresentationError(
-            f"cannot differentiate with respect to exterior generator "
-            f"{var_name!r}")
-    j = next(i for i, e in enumerate(gm.exps) if e)
-    out = {}
-    for m, c in poly.terms.items():
-        if m.mask:
-            raise PresentationError("polynomial generators only")
-        e = m.exps[j]
-        if e == 0:
-            continue
-        exps = list(m.exps)
-        exps[j] -= 1
-        mono = Monomial(0, tuple(exps))
-        out[mono] = out.get(mono, 0) + c * e
-    return Polynomial(A, out)
-
-
-class TensorPoly(LinComb):
-    """An element of Lambda (x) Lambda as {(Monomial, Monomial): coeff}.
-
-    Multiplication uses the Koszul rule for the tensor product of graded
-    algebras: (a(x)b)(a'(x)b') = (-1)^{|b||a'|} aa' (x) bb'.
-    """
-
-    __slots__ = ("algebra",)
-
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
-        super().__init__(terms, algebra.field.p)
-
-    def _like(self, terms):
-        return TensorPoly(self.algebra, terms)
-
-    @classmethod
-    def from_sides(cls, left: Polynomial, right: Polynomial):
-        return cls(left.algebra,
-                   left.bilinear(right, lambda ml, mr: (((ml, mr), 1),)))
-
-    def __mul__(self, other):
-        A = self.algebra
-
-        def mul(m1, m2):
-            (l1, r1), (l2, r2) = m1, m2
-            sign = -1 if (A.mono_degree(r1) * A.mono_degree(l2)) % 2 else 1
-            return [((ml, mr), sign * cl * cr)
-                    for ml, cl in A.mul_monomials(l1, l2)
-                    for mr, cr in A.mul_monomials(r1, r2)]
-        return self._like(self.bilinear(other, mul))
-
-    def apply_multiplication(self) -> Polynomial:
-        """The multiplication map Lambda (x) Lambda -> Lambda."""
-        A = self.algebra
-        return Polynomial(A, self.linear(lambda lr: A.mul_monomials(*lr)))
+# -- zeta coefficients -------------------------------------------------------
 
 
 def zeta_coefficients(rho: Polynomial):
-    """Telescoping coefficients zeta_j with
+    """Telescoping coefficients zeta_j, one {(left, right): coeff} dict of
+    Monomial pairs per polynomial generator, with
     rho(x)1 - 1(x)rho = sum_j zeta_j (x_j(x)1 - 1(x)x_j)
     and mult(zeta_j) = d rho/d x_j.
 
     Telescoping each monomial variable by variable in the declared order,
     with the symmetric geometric quotient in each step, satisfies both
     conditions simultaneously; both are re-verified on every call.  The
-    construction and its verification run in the free polynomial cover
-    (inside the quotient the relation itself vanishes); the result is then
+    construction and its verification run on exponent vectors of the free
+    polynomial ring (inside the quotient the relation itself vanishes),
+    where no Koszul sign arises: polynomial generators have even degree
+    in odd characteristic, and every sign is 1 mod 2.  The result is then
     pushed down along the quotient map.
     """
-    quotient = rho.algebra
-    free = quotient.free_cover()
-    if free is not quotient:
-        def push_down(lr):
-            return [((lm, rm), lc * rc)
-                    for lm, lc in quotient._poly_normal_form(lr[0].exps)
-                    for rm, rc in quotient._poly_normal_form(lr[1].exps)]
-        return [TensorPoly(quotient, z.linear(push_down))
-                for z in zeta_coefficients(Polynomial(free, dict(rho.terms)))]
     A = rho.algebra
     n = A.n_poly
-    zetas = [TensorPoly(A) for _ in range(n)]
+    # each key determines its monomial and step, so no two terms collide
+    zetas = [{} for _ in range(n)]
     for m, c in rho.terms.items():
         if m.mask:
             raise PresentationError("relations involve polynomial "
                                     "generators only")
-        for j in range(n):
-            e = m.exps[j]
-            if e == 0:
-                continue
-            prefix = tuple(m.exps[i] if i < j else 0 for i in range(n))
-            suffix = tuple(m.exps[i] if i > j else 0 for i in range(n))
-            terms = {}
+        for j, e in enumerate(m.exps):
             for s in range(e):
-                t = e - 1 - s
-                le = list(prefix)
-                le[j] += s
-                re_ = list(suffix)
-                re_[j] += t
-                key = (Monomial(0, tuple(le)), Monomial(0, tuple(re_)))
-                terms[key] = terms.get(key, 0) + c
-            zetas[j] = zetas[j] + TensorPoly(A, terms)
+                left = m.exps[:j] + (s,) + (0,) * (n - j - 1)
+                right = (0,) * j + (e - 1 - s,) + m.exps[j + 1:]
+                zetas[j][(left, right)] = c
     _verify_zeta(rho, zetas)
-    return zetas
+    p = A.field.p
+    out = []
+    for z in zetas:
+        terms = {}
+        for (left, right), c in z.items():
+            for lm, lc in A._poly_normal_form(left):
+                for rm, rc in A._poly_normal_form(right):
+                    key = (lm, rm)
+                    terms[key] = terms.get(key, 0) + c * lc * rc
+        out.append({k: c % p for k, c in terms.items() if c % p})
+    return out
 
 
 def _verify_zeta(rho, zetas):
+    """Both zeta conditions on free exponent-vector terms
+    {(left exps, right exps): coeff}."""
     A = rho.algebra
-    lhs = TensorPoly.from_sides(rho, A.one()) - TensorPoly.from_sides(A.one(), rho)
-    acc = TensorPoly(A)
+    p = A.field.p
+    n = A.n_poly
+    zero = (0,) * n
+
+    def vanishes(terms):
+        return not any(c % p for c in terms.values())
+
+    def add(terms, key, c):
+        terms[key] = terms.get(key, 0) + c
+
+    telescope = {}
+    for m, c in rho.terms.items():
+        add(telescope, (m.exps, zero), c)
+        add(telescope, (zero, m.exps), -c)
     for j, z in enumerate(zetas):
-        name = A.generators[A.poly_index[j]].name
-        xj = A.generator_poly(name)
-        step = TensorPoly.from_sides(xj, A.one()) - TensorPoly.from_sides(A.one(), xj)
-        acc = acc + z * step
-    if not (lhs - acc).is_zero():
+        for (left, right), c in z.items():
+            add(telescope, (left[:j] + (left[j] + 1,) + left[j + 1:], right),
+                -c)
+            add(telescope, (left, right[:j] + (right[j] + 1,) + right[j + 1:]),
+                c)
+    if not vanishes(telescope):
         raise InternalConsistencyError("zeta telescoping identity failed")
     for j, z in enumerate(zetas):
-        name = A.generators[A.poly_index[j]].name
-        if not (z.apply_multiplication() - partial_derivative(rho, name)).is_zero():
+        # mult(zeta_j) - d rho/d x_j
+        diff = {}
+        for (left, right), c in z.items():
+            add(diff, tuple(a + b for a, b in zip(left, right)), c)
+        for m, c in rho.terms.items():
+            e = m.exps[j]
+            if e:
+                add(diff, m.exps[:j] + (e - 1,) + m.exps[j + 1:], -c * e)
+        if not vanishes(diff):
             raise InternalConsistencyError("zeta derivative condition failed")
 
 
@@ -644,7 +594,9 @@ def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):
     A homogeneous sequence is regular iff the Koszul identity
     HS(K[x]/(rho)) = HS(K[x]) * prod(1 - t^{deg rho_i}) holds
     coefficientwise; the check runs through the bound and reports the first
-    failing degree if any.
+    failing degree if any.  Only the degrees that free monomials reach are
+    visited: relation degrees are reached, so at any other degree d no
+    d - deg(rho_I) is reached either, and both sides are 0.
     """
     if not A.relations:
         return RegularSequenceReport(True, degree_bound, None,
@@ -659,7 +611,15 @@ def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):
         for d, c in factor.items():
             nxt[d + r] = nxt.get(d + r, 0) - c
         factor = nxt
-    for d in range(degree_bound + 1):
+    # each degree reached walks up by a generator degree until it meets
+    # one already reached, whose own walk has covered the rest
+    reached = {0}
+    for g in set(A.poly_degrees):
+        for d in sorted(reached):
+            while d + g <= degree_bound and d + g not in reached:
+                d += g
+                reached.add(d)
+    for d in sorted(reached):
         expected = sum(c * len(A._free_poly_exponents(d - off))
                        for off, c in factor.items() if off <= d)
         actual = len(A.poly_nf_basis(d))

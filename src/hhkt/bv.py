@@ -139,10 +139,11 @@ class BVContext:
                            self.bar_dual.cell_words(f.p, f.q - self.d))
 
     def dual_classes(self, p, q):
-        """(labels, cocycles, M) for ring cell (p, q): each label's dual
-        cocycle g = theta(T x) at (p, q-d), and M, whose columns are their
-        dual-class coordinates.  The self-side cell is only ranked: equal
-        dimensions and an injective composite prove T and theta bijective."""
+        """(labels, cocycles, solver) for ring cell (p, q): each label's
+        dual cocycle g = theta(T x) at (p, q-d), and a LinearSystem on the
+        matrix M whose columns are their dual-class coordinates.  The
+        self-side cell is only ranked: equal dimensions and an injective
+        composite prove T and theta bijective."""
         key = (p, q)
         if key in self._dual:
             return self._dual[key]
@@ -163,12 +164,13 @@ class BVContext:
                     "theta of a comparison image is not a cocycle class")
             cocycles.append(g)
             cols.append(coords)
-        M = SparseMatrix.from_columns(hom_dual.dim, cols, self.A.field)
-        if rank(M) != len(labels):
+        solver = LinearSystem(
+            SparseMatrix.from_columns(hom_dual.dim, cols, self.A.field))
+        if len(solver.pivots) != len(labels):
             raise InternalConsistencyError(
                 f"cell ({p},{q}): theta after the comparison map is not "
                 f"injective")
-        out = (labels, cocycles, M)
+        out = (labels, cocycles, solver)
         self._dual[key] = out
         return out
 
@@ -194,8 +196,7 @@ class BVContext:
         A = self.A
         qd = q - self.d
         _, cocycles, _ = self.dual_classes(p, q)
-        tgt_labels, _, M_prev = self.dual_classes(p - 1, q)
-        solver = LinearSystem(M_prev)
+        tgt_labels, _, solver = self.dual_classes(p - 1, q)
         # the entries (w, a0) of the dual cell (p-1, q-d) are those of the
         # chain cell (p-1, d-q); B kills the chains with a0 = 1
         images = []

@@ -315,10 +315,10 @@ def _d_symbol(R: KTResolution, pos, exp):
     terms = {}
     for j in range(R.n):
         zeta = R.zeta[g.index][j]
-        if zeta.is_zero():
+        if not zeta:
             continue
         e = R.emono({R.l + j: 1, pos: exp - 1})  # u_j gamma_{f-1}(w_i)
-        for (ml, mr), c in zeta.terms.items():
+        for (ml, mr), c in zeta.items():
             key = (ml, mr, e)
             terms[key] = terms.get(key, 0) + c
     return KTElement(R, terms)

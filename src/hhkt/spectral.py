@@ -22,8 +22,6 @@ Differential = namedtuple("Differential", "r source target target_dim")
 # status is "collapse", "obstructed" or "unknown"
 CollapseCertificate = namedtuple(
     "CollapseCertificate", "status potential_differentials r_bound detail")
-# the last page a collapse certificate checks
-PAGE_LIMIT = 64
 
 
 def collapse_certificate(R) -> CollapseCertificate:
@@ -41,8 +39,8 @@ def collapse_certificate(R) -> CollapseCertificate:
     max_p = max(p for p, _ in R.cells)
     min_q = min(q for _, q in R.cells)
     max_q = max(q for _, q in R.cells)
-    r_bound = min(max(max_p - min(p for p, _ in populated),
-                      max_q - min_q + 1, 2), PAGE_LIMIT)
+    r_bound = max(max_p - min(p for p, _ in populated),
+                  max_q - min_q + 1, 2)
     hits = []
     for r in range(2, r_bound + 1):
         for (p, q) in populated:

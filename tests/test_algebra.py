@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Monomial,
-                          Polynomial, PresentationError, TensorPoly,
-                          parse_poly_expr, parse_presentation,
-                          partial_derivative, validate_regular_sequence,
+                          Polynomial, PresentationError, parse_poly_expr,
+                          parse_presentation, validate_regular_sequence,
                           zeta_coefficients)
 from hhkt.cli import regularity_gate
 from hhkt.fields import PrimeField
@@ -143,30 +142,54 @@ def test_hilbert_series_agreement():
         assert A.dim_in_degree(d) == expected.get(d, 0)
 
 
-def test_partial_derivative_examples():
-    A = poly(2, [2])
-    x = A.generator_poly("x1")
-    assert partial_derivative(x * x, "x1").is_zero()
-    B = poly(2, [2, 2])
-    x1, x2 = B.generator_poly("x1"), B.generator_poly("x2")
-    assert B.label_poly(partial_derivative(x1 * x2, "x1")) == "x2"
-    C = poly(3, [2])
-    xc = C.generator_poly("x1")
-    assert partial_derivative(xc * xc * xc, "x1").is_zero()
-    with pytest.raises(PresentationError):
-        partial_derivative(ext(2, [3]).generator_poly("y1"), "y1")
+def _tensor_mul(A, t1, t2):
+    """Product in Lambda (x) Lambda of {(left, right): coeff} dicts, with
+    the Koszul sign (-1)^{|r1||l2|}."""
+    out = {}
+    for (l1, r1), c1 in t1.items():
+        for (l2, r2), c2 in t2.items():
+            sign = -1 if A.mono_degree(r1) * A.mono_degree(l2) % 2 else 1
+            for ml, cl in A.mul_monomials(l1, l2):
+                for mr, cr in A.mul_monomials(r1, r2):
+                    out[(ml, mr)] = out.get((ml, mr), 0) + sign * c1 * c2 \
+                        * cl * cr
+    return {k: c % A.field.p for k, c in out.items() if c % A.field.p}
 
 
-def _expand_telescope(rho, zetas):
-    """Independent check: expand sum zeta_j (x_j(x)1 - 1(x)x_j) directly."""
+def _telescope_sides(rho, zetas):
+    """rho(x)1 - 1(x)rho, and sum zeta_j (x_j(x)1 - 1(x)x_j) expanded
+    directly."""
     A = rho.algebra
-    acc = TensorPoly(A)
+    one = A.unit_monomial()
+    p = A.field.p
+    lhs = {}
+    for m, c in rho.terms.items():
+        lhs[(m, one)] = lhs.get((m, one), 0) + c
+        lhs[(one, m)] = lhs.get((one, m), 0) - c
+    acc = {}
     for j, z in enumerate(zetas):
-        xj = A.generator_poly(A.generators[A.poly_index[j]].name)
-        step = (TensorPoly.from_sides(xj, A.one())
-                - TensorPoly.from_sides(A.one(), xj))
-        acc = acc + z * step
-    return acc
+        xj = A.generator_monomial(A.generators[A.poly_index[j]].name)
+        for k, c in _tensor_mul(A, z, {(xj, one): 1, (one, xj): -1}).items():
+            acc[k] = acc.get(k, 0) + c
+    return ({k: c % p for k, c in lhs.items() if c % p},
+            {k: c % p for k, c in acc.items() if c % p})
+
+
+def _multiplied_out(A, zeta):
+    out = A.zero()
+    for (left, right), c in zeta.items():
+        out = out + Polynomial(A, dict(A.mul_monomials(left, right))).scale(c)
+    return out
+
+
+def _derivative(rho, j):
+    """Formal d rho / d x_j, for the j-th polynomial generator."""
+    out = {}
+    for m, c in rho.terms.items():
+        if m.exps[j]:
+            exps = m.exps[:j] + (m.exps[j] - 1,) + m.exps[j + 1:]
+            out[Monomial(0, exps)] = c * m.exps[j]
+    return Polynomial(rho.algebra, out)
 
 
 def test_zeta_examples():
@@ -175,19 +198,18 @@ def test_zeta_examples():
     x1, x2 = A.generator_poly("x1"), A.generator_poly("x2")
     rho = x1 * x2
     z = zeta_coefficients(rho)
-    assert z[0].terms == {(A.unit_monomial(), A.generator_monomial("x2")): 1}
-    assert z[1].terms == {(A.generator_monomial("x1"), A.unit_monomial()): 1}
-    lhs = TensorPoly.from_sides(rho, A.one()) - TensorPoly.from_sides(A.one(), rho)
-    assert _expand_telescope(rho, z) == lhs
+    assert z[0] == {(A.unit_monomial(), A.generator_monomial("x2")): 1}
+    assert z[1] == {(A.generator_monomial("x1"), A.unit_monomial()): 1}
+    lhs, rhs = _telescope_sides(rho, z)
+    assert lhs == rhs
 
     # rho = x^2 over F_2
     B = poly(2, [2])
     xb = B.generator_poly("x1")
     zb = zeta_coefficients(xb * xb)
     xm = B.generator_monomial("x1")
-    assert zb[0].terms == {(xm, B.unit_monomial()): 1,
-                           (B.unit_monomial(), xm): 1}
-    assert zb[0].apply_multiplication().is_zero()
+    assert zb[0] == {(xm, B.unit_monomial()): 1, (B.unit_monomial(), xm): 1}
+    assert _multiplied_out(B, zb[0]).is_zero()
 
     # rho = x^3 over F_3
     C = poly(3, [2])
@@ -195,9 +217,24 @@ def test_zeta_examples():
     zc = zeta_coefficients(xc * xc * xc)
     xm = C.generator_monomial("x1")
     x2m = Monomial(0, (2,))
-    assert zc[0].terms == {(x2m, C.unit_monomial()): 1, (xm, xm): 1,
-                           (C.unit_monomial(), x2m): 1}
-    assert zc[0].apply_multiplication().is_zero()
+    assert zc[0] == {(x2m, C.unit_monomial()): 1, (xm, xm): 1,
+                     (C.unit_monomial(), x2m): 1}
+    assert _multiplied_out(C, zc[0]).is_zero()
+
+
+def test_zeta_is_pushed_down_to_the_quotient():
+    """F_3[x1,x2]/(x1^2, x1^3 + x2^3), |x| = 2: the (x1^2, 1) and
+    (1, x1^2) terms of zeta_1 of the second relation vanish there."""
+    A = poly(3, [2, 2], ["x1^2", "x1^3 + x2^3"])
+    one = A.unit_monomial()
+    x1 = A.generator_monomial("x1")
+    x2 = A.generator_monomial("x2")
+    x2sq = Monomial(0, (0, 2))
+    assert zeta_coefficients(A.relations[1]) == [
+        {(x1, x1): 1},
+        {(one, x2sq): 1, (x2, x2): 1, (x2sq, one): 1}]
+    assert zeta_coefficients(A.relations[0]) == [{(x1, one): 1,
+                                                  (one, x1): 1}, {}]
 
 
 @given(st.sampled_from([2, 3, 5]), st.randoms(use_true_random=False))
@@ -213,12 +250,10 @@ def test_zeta_conditions_random(p, rng):
     if rho.is_zero():
         return
     zetas = zeta_coefficients(rho)  # raises on any verification failure
-    lhs = (TensorPoly.from_sides(rho, A.one())
-           - TensorPoly.from_sides(A.one(), rho))
-    assert _expand_telescope(rho, zetas) == lhs
+    lhs, rhs = _telescope_sides(rho, zetas)
+    assert lhs == rhs
     for j, z in enumerate(zetas):
-        name = A.generators[A.poly_index[j]].name
-        assert z.apply_multiplication() == partial_derivative(rho, name)
+        assert _multiplied_out(A, z) == _derivative(rho, j)
 
 
 def test_regular_sequence_validation():
@@ -242,6 +277,15 @@ def test_free_poly_exponents_match_brute_force(degs):
                                            for d in degs))
             if sum(x * d for x, d in zip(e, degs)) == degree)
         assert A._free_poly_exponents(degree) == brute, degree
+
+
+def test_regularity_gate_visits_only_the_degrees_free_monomials_reach():
+    """F_2[x1]/(x1^2), |x1| = 1000: the gate's bound is 4004, and only the
+    degrees 0, 1000, ..., 4000 have free monomials."""
+    A = poly(2, [1000], ["x1^2"])
+    assert regularity_gate(A) == {
+        "regular_sequence_checked_through_degree": 4004}
+    assert sorted(A._nf_tables) == [0, 1000, 2000, 3000, 4000]
 
 
 def test_regularity_gate_on_a_high_power_runs_its_full_bound():

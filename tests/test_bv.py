@@ -364,7 +364,7 @@ def test_delta_matches_the_homology_composite(A, window):
         table = ctx.delta_matrix(p, q)
         assert table == delta_matrix_via_homology(ctx, chains, p, q), (p, q)
         nonzero += sum(1 for row in table.values() if row)
-        M = ctx.dual_classes(p, q)[2]
+        M = ctx.dual_classes(p, q)[2].M
         ref = dual_class_matrix_via_self_homology(ctx, p, q)
         assert (M.rows, M.cols, M.entries) == \
             (ref.rows, ref.cols, ref.entries), (p, q)

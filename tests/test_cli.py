@@ -286,11 +286,13 @@ def test_verify_fault_injection(capsys, monkeypatch):
     import hhkt.verify as verify_mod
 
     def corrupted(rho):
-        zetas = algebra_mod.zeta_coefficients(rho)
-        j = next(j for j, z in enumerate(zetas) if z.terms)
-        key, c = next(iter(zetas[j].terms.items()))
-        zetas[j] = algebra_mod.TensorPoly(rho.algebra,
-                                          {**zetas[j].terms, key: c + 1})
+        # the random relations live in a free ring, so the terms' exponent
+        # vectors are the free terms the construction verifies
+        zetas = [{(left.exps, right.exps): c for (left, right), c in z.items()}
+                 for z in algebra_mod.zeta_coefficients(rho)]
+        j = next(j for j, z in enumerate(zetas) if z)
+        key, c = next(iter(zetas[j].items()))
+        zetas[j] = {**zetas[j], key: c + 1}
         algebra_mod._verify_zeta(rho, zetas)
         return zetas
     monkeypatch.setattr(verify_mod, "zeta_coefficients", corrupted)

@@ -165,6 +165,15 @@ def test_collapse_counterexample():
         == [(2, (0, 0), (2, -1))]
 
 
+def test_collapse_certificate_checks_every_page_up_to_its_bound():
+    R = ExplicitBigradedRing({(0, 0): ["a"], (70, -69): ["b"]})
+    cert = collapse_certificate(R)
+    assert cert.status == "obstructed"
+    assert cert.r_bound == 70
+    assert [(d.r, d.source, d.target) for d in cert.potential_differentials] \
+        == [(70, (0, 0), (70, -69))]
+
+
 def test_ambiguity_basis_deg5():
     R = ring_deg5()
     assert ambiguity_basis(R, 10, 1) == []
