@@ -18,6 +18,7 @@ polynomial generators even degree.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import namedtuple
 
@@ -156,6 +157,7 @@ class AlgebraPresentation:
         self._products = {}
         self._nf_tables = {}
         self._basis_cache = {}
+        self._reached_degrees = (-1, [])  # (bound, the degrees reached)
         self.relations = ()
         if relation_exprs:
             free = AlgebraPresentation(field, self.generators)
@@ -347,6 +349,25 @@ class AlgebraPresentation:
         self._basis_cache[degree] = out
         return out
 
+    def monomial_tuples(self, k, degree):
+        """The k-tuples of basis monomials whose degrees sum to degree:
+        split by split of the degree (in increasing lexicographic order),
+        then by monomials in basis order.  A split uses only the degrees
+        that monomials may reach, the sums of generator degrees with each
+        exterior one at most once, cached up to the largest degree asked."""
+        if degree > self._reached_degrees[0]:
+            sums = {0}
+            for g in self.ext_degrees:
+                sums |= {s + g for s in sums}
+            self._reached_degrees = (degree, sorted(
+                _reached(sums, self.poly_degrees, degree)))
+        reached = [d for d in self._reached_degrees[1] if d <= degree]
+        ends = set(reached)
+        for head in itertools.product(reached, repeat=k - 1):
+            if degree - sum(head) in ends:
+                yield from itertools.product(*map(
+                    self.monomial_basis, head + (degree - sum(head),)))
+
     def top_degree_bound(self):
         """Top nonzero degree for finite-dimensional algebras, else None."""
         if self.n_poly == 0:
@@ -438,6 +459,9 @@ def parse_poly_expr(algebra: AlgebraPresentation, text: str) -> Polynomial:
         if tok.group(4):  # '*' separator
             i += 1
             continue
+        if tok.group(3):  # an exponent is consumed with its generator
+            raise PresentationError(f"'^' must follow a generator name in "
+                                    f"{text!r}")
         if tok.group(1):
             c = int(tok.group(1))
             term_coeff = c if term_coeff is None else term_coeff * c
@@ -584,6 +608,19 @@ def _verify_zeta(rho, zetas):
 # -- regular sequence validation ---------------------------------------------
 
 
+def _reached(start, degrees, bound):
+    """The degrees up to bound reached from those in start by adding the
+    given degrees any number of times: each walks up by one of them until
+    it meets one already reached, whose own walk has covered the rest."""
+    reached = {d for d in start if d <= bound}
+    for g in set(degrees):
+        for d in sorted(reached):
+            while d + g <= bound and d + g not in reached:
+                d += g
+                reached.add(d)
+    return reached
+
+
 RegularSequenceReport = namedtuple(
     "RegularSequenceReport", "ok bound first_failing_degree detail")
 
@@ -611,15 +648,7 @@ def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):
         for d, c in factor.items():
             nxt[d + r] = nxt.get(d + r, 0) - c
         factor = nxt
-    # each degree reached walks up by a generator degree until it meets
-    # one already reached, whose own walk has covered the rest
-    reached = {0}
-    for g in set(A.poly_degrees):
-        for d in sorted(reached):
-            while d + g <= degree_bound and d + g not in reached:
-                d += g
-                reached.add(d)
-    for d in sorted(reached):
+    for d in sorted(_reached({0}, A.poly_degrees, degree_bound)):
         expected = sum(c * len(A._free_poly_exponents(d - off))
                        for off, c in factor.items() if off <= d)
         actual = len(A.poly_nf_basis(d))

@@ -313,6 +313,7 @@ class BarComplex(CellComplex):
         self._words = {}    # (length, internal degree) -> words
         self._actions = {}  # (left, n, right) -> terms of left.n.right
         self._faces = {}    # word -> its bar_faces
+        self._blocks_by_cell = {}  # (p, q) -> _blocks(p, q)
 
     def words(self, k, S):
         """Words of length k and internal degree S, in a fixed order."""
@@ -330,44 +331,38 @@ class BarComplex(CellComplex):
         self._words[key] = out
         return out
 
-    def degree_range(self, p, q):
-        """Word internal degrees S contributing to the (p, q) cell."""
-        lo = p
-        if self.coeff == COEFF_SELF:
-            lo = max(lo, -q)
-            if self.top is not None:
-                hi = self.top - q
+    def _blocks(self, p, q):
+        """The (words, coefficient monomials) pairs of the (p, q) cell, built
+        once: one per word internal degree S where both are nonempty,
+        words(p, S) and the monomials of degree S + q for coefficients in
+        A, or -(S + q) for dual ones.  S runs from p over the degrees whose
+        coefficient degree lies between 0 and the top degree of A; on the
+        self side of an infinite A it stops at tor_cap."""
+        if (p, q) not in self._blocks_by_cell:
+            if self.coeff == COEFF_SELF:
+                side, lo = 1, max(p, -q)
+                hi = self.tor_cap if self.top is None else self.top - q
             else:
-                hi = self.tor_cap
-        else:
-            hi = -q
-            if self.top is not None:
-                lo = max(lo, -q - self.top)
-        return range(lo, hi + 1) if hi >= lo else range(0)
+                side, lo, hi = -1, p, -q
+                if self.top is not None:
+                    lo = max(lo, -q - self.top)
+            pairs = ((self.words(p, S), self.A.monomial_basis(side * (S + q)))
+                     for S in range(lo, hi + 1))
+            self._blocks_by_cell[(p, q)] = [
+                (words, monos) for words, monos in pairs if words and monos]
+        return self._blocks_by_cell[(p, q)]
 
     def _basis(self, p, q):
-        out = []
-        for S in self.degree_range(p, q):
-            for w in self.words(p, S):
-                if self.coeff == COEFF_SELF:
-                    for n in self.A.monomial_basis(S + q):
-                        out.append((w, n))
-                else:
-                    for n in self.A.monomial_basis(-(S + q)):
-                        out.append((w, n))
-        return out
+        return [(w, n) for words, monos in self._blocks(p, q)
+                for w in words for n in monos]
 
     def cell_words(self, p, q):
         """The distinct words of the (p, q) cell, in basis order."""
-        return list(dict.fromkeys(w for (w, _) in self.cell_basis(p, q)))
+        return [w for words, _ in self._blocks(p, q) for w in words]
 
     def estimate_cell(self, p, q):
-        total = 0
-        for S in self.degree_range(p, q):
-            nw = len(self.words(p, S))
-            tgt = S + q if self.coeff == COEFF_SELF else -(S + q)
-            total += nw * self.A.dim_in_degree(tgt)
-        return total
+        return sum(len(words) * len(monos)
+                   for words, monos in self._blocks(p, q))
 
     def _matrix(self, p, q) -> SparseMatrix:
         """The differential from the (p, q) cell to (p+1, q), row by row:

@@ -32,26 +32,30 @@ the spectral filtration bound are read from it; only the differential and
 diagonal of one symbol depend on its kind.
 
 Per-E-monomial data is computed once per resolution and reused: the
-diagonal D(alpha) and the differential d(alpha) of each E-monomial alpha,
-and its degrees and symbols; diagonal_mono itself stays uncached, so
-checks that call it see a fresh computation.  The cup product is read from
-structure constants (cup_constants): for each pair of E-monomials (e1, e2)
-and parities of |a| and |b|, the terms of D(alpha) over every alpha of the
-level of e1 e2 are summed, once, into one polynomial Q_alpha of Lambda per
-alpha, so that (a . e1*) cup (b . e2*) = sum_alpha (Q_alpha a b) . alpha*
-is one lookup and one product in Lambda per pair of basis cochains.
-Beyond the window, cell dimensions of the monomial model are counted,
-sum_t N(p, t) dim A_{t+q}, from the number N(p, t) of E-monomials per
-level and internal degree (emono_counts).
+diagonal D(alpha) of each E-monomial alpha, its degrees and symbols, and
+its differential d(alpha) summed into the Hom complex's coboundary table
+of its level; diagonal_mono itself stays uncached, so checks that call it
+see a fresh computation.  The cup
+product is read from structure constants (cup_constants): for each pair
+of E-monomials (e1, e2) and parities of |a| and |b|, the terms of
+D(alpha) over every alpha of the level of e1 e2 are summed, once, into
+one polynomial Q_alpha of Lambda per alpha, so that
+(a . e1*) cup (b . e2*) = sum_alpha (Q_alpha a b) . alpha* is one lookup
+and one product in Lambda per pair of basis cochains.  Beyond the window,
+cell dimensions of the monomial model are counted, sum_t N(p, t)
+dim A_{t+q}, from the number N(p, t) of E-monomials per level and
+internal degree (emono_counts).
 
 Three fields.CellComplex subclasses hold the cells: KTResolution is F by
 (level, internal degree), its tensor_square is F (x)_Lambda F, and KTRing
-is the Hom complex A (x) E-dual by (p, q).  The diagonal correction and
-the comparison map xi are solves in their cells.  A cochain of the Hom
-complex is a dict of terms {(e, a): coeff} keyed like KTRing.cell_basis:
-the map sending the E-monomial e to the sum of its coefficients a; the
-cup product (cup_via_diagonal) takes and returns such terms, and
-XiLift.cochain pulls them back to the bar cochains f . xi of its window.
+is the Hom complex A (x) E-dual by (p, q); each gives the image of one
+basis element (_boundary), and the base assembles the matrices.  The
+diagonal correction and the comparison map xi are solves in their cells.
+A cochain of the Hom complex is a dict of terms {(e, a): coeff} keyed
+like KTRing.cell_basis: the map sending the E-monomial e to the sum of
+its coefficients a; the cup product (cup_via_diagonal) takes and returns
+such terms, and XiLift.cochain pulls them back to the bar cochains
+f . xi of its window.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from . import lazy_module
 from .algebra import (AlgebraPresentation, InternalConsistencyError, Monomial,
                       Polynomial, UnsupportedDiagonalError, zeta_coefficients)
 from .bigraded import DegreeWindow, WindowError
-from .fields import CellComplex, LinComb, SparseMatrix
+from .fields import CellComplex, LinComb
 
 bar = lazy_module("hhkt.bar")  # XiLift alone reads it
 
@@ -196,7 +200,7 @@ class KTResolution(CellComplex):
         self._diag_cache = {}
         self._cup_tables = {}
         self._cup_constants = {}
-        self._alpha_d_cache = {}
+        self._coboundary_tables = {}
         self._count_cache = {}
         self.tensor_square = TensorSquare(self)
 
@@ -204,17 +208,9 @@ class KTResolution(CellComplex):
 
     def _basis(self, level, internal):
         """Ordered basis monomials (left, right, e) of F at one bidegree."""
-        A = self.algebra
-        out = []
-        for e in emonos_at_level(self, level):
-            rem = internal - self.e_internal(e)
-            if rem < 0:
-                continue
-            for dl in range(rem + 1):
-                for left in A.monomial_basis(dl):
-                    for right in A.monomial_basis(rem - dl):
-                        out.append((left, right, e))
-        return out
+        return [(left, right, e) for e in emonos_at_level(self, level)
+                for left, right in self.algebra.monomial_tuples(
+                    2, internal - self.e_internal(e))]
 
     def _boundary(self, m):
         return kt_d_mono(self, m)
@@ -348,32 +344,41 @@ def kt_d_mono(R: KTResolution, m: KTMono):
     return [(mm, cc % p) for mm, cc in out.items() if cc % p]
 
 
-def _boundary_by_emono(R: KTResolution, alpha: EMono):
-    """d(1 (x) 1 . alpha), computed once per alpha and multiplied out in
-    Lambda, as {e: P}: P is the sum of the c l r over the terms
-    c (l (x) r) . e of d(alpha).  The Hom-complex differential reads P
-    with one sign per cell, because a term of d(alpha) whose |l| + |r| is
-    odd cancels in P against a partner of the same sign: in characteristic
-    2 every sign is trivial, and in odd characteristic relations involve
-    only (even) polynomial generators, so the zeta and u terms have even
-    |l| + |r|, and the only odd ones are the nu terms, (y (x) 1 - 1 (x) y)
-    times the same rest, with equal l r and opposite coefficients.  An
-    alpha without a w symbol gives {}: every symbol's d is such a
-    difference, (y (x) 1 - 1 (x) y) or (x (x) 1 - 1 (x) x) times the
-    rest."""
-    sums = R._alpha_d_cache.get(alpha)
-    if sums is None:
+def _coboundary_table(R: KTResolution, level: int):
+    """The Hom-complex differential into the E-monomials of one level,
+    built once per level: {e: [(alpha, P), ...]} over the alpha of the
+    level in order, P the sum of the c l r over the terms c (l (x) r) . e
+    of d(1 (x) 1 . alpha) multiplied out in Lambda, nonzero P only.
+
+    The coboundary of (e, a) is then -P a (p + q even) or P a (p + q odd)
+    in the rows of each alpha of e's list: one sign per cell is enough,
+    because a term of d(alpha) whose |l| + |r| is odd cancels in P against
+    a partner of the same sign.  In characteristic 2 every sign is
+    trivial, and in odd characteristic relations involve only (even)
+    polynomial generators, so the zeta and u terms have even |l| + |r|,
+    and the only odd ones are the nu terms, (y (x) 1 - 1 (x) y) times the
+    same rest, with equal l r and opposite coefficients.  An alpha without
+    a w symbol is skipped: every symbol's d is such a difference,
+    (y (x) 1 - 1 (x) y) or (x (x) 1 - 1 (x) x) times the rest, so each of
+    its P is 0."""
+    table = R._coboundary_tables.get(level)
+    if table is None:
         A = R.algebra
         one = A.unit_monomial()
-        terms = {}
-        if any(alpha[R.l + R.n:]):  # a w exponent
+        table = R._coboundary_tables[level] = {}
+        for alpha in emonos_at_level(R, level):
+            if not any(alpha[R.l + R.n:]):  # no w exponent
+                continue
+            sums = {}
             for (l, r, e), c in kt_d_mono(R, (one, one, alpha)):
-                P = terms.setdefault(e, {})
+                P = sums.setdefault(e, {})
                 for m, mc in A.mul_monomials(l, r):
                     P[m] = P.get(m, 0) + c * mc
-        sums = R._alpha_d_cache[alpha] = {
-            e: Polynomial(A, P) for e, P in terms.items()}
-    return sums
+            for e, P in sums.items():
+                P = Polynomial(A, P)
+                if not P.is_zero():
+                    table.setdefault(e, []).append((alpha, P))
+    return table
 
 
 # -- cell enumeration and matrices --------------------------------------------
@@ -488,25 +493,13 @@ class TensorSquare(CellComplex):
 
     def _basis(self, level, internal):
         R = self.R
-        A = R.algebra
         out = []
         for la in range(level + 1):
-            lb = level - la
             for alpha in emonos_at_level(R, la):
-                ta = R.e_internal(alpha)
-                for beta in emonos_at_level(R, lb):
-                    tb = R.e_internal(beta)
-                    rem = internal - ta - tb
-                    if rem < 0:
-                        continue
-                    for dL in range(rem + 1):
-                        for dM in range(rem - dL + 1):
-                            dR = rem - dL - dM
-                            for mL in A.monomial_basis(dL):
-                                for mM in A.monomial_basis(dM):
-                                    for mR in A.monomial_basis(dR):
-                                        out.append(
-                                            (mL, mM, alpha, mR, beta))
+                for beta in emonos_at_level(R, level - la):
+                    rem = internal - R.e_internal(alpha) - R.e_internal(beta)
+                    out.extend((mL, mM, alpha, mR, beta) for mL, mM, mR
+                               in R.algebra.monomial_tuples(3, rem))
         return out
 
     def _boundary(self, m):
@@ -679,12 +672,12 @@ class KTRing(CellComplex):
     monomial a of A.  When its differential vanishes identically in the
     window (no relations, or all relation derivatives vanish mod p) the
     cells are read off directly and a monomial generator model is attached;
-    otherwise cells are its homology classes.  Whether it vanishes is read
-    from the boundaries d(alpha) of the E-monomials, without a matrix
-    (_differential_vanishes); only the homology path builds the
-    differential matrices, to reduce its cells.  Both read the sum P of
-    each d(alpha) from _boundary_by_emono, and an alpha without a w symbol
-    contributes nothing to either.  class_reps maps each class
+    otherwise cells are its homology classes.  The differential is one
+    coboundary table per level (_coboundary_table): _boundary reads it for
+    one basis entry, the base assembles the matrices from _boundary, and
+    the vanishing decision asks _boundary of every window entry whose e
+    has a nonzero P, without a matrix; only the homology path builds the
+    matrices, to reduce its cells.  class_reps maps each class
     label to a representative cochain, as terms {(e, a): coeff} of its
     cell basis: {(e, a): 1} for the label ("m", e, a).
     """
@@ -699,39 +692,35 @@ class KTRing(CellComplex):
     # each cell: list of labels; label = ("m", e, a) in the monomial
     # model, or ("h", p, q, k) for homology classes
     def _basis(self, p, q):
-        A = self.algebra
-        out = []
-        for e in emonos_at_level(self.R, p):
-            d = self.R.e_internal(e) + q
-            for a in A.monomial_basis(d):
-                out.append((e, a))
-        return out
+        return [(e, a) for e in emonos_at_level(self.R, p)
+                for a in self.algebra.monomial_basis(self.R.e_internal(e) + q)]
 
-    def _matrix(self, p, q):
-        """Induced differential on A (x) E-dual from cell (p,q) to (p+1,q):
-        the rows of alpha in the column (e, a) are -P a when p + q is even
-        and P a when it is odd, P = _boundary_by_emono(alpha)[e]."""
+    def _boundary(self, b):
+        """The coboundary of (e, a), from the cell (p, q) to (p + 1, q):
+        -P a when p + q is even and P a when it is odd in the rows of
+        each alpha, for the (alpha, P) of e in the coboundary table."""
+        e, a = b
         R, A = self.R, self.algebra
-        src = self.cell_basis(p, q)
-        dst_index = self.index(p + 1, q)
-        sign = 1 if (p + q) % 2 else -1
-        boundaries = [(alpha, _boundary_by_emono(R, alpha))
-                      for alpha in emonos_at_level(R, p + 1)
-                      if R.e_internal(alpha) + q >= 0]
-        entries = {}
-        for j, (e, a) in enumerate(src):
-            a_poly = Polynomial(A, {a: 1})
-            for alpha, d_alpha in boundaries:
-                if e in d_alpha:
-                    for mono, c in (d_alpha[e] * a_poly).terms.items():
-                        entries[(dst_index[(alpha, mono)], j)] = sign * c
-        return SparseMatrix(len(dst_index), len(src), entries, R.field)
+        p = R.e_level(e)
+        sign = -1 if (p + A.mono_degree(a) - R.e_internal(e)) % 2 == 0 else 1
+        a = Polynomial(A, {a: 1})
+        return [((alpha, m), sign * c)
+                for alpha, P in _coboundary_table(R, p + 1).get(e, ())
+                for m, c in (P * a).terms.items()]
 
     def _build(self):
         W = self.window
         self.cells = {}
         self.class_reps = {}
-        self.differential_vanishes = self._differential_vanishes()
+        # zero out of every cell (p, q), p <= max_p + 1 and q in the window:
+        # only an e with a nonzero P in its table has a coboundary
+        R, A = self.R, self.algebra
+        self.differential_vanishes = not any(
+            self._boundary((e, a))
+            for level in range(1, W.max_p + 3)
+            for e in _coboundary_table(R, level)
+            for q in range(W.q_min, W.q_max + 1)
+            for a in A.monomial_basis(R.e_internal(e) + q))
         if self.differential_vanishes:
             # the (E-monomial, parity of |a|) of each label ("m", e, a), and
             # the products by cup_constants key and algebra product a b
@@ -754,23 +743,6 @@ class KTRing(CellComplex):
                     labels.append(label)
                     self.class_reps[label] = rep
                 self.cells[(p, q)] = labels
-
-    def _differential_vanishes(self):
-        """Whether the differential out of every cell (p, q), p <= max_p + 1
-        and q in the window, is zero, decided without building its matrix:
-        _matrix writes -+ P a for the P of _boundary_by_emono, so only a
-        nonzero P is multiplied by the cell's monomials a."""
-        R, A, W = self.R, self.algebra, self.window
-        for p in range(W.max_p + 2):
-            for alpha in emonos_at_level(R, p + 1):
-                for e, P in _boundary_by_emono(R, alpha).items():
-                    if P.is_zero():
-                        continue
-                    for q in range(W.q_min, W.q_max + 1):
-                        for a in A.monomial_basis(R.e_internal(e) + q):
-                            if not (P * Polynomial(A, {a: 1})).is_zero():
-                                return False
-        return True
 
     def _generator_model(self):
         """The names of the model generators when the ring is A (x) E-dual

@@ -402,6 +402,28 @@ def test_matrix_columns_are_cochain_differentials(path, coeff):
     assert checked
 
 
+@pytest.mark.parametrize("coeff", [COEFF_SELF, COEFF_DUAL])
+@pytest.mark.parametrize("path", CORPUS, ids=lambda path: path.stem)
+def test_cell_estimate_and_words_follow_the_basis(path, coeff):
+    """On every cell of the window, and the filtration column past it that
+    the outgoing matrices reach, estimate_cell is the size of the cell
+    basis and cell_words lists its distinct words in basis order."""
+    doc = json.loads(path.read_text())
+    win = doc["window"]
+    cx = BarComplex(parse_presentation(doc), coeff,
+                    DegreeWindow(win["max_filtration"], win["q_min"],
+                                 win["q_max"]))
+    sizes = []
+    for p in range(win["max_filtration"] + 2):
+        for q in range(win["q_min"], win["q_max"] + 1):
+            basis = cx.cell_basis(p, q)
+            assert cx.estimate_cell(p, q) == len(basis), (p, q)
+            assert cx.cell_words(p, q) == \
+                list(dict.fromkeys(w for w, _ in basis)), (p, q)
+            sizes.append(len(basis))
+    assert any(sizes)
+
+
 BENCH_INPUTS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
                 / "inputs")
 

@@ -345,6 +345,16 @@ def test_malformed_presentation_is_an_input_error(tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("relation", ["x1^2^3", "^2", "2^3"])
+def test_caret_not_after_a_generator_is_named(tmp_path, capsys, relation):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_with("poly_f2", relations=[relation])))
+    code = main(["compute", "--input", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        f"input error: '^' must follow a generator name in {relation!r}\n"
+
+
 @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 1), (10 ** 9 + 7, 0)])
 def test_characteristic_is_checked_promptly(tmp_path, p, code):
     """A characteristic of 2^31 or more is refused before its primality
@@ -576,6 +586,21 @@ def test_product_table_text_is_json_dumps_of_itself(path):
     assert json.loads(text) == list(table)
     doc_text = json_text({"product_table": table})
     assert doc_text == json.dumps(json.loads(doc_text), indent=2)
+
+
+@pytest.mark.parametrize("name", ["ext3_deg5_char2", "poly2_deg2_char2"])
+def test_monomial_model_builds_no_hom_matrix(name):
+    """Deciding that the Hom differential vanishes, the product table and
+    the collapse certificate build no matrix of the Hom complex."""
+    from hhkt.spectral import collapse_certificate
+    path = PERFBENCH_INPUTS[0].parent / f"{name}.json"
+    A, window, _digest = load_job(
+        build_parser().parse_args(["compute", "--input", str(path)]))
+    ring = hh_via_kt(A, window)
+    assert ring.differential_vanishes
+    assert len(product_table_from_ring(ring))
+    assert collapse_certificate(ring).status == "collapse"
+    assert ring._mats == {}
 
 
 JSON_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028'),

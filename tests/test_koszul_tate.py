@@ -196,6 +196,35 @@ def test_exactness():
     assert report.ok, report.failures
 
 
+def _splits(A, k, degree):
+    """The k-tuples of basis monomials whose degrees sum to degree, split
+    by split over every integer degree, then by monomials: the order of
+    the cell bases."""
+    return [monos for split in itertools.product(range(degree + 1),
+                                                 repeat=k)
+            if sum(split) == degree
+            for monos in itertools.product(*map(A.monomial_basis, split))]
+
+
+@pytest.mark.parametrize("A", [exterior_times_truncated_f3(),
+                               exterior(2, [3, 5]), polynomial(3, [2, 4])])
+def test_monomial_tuples_split_every_degree_in_basis_order(A):
+    for k in (1, 2, 3):
+        for degree in range(-2, 15):
+            assert list(A.monomial_tuples(k, degree)) == \
+                _splits(A, k, degree), (k, degree)
+
+
+def test_cell_bases_visit_only_the_degrees_monomials_reach():
+    """The cells of internal degree 2|x1| at |x1| = 1000 ask for monomials
+    in the degrees 0, 1000 and 2000 alone, not in every degree up to 2000."""
+    A = polynomial(2, [1000], ["x1^2"])
+    R = KTResolution(A)
+    for cells, level in ((R.tensor_square, 2), (R.tensor_square, 1), (R, 2)):
+        assert cells.cell_basis(level, 2000)
+    assert len(A._basis_cache) <= 3, sorted(A._basis_cache)
+
+
 def test_diagonal_generators():
     R = KTResolution(polynomial(2, [2, 2]))
     one = R.algebra.unit_monomial()
