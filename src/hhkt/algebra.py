@@ -18,7 +18,6 @@ polynomial generators even degree.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import namedtuple
 
@@ -158,6 +157,7 @@ class AlgebraPresentation:
         self._nf_tables = {}
         self._basis_cache = {}
         self._reached_degrees = (-1, [])  # (bound, the degrees reached)
+        self._tuples = {}  # (k, degree, unit) -> monomial_tuples
         self.relations = ()
         if relation_exprs:
             free = AlgebraPresentation(field, self.generators)
@@ -185,8 +185,9 @@ class AlgebraPresentation:
                 raise PresentationError(
                     "relations must involve polynomial generators only")
             if sum(m.exps) < 2:
+                kind = "linear" if sum(m.exps) else "constant"
                 raise PresentationError(
-                    "relation has a linear term (must be decomposable)")
+                    f"relation has a {kind} term (must be decomposable)")
         return rho
 
     # -- degrees and units -----------------------------------------------
@@ -349,24 +350,42 @@ class AlgebraPresentation:
         self._basis_cache[degree] = out
         return out
 
-    def monomial_tuples(self, k, degree):
-        """The k-tuples of basis monomials whose degrees sum to degree:
-        split by split of the degree (in increasing lexicographic order),
-        then by monomials in basis order.  A split uses only the degrees
-        that monomials may reach, the sums of generator degrees with each
-        exterior one at most once, cached up to the largest degree asked."""
-        if degree > self._reached_degrees[0]:
+    def degrees(self, bound):
+        """The degrees up to bound that monomials may reach, in increasing
+        order: the sums of generator degrees, each exterior one at most
+        once, cached up to the largest bound asked.  From the exterior sums,
+        each walks up by a polynomial degree until it meets one already
+        reached, whose own walk has covered the rest."""
+        if bound > self._reached_degrees[0]:
             sums = {0}
             for g in self.ext_degrees:
                 sums |= {s + g for s in sums}
-            self._reached_degrees = (degree, sorted(
-                _reached(sums, self.poly_degrees, degree)))
-        reached = [d for d in self._reached_degrees[1] if d <= degree]
-        ends = set(reached)
-        for head in itertools.product(reached, repeat=k - 1):
-            if degree - sum(head) in ends:
-                yield from itertools.product(*map(
-                    self.monomial_basis, head + (degree - sum(head),)))
+            reached = {d for d in sums if d <= bound}
+            for g in set(self.poly_degrees):
+                for d in sorted(reached):
+                    while d + g <= bound and d + g not in reached:
+                        d += g
+                        reached.add(d)
+            self._reached_degrees = (bound, sorted(reached))
+        return [d for d in self._reached_degrees[1] if d <= bound]
+
+    def monomial_tuples(self, k, degree, unit=True):
+        """The k-tuples of basis monomials whose degrees sum to degree, with
+        no unit entry unless unit is set (so without it, the bar words): by
+        the first entry's degree, over the reached degrees only, then that
+        entry in basis order, then the rest."""
+        key = (k, degree, unit)
+        if key not in self._tuples:
+            out = [()] if (k, degree) == (0, 0) else []
+            for d in self.degrees(degree) if k else ():
+                # the unit is the one monomial of degree 0
+                rests = (d or unit) and \
+                    self.monomial_tuples(k - 1, degree - d, unit)
+                if rests:
+                    out += [(m,) + r for m in self.monomial_basis(d)
+                            for r in rests]
+            self._tuples[key] = out
+        return self._tuples[key]
 
     def top_degree_bound(self):
         """Top nonzero degree for finite-dimensional algebras, else None."""
@@ -608,19 +627,6 @@ def _verify_zeta(rho, zetas):
 # -- regular sequence validation ---------------------------------------------
 
 
-def _reached(start, degrees, bound):
-    """The degrees up to bound reached from those in start by adding the
-    given degrees any number of times: each walks up by one of them until
-    it meets one already reached, whose own walk has covered the rest."""
-    reached = {d for d in start if d <= bound}
-    for g in set(degrees):
-        for d in sorted(reached):
-            while d + g <= bound and d + g not in reached:
-                d += g
-                reached.add(d)
-    return reached
-
-
 RegularSequenceReport = namedtuple(
     "RegularSequenceReport", "ok bound first_failing_degree detail")
 
@@ -632,7 +638,8 @@ def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):
     HS(K[x]/(rho)) = HS(K[x]) * prod(1 - t^{deg rho_i}) holds
     coefficientwise; the check runs through the bound and reports the first
     failing degree if any.  Only the degrees that free monomials reach are
-    visited: relation degrees are reached, so at any other degree d no
+    visited (`AlgebraPresentation.degrees`, which also holds the exterior
+    sums): relation degrees are reached, so at any other degree d no
     d - deg(rho_I) is reached either, and both sides are 0.
     """
     if not A.relations:
@@ -648,7 +655,7 @@ def validate_regular_sequence(A: AlgebraPresentation, degree_bound: int):
         for d, c in factor.items():
             nxt[d + r] = nxt.get(d + r, 0) - c
         factor = nxt
-    for d in sorted(_reached({0}, A.poly_degrees, degree_bound)):
+    for d in A.degrees(degree_bound):
         expected = sum(c * len(A._free_poly_exponents(d - off))
                        for off, c in factor.items() if off <= d)
         actual = len(A.poly_nf_basis(d))

@@ -310,44 +310,30 @@ class BarComplex(CellComplex):
         gen_degs = [g.degree for g in A.generators]
         rel_degs = [r.degree() for r in A.relations]
         self.tor_cap = (window.max_p + 1) * max(gen_degs + rel_degs, default=1)
-        self._words = {}    # (length, internal degree) -> words
         self._actions = {}  # (left, n, right) -> terms of left.n.right
         self._faces = {}    # word -> its bar_faces
         self._blocks_by_cell = {}  # (p, q) -> _blocks(p, q)
 
-    def words(self, k, S):
-        """Words of length k and internal degree S, in a fixed order."""
-        key = (k, S)
-        if key in self._words:
-            return self._words[key]
-        if k == 0:
-            out = [()] if S == 0 else []
-        else:
-            out = []
-            for d in range(1, S - (k - 1) + 1):
-                for m in self.A.monomial_basis(d):
-                    for rest in self.words(k - 1, S - d):
-                        out.append((m,) + rest)
-        self._words[key] = out
-        return out
-
     def _blocks(self, p, q):
         """The (words, coefficient monomials) pairs of the (p, q) cell, built
-        once: one per word internal degree S where both are nonempty,
-        words(p, S) and the monomials of degree S + q for coefficients in
-        A, or -(S + q) for dual ones.  S runs from p over the degrees whose
-        coefficient degree lies between 0 and the top degree of A; on the
-        self side of an infinite A it stops at tor_cap."""
+        once: one per word internal degree S where both are nonempty, in
+        increasing order, the words of length p and degree S
+        (`AlgebraPresentation.monomial_tuples` without the unit) and the
+        monomials of degree S + q for coefficients in A, or -(S + q) for
+        dual ones.  S runs from p over the degrees whose coefficient degree
+        is reached and at most the top degree of A; on the self side of an
+        infinite A it stops at tor_cap."""
         if (p, q) not in self._blocks_by_cell:
+            A = self.A
             if self.coeff == COEFF_SELF:
-                side, lo = 1, max(p, -q)
+                lo = max(p, -q)
                 hi = self.tor_cap if self.top is None else self.top - q
+                splits = [(c - q, c) for c in A.degrees(hi + q) if c >= lo + q]
             else:
-                side, lo, hi = -1, p, -q
-                if self.top is not None:
-                    lo = max(lo, -q - self.top)
-            pairs = ((self.words(p, S), self.A.monomial_basis(side * (S + q)))
-                     for S in range(lo, hi + 1))
+                lo = p if self.top is None else max(p, -q - self.top)
+                splits = [(-q - c, c) for c in reversed(A.degrees(-q - lo))]
+            pairs = ((A.monomial_tuples(p, S, False), A.monomial_basis(c))
+                     for S, c in splits)
             self._blocks_by_cell[(p, q)] = [
                 (words, monos) for words, monos in pairs if words and monos]
         return self._blocks_by_cell[(p, q)]

@@ -53,7 +53,8 @@ class PoincareDualityData(namedtuple(
 
 def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
     """Verified Poincare duality data; the pairing <a,b> = coefficient of
-    the top class in ab must be nondegenerate in every degree."""
+    the top class in ab must be nondegenerate in every degree k where
+    monomials may reach k or d - k (elsewhere both sides are empty)."""
     d = A.top_degree_bound()
     if d is None:
         raise NotPoincareDualityError(
@@ -64,7 +65,7 @@ def build_pd(A: AlgebraPresentation) -> PoincareDualityData:
             f"top degree {d} has dimension {len(top)} != 1", d)
     omega = top[0]
     field = A.field
-    for k in range(0, d + 1):
+    for k in sorted({k for r in A.degrees(d) for k in (r, d - r)}):
         rows = A.monomial_basis(k)
         cols = A.monomial_basis(d - k)
         if len(rows) != len(cols):

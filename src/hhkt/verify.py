@@ -86,9 +86,8 @@ def _mixed_f3():
 
 def _words(A, max_len, cap):
     """Bar words of length 1..max_len and internal degree <= cap."""
-    cells = BarComplex(A, COEFF_SELF, DegreeWindow(max_len, -cap, 0))
     return [w for k in range(1, max_len + 1) for S in range(k, cap + 1)
-            for w in cells.words(k, S)]
+            for w in A.monomial_tuples(k, S, False)]
 
 
 def check_bar_d_squared(corpus, rng):

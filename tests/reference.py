@@ -15,11 +15,10 @@ so none is compiled by any hhkt process.
 import itertools
 
 from hhkt.algebra import InternalConsistencyError, Polynomial
-from hhkt.bar import (COEFF_DUAL, COEFF_SELF, BarComplex, ChainElement,
-                      Cochain, DualValue, _act, _coboundary_faces,
-                      _word_values, bar_faces, cochain_value, connes_boundary,
-                      hochschild_b, word_suspension)
-from hhkt.bigraded import DegreeWindow
+from hhkt.bar import (COEFF_DUAL, COEFF_SELF, ChainElement, Cochain,
+                      DualValue, _act, _coboundary_faces, _word_values,
+                      bar_faces, cochain_value, connes_boundary, hochschild_b,
+                      word_suspension)
 from hhkt.bv import pair_class
 from hhkt.fields import CellComplex, LinearSystem, SparseMatrix, rank
 from hhkt.koszul_tate import (EMono, diagonal_mono, emonos_at_level,
@@ -90,22 +89,19 @@ def cochain_differential(f: Cochain, target_words) -> Cochain:
 class ChainComplexCells(CellComplex):
     """Hochschild chain cells (word length k, internal degree t), with basis
     entries (a0, word), the keys of a ChainElement; b lowers k.  The words
-    are those a BarComplex of A enumerates, whatever its window."""
+    are the bar words of A, `monomial_tuples` without the unit."""
 
     step = -1
 
     def __init__(self, A):
         super().__init__(A.field)
         self.A = A
-        self.words = BarComplex(A, COEFF_SELF, DegreeWindow(0, 0, 0)).words
 
     def _basis(self, k, t):
-        out = []
-        for S in range(k, t + 1) if k else range(0, t + 1):
-            for w in self.words(k, S):
-                for a0 in self.A.monomial_basis(t - S):
-                    out.append((a0, w))
-        return out
+        A = self.A
+        return [(a0, w) for c in reversed(A.degrees(t))
+                for w in A.monomial_tuples(k, t - c, False)
+                for a0 in A.monomial_basis(c)]
 
     def _boundary(self, b):
         return hochschild_b(ChainElement(self.A, {b: 1})).terms.items()

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Monomial,
                           Polynomial, PresentationError, parse_poly_expr,
                           parse_presentation, validate_regular_sequence,
                           zeta_coefficients)
-from hhkt.cli import regularity_gate
+from hhkt.cli import main, regularity_gate
 from hhkt.fields import PrimeField
 
 
@@ -74,6 +75,24 @@ def test_parse_errors():
             "generators": [{"name": "y", "degree": 3, "kind": "exterior"},
                            {"name": "x", "degree": 2, "kind": "polynomial"}],
             "relations": ["y*x"]})
+
+
+@pytest.mark.parametrize("relation, kind", [
+    ("x1^0", "constant"), ("1", "constant"), ("x1", "linear")])
+def test_constant_relation_is_not_called_linear(tmp_path, capsys, relation,
+                                                kind):
+    """A relation with a constant term is refused as such, in one line
+    with exit 1; a linear term keeps its own message."""
+    doc = {"characteristic": 2, "relations": [relation],
+           "generators": [{"name": "x1", "degree": 2, "kind": "polynomial"}]}
+    message = f"relation has a {kind} term (must be decomposable)"
+    with pytest.raises(PresentationError) as err:
+        parse_presentation(doc)
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compute", "--input", str(path)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_monomial_basis_examples():

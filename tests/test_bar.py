@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hhkt.algebra import (AlgebraPresentation, GradedGenerator, Polynomial,
                           parse_presentation)
 from hhkt.bigraded import DegreeWindow
+from hhkt.bv import build_pd
 from hhkt.fields import PrimeField
 from hhkt.bar import (BarComplex, ChainElement, Cochain, DualValue,
                       cochain_cup, compute_hh_window, connes_boundary,
@@ -426,6 +427,35 @@ def test_cell_estimate_and_words_follow_the_basis(path, coeff):
 
 BENCH_INPUTS = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
                 / "inputs")
+
+
+@pytest.mark.parametrize("A", [
+    two_spheres_deg5(), truncated_poly_char2(), exterior(3, [3, 3]),
+    _mixed(3, 3, 2, ["x1^3"]), polynomial(3, [2, 4])])
+def test_bar_words_are_the_tuples_without_the_unit(A):
+    """The words of each length and degree are monomial_tuples without the
+    unit, in the order of the brute-force enumeration: by each letter's
+    degree and basis position in turn."""
+    words = all_words(A, 3, 12)
+    for k in range(1, 4):
+        for S in range(13):
+            assert A.monomial_tuples(k, S, False) == [
+                w for w in words if len(w) == k
+                and sum(A.mono_degree(m) for m in w) == S], (k, S)
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: compute_hh_window(A, COEFF_SELF, DegreeWindow(4, -24, 24)),
+    lambda A: compute_hh_window(A, COEFF_DUAL, DegreeWindow(4, -1024, -976)),
+    build_pd], ids=["self", "dual", "build_pd"])
+def test_bar_cells_visit_only_the_degrees_monomials_reach(build):
+    """At |x1| = 1000 the bar cells of both coefficient sides, in windows
+    that reach the top degree, and the Poincare duality check ask for
+    monomials in the degrees 0, 1000 and 2000 alone, not in every degree
+    that the window or the top degree spans."""
+    A = polynomial(2, [1000], ["x1^2"])
+    assert build(A)
+    assert len(A._basis_cache) <= 3, sorted(A._basis_cache)
 
 
 @pytest.mark.parametrize("path", CORPUS + [

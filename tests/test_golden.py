@@ -6,13 +6,15 @@ scripts/run_corpus.py runs it on, of `verify --seed 0`, `1` and `2`, of
 the `compute` documents of four benchmark inputs (three whose product
 tables and collapse certificates are large, one whose products take the
 homology path), of the `oracle` documents of the benchmark's oracle
-workload, and of the `bv` document of the three-generator exterior input
-at max filtration 3.
+workload, of the `bv` document of the three-generator exterior input
+at max filtration 3, and of the `oracle` and `bv` documents of
+F_2[x1]/(x1^2) with |x1| = 10^4 in the default window.
 A change that is meant to alter results must re-record these hashes and
 say why.
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -96,6 +98,17 @@ BENCH_ORACLE_SHA256 = {
 BENCH_BV_EXT3_SHA256 = \
     "95e6439c98b3d8746a7fad554f51d0b81e66d3f2b3d3efba98cf9fab5fe1c1f8"
 
+# F_2[x1]/(x1^2), |x1| = 10^4, default window: a generator degree far
+# above the window, where only the degrees 0 and 10^4 hold monomials
+LARGE_DEGREE_INPUT = {
+    "characteristic": 2, "relations": ["x1^2"],
+    "generators": [{"name": "x1", "degree": 10000, "kind": "polynomial"}]}
+LARGE_DEGREE_SHA256 = {
+    "oracle":
+        "361cdbfb215ae745ce38d8a920e75c092a3a1849cf329f298e1273940802f668",
+    "bv": "53d10d94311f34a9573dfa0e97a344feff29b02198455d7a2317313df6aaa582",
+}
+
 VERIFY_SHA256 = {
     0: "e278035399e71a1eab88af0f429f45480a9565fec941d7cc1032b81928d448a6",
     1: "306065906c6b23adbf2da4800da66e95d4bed37f3b25acdf6d473e20c6a5532f",
@@ -153,6 +166,15 @@ def test_benchmark_bv_document_is_unchanged(capsys):
     path = BENCH_INPUTS / "ext3_deg5_char2.json"
     assert _stdout_sha256(capsys, ["bv", "--input", str(path),
                                    "--max-p", "3"]) == BENCH_BV_EXT3_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_DEGREE_SHA256))
+def test_large_generator_degree_document_is_unchanged(capsys, tmp_path,
+                                                      command):
+    path = tmp_path / "x1_deg10000_char2.json"
+    path.write_text(json.dumps(LARGE_DEGREE_INPUT))
+    assert _stdout_sha256(capsys, [command, "--input", str(path)]) \
+        == LARGE_DEGREE_SHA256[command]
 
 
 def test_verify_document_is_unchanged(capsys):

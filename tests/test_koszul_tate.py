@@ -196,23 +196,26 @@ def test_exactness():
     assert report.ok, report.failures
 
 
-def _splits(A, k, degree):
-    """The k-tuples of basis monomials whose degrees sum to degree, split
-    by split over every integer degree, then by monomials: the order of
-    the cell bases."""
-    return [monos for split in itertools.product(range(degree + 1),
-                                                 repeat=k)
-            if sum(split) == degree
-            for monos in itertools.product(*map(A.monomial_basis, split))]
+def _sorted_tuples(A, k, degree, unit):
+    """Every k-tuple of basis monomials whose degrees sum to degree, with no
+    unit entry unless unit is set, sorted by the (degree, basis position)
+    of each entry in turn: the order of the cell bases and bar words."""
+    monos = [(m, (d, i)) for d in range(degree + 1)
+             for i, m in enumerate(A.monomial_basis(d)) if d or unit]
+    tuples = [t for t in itertools.product(monos, repeat=k)
+              if sum(key[0] for _, key in t) == degree]
+    return [tuple(m for m, _ in t)
+            for t in sorted(tuples, key=lambda t: [key for _, key in t])]
 
 
 @pytest.mark.parametrize("A", [exterior_times_truncated_f3(),
                                exterior(2, [3, 5]), polynomial(3, [2, 4])])
 def test_monomial_tuples_split_every_degree_in_basis_order(A):
-    for k in (1, 2, 3):
-        for degree in range(-2, 15):
-            assert list(A.monomial_tuples(k, degree)) == \
-                _splits(A, k, degree), (k, degree)
+    for unit in (True, False):
+        for k in range(5):
+            for degree in range(-2, 15):
+                assert A.monomial_tuples(k, degree, unit) == \
+                    _sorted_tuples(A, k, degree, unit), (k, degree, unit)
 
 
 def test_cell_bases_visit_only_the_degrees_monomials_reach():
